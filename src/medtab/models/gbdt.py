@@ -4,16 +4,23 @@ Each round fits a depth-bounded regression tree to the residuals ``y - p``;
 leaves take the second-order step ``sum(residuals) / sum(p * (1 - p))`` and the
 ensemble updates ``F += learning_rate * tree``. The initial score is the
 log-odds of the training base rate.
+
+Boosting is stagewise: round ``k`` depends only on the rounds before it, so
+the first ``k`` trees of a longer run, with the importance gains summed over
+those trees, are exactly the model ``train_gbdt`` fits with
+``n_estimators=k``. ``gbdt_stages`` yields those models one round at a time;
+the training matrix is presorted once for all trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .logreg import sigmoid
-from .tree import TreeNode, train_regression_tree, tree_predict
+from .tree import TreeNode, presort, train_regression_tree, tree_predict
 
 DEFAULT_TREE_DEPTH = 6
 
@@ -33,31 +40,40 @@ class GbdtModel:
         return self._gains.copy()
 
 
-def train_gbdt(X, y, n_estimators: int, learning_rate: float,
-               max_tree_depth: int = DEFAULT_TREE_DEPTH,
-               feature_names: tuple[str, ...] = ()) -> GbdtModel:
-    X = np.asarray(X, dtype=np.float64)
+def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_DEPTH,
+                feature_names: tuple[str, ...] = ()):
+    """Boost without end, yielding the model after 0, 1, 2, ... trees. Each
+    yielded model is a snapshot: later rounds do not change it."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     if n < 2 or len(np.unique(y)) < 2:
         raise ValueError("training needs at least two rows with both classes present")
     base = float(y.mean())
     f0 = float(np.log(base / (1.0 - base)))
+    sorted_rows = presort(X)
     scores = np.full(n, f0)
     trees: list[TreeNode] = []
     gains = np.zeros(d)
-    for _ in range(n_estimators):
+    while True:
+        yield GbdtModel(trees=list(trees), learning_rate=learning_rate, n_estimators=len(trees),
+                        initial_log_odds=f0, max_tree_depth=max_tree_depth, n_columns=d,
+                        feature_names=tuple(feature_names), _gains=gains.copy())
         p = sigmoid(scores)
         residuals = y - p
         hess = p * (1.0 - p)
-        root, tree_gains = train_regression_tree(X, residuals, hess,
-                                                 max_depth=max_tree_depth)
+        root, tree_gains = train_regression_tree(X, residuals, hess, max_depth=max_tree_depth,
+                                                 sorted_rows=sorted_rows)
         gains += tree_gains
         trees.append(root)
         scores = scores + learning_rate * tree_predict(root, X)
-    return GbdtModel(trees=trees, learning_rate=learning_rate, n_estimators=n_estimators,
-                     initial_log_odds=f0, max_tree_depth=max_tree_depth, n_columns=d,
-                     feature_names=tuple(feature_names), _gains=gains)
+
+
+def train_gbdt(X, y, n_estimators: int, learning_rate: float,
+               max_tree_depth: int = DEFAULT_TREE_DEPTH,
+               feature_names: tuple[str, ...] = ()) -> GbdtModel:
+    stages = gbdt_stages(X, y, learning_rate, max_tree_depth, feature_names)
+    return next(islice(stages, n_estimators, None))
 
 
 def gbdt_raw_scores(model: GbdtModel, X: np.ndarray) -> np.ndarray:

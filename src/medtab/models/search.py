@@ -1,18 +1,24 @@
 """Validation-accuracy grid search over the fixed hyperparameter grids.
 
-Candidates are visited from most regularized to least (smaller C, smaller
-depth, larger min split, fewer trees, smaller learning rate) and only a
-strictly better validation accuracy displaces the incumbent, so ties resolve
-toward stronger regularization.
+Candidates are ranked from most regularized to least (smaller C, smaller
+depth, larger min split, fewer trees, smaller learning rate); the report
+lists them in that order, and the best validation accuracy wins, ties going
+to the earlier candidate, so toward stronger regularization.
+
+The GBDT grid is fitted stagewise: per learning rate, one run boosts to
+``max(GBDT_N_GRID)`` trees and every smaller ``n_estimators`` is scored on
+its prefix, which is exactly the model ``train_gbdt`` would fit (see
+``gbdt``). Only the current run and the incumbent best model are kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .gbdt import gbdt_predict_proba, train_gbdt
+from .gbdt import gbdt_predict_proba, gbdt_stages, train_gbdt
 from .logreg import logreg_predict_proba, train_logreg
 from .tree import train_dtree, tree_predict
 
@@ -57,6 +63,19 @@ def _candidates(family: str):
     raise ValueError(f"unknown model family {family!r}; expected one of {FAMILIES}")
 
 
+def _fits(family: str, X, y, feature_names):
+    """(params, model) for every candidate; GBDT in learning-rate-major order."""
+    if family == "gbdt":
+        for lr in GBDT_LR_GRID:
+            stages = gbdt_stages(X, y, lr, feature_names=feature_names)
+            for model in islice(stages, max(GBDT_N_GRID) + 1):
+                if model.n_estimators in GBDT_N_GRID:
+                    yield {"n_estimators": model.n_estimators, "learning_rate": lr}, model
+        return
+    for params in _candidates(family):
+        yield params, _train(family, params, X, y, feature_names)
+
+
 def _train(family: str, params: dict, X, y, feature_names):
     if family == "logreg":
         return train_logreg(X, y, feature_names=feature_names, **params)
@@ -81,14 +100,16 @@ def grid_search(family: str, X_train, y_train, X_val, y_val,
     X_val = np.asarray(X_val, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
     y_val = np.asarray(y_val, dtype=np.int64)
-    best = None
-    report: list[GridPoint] = []
-    for params in _candidates(family):
-        model = _train(family, params, X_train, y_train, feature_names)
-        acc = _accuracy(y_val, _score(family, model, X_val))
-        report.append(GridPoint(params=dict(params), val_accuracy=acc))
-        if best is None or acc > best[0]:
-            best = (acc, model, params)
-    acc, model, params = best
-    return GridSearchResult(family=family, model=model, params=dict(params),
+    candidates = _candidates(family)
+    accuracy = {}
+    best = None  # (accuracy, rank, model): the first best candidate in rank order
+    for params, model in _fits(family, X_train, y_train, feature_names):
+        rank = candidates.index(params)
+        acc = accuracy[rank] = _accuracy(y_val, _score(family, model, X_val))
+        if best is None or acc > best[0] or (acc == best[0] and rank < best[1]):
+            best = (acc, rank, model)
+    acc, rank, model = best
+    report = [GridPoint(params=dict(p), val_accuracy=accuracy[i])
+              for i, p in enumerate(candidates)]
+    return GridSearchResult(family=family, model=model, params=dict(candidates[rank]),
                             val_accuracy=acc, report=report)

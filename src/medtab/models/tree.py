@@ -5,6 +5,17 @@ Split search is exact: candidate thresholds are midpoints between consecutive
 distinct sorted values per column, the chosen split maximizes the weighted
 impurity decrease, and ties break toward the lower column index then the
 lower threshold. Training is deterministic.
+
+Both trees share one engine. Each column of the training matrix is argsorted
+once (``presort``, a stable sort, so tied rows stay in row order). A node
+carries its rows per column in that order, and splitting a node keeps the
+order in both children, because a boolean filter of a sorted list is sorted.
+So every node sees exactly what a stable per-node argsort would give, and its
+cumulative sums, gains and thresholds are the same bit for bit. A node's split
+search is one 2-D scan: gather the node's values and statistics in sorted
+order, take cumulative sums along each column, score the cuts between
+distinct neighbouring values and take the first maximum in (column,
+position) order, which is the tie rule above.
 """
 
 from __future__ import annotations
@@ -37,78 +48,92 @@ def gini_from_counts(neg: int, pos: int) -> float:
     return 1.0 - (pos * pos + neg * neg) / (n * n)
 
 
-def _boundary_indices(xs: np.ndarray) -> np.ndarray:
-    """Positions i where xs[i] != xs[i+1] in a sorted column."""
-    return np.nonzero(xs[:-1] != xs[1:])[0]
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row indices of ``X`` per column in ascending value order, ties in row
+    order: shape (columns, rows)."""
+    return np.argsort(X, axis=0, kind="stable").T.copy()
 
 
-def best_gini_split(X: np.ndarray, y: np.ndarray):
+def _cuts(X: np.ndarray, sorted_rows: np.ndarray):
+    """The node's values in sorted order, shape (columns, rows), and its cuts
+    between distinct neighbouring values as flat indices into the (columns,
+    rows - 1) grid, so in column then position order. Cut ``(c, k)`` sends
+    sorted positions ``0..k`` of column ``c`` left."""
+    d = X.shape[1]
+    xs = X.ravel().take(sorted_rows * d + np.arange(d)[:, None])
+    return xs, np.flatnonzero(xs[:, :-1] != xs[:, 1:])
+
+
+def _first_best(xs, cuts, gains, min_gain: float):
+    """(column, threshold, gain) of the first maximum of ``gains``, so the
+    lowest column and then the lowest threshold win ties; None when it does
+    not exceed ``min_gain``."""
+    i = int(np.argmax(gains))
+    gain = float(gains[i])
+    if gain <= min_gain:
+        return None
+    col, k = divmod(int(cuts[i]), xs.shape[1] - 1)
+    return col, float((xs[col, k] + xs[col, k + 1]) / 2.0), gain
+
+
+def best_gini_split(X: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray | None = None):
     """Exhaustive best (column, threshold) by Gini decrease; None if no split gains.
 
-    Returns (column, threshold, gain). The gain formula matches an integer-count
+    Returns (column, threshold, gain) for the node whose rows ``sorted_rows``
+    lists per column in ascending value order (``presort``); all rows of
+    ``X`` when omitted. The gain formula matches an integer-count
     recomputation exactly, so independent brute force agrees bit for bit.
     """
-    n = len(y)
-    pos_total = int(y.sum())
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if sorted_rows is None:
+        sorted_rows = presort(X)
+    xs, cuts = _cuts(X, sorted_rows)
+    if cuts.size == 0:
+        return None
+    n = sorted_rows.shape[1]
+    ys = y.take(sorted_rows[:, :-1])
+    pos_total = int(y.take(sorted_rows[0]).sum())
     neg_total = n - pos_total
     parent = gini_from_counts(neg_total, pos_total)
-    best = None  # (gain, col, thr)
-    for col in range(X.shape[1]):
-        order = np.argsort(X[:, col], kind="stable")
-        xs = X[order, col]
-        ys = y[order]
-        cuts = _boundary_indices(xs)
-        if cuts.size == 0:
-            continue
-        cum_pos = np.cumsum(ys)
-        n_l = cuts + 1
-        pos_l = cum_pos[cuts]
-        neg_l = n_l - pos_l
-        n_r = n - n_l
-        pos_r = pos_total - pos_l
-        neg_r = n_r - pos_r
-        gini_l = 1.0 - (pos_l * pos_l + neg_l * neg_l) / (n_l * n_l)
-        gini_r = 1.0 - (pos_r * pos_r + neg_r * neg_r) / (n_r * n_r)
-        gains = parent - (n_l * gini_l + n_r * gini_r) / n
-        thresholds = (xs[cuts] + xs[cuts + 1]) / 2.0
-        for k in range(len(cuts)):  # ascending thresholds; strict > keeps the first max
-            if best is None or gains[k] > best[0]:
-                best = (float(gains[k]), col, float(thresholds[k]))
-    if best is None or best[0] <= 0.0:
+    n_l = cuts % (n - 1) + 1
+    pos_l = np.cumsum(ys, axis=1).take(cuts)
+    neg_l = n_l - pos_l
+    n_r = n - n_l
+    pos_r = pos_total - pos_l
+    neg_r = n_r - pos_r
+    gini_l = 1.0 - (pos_l * pos_l + neg_l * neg_l) / (n_l * n_l)
+    gini_r = 1.0 - (pos_r * pos_r + neg_r * neg_r) / (n_r * n_r)
+    gains = parent - (n_l * gini_l + n_r * gini_r) / n
+    return _first_best(xs, cuts, gains, 0.0)
+
+
+def best_sse_split(X: np.ndarray, t: np.ndarray, sorted_rows: np.ndarray | None = None):
+    """Best (column, threshold, gain) by squared-error decrease on targets
+    ``t``, over the node given as in ``best_gini_split``."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if sorted_rows is None:
+        sorted_rows = presort(X)
+    xs, cuts = _cuts(X, sorted_rows)
+    if cuts.size == 0:
         return None
-    return best[1], best[2], best[0]
-
-
-def best_sse_split(X: np.ndarray, t: np.ndarray):
-    """Best (column, threshold) by squared-error decrease on targets ``t``."""
-    n = len(t)
-    total = float(t.sum())
-    total_sq = float((t * t).sum())
+    n = sorted_rows.shape[1]
+    # Node totals are summed in row order, as over a slice t[rows].
+    node_t = t.take(np.sort(sorted_rows[0]))
+    total = float(node_t.sum())
+    total_sq = float((node_t * node_t).sum())
     parent = total_sq - total * total / n
-    best = None
-    for col in range(X.shape[1]):
-        order = np.argsort(X[:, col], kind="stable")
-        xs = X[order, col]
-        ts = t[order]
-        cuts = _boundary_indices(xs)
-        if cuts.size == 0:
-            continue
-        cum = np.cumsum(ts)
-        cum_sq = np.cumsum(ts * ts)
-        n_l = cuts + 1
-        sum_l = cum[cuts]
-        sse_l = cum_sq[cuts] - sum_l * sum_l / n_l
-        n_r = n - n_l
-        sum_r = total - sum_l
-        sse_r = (total_sq - cum_sq[cuts]) - sum_r * sum_r / n_r
-        gains = parent - (sse_l + sse_r)
-        thresholds = (xs[cuts] + xs[cuts + 1]) / 2.0
-        for k in range(len(cuts)):
-            if best is None or gains[k] > best[0]:
-                best = (float(gains[k]), col, float(thresholds[k]))
-    if best is None or best[0] <= 1e-12:
-        return None
-    return best[1], best[2], best[0]
+    ts = t.take(sorted_rows[:, :-1])
+    sum_l = np.cumsum(ts, axis=1).take(cuts)
+    sq_l = np.cumsum(ts * ts, axis=1).take(cuts)
+    n_l = cuts % (n - 1) + 1
+    sse_l = sq_l - sum_l * sum_l / n_l
+    n_r = n - n_l
+    sum_r = total - sum_l
+    sse_r = (total_sq - sq_l) - sum_r * sum_r / n_r
+    gains = parent - (sse_l + sse_r)
+    return _first_best(xs, cuts, gains, 1e-12)
 
 
 @dataclass
@@ -125,6 +150,45 @@ class TreeModel:
         return self._gains.copy()
 
 
+def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best_split):
+    """Grow a tree depth first, left child before right, from an explicit stack
+    (a recursive closure would reference itself, and the cycle would keep the
+    training arrays alive until a full garbage collection).
+
+    ``new_leaf(rows, depth)`` returns the node as a leaf and whether it may
+    split; ``best_split(sorted_rows)`` returns (column, threshold, gain) or
+    None. Returns (root, per-column gain vector), each split adding its gain
+    weighted by its share of the rows.
+    """
+    n, d = X.shape
+    gains = np.zeros(d)
+    root = None
+    stack = [(np.arange(n), sorted_rows, 0, None, "")]
+    while stack:
+        rows, node_rows, depth, parent, side = stack.pop()
+        node, splittable = new_leaf(rows, depth)
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
+        if not splittable or depth >= max_depth or len(rows) < min_samples_split:
+            continue
+        found = best_split(node_rows)
+        if found is None:
+            continue
+        col, thr, gain = found
+        gains[col] += (len(rows) / n) * gain
+        node.column, node.threshold = col, thr
+        node.counts, node.value = None, None
+        goes_left = X[:, col] <= thr
+        left, left_sorted = goes_left.take(rows), goes_left.take(node_rows).ravel()
+        stack.append((rows.compress(~left), node_rows.compress(~left_sorted).reshape(d, -1),
+                      depth + 1, node, "right"))
+        stack.append((rows.compress(left), node_rows.compress(left_sorted).reshape(d, -1),
+                      depth + 1, node, "left"))
+    return root, gains
+
+
 def train_dtree(X, y, max_depth: int, min_samples_split: int,
                 feature_names: tuple[str, ...] = ()) -> TreeModel:
     """Grow a CART classifier. Stops on depth, node size, purity or zero gain."""
@@ -132,77 +196,59 @@ def train_dtree(X, y, max_depth: int, min_samples_split: int,
         raise ValueError("max_depth must be >= 1")
     if min_samples_split < 2:
         raise ValueError("min_samples_split must be >= 2")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
-    gains = np.zeros(d)
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        ys = y[rows]
-        pos = int(ys.sum())
+    def new_leaf(rows, depth):
+        pos = int(y[rows].sum())
         neg = len(rows) - pos
         node = TreeNode(n_samples=len(rows), depth=depth, counts=(neg, pos),
                         value=pos / len(rows))
-        if depth >= max_depth or len(rows) < min_samples_split or pos == 0 or neg == 0:
-            return node
-        found = best_gini_split(X[rows], ys)
-        if found is None:
-            return node
-        col, thr, gain = found
-        gains[col] += (len(rows) / n) * gain
-        mask = X[rows, col] <= thr
-        node.column, node.threshold = col, thr
-        node.counts, node.value = None, None
-        node.left = grow(rows[mask], depth + 1)
-        node.right = grow(rows[~mask], depth + 1)
-        return node
+        return node, pos > 0 and neg > 0
 
-    root = grow(np.arange(n), 0)
+    root, gains = _grow(X, presort(X), max_depth, min_samples_split, new_leaf,
+                        lambda node_rows: best_gini_split(X, y, node_rows))
     return TreeModel(root=root, max_depth=max_depth, min_samples_split=min_samples_split,
                      n_columns=d, n_training_rows=n,
                      feature_names=tuple(feature_names), _gains=gains)
 
 
 def train_regression_tree(X, targets, weights, max_depth: int = 6,
-                          min_samples_split: int = 2, eps: float = 1e-12):
+                          min_samples_split: int = 2, eps: float = 1e-12,
+                          sorted_rows: np.ndarray | None = None):
     """Fit a regression tree on ``targets`` with leaf values
     sum(targets) / (sum(weights) + eps) per leaf (the second-order step used
-    by boosting). Returns (root, per-column gain vector)."""
-    X = np.asarray(X, dtype=np.float64)
+    by boosting). ``sorted_rows`` is ``presort(X)``, computed here when not
+    given. Returns (root, per-column gain vector)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    n, d = X.shape
-    gains = np.zeros(d)
+    if sorted_rows is None:
+        sorted_rows = presort(X)
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        node = TreeNode(n_samples=len(rows), depth=depth,
-                        value=float(t[rows].sum() / (w[rows].sum() + eps)))
-        if depth >= max_depth or len(rows) < min_samples_split:
-            return node
-        found = best_sse_split(X[rows], t[rows])
-        if found is None:
-            return node
-        col, thr, gain = found
-        gains[col] += (len(rows) / n) * gain
-        mask = X[rows, col] <= thr
-        node.column, node.threshold = col, thr
-        node.value = None
-        node.left = grow(rows[mask], depth + 1)
-        node.right = grow(rows[~mask], depth + 1)
-        return node
+    def new_leaf(rows, depth):
+        value = float(t[rows].sum() / (w[rows].sum() + eps))
+        return TreeNode(n_samples=len(rows), depth=depth, value=value), True
 
-    root = grow(np.arange(n), 0)
-    return root, gains
+    return _grow(X, sorted_rows, max_depth, min_samples_split, new_leaf,
+                 lambda node_rows: best_sse_split(X, t, node_rows))
 
 
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Leaf values for the rows of ``X``, routing arrays of row indices down
+    the tree (``x[column] <= threshold`` goes left)."""
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(len(X), dtype=np.float64)
-    for i, x in enumerate(X):
-        node = root
-        while not node.is_leaf:
-            node = node.left if x[node.column] <= node.threshold else node.right
-        out[i] = node.value
+    stack = [(root, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.value
+        elif idx.size:
+            left = X[idx, node.column] <= node.threshold
+            stack.append((node.left, idx[left]))
+            stack.append((node.right, idx[~left]))
     return out
 
 

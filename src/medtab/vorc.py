@@ -130,17 +130,26 @@ def _json_spans(text: str) -> list[tuple[int, int]]:
 
 
 def parse_response(raw: str):
-    """Parse the last top-level JSON object out of a response, strictly."""
+    """Parse the last top-level JSON object out of a response, strictly.
+
+    A span that does not parse, such as ``{systolic}/{diastolic}`` in a note
+    after the answer, gives way to the last span before it that does.
+    ``strict-parse-error`` is raised only when no span parses, and reports
+    the error of the last span.
+    """
     spans = _json_spans(raw)
     if not spans:
         raise ParseFailure("no-json-found", "no JSON object found in the response")
-    start, end = spans[-1]
-    try:
-        return _strict_loads(raw[start:end])
-    except (json.JSONDecodeError, ValueError) as e:
-        pos = getattr(e, "pos", None)
-        where = f" at position {start + pos}" if pos is not None else ""
-        raise ParseFailure("strict-parse-error", f"invalid JSON{where}: {e}") from e
+    last_error = None
+    for start, end in reversed(spans):
+        try:
+            return _strict_loads(raw[start:end])
+        except (json.JSONDecodeError, ValueError) as e:
+            last_error = last_error or (start, e)
+    start, e = last_error
+    pos = getattr(e, "pos", None)
+    where = f" at position {start + pos}" if pos is not None else ""
+    raise ParseFailure("strict-parse-error", f"invalid JSON{where}: {e}") from e
 
 
 def _parses(text: str) -> bool:
@@ -295,10 +304,12 @@ def _nan_to_null(text: str) -> str:
 
 
 def _extract_json_substring(text: str) -> str:
+    """The last {...} span that parses strictly, else the last span."""
     spans = _json_spans(text)
     if not spans:
         return text
-    start, end = spans[-1]
+    start, end = next((span for span in reversed(spans) if _parses(text[span[0]:span[1]])),
+                      spans[-1])
     candidate = text[start:end]
     return candidate if candidate != text.strip() else text
 

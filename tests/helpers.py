@@ -96,6 +96,37 @@ def brute_force_gini_split(X, y):
     return best[1], best[2], best[0]
 
 
+def brute_force_sse_split(X, t):
+    """Exhaustive argmax of squared-error decrease over every (column,
+    midpoint) candidate, recomputing each side's sums from scratch per
+    candidate as ``sum(t*t) - sum(t)**2 / n``. Ties keep the first (lowest
+    column, then lowest threshold). With targets whose sums are exact in
+    float64 (small multiples of a power of two) every gain is bit-identical
+    to a prefix-sum computation of the same formula."""
+    X = np.asarray(X, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+
+    def sums(values):
+        return float(values.sum()), float((values * values).sum()), len(values)
+
+    total, total_sq, n = sums(t)
+    parent = total_sq - total * total / n
+    best = None
+    for col in range(X.shape[1]):
+        values = sorted(set(X[:, col].tolist()))
+        for a, b in zip(values, values[1:]):
+            thr = (a + b) / 2.0
+            mask = X[:, col] <= thr
+            sum_l, sq_l, n_l = sums(t[mask])
+            sum_r, sq_r, n_r = sums(t[~mask])
+            gain = parent - ((sq_l - sum_l * sum_l / n_l) + (sq_r - sum_r * sum_r / n_r))
+            if best is None or gain > best[0]:
+                best = (gain, col, thr)
+    if best is None or best[0] <= 1e-12:
+        return None
+    return best[1], best[2], best[0]
+
+
 def brute_force_auc(y, scores) -> float:
     """AUC by direct comparison of every positive/negative pair, ties 0.5."""
     pos = [s for s, t in zip(scores, y) if t == 1]

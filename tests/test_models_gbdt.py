@@ -1,9 +1,15 @@
+import gc
+import json
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from medtab.models import gbdt_predict_proba, log_loss, train_gbdt
-from medtab.models.gbdt import gbdt_raw_scores
+from medtab.models.gbdt import GbdtModel, gbdt_raw_scores, gbdt_stages
 from medtab.models.logreg import sigmoid
+from medtab.models.persist import _model_to_doc
+from medtab.models.tree import train_regression_tree, tree_predict
 
 
 def toy_6rows():
@@ -129,3 +135,48 @@ class TestGbdt:
         iv = feature_importances(train_gbdt(X, y, 10, 0.1))
         assert iv.scores.sum() == pytest.approx(1.0, abs=1e-12)
         assert iv.scores[2] > 0.5
+
+
+def reference_boost(X, y, n_estimators, lr, max_tree_depth):
+    """The boosting loop written out, one fresh run per ``n_estimators``."""
+    base = float(y.mean())
+    f0 = float(np.log(base / (1.0 - base)))
+    scores = np.full(len(y), f0)
+    trees, gains = [], np.zeros(X.shape[1])
+    for _ in range(n_estimators):
+        p = sigmoid(scores)
+        root, tree_gains = train_regression_tree(X, y - p, p * (1.0 - p), max_depth=max_tree_depth)
+        gains += tree_gains
+        trees.append(root)
+        scores = scores + lr * tree_predict(root, X)
+    return GbdtModel(trees=trees, learning_rate=lr, n_estimators=n_estimators,
+                     initial_log_odds=f0, max_tree_depth=max_tree_depth, n_columns=X.shape[1],
+                     _gains=gains)
+
+
+def gbdt_doc(model) -> str:
+    return json.dumps(_model_to_doc("gbdt", model), sort_keys=True)
+
+
+class TestStages:
+    def test_stages_serialize_as_separate_runs(self):
+        rng = np.random.default_rng(14)
+        X = np.round(rng.normal(size=(50, 3)), 1)
+        y = ((X[:, 0] + 0.5 * rng.normal(size=50)) > 0).astype(np.float64)
+        stages = list(islice(gbdt_stages(X, y, 0.3, max_tree_depth=3), 201))
+        for k in (0, 50, 100, 200):
+            want = gbdt_doc(reference_boost(X, y, k, 0.3, 3))
+            assert gbdt_doc(stages[k]) == want
+            assert gbdt_doc(train_gbdt(X, y, k, 0.3, max_tree_depth=3)) == want
+        assert np.allclose(gbdt_predict_proba(stages[0], X), y.mean())
+
+    def test_training_leaves_no_reference_cycles(self):
+        X, y = toy_6rows()
+        gc.collect()
+        gc.disable()
+        try:
+            train_gbdt(X, y, n_estimators=5, learning_rate=0.1)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,40 @@ class TestGridSearch:
         X, y = separable_data(rng, n=80)
         result = grid_search("dtree", X[:60], y[:60], X[60:], y[60:])
         assert result.val_accuracy == max(p.val_accuracy for p in result.report)
+
+
+def reference_grid_search(family, X_train, y_train, X_val, y_val):
+    """Every candidate fitted on its own, in report order; only a strictly
+    better validation accuracy displaces the incumbent."""
+    from medtab.models.search import _candidates, _train
+
+    best, report = None, []
+    for params in _candidates(family):
+        model = _train(family, params, X_train, y_train, ())
+        acc = float(np.mean((predict_proba(model, X_val) >= 0.5) == y_val))
+        report.append((params, acc))
+        if best is None or acc > best[0]:
+            best = (acc, params, model)
+    return best, report
+
+
+class TestGridMatchesSeparateFits:
+    @pytest.mark.parametrize("family", ["dtree", "gbdt"])
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_same_report_choice_and_model(self, family, seed):
+        from medtab.models.persist import _model_to_doc
+
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(50, 3)), 1)
+        # noisy labels and a small validation part, so accuracies tie often
+        y = ((X[:, 0] + rng.normal(size=50)) > 0).astype(np.int64)
+        result = grid_search(family, X[:38], y[:38], X[38:], y[38:])
+        (acc, params, model), report = reference_grid_search(family, X[:38], y[:38],
+                                                             X[38:], y[38:])
+        assert [(p.params, p.val_accuracy) for p in result.report] == report
+        assert (result.params, result.val_accuracy) == (params, acc)
+        assert (json.dumps(_model_to_doc(family, result.model), sort_keys=True)
+                == json.dumps(_model_to_doc(family, model), sort_keys=True))
 
 
 class TestHepatitisImportances:

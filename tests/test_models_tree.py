@@ -1,11 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_gini_split
+from helpers import brute_force_gini_split, brute_force_sse_split
 
 from medtab.models import export_tree, feature_importances, train_dtree, tree_predict
-from medtab.models.tree import best_gini_split, gini_from_counts
+from medtab.models.persist import _node_to_doc
+from medtab.models.tree import (best_gini_split, best_sse_split, gini_from_counts,
+                                train_regression_tree)
 
 
 class TestGini:
@@ -57,6 +61,129 @@ class TestBestSplitOracle:
         X = np.ones((6, 2))
         y = np.array([0, 1, 0, 1, 0, 1])
         assert best_gini_split(X, y) is None
+
+
+@st.composite
+def tie_heavy_tables(draw, n_max=24, d_max=5):
+    """(X, y, t, w): a table on a coarse value grid, so most columns repeat
+    values; 0/1 labels; targets and weights that are small multiples of a
+    power of two, so every sum of them is exact."""
+    n = draw(st.integers(1, n_max))
+    d = draw(st.integers(1, d_max))
+
+    def column(values, size):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
+
+    X = column(st.integers(0, 5), n * d).reshape(n, d) / 2.0
+    y = column(st.integers(0, 1), n).astype(np.int64)
+    t = column(st.integers(-8, 8), n) / 4.0
+    w = column(st.integers(1, 8), n) / 8.0
+    return X, y, t, w
+
+
+def reference_tree(X, max_depth, min_samples_split, leaf, split):
+    """Recursive greedy grower over row subsets, calling ``split`` on the
+    node's own rows (a brute-force oracle). ``leaf(rows)`` gives the leaf's
+    document and whether the node may split. Returns (root doc, gains)."""
+    n, d = X.shape
+    gains = np.zeros(d)
+
+    def grow(rows, depth):
+        doc, splittable = leaf(rows)
+        if not splittable or depth >= max_depth or len(rows) < min_samples_split:
+            return doc
+        found = split(rows)
+        if found is None:
+            return doc
+        col, thr, gain = found
+        gains[col] += (len(rows) / n) * gain
+        mask = X[rows, col] <= thr
+        return {"n": len(rows), "column": col, "threshold": thr,
+                "left": grow(rows[mask], depth + 1), "right": grow(rows[~mask], depth + 1)}
+
+    return grow(np.arange(n), 0), gains
+
+
+def walk_predict(root, X):
+    """Per-row walk from the root, the reference for ``tree_predict``."""
+    out = []
+    for x in X:
+        node = root
+        while not node.is_leaf:
+            node = node.left if x[node.column] <= node.threshold else node.right
+        out.append(node.value)
+    return np.array(out, dtype=np.float64)
+
+
+class TestEngineOracles:
+    @given(tie_heavy_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_gini_split_equals_brute_force(self, table):
+        X, y, _, _ = table
+        assert best_gini_split(X, y) == brute_force_gini_split(X, y)
+
+    @given(tie_heavy_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_sse_split_equals_brute_force(self, table):
+        X, _, t, _ = table
+        assert best_sse_split(X, t) == brute_force_sse_split(X, t)
+
+    @given(tie_heavy_tables(n_max=40), st.integers(1, 5), st.integers(2, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_dtree_equals_reference_grower(self, table, max_depth, min_samples_split):
+        X, y, _, _ = table
+
+        def leaf(rows):
+            pos = int(y[rows].sum())
+            neg = len(rows) - pos
+            return {"n": len(rows), "value": pos / len(rows), "counts": [neg, pos]}, pos and neg
+
+        want, gains = reference_tree(X, max_depth, min_samples_split, leaf,
+                                     lambda rows: brute_force_gini_split(X[rows], y[rows]))
+        model = train_dtree(X, y, max_depth, min_samples_split)
+        assert _node_to_doc(model.root) == want
+        assert np.array_equal(model.importance_gains(), gains)
+
+    @given(tie_heavy_tables(n_max=40), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_regression_tree_equals_reference_grower(self, table, max_depth):
+        X, _, t, w = table
+
+        def leaf(rows):
+            return {"n": len(rows), "value": float(t[rows].sum() / (w[rows].sum() + 1e-12))}, True
+
+        want, gains = reference_tree(X, max_depth, 2, leaf,
+                                     lambda rows: brute_force_sse_split(X[rows], t[rows]))
+        root, got_gains = train_regression_tree(X, t, w, max_depth=max_depth)
+        assert _node_to_doc(root) == want
+        assert np.array_equal(got_gains, gains)
+
+    @given(tie_heavy_tables(n_max=40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_tree_predict_equals_row_walk(self, table, seed):
+        X, y, t, w = table
+        rng = np.random.default_rng(seed)
+        # Query on a finer grid than the table's, so rows fall exactly on
+        # thresholds (midpoints) too, plus missing values.
+        Xq = rng.integers(-1, 12, size=(30, X.shape[1])) / 4.0
+        Xq[rng.random(Xq.shape) < 0.1] = np.nan
+        for root in (train_dtree(X, y, 4, 2).root, train_regression_tree(X, t, w)[0]):
+            assert np.array_equal(tree_predict(root, Xq), walk_predict(root, Xq))
+        assert tree_predict(root, Xq[:0]).shape == (0,)
+
+    def test_training_leaves_no_reference_cycles(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] > 0).astype(np.int64)
+        gc.collect()
+        gc.disable()
+        try:
+            train_dtree(X, y, 4, 2)
+            train_regression_tree(X, y - 0.5, np.full(60, 0.25))
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestTrainDtree:

@@ -77,6 +77,18 @@ class TestParseResponse:
     def test_braces_inside_strings_ignored(self):
         assert parse_response('{"s": "}"}') == {"s": "}"}
 
+    def test_unparseable_trailing_span_falls_back(self):
+        reply = ('Output JSON:\n{"age": 63}\n'
+                 'Note: blood pressure is charted as {systolic}/{diastolic} in mm Hg.')
+        assert parse_response(reply) == {"age": 63}
+
+    def test_error_reports_last_span_when_none_parses(self):
+        reply = "{'a': 1} and {b}"
+        with pytest.raises(ParseFailure) as exc:
+            parse_response(reply)
+        assert exc.value.kind == "strict-parse-error"
+        assert f"position {reply.index('{b}') + 1}" in str(exc.value)
+
 
 class TestRepairJson:
     @pytest.mark.parametrize("raw,expected,kinds", REPAIR_CORPUS,
@@ -95,6 +107,12 @@ class TestRepairJson:
     def test_unrepairable(self):
         with pytest.raises(UnrepairableError):
             repair_json("{{{")
+
+    def test_extract_skips_unparseable_trailing_span(self):
+        repaired, actions = repair_json("Output JSON:\n{'a': 1}\nNote: {x}/{y} as charted.")
+        assert json.loads(repaired) == {"a": 1}
+        assert [a.kind for a in actions] == ["single_to_double_quotes",
+                                             "extract_json_substring"]
 
     def test_non_object_json_is_unrepairable(self):
         # records are objects; an array response needs model feedback
@@ -240,6 +258,15 @@ class TestRunVorc:
         assert isinstance(outcome, ExtractionRecord)
         assert outcome.vorc_iterations == 0
         assert [a.kind for a in outcome.repairs] == ["single_to_double_quotes"]
+
+    def test_trailing_note_needs_no_correction(self):
+        note = "\nNote: blood pressure is charted as {systolic}/{diastolic} in mm Hg."
+        provider = replay('Output JSON:\n{"age": 31, "sex": "M"}' + note)
+        outcome = self.run(provider)
+        assert isinstance(outcome, ExtractionRecord)
+        assert outcome.vorc_iterations == 0
+        assert outcome.repairs == []
+        assert outcome.values == {"age": 31, "sex": "M"}
 
     def test_json_correction_prompt_counts(self):
         outcome = self.run(replay("not json at all", '{"age": 31, "sex": "M"}'))
