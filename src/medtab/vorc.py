@@ -130,26 +130,21 @@ def _json_spans(text: str) -> list[tuple[int, int]]:
 
 
 def parse_response(raw: str):
-    """Parse the last top-level JSON object out of a response, strictly.
+    """Parse the answer's JSON object out of a response, strictly.
 
-    A span that does not parse, such as ``{systolic}/{diastolic}`` in a note
-    after the answer, gives way to the last span before it that does.
-    ``strict-parse-error`` is raised only when no span parses, and reports
-    the error of the last span.
+    The answer is the span ``_answer_span`` picks: the last ``{...}`` block,
+    unless that block cannot be made an object at all.
     """
-    spans = _json_spans(raw)
-    if not spans:
+    span = _answer_span(raw)
+    if span is None:
         raise ParseFailure("no-json-found", "no JSON object found in the response")
-    last_error = None
-    for start, end in reversed(spans):
-        try:
-            return _strict_loads(raw[start:end])
-        except (json.JSONDecodeError, ValueError) as e:
-            last_error = last_error or (start, e)
-    start, e = last_error
-    pos = getattr(e, "pos", None)
-    where = f" at position {start + pos}" if pos is not None else ""
-    raise ParseFailure("strict-parse-error", f"invalid JSON{where}: {e}") from e
+    start, end = span
+    try:
+        return _strict_loads(raw[start:end])
+    except (json.JSONDecodeError, ValueError) as e:
+        pos = getattr(e, "pos", None)
+        where = f" at position {start + pos}" if pos is not None else ""
+        raise ParseFailure("strict-parse-error", f"invalid JSON{where}: {e}") from e
 
 
 def _parses(text: str) -> bool:
@@ -304,13 +299,10 @@ def _nan_to_null(text: str) -> str:
 
 
 def _extract_json_substring(text: str) -> str:
-    """The last {...} span that parses strictly, else the last span."""
-    spans = _json_spans(text)
-    if not spans:
+    span = _answer_span(text)
+    if span is None:
         return text
-    start, end = next((span for span in reversed(spans) if _parses(text[span[0]:span[1]])),
-                      spans[-1])
-    candidate = text[start:end]
+    candidate = text[span[0]:span[1]]
     return candidate if candidate != text.strip() else text
 
 
@@ -362,6 +354,27 @@ def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
         if not changed:
             break
     raise UnrepairableError("response could not be repaired into valid JSON")
+
+
+def _answer_span(text: str) -> tuple[int, int] | None:
+    """The {...} span that holds the answer, or None when there is none.
+
+    It is the last span, unless rule repair cannot make that span an object
+    (``{systolic}`` in a note after the answer): then it is the last span
+    before it that parses or repairs. A span that only needs repair is still
+    the answer, so an object echoed earlier in the reply never wins over it.
+    When no span can be made an object, it is the last span.
+    """
+    spans = _json_spans(text)
+    if len(spans) <= 1:
+        return spans[0] if spans else None
+    for start, end in reversed(spans):
+        try:
+            repair_json(text[start:end])  # each span is shorter than text
+        except UnrepairableError:
+            continue
+        return start, end
+    return spans[-1]
 
 
 def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:

@@ -51,6 +51,11 @@ ALREADY_VALID = [
 ]
 
 
+# the one-shot example echoed in the reasoning, then the answer in single quotes
+ECHOED_EXAMPLE_REPLY = ('Reasoning: like the example {"age": 40} the patient is older.\n'
+                        "Output JSON:\n{'age': 63}")
+
+
 class TestParseResponse:
     def test_takes_last_json_object(self):
         obj = parse_response('Reasoning: things {not json} ... \nOutput JSON:\n{"age": 63}')
@@ -82,12 +87,28 @@ class TestParseResponse:
                  'Note: blood pressure is charted as {systolic}/{diastolic} in mm Hg.')
         assert parse_response(reply) == {"age": 63}
 
-    def test_error_reports_last_span_when_none_parses(self):
-        reply = "{'a': 1} and {b}"
+    def test_error_reports_last_span_when_none_repairs(self):
+        reply = "{a} and {b}"
         with pytest.raises(ParseFailure) as exc:
             parse_response(reply)
         assert exc.value.kind == "strict-parse-error"
         assert f"position {reply.index('{b}') + 1}" in str(exc.value)
+
+    def test_repairable_last_span_wins_over_echoed_example(self):
+        reply = ECHOED_EXAMPLE_REPLY
+        with pytest.raises(ParseFailure) as exc:
+            parse_response(reply)
+        assert exc.value.kind == "strict-parse-error"
+        assert f"position {reply.rindex('{') + 1}" in str(exc.value)
+
+    def test_repairable_answer_before_trailing_note_is_not_skipped(self):
+        reply = ('{"age": 40} Output JSON:\n'
+                 "{'age': 63}\nNote: charted as {systolic}/{diastolic}.")
+        answer_at = reply.index("{'age'")
+        with pytest.raises(ParseFailure) as exc:
+            parse_response(reply)
+        assert f"position {answer_at + 1}" in str(exc.value)
+        assert json.loads(repair_json(reply)[0]) == {"age": 63}
 
 
 class TestRepairJson:
@@ -111,6 +132,12 @@ class TestRepairJson:
     def test_extract_skips_unparseable_trailing_span(self):
         repaired, actions = repair_json("Output JSON:\n{'a': 1}\nNote: {x}/{y} as charted.")
         assert json.loads(repaired) == {"a": 1}
+        assert [a.kind for a in actions] == ["single_to_double_quotes",
+                                             "extract_json_substring"]
+
+    def test_extract_prefers_repairable_answer_to_echoed_example(self):
+        repaired, actions = repair_json(ECHOED_EXAMPLE_REPLY)
+        assert json.loads(repaired) == {"age": 63}
         assert [a.kind for a in actions] == ["single_to_double_quotes",
                                              "extract_json_substring"]
 
@@ -267,6 +294,14 @@ class TestRunVorc:
         assert outcome.vorc_iterations == 0
         assert outcome.repairs == []
         assert outcome.values == {"age": 31, "sex": "M"}
+
+    def test_echoed_example_does_not_replace_answer(self):
+        outcome = self.run(replay(ECHOED_EXAMPLE_REPLY))
+        assert isinstance(outcome, ExtractionRecord)
+        assert outcome.vorc_iterations == 0
+        assert outcome.values["age"] == 63
+        assert [a.kind for a in outcome.repairs] == ["single_to_double_quotes",
+                                                     "extract_json_substring"]
 
     def test_json_correction_prompt_counts(self):
         outcome = self.run(replay("not json at all", '{"age": 31, "sex": "M"}'))
