@@ -5,8 +5,8 @@ For each bundled table and split seed, and for the dtree and gbdt families,
 trains every grid point with the family's trainer, and runs ``grid_search``
 once. Prints one line per (table, seed, family) with two sha256 digests:
 
-* ``points``: over every grid point's serialized model (``_model_to_doc``,
-  as ``save_model`` writes it) and its validation probabilities, in grid
+* ``points``: over every grid point's serialized model (``to_doc``, as
+  ``save_model`` writes it) and its validation probabilities, in grid
   order;
 * ``search``: over the ``grid_search`` result: the report, the chosen
   parameters, the validation accuracy and the chosen model.
@@ -29,7 +29,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from medtab import dataset as ds, models  # noqa: E402
-from medtab.models.persist import _model_to_doc  # noqa: E402
 from medtab.models.search import _candidates  # noqa: E402
 from medtab.schema import load_schema  # noqa: E402
 
@@ -37,8 +36,8 @@ TABLES = (("hepatitis", (1, 2, 3)), ("heart", (1,)))
 TRAINERS = {"dtree": models.train_dtree, "gbdt": models.train_gbdt}
 
 
-def model_bytes(family: str, model, X_val) -> bytes:
-    doc = json.dumps(_model_to_doc(family, model), sort_keys=True).encode()
+def model_bytes(model, X_val) -> bytes:
+    doc = json.dumps(model.to_doc(), sort_keys=True).encode()
     return doc + models.predict_proba(model, X_val).tobytes()
 
 
@@ -46,12 +45,12 @@ def group_digests(family, X_train, y_train, X_val, y_val, names) -> tuple[str, s
     points = hashlib.sha256()
     for params in _candidates(family):
         model = TRAINERS[family](X_train, y_train, feature_names=names, **params)
-        points.update(hashlib.sha256(model_bytes(family, model, X_val)).digest())
+        points.update(hashlib.sha256(model_bytes(model, X_val)).digest())
     result = models.grid_search(family, X_train, y_train, X_val, y_val, feature_names=names)
     summary = json.dumps({"report": [[p.params, repr(p.val_accuracy)] for p in result.report],
                           "params": result.params, "val_accuracy": repr(result.val_accuracy)},
                          sort_keys=True).encode()
-    search = hashlib.sha256(summary + model_bytes(family, result.model, X_val))
+    search = hashlib.sha256(summary + model_bytes(result.model, X_val))
     return points.hexdigest(), search.hexdigest()
 
 

@@ -93,7 +93,10 @@ def _templates_from(state: CliState, templates_path: str | None, schema):
         _fail(str(e))
 
 
-def _read_corpus(path: Path) -> list[dict]:
+def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
+                 what: str = "corpus") -> list[dict]:
+    """The objects of a JSON-lines file, blank lines skipped; exits 2 when the
+    file cannot be read, a line is not JSON or an object lacks one of ``keys``."""
     entries = []
     try:
         with path.open(encoding="utf-8") as fh:
@@ -102,11 +105,12 @@ def _read_corpus(path: Path) -> list[dict]:
                 if not line:
                     continue
                 doc = json.loads(line)
-                if "id" not in doc or "text" not in doc:
-                    _fail(f"{path}:{lineno}: corpus lines need 'id' and 'text'")
+                if not isinstance(doc, dict) or any(k not in doc for k in keys):
+                    _fail(f"{path}:{lineno}: {what} lines need "
+                          + " and ".join(repr(k) for k in keys))
                 entries.append(doc)
     except OSError as e:
-        _fail(f"cannot read corpus: {e}")
+        _fail(f"cannot read {what}: {e}")
     except json.JSONDecodeError as e:
         _fail(f"{path}: invalid JSON line: {e}")
     return entries
@@ -353,11 +357,8 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
         _fail("schema has no label; few-shot classification needs one")
     provider = _provider_from(state, replay_script)
     corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)))
-    try:
-        shot_docs = _read_corpus_like(Path(shots_path))
-        shots = [(d["text"], str(d["label"])) for d in shot_docs]
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        _fail(f"cannot read shots file: {e}")
+    shots = [(d["text"], str(d["label"]))
+             for d in _read_corpus(Path(shots_path), ("text", "label"), "shots file")]
 
     rows = []
     abstained = 0
@@ -395,16 +396,6 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
                        "recall": metrics.recall, "f1": metrics.f1})
     click.echo(evalkit.render_report({"fewshot": report},
                                      "json" if state.as_json else "text"), nl=False)
-
-
-def _read_corpus_like(path: Path) -> list[dict]:
-    entries = []
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import TabularDataset
-from .models import ImportanceVector, predict_proba
+from .models import ImportanceVector
 from .schema import MISSING
+from .vorc import call_rate
 
 REAL_MATCH_RTOL = 1e-9
 
@@ -44,7 +45,7 @@ class ClassificationReport:
 @dataclass
 class FidelityReport:
     acc_d: float
-    auc_d: float
+    auc_d: float | None
     r2: float | None
 
 
@@ -101,16 +102,12 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
         exact_rows += row_exact
 
     total_cells = n_rows * len(features)
-    call_rate = None
-    if provenance is not None and provenance:
-        called = sum(1 for entry in provenance if entry.get("vorc_iterations", 0) >= 1)
-        call_rate = called / len(provenance)
     return ExtractionReport(
         record_accuracy=exact_rows / n_rows if n_rows else 0.0,
         cell_accuracy=matched_cells / total_cells if total_cells else 0.0,
         missing_precision=both_missing / extracted_missing if extracted_missing else None,
         missing_recall=both_missing / truth_missing if truth_missing else None,
-        vorc_call_rate=call_rate,
+        vorc_call_rate=call_rate([e.get("vorc_iterations", 0) for e in provenance or ()]),
         n_evaluated=n_rows,
     )
 
@@ -185,15 +182,16 @@ def fidelity(model_gt, model_ext, X_test_gt, X_test_ext, y_test,
              importances_gt: ImportanceVector, importances_ext: ImportanceVector) -> FidelityReport:
     """Compare a ground-truth-trained and an extraction-trained model of the
     same family: each predicts on its own pipeline's test matrix over the same
-    rows, and importances are compared by R^2 against the ground-truth vector."""
+    rows, and importances are compared by R^2 against the ground-truth vector.
+    ``auc_d`` is None when either AUC is undefined (a single-class test set)."""
     if type(model_gt) is not type(model_ext):
         raise EvalError("fidelity compares two models of the same family")
     y = np.asarray(y_test, dtype=np.int64)
-    scores_gt = predict_proba(model_gt, X_test_gt)
-    scores_ext = predict_proba(model_ext, X_test_ext)
+    scores_gt = model_gt.predict_proba(X_test_gt)
+    scores_ext = model_ext.predict_proba(X_test_ext)
     m_gt = classification_metrics(y, scores_gt)
     m_ext = classification_metrics(y, scores_ext)
-    auc_d = abs(m_gt.auc - m_ext.auc) if m_gt.auc is not None and m_ext.auc is not None else 0.0
+    auc_d = None if m_gt.auc is None or m_ext.auc is None else abs(m_gt.auc - m_ext.auc)
     return FidelityReport(
         acc_d=abs(m_gt.accuracy - m_ext.accuracy),
         auc_d=auc_d,

@@ -1,6 +1,15 @@
 """Interpretable tabular classifiers built from scratch: L2 logistic
 regression, a Gini CART tree, and gradient-boosted trees, plus grid search,
-feature importances and JSON persistence."""
+feature importances and JSON persistence.
+
+Each family's model class (``LogRegModel``, ``TreeModel``, ``GbdtModel``)
+owns its behaviour: ``predict_proba(X)``, ``importances()``, ``to_doc()`` and
+the ``from_doc(doc, feature_names)`` classmethod. ``search.MODEL_TYPES`` is
+the one table from family name to class, which ``load_model`` reads; the
+search module, which also holds each family's grid and trainer call, is the
+only place that knows family names. Adding a family touches its own module
+and ``search.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbdt import GbdtModel, gbdt_predict_proba, log_loss, train_gbdt
-from .logreg import LogRegModel, logreg_predict_proba, sigmoid, train_logreg
-from .persist import ModelArtifact, PersistError, load_model, predict_proba, save_model
-from .search import (FAMILIES, GridSearchResult, grid_search, LOGREG_C_GRID,
+from .gbdt import GbdtModel, log_loss, train_gbdt
+from .logreg import LogRegModel, sigmoid, train_logreg
+from .persist import ModelArtifact, PersistError, load_model, save_model
+from .search import (FAMILIES, MODEL_TYPES, GridSearchResult, grid_search, LOGREG_C_GRID,
                      DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, GBDT_N_GRID, GBDT_LR_GRID)
 from .tree import TreeModel, TreeNode, best_gini_split, export_tree, train_dtree, tree_predict
 
@@ -28,19 +37,16 @@ class ImportanceVector:
     scores: np.ndarray
 
 
+def predict_proba(model, X: np.ndarray) -> np.ndarray:
+    return model.predict_proba(X)
+
+
 def feature_importances(model) -> ImportanceVector:
     return feature_importances_named(model, getattr(model, "feature_names", ()))
 
 
 def feature_importances_named(model, names) -> ImportanceVector:
-    if isinstance(model, LogRegModel):
-        scores = model.weights.copy()
-    elif isinstance(model, (TreeModel, GbdtModel)):
-        gains = model.importance_gains()
-        total = gains.sum()
-        scores = gains / total if total > 0 else gains
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+    scores = model.importances()
     names = tuple(names) if names else tuple(f"x{i}" for i in range(len(scores)))
     if len(names) != len(scores):
         raise ValueError("column names do not match the importance vector length")
@@ -53,10 +59,9 @@ def artifact_importances(artifact: ModelArtifact) -> ImportanceVector:
 
 __all__ = [
     "FAMILIES", "GbdtModel", "GridSearchResult", "ImportanceVector", "LogRegModel",
-    "ModelArtifact", "PersistError", "TreeModel", "TreeNode",
+    "MODEL_TYPES", "ModelArtifact", "PersistError", "TreeModel", "TreeNode",
     "artifact_importances", "best_gini_split", "export_tree", "feature_importances",
-    "feature_importances_named", "gbdt_predict_proba", "grid_search", "load_model",
-    "log_loss", "logreg_predict_proba", "predict_proba", "save_model", "sigmoid",
-    "train_dtree", "train_gbdt", "train_logreg", "tree_predict",
+    "feature_importances_named", "grid_search", "load_model", "log_loss", "predict_proba",
+    "save_model", "sigmoid", "train_dtree", "train_gbdt", "train_logreg", "tree_predict",
     "LOGREG_C_GRID", "DTREE_DEPTH_GRID", "DTREE_MIN_SPLIT_GRID", "GBDT_N_GRID", "GBDT_LR_GRID",
 ]

@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .logreg import sigmoid
-from .tree import TreeNode, presort, train_regression_tree, tree_predict
+from .tree import TreeNode, normalized_gains, presort, train_regression_tree, tree_predict
 
 DEFAULT_TREE_DEPTH = 6
 
@@ -36,8 +36,25 @@ class GbdtModel:
     feature_names: tuple[str, ...] = ()
     _gains: np.ndarray = field(default=None, repr=False)
 
-    def importance_gains(self) -> np.ndarray:
-        return self._gains.copy()
+    def importances(self) -> np.ndarray:
+        return normalized_gains(self._gains)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return sigmoid(gbdt_raw_scores(self, X))
+
+    def to_doc(self) -> dict:
+        return {"learning_rate": self.learning_rate, "n_estimators": self.n_estimators,
+                "initial_log_odds": self.initial_log_odds, "max_tree_depth": self.max_tree_depth,
+                "n_columns": self.n_columns, "gains": self._gains.tolist(),
+                "trees": [t.to_doc() for t in self.trees]}
+
+    @classmethod
+    def from_doc(cls, doc: dict, feature_names: tuple[str, ...]) -> "GbdtModel":
+        return cls(trees=[TreeNode.from_doc(t) for t in doc["trees"]],
+                   learning_rate=doc["learning_rate"], n_estimators=doc["n_estimators"],
+                   initial_log_odds=doc["initial_log_odds"],
+                   max_tree_depth=doc["max_tree_depth"], n_columns=doc["n_columns"],
+                   feature_names=feature_names, _gains=np.asarray(doc["gains"], dtype=np.float64))
 
 
 def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_DEPTH,
@@ -84,10 +101,6 @@ def gbdt_raw_scores(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     for root in model.trees:
         scores = scores + model.learning_rate * tree_predict(root, X)
     return scores
-
-
-def gbdt_predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    return sigmoid(gbdt_raw_scores(model, X))
 
 
 def log_loss(y: np.ndarray, p: np.ndarray, eps: float = 1e-12) -> float:

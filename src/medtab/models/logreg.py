@@ -24,6 +24,25 @@ class LogRegModel:
     converged: bool = False
     feature_names: tuple[str, ...] = ()
 
+    def importances(self) -> np.ndarray:
+        return self.weights.copy()
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] != len(self.weights):
+            raise ValueError(f"expected {len(self.weights)} columns, got {X.shape[1]}")
+        return sigmoid(X @ self.weights + self.bias)
+
+    def to_doc(self) -> dict:
+        return {"weights": self.weights.tolist(), "bias": self.bias, "C": self.C,
+                "n_iter": self.n_iter, "converged": self.converged}
+
+    @classmethod
+    def from_doc(cls, doc: dict, feature_names: tuple[str, ...]) -> "LogRegModel":
+        return cls(weights=np.asarray(doc["weights"], dtype=np.float64), bias=doc["bias"],
+                   C=doc["C"], n_iter=doc["n_iter"], converged=doc["converged"],
+                   feature_names=feature_names)
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
@@ -97,10 +116,3 @@ def train_logreg(X, y, C: float, feature_names: tuple[str, ...] = ()) -> LogRegM
     gnorm = float(np.linalg.norm(np.append(grad_w, grad_b)))
     return LogRegModel(weights=w, bias=b, C=C, n_iter=n_iter,
                        converged=gnorm <= GRAD_TOL, feature_names=names)
-
-
-def logreg_predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != len(model.weights):
-        raise ValueError(f"expected {len(model.weights)} columns, got {X.shape[1]}")
-    return sigmoid(X @ model.weights + model.bias)

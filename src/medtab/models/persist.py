@@ -14,9 +14,7 @@ import numpy as np
 
 from ..dataset import EncoderState, TabularDataset, transform
 from ..schema import LabelSpec
-from .gbdt import GbdtModel, gbdt_predict_proba
-from .logreg import LogRegModel, logreg_predict_proba
-from .tree import TreeModel, TreeNode, tree_predict
+from .search import MODEL_TYPES
 
 FORMAT_VERSION = 1
 
@@ -39,83 +37,7 @@ class ModelArtifact:
         matrix = transform(dataset, self.encoder, ids)
         if matrix.column_names != self.column_names:
             raise PersistError("dataset columns do not match the model's columns")
-        return predict_proba(self.model, matrix.values)
-
-
-def predict_proba(model, X: np.ndarray) -> np.ndarray:
-    if isinstance(model, LogRegModel):
-        return logreg_predict_proba(model, X)
-    if isinstance(model, TreeModel):
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != model.n_columns:
-            raise ValueError(f"expected {model.n_columns} columns, got {X.shape[1]}")
-        return tree_predict(model.root, X)
-    if isinstance(model, GbdtModel):
-        return gbdt_predict_proba(model, X)
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _node_to_doc(node: TreeNode) -> dict:
-    if node.is_leaf:
-        doc = {"n": node.n_samples, "value": node.value}
-        if node.counts is not None:
-            doc["counts"] = list(node.counts)
-        return doc
-    return {
-        "n": node.n_samples,
-        "column": node.column,
-        "threshold": node.threshold,
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
-    }
-
-
-def _node_from_doc(doc: dict, depth: int = 0) -> TreeNode:
-    if "column" not in doc:
-        counts = tuple(doc["counts"]) if "counts" in doc else None
-        return TreeNode(n_samples=doc["n"], depth=depth, counts=counts, value=doc["value"])
-    return TreeNode(
-        n_samples=doc["n"], depth=depth, column=doc["column"], threshold=doc["threshold"],
-        left=_node_from_doc(doc["left"], depth + 1),
-        right=_node_from_doc(doc["right"], depth + 1),
-    )
-
-
-def _model_to_doc(family: str, model) -> dict:
-    if family == "logreg":
-        return {"weights": model.weights.tolist(), "bias": model.bias, "C": model.C,
-                "n_iter": model.n_iter, "converged": model.converged}
-    if family == "dtree":
-        return {"max_depth": model.max_depth, "min_samples_split": model.min_samples_split,
-                "n_columns": model.n_columns, "n_training_rows": model.n_training_rows,
-                "gains": model._gains.tolist(), "root": _node_to_doc(model.root)}
-    if family == "gbdt":
-        return {"learning_rate": model.learning_rate, "n_estimators": model.n_estimators,
-                "initial_log_odds": model.initial_log_odds, "max_tree_depth": model.max_tree_depth,
-                "n_columns": model.n_columns, "gains": model._gains.tolist(),
-                "trees": [_node_to_doc(t) for t in model.trees]}
-    raise PersistError(f"unknown family {family!r}")
-
-
-def _model_from_doc(family: str, doc: dict, feature_names: tuple[str, ...]):
-    if family == "logreg":
-        return LogRegModel(weights=np.asarray(doc["weights"], dtype=np.float64),
-                           bias=doc["bias"], C=doc["C"], n_iter=doc["n_iter"],
-                           converged=doc["converged"], feature_names=feature_names)
-    if family == "dtree":
-        return TreeModel(root=_node_from_doc(doc["root"]), max_depth=doc["max_depth"],
-                         min_samples_split=doc["min_samples_split"],
-                         n_columns=doc["n_columns"], n_training_rows=doc["n_training_rows"],
-                         feature_names=feature_names,
-                         _gains=np.asarray(doc["gains"], dtype=np.float64))
-    if family == "gbdt":
-        return GbdtModel(trees=[_node_from_doc(t) for t in doc["trees"]],
-                         learning_rate=doc["learning_rate"], n_estimators=doc["n_estimators"],
-                         initial_log_odds=doc["initial_log_odds"],
-                         max_tree_depth=doc["max_tree_depth"], n_columns=doc["n_columns"],
-                         feature_names=feature_names,
-                         _gains=np.asarray(doc["gains"], dtype=np.float64))
-    raise PersistError(f"unknown family {family!r}")
+        return self.model.predict_proba(matrix.values)
 
 
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
@@ -126,7 +48,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
         "encoder": artifact.encoder.to_dict(),
         "params": artifact.params or {},
         "seed": artifact.seed,
-        "model": _model_to_doc(artifact.family, artifact.model),
+        "model": artifact.model.to_doc(),
     }
     if artifact.label is not None:
         doc["label"] = {"name": artifact.label.name, "positive": artifact.label.positive_value,
@@ -141,6 +63,8 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise PersistError(f"cannot load model file {path}: {e}") from e
     if doc.get("format_version") != FORMAT_VERSION:
         raise PersistError(f"unsupported model format version {doc.get('format_version')!r}")
+    if doc.get("family") not in MODEL_TYPES:
+        raise PersistError(f"unknown family {doc.get('family')!r}")
     columns = tuple(doc["columns"])
     label = None
     if "label" in doc:
@@ -148,7 +72,7 @@ def load_model(path: str | Path) -> ModelArtifact:
                           negative_value=doc["label"]["negative"])
     return ModelArtifact(
         family=doc["family"],
-        model=_model_from_doc(doc["family"], doc["model"], columns),
+        model=MODEL_TYPES[doc["family"]].from_doc(doc["model"], columns),
         encoder=EncoderState.from_dict(doc["encoder"]),
         column_names=columns,
         label=label,

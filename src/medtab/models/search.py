@@ -18,9 +18,9 @@ from itertools import islice
 
 import numpy as np
 
-from .gbdt import gbdt_predict_proba, gbdt_stages, train_gbdt
-from .logreg import logreg_predict_proba, train_logreg
-from .tree import train_dtree, tree_predict
+from .gbdt import GbdtModel, gbdt_stages, train_gbdt
+from .logreg import LogRegModel, train_logreg
+from .tree import TreeModel, train_dtree
 
 LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 DTREE_DEPTH_GRID = (3, 4, 5)
@@ -28,7 +28,10 @@ DTREE_MIN_SPLIT_GRID = (2, 3, 4, 5, 7, 10)
 GBDT_N_GRID = (50, 100, 200)
 GBDT_LR_GRID = (0.01, 0.1, 0.3)
 
-FAMILIES = ("logreg", "dtree", "gbdt")
+# The one table from family name to model class; each class predicts, reports
+# importances and reads and writes its own JSON document.
+MODEL_TYPES = {"logreg": LogRegModel, "dtree": TreeModel, "gbdt": GbdtModel}
+FAMILIES = tuple(MODEL_TYPES)
 
 
 @dataclass
@@ -84,14 +87,6 @@ def _train(family: str, params: dict, X, y, feature_names):
     return train_gbdt(X, y, feature_names=feature_names, **params)
 
 
-def _score(family: str, model, X) -> np.ndarray:
-    if family == "logreg":
-        return logreg_predict_proba(model, X)
-    if family == "dtree":
-        return tree_predict(model.root, X)
-    return gbdt_predict_proba(model, X)
-
-
 def grid_search(family: str, X_train, y_train, X_val, y_val,
                 feature_names: tuple[str, ...] = ()) -> GridSearchResult:
     """Train every grid point on the training split and keep the candidate
@@ -105,7 +100,7 @@ def grid_search(family: str, X_train, y_train, X_val, y_val,
     best = None  # (accuracy, rank, model): the first best candidate in rank order
     for params, model in _fits(family, X_train, y_train, feature_names):
         rank = candidates.index(params)
-        acc = accuracy[rank] = _accuracy(y_val, _score(family, model, X_val))
+        acc = accuracy[rank] = _accuracy(y_val, model.predict_proba(X_val))
         if best is None or acc > best[0] or (acc == best[0] and rank < best[1]):
             best = (acc, rank, model)
     acc, rank, model = best

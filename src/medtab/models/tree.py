@@ -40,6 +40,31 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.column is None
 
+    def to_doc(self) -> dict:
+        if self.is_leaf:
+            doc = {"n": self.n_samples, "value": self.value}
+            if self.counts is not None:
+                doc["counts"] = list(self.counts)
+            return doc
+        return {"n": self.n_samples, "column": self.column, "threshold": self.threshold,
+                "left": self.left.to_doc(), "right": self.right.to_doc()}
+
+    @classmethod
+    def from_doc(cls, doc: dict, depth: int = 0) -> "TreeNode":
+        if "column" not in doc:
+            counts = tuple(doc["counts"]) if "counts" in doc else None
+            return cls(n_samples=doc["n"], depth=depth, counts=counts, value=doc["value"])
+        return cls(n_samples=doc["n"], depth=depth, column=doc["column"],
+                   threshold=doc["threshold"], left=cls.from_doc(doc["left"], depth + 1),
+                   right=cls.from_doc(doc["right"], depth + 1))
+
+
+def normalized_gains(gains: np.ndarray) -> np.ndarray:
+    """Per-column importance gains scaled to sum to one (a copy; all zeros
+    stay zeros)."""
+    total = gains.sum()
+    return gains / total if total > 0 else gains.copy()
+
 
 def gini_from_counts(neg: int, pos: int) -> float:
     n = neg + pos
@@ -146,8 +171,26 @@ class TreeModel:
     feature_names: tuple[str, ...] = ()
     _gains: np.ndarray = field(default=None, repr=False)
 
-    def importance_gains(self) -> np.ndarray:
-        return self._gains.copy()
+    def importances(self) -> np.ndarray:
+        return normalized_gains(self._gains)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] != self.n_columns:
+            raise ValueError(f"expected {self.n_columns} columns, got {X.shape[1]}")
+        return tree_predict(self.root, X)
+
+    def to_doc(self) -> dict:
+        return {"max_depth": self.max_depth, "min_samples_split": self.min_samples_split,
+                "n_columns": self.n_columns, "n_training_rows": self.n_training_rows,
+                "gains": self._gains.tolist(), "root": self.root.to_doc()}
+
+    @classmethod
+    def from_doc(cls, doc: dict, feature_names: tuple[str, ...]) -> "TreeModel":
+        return cls(root=TreeNode.from_doc(doc["root"]), max_depth=doc["max_depth"],
+                   min_samples_split=doc["min_samples_split"], n_columns=doc["n_columns"],
+                   n_training_rows=doc["n_training_rows"], feature_names=feature_names,
+                   _gains=np.asarray(doc["gains"], dtype=np.float64))
 
 
 def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best_split):

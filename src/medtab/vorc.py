@@ -98,14 +98,13 @@ def _strict_loads(text: str):
     return json.loads(text, parse_constant=reject_constant)
 
 
-def _json_spans(text: str) -> list[tuple[int, int]]:
-    """Spans of complete top-level {...} blocks, aware of double-quoted strings."""
-    spans = []
+def _block_end(text: str, start: int) -> int | None:
+    """End of the {...} block that opens at ``start``, aware of double-quoted
+    strings; None when the block is never closed."""
     depth = 0
-    start = -1
     in_string = False
     escaped = False
-    for i, c in enumerate(text):
+    for i, c in enumerate(text[start:], start=start):
         if in_string:
             if escaped:
                 escaped = False
@@ -113,19 +112,30 @@ def _json_spans(text: str) -> list[tuple[int, int]]:
                 escaped = True
             elif c == '"':
                 in_string = False
-            continue
-        if c == '"':
-            if depth > 0:
-                in_string = True
-            continue
-        if c == "{":
-            if depth == 0:
-                start = i
+        elif c == '"':
+            in_string = True
+        elif c == "{":
             depth += 1
-        elif c == "}" and depth > 0:
+        elif c == "}":
             depth -= 1
             if depth == 0:
-                spans.append((start, i + 1))
+                return i + 1
+    return None
+
+
+def _json_spans(text: str) -> list[tuple[int, int]]:
+    """Spans of complete top-level {...} blocks. Outside a block only ``{``
+    matters; a ``{`` that is never closed (``{systolic first`` in reasoning
+    prose) is prose, and the search goes on from just after it."""
+    spans = []
+    start = text.find("{")
+    while start != -1:
+        end = _block_end(text, start)
+        if end is None:
+            start = text.find("{", start + 1)
+        else:
+            spans.append((start, end))
+            start = text.find("{", end)
     return spans
 
 
@@ -472,6 +482,14 @@ def run_vorc(provider, prompt: str, schema: ExtractionSchema,
         current_prompt = build_type_correction_prompt(prompt, json.dumps(obj), result.violations)
 
 
+def call_rate(iterations: list[int]) -> float | None:
+    """Fraction of reports that needed at least one correction prompt, from
+    each report's ``vorc_iterations``; None when there are no reports."""
+    if not iterations:
+        return None
+    return sum(1 for k in iterations if k >= 1) / len(iterations)
+
+
 @dataclass
 class CorpusStats:
     n_reports: int
@@ -524,9 +542,8 @@ def extract_corpus(provider, reports: list[tuple[str, str]], schema: ExtractionS
 
     n = len(reports)
     n_failed = sum(1 for o in outcomes if isinstance(o, VorcFailure))
-    called = sum(1 for o in outcomes if o.vorc_iterations >= 1)
     stats = CorpusStats(n_reports=n, n_records=n - n_failed, n_failures=n_failed,
-                        vorc_call_rate=(called / n) if n else None)
+                        vorc_call_rate=call_rate([o.vorc_iterations for o in outcomes]))
     return CorpusResult(outcomes=outcomes, stats=stats)
 
 

@@ -290,6 +290,18 @@ class TestFewshot:
         assert doc["n abstained"] == 1
         assert doc["n scored"] == 1
 
+    @pytest.mark.parametrize("bad_line", [{"text": "shot 2"}, 7])
+    def test_shot_without_label_exits_2_with_its_line(self, runner, tmp_path, bad_line):
+        schema, shots, corpus, replay = self.make_files(tmp_path, [("yes", "yes")])
+        lines = shots.read_text().splitlines()
+        lines[2] = json.dumps(bad_line)
+        shots.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                      "--schema", str(schema), "--shots", str(shots),
+                                      "--corpus", str(corpus), "--replay", str(replay)])
+        assert result.exit_code == 2
+        assert f"{shots}:3: shots file lines need 'text' and 'label'" in result.output
+
     def test_zero_shots_exits_2(self, runner, tmp_path):
         answers = [("yes", "yes")]
         schema, _, corpus, replay = self.make_files(tmp_path, answers)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,11 @@ class TestExtractionMetrics:
         report = extraction_metrics(t, t, provenance)
         assert report.vorc_call_rate == pytest.approx(0.4)
 
+    def test_vorc_call_rate_is_null_without_provenance_entries(self):
+        t = table(self.truth_rows())
+        assert extraction_metrics(t, t).vorc_call_rate is None
+        assert extraction_metrics(t, t, []).vorc_call_rate is None
+
 
 class TestClassificationMetrics:
     def test_perfect_ranking(self):
@@ -182,6 +189,17 @@ class TestFidelity:
         assert report.acc_d == 0.0
         assert report.auc_d == 0.0
         assert report.r2 == 1.0
+
+    def test_single_class_test_set_gives_null_auc_d(self):
+        model, X_test, _ = self.setup_models()
+        from medtab.models import feature_importances
+        iv = feature_importances(model)
+        y_one_class = np.ones(len(X_test), dtype=np.int64)
+        report = fidelity(model, model, X_test, X_test, y_one_class, iv, iv)
+        assert report.auc_d is None
+        assert report.acc_d == 0.0
+        assert json.loads(render_report({"fidelity": report}, "json"))[
+            "sections"]["fidelity"]["auc_d"] is None
 
     def test_constant_reference_importances_give_null_r2(self):
         ones = ImportanceVector(names=("a", "b"), scores=np.array([0.5, 0.5]))

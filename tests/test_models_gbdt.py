@@ -5,10 +5,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from medtab.models import gbdt_predict_proba, log_loss, train_gbdt
+from medtab.models import log_loss, train_gbdt
 from medtab.models.gbdt import GbdtModel, gbdt_raw_scores, gbdt_stages
 from medtab.models.logreg import sigmoid
-from medtab.models.persist import _model_to_doc
 from medtab.models.tree import train_regression_tree, tree_predict
 
 
@@ -71,12 +70,12 @@ class TestGbdt:
     def test_zero_estimators_predicts_base_rate(self):
         X, y = toy_6rows()
         model = train_gbdt(X, y, n_estimators=0, learning_rate=0.1)
-        assert np.allclose(gbdt_predict_proba(model, X), y.mean())
+        assert np.allclose(model.predict_proba(X), y.mean())
 
     def test_zero_learning_rate_predicts_base_rate(self):
         X, y = toy_6rows()
         model = train_gbdt(X, y, n_estimators=25, learning_rate=0.0)
-        assert np.allclose(gbdt_predict_proba(model, X), y.mean())
+        assert np.allclose(model.predict_proba(X), y.mean())
 
     def test_training_loss_non_increasing(self):
         rng = np.random.default_rng(11)
@@ -85,7 +84,7 @@ class TestGbdt:
         prev = None
         for k in range(0, 12, 2):
             model = train_gbdt(X, y, n_estimators=k, learning_rate=0.1)
-            loss = log_loss(y, gbdt_predict_proba(model, X))
+            loss = log_loss(y, model.predict_proba(X))
             if prev is not None:
                 assert loss <= prev + 1e-12
             prev = loss
@@ -94,7 +93,7 @@ class TestGbdt:
         X, y = toy_6rows()
         for lr in (0.01, 0.1, 0.3):
             model = train_gbdt(X, y, n_estimators=2, learning_rate=lr)
-            ours = gbdt_predict_proba(model, X)
+            ours = model.predict_proba(X)
             oracle = oracle_two_rounds(X, y, lr)
             assert np.max(np.abs(ours - oracle)) < 1e-9
 
@@ -111,7 +110,7 @@ class TestGbdt:
     def test_raw_scores_compose_trees(self):
         X, y = toy_6rows()
         model = train_gbdt(X, y, n_estimators=4, learning_rate=0.2)
-        assert np.allclose(sigmoid(gbdt_raw_scores(model, X)), gbdt_predict_proba(model, X))
+        assert np.allclose(sigmoid(gbdt_raw_scores(model, X)), model.predict_proba(X))
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
@@ -119,13 +118,13 @@ class TestGbdt:
         y = (X[:, 1] > 0).astype(np.float64)
         a = train_gbdt(X, y, 10, 0.1)
         b = train_gbdt(X, y, 10, 0.1)
-        assert np.array_equal(gbdt_predict_proba(a, X), gbdt_predict_proba(b, X))
+        assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
     def test_dimension_mismatch_rejected(self):
         X, y = toy_6rows()
         model = train_gbdt(X, y, 2, 0.1)
         with pytest.raises(ValueError):
-            gbdt_predict_proba(model, np.zeros((3, 5)))
+            model.predict_proba(np.zeros((3, 5)))
 
     def test_importances_normalized(self):
         rng = np.random.default_rng(13)
@@ -155,7 +154,7 @@ def reference_boost(X, y, n_estimators, lr, max_tree_depth):
 
 
 def gbdt_doc(model) -> str:
-    return json.dumps(_model_to_doc("gbdt", model), sort_keys=True)
+    return json.dumps(model.to_doc(), sort_keys=True)
 
 
 class TestStages:
@@ -168,7 +167,7 @@ class TestStages:
             want = gbdt_doc(reference_boost(X, y, k, 0.3, 3))
             assert gbdt_doc(stages[k]) == want
             assert gbdt_doc(train_gbdt(X, y, k, 0.3, max_tree_depth=3)) == want
-        assert np.allclose(gbdt_predict_proba(stages[0], X), y.mean())
+        assert np.allclose(stages[0].predict_proba(X), y.mean())
 
     def test_training_leaves_no_reference_cycles(self):
         X, y = toy_6rows()

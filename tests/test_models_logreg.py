@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from medtab.models import LOGREG_C_GRID, train_logreg, logreg_predict_proba
+from medtab.models import LOGREG_C_GRID, train_logreg
 from medtab.models.logreg import GRAD_TOL, loss_and_grad, sigmoid
 
 
@@ -55,7 +55,7 @@ class TestTraining:
         y = np.array([0.0, 1.0])
         model = train_logreg(X, y, C=100.0)
         assert model.weights[0] > 0
-        pred = (logreg_predict_proba(model, X) >= 0.5).astype(int)
+        pred = (model.predict_proba(X) >= 0.5).astype(int)
         assert pred.tolist() == [0, 1]
 
     def test_converged_gradient_norm(self):
@@ -110,10 +110,10 @@ class TestTraining:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         model = train_logreg(X, y, C=1.0)
         grid = np.linspace(-3, 3, 13)[:, None]
-        probs = logreg_predict_proba(model, grid)
+        probs = model.predict_proba(grid)
         assert np.all(np.diff(probs) > 0)
 
     def test_dimension_mismatch_rejected(self):
         model = train_logreg(np.zeros((4, 2)), np.array([0, 1, 0, 1.0]), 1.0)
         with pytest.raises(ValueError):
-            logreg_predict_proba(model, np.zeros((3, 5)))
+            model.predict_proba(np.zeros((3, 5)))

@@ -75,8 +75,6 @@ class TestGridMatchesSeparateFits:
     @pytest.mark.parametrize("family", ["dtree", "gbdt"])
     @pytest.mark.parametrize("seed", [4, 5])
     def test_same_report_choice_and_model(self, family, seed):
-        from medtab.models.persist import _model_to_doc
-
         rng = np.random.default_rng(seed)
         X = np.round(rng.normal(size=(50, 3)), 1)
         # noisy labels and a small validation part, so accuracies tie often
@@ -86,8 +84,8 @@ class TestGridMatchesSeparateFits:
                                                              X[38:], y[38:])
         assert [(p.params, p.val_accuracy) for p in result.report] == report
         assert (result.params, result.val_accuracy) == (params, acc)
-        assert (json.dumps(_model_to_doc(family, result.model), sort_keys=True)
-                == json.dumps(_model_to_doc(family, model), sort_keys=True))
+        assert (json.dumps(result.model.to_doc(), sort_keys=True)
+                == json.dumps(model.to_doc(), sort_keys=True))
 
 
 class TestHepatitisImportances:
@@ -142,6 +140,23 @@ class TestPersistence:
         via_dataset = loaded.predict_proba_dataset(table, range(30, 40))
         assert np.array_equal(original, via_dataset)
 
+    def test_unknown_family_rejected_on_load(self, tmp_path):
+        from medtab.models import PersistError
+        from test_dataset import toy_dataset
+
+        table = toy_dataset(n=30)
+        enc = fit_encoder(table, range(20))
+        X = transform(table, enc, range(20))
+        y = table.label_array()
+        result = grid_search("logreg", X.values, y[:20], X.values, y[:20])
+        save_model(ModelArtifact("logreg", result.model, enc, enc.column_names),
+                   tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["family"] = "mlp"
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(PersistError, match="unknown family 'mlp'"):
+            load_model(tmp_path / "m.json")
+
     def test_importances_survive_round_trip(self, tmp_path):
         from test_dataset import toy_dataset
 
@@ -159,16 +174,20 @@ class TestPersistence:
         assert a.names == b.names
         assert np.allclose(a.scores, b.scores)
 
-    def test_identical_bytes_on_rewrite(self, tmp_path):
+    @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
+    def test_identical_bytes_on_rewrite(self, family, tmp_path):
         from test_dataset import toy_dataset
 
         table = toy_dataset(n=30)
         enc = fit_encoder(table, range(20))
         X = transform(table, enc, range(20))
         y = table.label_array()
-        result = grid_search("logreg", X.values, y[:20], X.values, y[:20],
+        result = grid_search(family, X.values, y[:20], X.values, y[:20],
                              feature_names=enc.column_names)
-        artifact = ModelArtifact("logreg", result.model, enc, enc.column_names)
+        artifact = ModelArtifact(family, result.model, enc, enc.column_names,
+                                 label=table.schema.label, params=result.params, seed=3)
         save_model(artifact, tmp_path / "a.json")
         save_model(artifact, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "c.json")
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "a.json").read_bytes()

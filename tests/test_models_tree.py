@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_force_gini_split, brute_force_sse_split
 
 from medtab.models import export_tree, feature_importances, train_dtree, tree_predict
-from medtab.models.persist import _node_to_doc
 from medtab.models.tree import (best_gini_split, best_sse_split, gini_from_counts,
                                 train_regression_tree)
 
@@ -141,8 +140,8 @@ class TestEngineOracles:
         want, gains = reference_tree(X, max_depth, min_samples_split, leaf,
                                      lambda rows: brute_force_gini_split(X[rows], y[rows]))
         model = train_dtree(X, y, max_depth, min_samples_split)
-        assert _node_to_doc(model.root) == want
-        assert np.array_equal(model.importance_gains(), gains)
+        assert model.root.to_doc() == want
+        assert np.array_equal(model._gains, gains)
 
     @given(tie_heavy_tables(n_max=40), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
@@ -155,7 +154,7 @@ class TestEngineOracles:
         want, gains = reference_tree(X, max_depth, 2, leaf,
                                      lambda rows: brute_force_sse_split(X[rows], t[rows]))
         root, got_gains = train_regression_tree(X, t, w, max_depth=max_depth)
-        assert _node_to_doc(root) == want
+        assert root.to_doc() == want
         assert np.array_equal(got_gains, gains)
 
     @given(tie_heavy_tables(n_max=40), st.integers(0, 2 ** 32 - 1))

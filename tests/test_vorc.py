@@ -8,8 +8,8 @@ from helpers import bundle_for, small_schema, vorc_fixture_files
 from medtab.llm import ReplayEntry, ReplayProvider, configure_provider
 from medtab.schema import MISSING
 from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, VorcBudget,
-                         VorcFailure, extract_corpus, parse_response, provenance_entries,
-                         repair_json, run_vorc, validate_record)
+                         VorcFailure, _json_spans, call_rate, extract_corpus, parse_response,
+                         provenance_entries, repair_json, run_vorc, validate_record)
 
 # (raw, expected object, expected action kinds) - each repair rule alone and in pairs
 REPAIR_CORPUS = [
@@ -55,6 +55,34 @@ ALREADY_VALID = [
 ECHOED_EXAMPLE_REPLY = ('Reasoning: like the example {"age": 40} the patient is older.\n'
                         "Output JSON:\n{'age': 63}")
 
+STRAY_BRACE_REPLY = ('Reasoning: the vital signs give the pressure as 120 {systolic first, '
+                     'therefore "age": 31.\nOutput JSON:\n{"age": 31, "sex": "M"}')
+
+
+def rescanned_spans(text):
+    """Reference for ``_json_spans``: one left-to-right brace scanner that
+    ignores quotes outside blocks, run again from just after any ``{`` it
+    left open."""
+    spans, resume = [], 0
+    while True:
+        depth, start, in_string, escaped = 0, -1, False, False
+        for i in range(resume, len(text)):
+            c = text[i]
+            if in_string:
+                escaped, in_string = (False, True) if escaped else (c == "\\", c != '"')
+            elif c == '"':
+                in_string = depth > 0
+            elif c == "{":
+                start = i if depth == 0 else start
+                depth += 1
+            elif c == "}" and depth > 0:
+                depth -= 1
+                if depth == 0:
+                    spans.append((start, i + 1))
+        if depth == 0:
+            return spans
+        resume = start + 1
+
 
 class TestParseResponse:
     def test_takes_last_json_object(self):
@@ -86,6 +114,16 @@ class TestParseResponse:
         reply = ('Output JSON:\n{"age": 63}\n'
                  'Note: blood pressure is charted as {systolic}/{diastolic} in mm Hg.')
         assert parse_response(reply) == {"age": 63}
+
+    def test_unclosed_brace_in_prose_is_skipped(self):
+        assert parse_response(STRAY_BRACE_REPLY) == {"age": 31, "sex": "M"}
+
+    @given(st.text(alphabet='{}"\\ a:', max_size=40))
+    def test_spans_equal_rescanning_reference(self, text):
+        assert _json_spans(text) == rescanned_spans(text)
+
+    def test_many_unclosed_braces_do_not_exhaust_the_stack(self):
+        assert parse_response("{" * 1200 + '{"a": {"b": 1}} and {') == {"a": {"b": 1}}
 
     def test_error_reports_last_span_when_none_repairs(self):
         reply = "{a} and {b}"
@@ -295,6 +333,23 @@ class TestRunVorc:
         assert outcome.repairs == []
         assert outcome.values == {"age": 31, "sex": "M"}
 
+    def test_unclosed_brace_in_prose_needs_no_correction(self):
+        calls = []
+
+        class CountingProvider:
+            inner = replay(STRAY_BRACE_REPLY, '{"age": 99, "sex": "F"}')
+
+            def complete(self, request):
+                calls.append(request.prompt)
+                return self.inner.complete(request)
+
+        outcome = self.run(CountingProvider())
+        assert isinstance(outcome, ExtractionRecord)
+        assert len(calls) == 1
+        assert outcome.vorc_iterations == 0
+        assert outcome.repairs == []
+        assert outcome.values == {"age": 31, "sex": "M"}
+
     def test_echoed_example_does_not_replace_answer(self):
         outcome = self.run(replay(ECHOED_EXAMPLE_REPLY))
         assert isinstance(outcome, ExtractionRecord)
@@ -374,6 +429,11 @@ class TestExtractCorpus:
             if isinstance(a, ExtractionRecord):
                 assert a.values == b.values
                 assert a.vorc_iterations == b.vorc_iterations
+
+    def test_call_rate_counts_reports_with_a_correction_prompt(self):
+        assert call_rate([0, 1, 3, 0]) == 0.5
+        assert call_rate([0, 0]) == 0.0
+        assert call_rate([]) is None
 
     def test_empty_corpus(self):
         schema = small_schema()
