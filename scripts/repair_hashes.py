@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Byte-identity gate for the response parser and rule repair.
+
+For the extract-replay inputs that ``perfbench/gen.py`` generates at seeds
+1, 2, 3 and 7, hashes what the parser and the repair rules make of every
+scripted reply, and what the ``extract`` command writes for the corpus.
+Prints one line per seed with three sha256 digests:
+
+* ``replies``: for every reply, in script order, the ``parse_response``
+  result (or the ``ParseFailure`` kind and message), the ``repair_json``
+  text and its ``RepairAction`` list (or ``UnrepairableError``), and the
+  ``_answer_span`` result;
+* ``extract``: ``provenance.jsonl``, ``extracted.csv`` and
+  ``extract_stats.json`` of one ``extract`` run (replay provider,
+  ``--budget 3``, ``--parallelism 1``);
+* ``n``: the number of replies hashed.
+
+The last line digests all the others. A change to the parser or the repair
+rules that keeps every output byte for byte prints the same lines before
+and after:
+
+    python3 scripts/repair_hashes.py > after.txt   # run in each checkout, then diff
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+from medtab import vorc  # noqa: E402
+from medtab.cli import main as cli_main  # noqa: E402
+
+SEEDS = (1, 2, 3, 7)
+OUTPUTS = ("provenance.jsonl", "extracted.csv", "extract_stats.json")
+
+
+def reply_bytes(raw: str) -> bytes:
+    try:
+        parsed = ["ok", vorc.parse_response(raw)]
+    except vorc.ParseFailure as e:
+        parsed = ["fail", e.kind, str(e)]
+    try:
+        text, actions = vorc.repair_json(raw)
+        repaired = ["ok", text, [[a.kind, list(a.span)] for a in actions]]
+    except vorc.UnrepairableError as e:
+        repaired = ["unrepairable", str(e)]
+    span = vorc._answer_span(raw)
+    return json.dumps([parsed, repaired, span], sort_keys=True).encode()
+
+
+def extract_digest(inputs: Path, out: Path) -> str:
+    args = ["--output-dir", out, "extract",
+            "--schema", ROOT / "schemas" / "heart.schema.json",
+            "--templates", ROOT / "templates" / "heart",
+            "--corpus", inputs / "corpus.jsonl",
+            "--replay", inputs / "replay.json",
+            "--budget", 3, "--parallelism", 1]
+    with redirect_stdout(io.StringIO()):
+        cli_main.main(args=[str(a) for a in args], prog_name="medtab", standalone_mode=False)
+    digest = hashlib.sha256()
+    for name in OUTPUTS:
+        digest.update(hashlib.sha256((out / name).read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            inputs = Path(tmp) / f"inputs-{seed}"
+            gen.generate("extract-replay", seed, ROOT, inputs)
+            replies = [e["response"] for e in
+                       json.loads((inputs / "replay.json").read_text(encoding="utf-8"))]
+            digest = hashlib.sha256()
+            for raw in replies:
+                digest.update(hashlib.sha256(reply_bytes(raw)).digest())
+            extract = extract_digest(inputs, Path(tmp) / f"out-{seed}")
+            line = f"seed={seed} n={len(replies)} replies={digest.hexdigest()} extract={extract}"
+            total.update(line.encode() + b"\n")
+            print(line, flush=True)
+    print(f"all {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

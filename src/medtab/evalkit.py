@@ -24,8 +24,8 @@ class EvalError(ValueError):
 
 @dataclass
 class ExtractionReport:
-    record_accuracy: float
-    cell_accuracy: float
+    record_accuracy: float | None
+    cell_accuracy: float | None
     missing_precision: float | None
     missing_recall: float | None
     vorc_call_rate: float | None
@@ -67,10 +67,14 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
     Extracted ids must all exist in the truth table (rows that failed
     extraction may be absent from the extracted table; they simply are not
     evaluated). Missing-value precision/recall treat "cell is missing" as the
-    positive class and come back as None when their denominator is zero.
+    positive class. Every rate comes back as None when its denominator is
+    zero, so with no compared rows both accuracies are None.
     """
-    if extracted.schema.m != truth.schema.m:
-        raise EvalError("extracted and truth tables use different schemas")
+    names = [spec.name for spec in extracted.schema.features]
+    truth_names = [spec.name for spec in truth.schema.features]
+    if names != truth_names:
+        raise EvalError(f"extracted and truth tables use different schemas: features "
+                        f"{names} vs {truth_names}")
     truth_by_id = {rid: row for rid, row in zip(truth.ids, truth.rows)}
     unknown = [rid for rid in extracted.ids if rid not in truth_by_id]
     if unknown:
@@ -103,8 +107,8 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
 
     total_cells = n_rows * len(features)
     return ExtractionReport(
-        record_accuracy=exact_rows / n_rows if n_rows else 0.0,
-        cell_accuracy=matched_cells / total_cells if total_cells else 0.0,
+        record_accuracy=exact_rows / n_rows if n_rows else None,
+        cell_accuracy=matched_cells / total_cells if total_cells else None,
         missing_precision=both_missing / extracted_missing if extracted_missing else None,
         missing_recall=both_missing / truth_missing if truth_missing else None,
         vorc_call_rate=call_rate([e.get("vorc_iterations", 0) for e in provenance or ()]),

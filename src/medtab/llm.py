@@ -13,6 +13,7 @@ in the prompt; entries without a match key are consumed in order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import threading
@@ -90,11 +91,17 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float) 
     return TransportResponse(status=resp.status_code, headers=dict(resp.headers), text=resp.text)
 
 
+# The longest Retry-After a worker waits (the default request timeout); a
+# header asking for longer, such as 86400, gets this.
+RETRY_AFTER_CAP_S = 60.0
+
+
 class HttpProvider:
     """Completions over HTTP with exponential backoff and a permit limit.
 
     Retries transport failures, 429 and 5xx with backoff (base 1s, factor 2,
-    10% jitter); 429 honors a numeric Retry-After header. Authentication and
+    10% jitter); 429 honors a numeric Retry-After header that is finite and
+    not negative, up to ``RETRY_AFTER_CAP_S``. Authentication and
     request-size rejections fail immediately.
     """
 
@@ -188,12 +195,13 @@ class HttpProvider:
     def _backoff(self, attempt: int, retry_after) -> None:
         if attempt >= self.max_attempts:
             return
-        if retry_after is not None:
-            try:
-                self._sleep(float(retry_after))
-                return
-            except (TypeError, ValueError):
-                pass
+        try:
+            wait = float(retry_after)
+        except (TypeError, ValueError):
+            wait = math.nan
+        if math.isfinite(wait) and wait >= 0.0:
+            self._sleep(min(wait, RETRY_AFTER_CAP_S))
+            return
         delay = self.backoff_base * (2 ** (attempt - 1))
         self._sleep(delay * (1.0 + 0.1 * self._rng.random()))
 

@@ -4,6 +4,12 @@ schema validation, and bounded correction prompts back to the model.
 Rule-based repairs are free; only correction prompts actually sent to the
 model count as feedback calls, and ``vorc_call_rate`` is the fraction of
 reports that needed at least one such prompt.
+
+Parsing and repair share one string model, the ``_STRING`` pattern: a string
+is double-quoted, a backslash escapes the next character (a newline too), and
+a string that is never closed runs to the end of the text. The repair rules
+work on the pieces ``_STRINGS.split`` cuts, and the block scanner behind
+``_json_spans`` steps over strings with the same pattern.
 """
 
 from __future__ import annotations
@@ -98,29 +104,45 @@ def _strict_loads(text: str):
     return json.loads(text, parse_constant=reject_constant)
 
 
-def _block_end(text: str, start: int) -> int | None:
-    """End of the {...} block that opens at ``start``, aware of double-quoted
-    strings; None when the block is never closed."""
-    depth = 0
-    in_string = False
-    escaped = False
-    for i, c in enumerate(text[start:], start=start):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return None
+_STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*(?:"|\\?\Z)'  # see the module docstring
+# Its split pieces: even indices lie outside strings (and may be empty), odd
+# ones are strings.
+_STRINGS = re.compile(f"({_STRING})")
+# Everything up to the next brace outside strings, and that brace ("" at the
+# end of the text); it cannot fail, so it never backtracks.
+_NEXT_BRACE = re.compile(rf'[^{{}}"]*(?:{_STRING}[^{{}}"]*)*([{{}}]|\Z)')
+# A single quote, or a whole double-quoted string to step over.
+_QUOTE_TOKEN = re.compile(f"'|{_STRING}")
+# A single-quoted string, closed on its own line (a bare newline makes it prose).
+_SINGLE_QUOTED = re.compile(r"'([^'\\\n]*(?:\\[\s\S][^'\\\n]*)*)'")
+_FENCE_LINE = re.compile(r"^\s*`{3,}[A-Za-z]*\s*$")
+_TRAILING_COMMA = re.compile(r",(\s*[}\]])")
+_STRUCTURE = re.compile(r"[{}\[\],]")
+_BARE_KEY = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*):")
+_BARE_KEY_ANYWHERE = re.compile("[{,]" + _BARE_KEY.pattern)
+_PY_LITERALS = (("True", "true"), ("False", "false"), ("None", "null"))
+
+
+def _scan_block(text: str, start: int, ends: dict[int, int | None]) -> None:
+    """Scan the {...} block that opens at ``start``, aware of double-quoted
+    strings, and record in ``ends`` where every block opened on the way ends
+    (None when it is never closed). A fresh scan from any of those ``{``
+    would see the same strings, so ``_json_spans`` needs no scan of its own
+    for them, and text of unclosed braces is scanned once, not once per brace."""
+    open_at = []
+    pos = start
+    while True:
+        m = _NEXT_BRACE.match(text, pos)
+        brace, pos = m[1], m.end()
+        if not brace:
+            break
+        if brace == "{":
+            open_at.append(pos - 1)
+            continue
+        ends[open_at.pop()] = pos
+        if not open_at:
+            return
+    ends.update(dict.fromkeys(open_at))
 
 
 def _json_spans(text: str) -> list[tuple[int, int]]:
@@ -128,9 +150,12 @@ def _json_spans(text: str) -> list[tuple[int, int]]:
     matters; a ``{`` that is never closed (``{systolic first`` in reasoning
     prose) is prose, and the search goes on from just after it."""
     spans = []
+    ends: dict[int, int | None] = {}
     start = text.find("{")
     while start != -1:
-        end = _block_end(text, start)
+        if start not in ends:
+            _scan_block(text, start, ends)
+        end = ends[start]
         if end is None:
             start = text.find("{", start + 1)
         else:
@@ -166,40 +191,19 @@ def _parses(text: str) -> bool:
         return False
 
 
-def _split_strings(text: str) -> list[tuple[str, bool]]:
-    """Alternating (segment, is_double_quoted_string) pieces; strings keep quotes."""
-    pieces = []
-    buf_start = 0
-    in_string = False
-    escaped = False
-    for i, c in enumerate(text):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif c == '"':
-                pieces.append((text[buf_start:i + 1], True))
-                buf_start = i + 1
-                in_string = False
-        elif c == '"':
-            if i > buf_start:
-                pieces.append((text[buf_start:i], False))
-            buf_start = i
-            in_string = True
-    if buf_start < len(text):
-        pieces.append((text[buf_start:], in_string))
-    return pieces
+# Each rule takes the text and its ``_STRINGS.split`` pieces and returns the
+# repaired text (the same text when it has nothing to repair).
+
+def _map_nonstring(pieces: list[str], fn) -> str:
+    """The text with ``fn`` applied outside strings. The pieces outside
+    strings hold no ``"``, so they go through ``fn`` joined by ``"`` (which no
+    rule's pattern matches) and are split apart again."""
+    out = pieces[:]
+    out[::2] = fn('"'.join(pieces[::2])).split('"')
+    return "".join(out)
 
 
-def _map_nonstring(text: str, fn) -> str:
-    return "".join(seg if is_str else fn(seg) for seg, is_str in _split_strings(text))
-
-
-_FENCE_LINE = re.compile(r"^\s*`{3,}[A-Za-z]*\s*$")
-
-
-def _strip_code_fence(text: str) -> str:
+def _strip_code_fence(text: str, pieces: list[str]) -> str:
     lines = text.split("\n")
     kept = [ln for ln in lines if not _FENCE_LINE.match(ln)]
     if len(kept) == len(lines):
@@ -207,109 +211,83 @@ def _strip_code_fence(text: str) -> str:
     return "\n".join(kept)
 
 
-def _single_to_double_quotes(text: str) -> str:
+def _single_to_double_quotes(text: str, pieces: list[str]) -> str:
     """Convert single-quoted strings in JSON positions (after ``{ [ , :``) only,
-    leaving prose apostrophes alone."""
+    leaving prose apostrophes alone. A single-quoted string may hold ``"``,
+    so this rule finds its own strings rather than using the pieces."""
+    if "'" not in text:
+        return text
     out = []
-    i = 0
-    n = len(text)
-    last_sig = ""  # last significant char outside strings
-    while i < n:
-        c = text[i]
-        if c == '"':  # skip a double-quoted string wholesale
-            out.append(c)
-            i += 1
-            while i < n:
-                out.append(text[i])
-                if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i + 1])
-                    i += 2
-                    continue
-                if text[i] == '"':
-                    i += 1
-                    break
-                i += 1
+    copied = pos = 0
+    last_sig = ""  # last non-space character outside strings
+    while m := _QUOTE_TOKEN.search(text, pos):
+        at = m.start()
+        gap = text[pos:at].rstrip()
+        if gap:
+            last_sig = gap[-1]
+        if text[at] == '"':
+            pos, last_sig = m.end(), '"'
+        elif last_sig in "{[,:" and (quoted := _SINGLE_QUOTED.match(text, at)):
+            inner = re.sub(r"\\(')|(\\[\s\S])", r"\1\2", quoted[1]).replace('"', '\\"')
+            out += (text[copied:at], f'"{inner}"')
+            copied = pos = quoted.end()
             last_sig = '"'
-            continue
-        if c == "'" and last_sig in "{[,:":
-            j = i + 1
-            content = []
-            closed = False
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    nxt = text[j + 1]
-                    content.append(nxt if nxt == "'" else text[j] + nxt)
-                    j += 2
-                    continue
-                if text[j] == "'":
-                    closed = True
-                    break
-                if text[j] == "\n":
-                    break  # strings do not span lines; treat as prose
-                content.append(text[j])
-                j += 1
-            if closed:
-                inner = "".join(content).replace('"', '\\"')
-                out.append('"' + inner + '"')
-                i = j + 1
-                last_sig = '"'
-                continue
-        out.append(c)
-        if not c.isspace():
-            last_sig = c
-        i += 1
+        else:
+            pos, last_sig = at + 1, "'"
+    out.append(text[copied:])
     return "".join(out)
 
 
-def _remove_trailing_comma(text: str) -> str:
-    return _map_nonstring(text, lambda seg: re.sub(r",(\s*[}\]])", r"\1", seg))
+def _remove_trailing_comma(text: str, pieces: list[str]) -> str:
+    return _map_nonstring(pieces, lambda seg: _TRAILING_COMMA.sub(r"\1", seg))
 
 
-def _quote_bare_key(text: str) -> str:
+def _quote_bare_key(text: str, pieces: list[str]) -> str:
     """Quote bare identifiers in key position within object context."""
-    pieces = _split_strings(text)
+    if not _BARE_KEY_ANYWHERE.search(text):
+        return text
     stack: list[str] = []
-    out = []
-    for seg, is_str in pieces:
-        if is_str:
-            out.append(seg)
-            continue
+    out = pieces[:]
+    for i in range(0, len(pieces), 2):
+        seg = pieces[i]
         res = []
-        i = 0
-        while i < len(seg):
-            c = seg[i]
+        copied = 0
+        for m in _STRUCTURE.finditer(seg):
+            c = m.group()
             if c in "{[":
                 stack.append(c)
             elif c in "}]" and stack:
                 stack.pop()
             if c in "{," and stack and stack[-1] == "{":
-                m = re.match(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*):", seg[i + 1:])
-                if m:
-                    res.append(c)
-                    res.append(f'{m.group(1)}"{m.group(2)}"{m.group(3)}:')
-                    i += 1 + m.end()
-                    continue
-            res.append(c)
-            i += 1
-        out.append("".join(res))
+                key = _BARE_KEY.match(seg, m.end())
+                if key:
+                    res += (seg[copied:key.start()], '{}"{}"{}:'.format(*key.groups()))
+                    copied = key.end()
+        if copied:
+            out[i] = "".join(res) + seg[copied:]
     return "".join(out)
 
 
-def _pyliteral_to_json(text: str) -> str:
+def _pyliteral_to_json(text: str, pieces: list[str]) -> str:
+    # A word that is nowhere in the text cannot match: skip its slow \b search.
+    found = [(word, literal) for word, literal in _PY_LITERALS if word in text]
+
     def fix(seg: str) -> str:
-        seg = re.sub(r"\bTrue\b", "true", seg)
-        seg = re.sub(r"\bFalse\b", "false", seg)
-        return re.sub(r"\bNone\b", "null", seg)
+        for word, literal in found:
+            seg = re.sub(rf"\b{word}\b", literal, seg)
+        return seg
 
-    return _map_nonstring(text, fix)
-
-
-def _nan_to_null(text: str) -> str:
-    return _map_nonstring(text, lambda seg: re.sub(r"-?\bNaN\b", "null", seg))
+    return _map_nonstring(pieces, fix) if found else text
 
 
-def _extract_json_substring(text: str) -> str:
-    span = _answer_span(text)
+def _nan_to_null(text: str, pieces: list[str]) -> str:
+    if "NaN" not in text:
+        return text
+    return _map_nonstring(pieces, lambda seg: re.sub(r"-?\bNaN\b", "null", seg))
+
+
+def _extract_json_substring(text: str, repairable: dict[str, bool]) -> str:
+    span = _answer_span(text, repairable)
     if span is None:
         return text
     candidate = text[span[0]:span[1]]
@@ -323,22 +301,31 @@ _RULES = {
     "quote_bare_key": _quote_bare_key,
     "pyliteral_to_json": _pyliteral_to_json,
     "nan_to_null": _nan_to_null,
-    "extract_json_substring": _extract_json_substring,
 }
 
 _MAX_REPAIR_PASSES = 3
 
 
+def _common_prefix(a: str, b: str, limit: int) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``, at most
+    ``limit``, by bisection on slice comparisons."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _diff_span(before: str, after: str) -> tuple[int, int]:
-    lo = 0
+    """The span of ``before`` that ``after`` replaced: what lies between their
+    longest common prefix and the longest common suffix of the rest."""
     limit = min(len(before), len(after))
-    while lo < limit and before[lo] == after[lo]:
-        lo += 1
-    hi_b, hi_a = len(before), len(after)
-    while hi_b > lo and hi_a > lo and before[hi_b - 1] == after[hi_a - 1]:
-        hi_b -= 1
-        hi_a -= 1
-    return (lo, hi_b)
+    lo = _common_prefix(before, after, limit)
+    tail = _common_prefix(before[::-1], after[::-1], limit - lo)
+    return (lo, len(before) - tail)
 
 
 def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
@@ -351,14 +338,19 @@ def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
     actions: list[RepairAction] = []
     if _parses(current.strip()):
         return current, actions
+    pieces = _STRINGS.split(current)
+    repairable: dict[str, bool] = {}  # span text -> whether it repairs, for _answer_span
     for _ in range(_MAX_REPAIR_PASSES):
         changed = False
         for kind in REPAIR_ORDER:
-            fixed = _RULES[kind](current)
-            if fixed != current:
-                actions.append(RepairAction(kind=kind, span=_diff_span(current, fixed)))
-                current = fixed
-                changed = True
+            if kind == "extract_json_substring":
+                fixed = _extract_json_substring(current, repairable)
+            else:
+                fixed = _RULES[kind](current, pieces)
+            if fixed == current:
+                continue  # so are its pieces, and it still does not parse
+            actions.append(RepairAction(kind=kind, span=_diff_span(current, fixed)))
+            current, pieces, changed = fixed, _STRINGS.split(fixed), True
             if _parses(current.strip()):
                 return current.strip(), actions
         if not changed:
@@ -366,24 +358,30 @@ def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
     raise UnrepairableError("response could not be repaired into valid JSON")
 
 
-def _answer_span(text: str) -> tuple[int, int] | None:
+def _answer_span(text: str, repairable: dict[str, bool] | None = None) -> tuple[int, int] | None:
     """The {...} span that holds the answer, or None when there is none.
 
     It is the last span, unless rule repair cannot make that span an object
     (``{systolic}`` in a note after the answer): then it is the last span
     before it that parses or repairs. A span that only needs repair is still
     the answer, so an object echoed earlier in the reply never wins over it.
-    When no span can be made an object, it is the last span.
+    When no span can be made an object, it is the last span. ``repairable``
+    keeps, across the calls of one repair, whether each span text repairs.
     """
     spans = _json_spans(text)
     if len(spans) <= 1:
         return spans[0] if spans else None
+    repairable = {} if repairable is None else repairable
     for start, end in reversed(spans):
-        try:
-            repair_json(text[start:end])  # each span is shorter than text
-        except UnrepairableError:
-            continue
-        return start, end
+        span = text[start:end]  # each span is shorter than text
+        if span not in repairable:
+            try:
+                repair_json(span)
+                repairable[span] = True
+            except UnrepairableError:
+                repairable[span] = False
+        if repairable[span]:
+            return start, end
     return spans[-1]
 
 

@@ -4,6 +4,7 @@ replay-scripted extraction fixture."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from medtab.dataset import TabularDataset
 from medtab.prompts import DEFAULT_INSTRUCTIONS, FORMAT_SECTION, OneShotExample, PromptBundle
 from medtab.schema import ExtractionSchema, FeatureSpec, LabelSpec, emit_json_schema_block
+from medtab.vorc import ParseFailure, RepairAction, UnrepairableError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -219,3 +221,317 @@ def small_schema_file(tmpdir: Path) -> Path:
     path = Path(tmpdir) / "small.schema.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+# ---------------------------------------------------------------------------
+# Reference parser and rule repair: the character-loop implementation that
+# the tokenizer in medtab.vorc replaced, kept verbatim as an oracle. Tests
+# compare the library against ``repair_json``, ``parse_response`` and
+# ``_json_spans`` here (imported under ``oracle_`` names).
+# ---------------------------------------------------------------------------
+
+REPAIR_ORDER = (
+    "strip_code_fence",
+    "single_to_double_quotes",
+    "remove_trailing_comma",
+    "quote_bare_key",
+    "pyliteral_to_json",
+    "nan_to_null",
+    "extract_json_substring",
+)
+
+
+def _strict_loads(text: str):
+    def reject_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject_constant)
+
+
+def _block_end(text: str, start: int) -> int | None:
+    """End of the {...} block that opens at ``start``, aware of double-quoted
+    strings; None when the block is never closed."""
+    depth = 0
+    in_string = False
+    escaped = False
+    for i, c in enumerate(text[start:], start=start):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif c == "\\":
+                escaped = True
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return None
+
+
+def _json_spans(text: str) -> list[tuple[int, int]]:
+    """Spans of complete top-level {...} blocks. Outside a block only ``{``
+    matters; a ``{`` that is never closed (``{systolic first`` in reasoning
+    prose) is prose, and the search goes on from just after it."""
+    spans = []
+    start = text.find("{")
+    while start != -1:
+        end = _block_end(text, start)
+        if end is None:
+            start = text.find("{", start + 1)
+        else:
+            spans.append((start, end))
+            start = text.find("{", end)
+    return spans
+
+
+def parse_response(raw: str):
+    """Parse the answer's JSON object out of a response, strictly.
+
+    The answer is the span ``_answer_span`` picks: the last ``{...}`` block,
+    unless that block cannot be made an object at all.
+    """
+    span = _answer_span(raw)
+    if span is None:
+        raise ParseFailure("no-json-found", "no JSON object found in the response")
+    start, end = span
+    try:
+        return _strict_loads(raw[start:end])
+    except (json.JSONDecodeError, ValueError) as e:
+        pos = getattr(e, "pos", None)
+        where = f" at position {start + pos}" if pos is not None else ""
+        raise ParseFailure("strict-parse-error", f"invalid JSON{where}: {e}") from e
+
+
+def _parses(text: str) -> bool:
+    """True when the whole text is strictly a JSON object (records are always
+    objects, so repairing into an array or scalar is not a success)."""
+    try:
+        return isinstance(_strict_loads(text), dict)
+    except (json.JSONDecodeError, ValueError):
+        return False
+
+
+def _split_strings(text: str) -> list[tuple[str, bool]]:
+    """Alternating (segment, is_double_quoted_string) pieces; strings keep quotes."""
+    pieces = []
+    buf_start = 0
+    in_string = False
+    escaped = False
+    for i, c in enumerate(text):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif c == "\\":
+                escaped = True
+            elif c == '"':
+                pieces.append((text[buf_start:i + 1], True))
+                buf_start = i + 1
+                in_string = False
+        elif c == '"':
+            if i > buf_start:
+                pieces.append((text[buf_start:i], False))
+            buf_start = i
+            in_string = True
+    if buf_start < len(text):
+        pieces.append((text[buf_start:], in_string))
+    return pieces
+
+
+def _map_nonstring(text: str, fn) -> str:
+    return "".join(seg if is_str else fn(seg) for seg, is_str in _split_strings(text))
+
+
+_FENCE_LINE = re.compile(r"^\s*`{3,}[A-Za-z]*\s*$")
+
+
+def _strip_code_fence(text: str) -> str:
+    lines = text.split("\n")
+    kept = [ln for ln in lines if not _FENCE_LINE.match(ln)]
+    if len(kept) == len(lines):
+        return text
+    return "\n".join(kept)
+
+
+def _single_to_double_quotes(text: str) -> str:
+    """Convert single-quoted strings in JSON positions (after ``{ [ , :``) only,
+    leaving prose apostrophes alone."""
+    out = []
+    i = 0
+    n = len(text)
+    last_sig = ""  # last significant char outside strings
+    while i < n:
+        c = text[i]
+        if c == '"':  # skip a double-quoted string wholesale
+            out.append(c)
+            i += 1
+            while i < n:
+                out.append(text[i])
+                if text[i] == "\\" and i + 1 < n:
+                    out.append(text[i + 1])
+                    i += 2
+                    continue
+                if text[i] == '"':
+                    i += 1
+                    break
+                i += 1
+            last_sig = '"'
+            continue
+        if c == "'" and last_sig in "{[,:":
+            j = i + 1
+            content = []
+            closed = False
+            while j < n:
+                if text[j] == "\\" and j + 1 < n:
+                    nxt = text[j + 1]
+                    content.append(nxt if nxt == "'" else text[j] + nxt)
+                    j += 2
+                    continue
+                if text[j] == "'":
+                    closed = True
+                    break
+                if text[j] == "\n":
+                    break  # strings do not span lines; treat as prose
+                content.append(text[j])
+                j += 1
+            if closed:
+                inner = "".join(content).replace('"', '\\"')
+                out.append('"' + inner + '"')
+                i = j + 1
+                last_sig = '"'
+                continue
+        out.append(c)
+        if not c.isspace():
+            last_sig = c
+        i += 1
+    return "".join(out)
+
+
+def _remove_trailing_comma(text: str) -> str:
+    return _map_nonstring(text, lambda seg: re.sub(r",(\s*[}\]])", r"\1", seg))
+
+
+def _quote_bare_key(text: str) -> str:
+    """Quote bare identifiers in key position within object context."""
+    pieces = _split_strings(text)
+    stack: list[str] = []
+    out = []
+    for seg, is_str in pieces:
+        if is_str:
+            out.append(seg)
+            continue
+        res = []
+        i = 0
+        while i < len(seg):
+            c = seg[i]
+            if c in "{[":
+                stack.append(c)
+            elif c in "}]" and stack:
+                stack.pop()
+            if c in "{," and stack and stack[-1] == "{":
+                m = re.match(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*):", seg[i + 1:])
+                if m:
+                    res.append(c)
+                    res.append(f'{m.group(1)}"{m.group(2)}"{m.group(3)}:')
+                    i += 1 + m.end()
+                    continue
+            res.append(c)
+            i += 1
+        out.append("".join(res))
+    return "".join(out)
+
+
+def _pyliteral_to_json(text: str) -> str:
+    def fix(seg: str) -> str:
+        seg = re.sub(r"\bTrue\b", "true", seg)
+        seg = re.sub(r"\bFalse\b", "false", seg)
+        return re.sub(r"\bNone\b", "null", seg)
+
+    return _map_nonstring(text, fix)
+
+
+def _nan_to_null(text: str) -> str:
+    return _map_nonstring(text, lambda seg: re.sub(r"-?\bNaN\b", "null", seg))
+
+
+def _extract_json_substring(text: str) -> str:
+    span = _answer_span(text)
+    if span is None:
+        return text
+    candidate = text[span[0]:span[1]]
+    return candidate if candidate != text.strip() else text
+
+
+_RULES = {
+    "strip_code_fence": _strip_code_fence,
+    "single_to_double_quotes": _single_to_double_quotes,
+    "remove_trailing_comma": _remove_trailing_comma,
+    "quote_bare_key": _quote_bare_key,
+    "pyliteral_to_json": _pyliteral_to_json,
+    "nan_to_null": _nan_to_null,
+    "extract_json_substring": _extract_json_substring,
+}
+
+_MAX_REPAIR_PASSES = 3
+
+
+def _diff_span(before: str, after: str) -> tuple[int, int]:
+    lo = 0
+    limit = min(len(before), len(after))
+    while lo < limit and before[lo] == after[lo]:
+        lo += 1
+    hi_b, hi_a = len(before), len(after)
+    while hi_b > lo and hi_a > lo and before[hi_b - 1] == after[hi_a - 1]:
+        hi_b -= 1
+        hi_a -= 1
+    return (lo, hi_b)
+
+
+def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
+    """Apply the repair rules in fixed order until the text parses strictly.
+
+    Already-valid JSON comes back unchanged with no actions. Raises
+    UnrepairableError when the rule set cannot produce parseable text.
+    """
+    current = raw
+    actions: list[RepairAction] = []
+    if _parses(current.strip()):
+        return current, actions
+    for _ in range(_MAX_REPAIR_PASSES):
+        changed = False
+        for kind in REPAIR_ORDER:
+            fixed = _RULES[kind](current)
+            if fixed != current:
+                actions.append(RepairAction(kind=kind, span=_diff_span(current, fixed)))
+                current = fixed
+                changed = True
+            if _parses(current.strip()):
+                return current.strip(), actions
+        if not changed:
+            break
+    raise UnrepairableError("response could not be repaired into valid JSON")
+
+
+def _answer_span(text: str) -> tuple[int, int] | None:
+    """The {...} span that holds the answer, or None when there is none.
+
+    It is the last span, unless rule repair cannot make that span an object
+    (``{systolic}`` in a note after the answer): then it is the last span
+    before it that parses or repairs. A span that only needs repair is still
+    the answer, so an object echoed earlier in the reply never wins over it.
+    When no span can be made an object, it is the last span.
+    """
+    spans = _json_spans(text)
+    if len(spans) <= 1:
+        return spans[0] if spans else None
+    for start, end in reversed(spans):
+        try:
+            repair_json(text[start:end])  # each span is shorter than text
+        except UnrepairableError:
+            continue
+        return start, end
+    return spans[-1]
+

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_auc, cat_feature, int_feature, real_feature
+from helpers import brute_force_auc, cat_feature, int_feature, real_feature, small_schema
 
 from medtab.dataset import TabularDataset
 from medtab.evalkit import (ClassificationReport, EvalError, auc_score,
@@ -115,6 +116,24 @@ class TestExtractionMetrics:
         t = table(self.truth_rows())
         assert extraction_metrics(t, t).vorc_call_rate is None
         assert extraction_metrics(t, t, []).vorc_call_rate is None
+
+    def test_renamed_feature_is_a_schema_mismatch(self):
+        schema = small_schema()
+        renamed = replace(schema, features=(replace(schema.features[0], name="years"),
+                                            *schema.features[1:]))
+        extracted = TabularDataset(schema=renamed, rows=[{"years": 40, "sex": "M"}], ids=["r0"])
+        truth = TabularDataset(schema=schema, rows=[{"age": 40, "sex": "M"}], ids=["r0"])
+        with pytest.raises(EvalError, match="different schemas"):
+            extraction_metrics(extracted, truth)
+
+    def test_no_compared_rows_yields_null_accuracies(self):
+        report = extraction_metrics(table([]), table(self.truth_rows()))
+        assert report.n_evaluated == 0
+        assert report.record_accuracy is None
+        assert report.cell_accuracy is None
+        sections = json.loads(render_report({"extraction": report}, "json"))["sections"]
+        assert sections["extraction"]["record_accuracy"] is None
+        assert "record_accuracy = -" in render_report({"extraction": report}, "text")
 
 
 class TestClassificationMetrics:

@@ -5,7 +5,8 @@ import pytest
 
 from medtab.llm import (AuthenticationError, CompletionRequest, ExhaustedRetriesError,
                         HttpProvider, ProviderConfigError, ReplayEntry, ReplayProvider,
-                        RequestTooLargeError, TransportResponse, configure_provider)
+                        RETRY_AFTER_CAP_S, RequestTooLargeError, TransportResponse,
+                        configure_provider)
 
 
 def completions_body(text):
@@ -82,6 +83,20 @@ class TestHttpProvider:
         provider, sleeps = make_provider(credential, transport)
         provider.complete(CompletionRequest(prompt="hi"))
         assert sleeps == [7.0]
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-3", "1e9", "soon"])
+    def test_retry_after_out_of_range_is_bounded(self, credential, value):
+        # time.sleep raises OverflowError on inf and would stall on 1e9
+        transport = ScriptedTransport([(429, {"Retry-After": value}, ""),
+                                       (200, {}, completions_body("ok"))])
+        provider, sleeps = make_provider(credential, transport)
+        assert provider.complete(CompletionRequest(prompt="hi")).text == "ok"
+        assert len(sleeps) == 1
+        assert 0.0 <= sleeps[0] <= RETRY_AFTER_CAP_S
+        if value == "1e9":
+            assert sleeps == [RETRY_AFTER_CAP_S]
+        else:  # not a finite, non-negative number: exponential backoff
+            assert 1.0 <= sleeps[0] <= 1.1
 
     def test_authentication_failure_not_retried(self, credential):
         transport = ScriptedTransport([(401, {}, "no")])

@@ -1,15 +1,17 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import helpers as oracle  # holds the character-loop parser and repair
 from helpers import bundle_for, small_schema, vorc_fixture_files
 
 from medtab.llm import ReplayEntry, ReplayProvider, configure_provider
 from medtab.schema import MISSING
 from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, VorcBudget,
-                         VorcFailure, _json_spans, call_rate, extract_corpus, parse_response,
-                         provenance_entries, repair_json, run_vorc, validate_record)
+                         VorcFailure, _RULES, _STRINGS, _answer_span, _json_spans,
+                         call_rate, extract_corpus, parse_response, provenance_entries,
+                         repair_json, run_vorc, validate_record)
 
 # (raw, expected object, expected action kinds) - each repair rule alone and in pairs
 REPAIR_CORPUS = [
@@ -249,6 +251,82 @@ class TestRepairJson:
         assert parse_response(repaired) == obj
         if broken != raw:
             assert actions, f"expected at least one action for {broken!r}"
+
+
+# Pieces of model replies: prose, both quote kinds, braces, backslashes,
+# escaped quotes and newlines, fences, Python literals, NaN, trailing commas
+# and bare keys.
+REPLY_FRAGMENTS = [
+    "Reasoning: ", "the patient's age", " therefore ", "Output JSON:\n", "Note: ",
+    "{systolic}/{diastolic}", "```json\n", "\n```", "```", "{", "}", "[", "]", ",", ", ",
+    ":", ": ", "'", '"', "\\", '\\"', "\\\n", "\\'", "\n", " ", "age", "sex", "a",
+    "1", "-2.5", "True", "False", "None", "NaN", "-NaN", ",}", ",]", "{age: ", "age:",
+    "'age': ", '"age": ', "'M'", '"M"', '{"a": 1}', "{'a': 1}", "{'s': \"it's\"}",
+    '"say \\"hi\\" {', '"x\\\\"', '"a\\"}", b: None,', "{'n': 'O\\'Neil'}", "'a\\\\'",
+    "[a: 1, b: 2]", "{k: [1, x: 2]}",
+]
+replies = st.lists(st.sampled_from(REPLY_FRAGMENTS), max_size=30).map("".join)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the kind of error it raises and its message."""
+    try:
+        return "ok", fn(*args)
+    except ParseFailure as e:
+        return "parse-failure", e.kind, str(e)
+    except UnrepairableError as e:
+        return "unrepairable", str(e)
+
+
+class TestAgainstCharacterLoopOracle:
+    """The tokenizer-based parser and repair against the character-loop
+    implementation they replaced (tests/helpers.py): same text, same
+    ``RepairAction`` list, same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='ab "\'\\\n{},:', max_size=40))
+    def test_tokenizer_equals_oracle(self, text):
+        pieces = [(p, i % 2 == 1) for i, p in enumerate(_STRINGS.split(text)) if p]
+        assert pieces == oracle._split_strings(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='ab "\'\\\n{}[],:', max_size=40) | replies)
+    def test_each_rule_equals_oracle(self, text):
+        pieces = _STRINGS.split(text)
+        for kind, rule in _RULES.items():
+            assert rule(text, pieces) == oracle._RULES[kind](text), kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(replies)
+    def test_repair_json_equals_oracle(self, raw):
+        assert outcome(repair_json, raw) == outcome(oracle.repair_json, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(replies)
+    def test_parse_response_equals_oracle(self, raw):
+        assert outcome(parse_response, raw) == outcome(oracle.parse_response, raw)
+        assert _answer_span(raw) == oracle._answer_span(raw)
+        assert _json_spans(raw) == oracle._json_spans(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(replies)
+    def test_repair_is_idempotent(self, raw):
+        try:
+            repaired, _ = repair_json(raw)
+        except UnrepairableError:
+            return
+        assert repair_json(repaired) == (repaired, [])
+
+    @pytest.mark.parametrize("raw", [
+        '{"s": "a\\"b", \'t\': 1,}',  # escaped quote inside a string
+        '{"s": "line\\\nbreak", "n": None}',  # escaped newline inside a string
+        '{"s": "ends in \\\\", k: 2}',  # escaped backslash before the closing quote
+        '{"open": "never closed, a: True}',  # unterminated string runs to the end
+        '"\\',  # unterminated string ending in a lone backslash
+    ])
+    def test_string_escapes_equal_oracle(self, raw):
+        assert outcome(repair_json, raw) == outcome(oracle.repair_json, raw)
+        assert outcome(parse_response, raw) == outcome(oracle.parse_response, raw)
 
 
 class TestValidateRecord:
