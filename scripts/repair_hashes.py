@@ -3,8 +3,8 @@
 
 For the extract-replay inputs that ``perfbench/gen.py`` generates at seeds
 1, 2, 3 and 7, hashes what the parser and the repair rules make of every
-scripted reply, and what the ``extract`` command writes for the corpus.
-Prints one line per seed with three sha256 digests:
+scripted reply, what the ``extract`` command writes for the corpus, and every
+prompt it sends. Prints one line per seed with four sha256 digests:
 
 * ``replies``: for every reply, in script order, the ``parse_response``
   result (or the ``ParseFailure`` kind and message), the ``repair_json``
@@ -13,11 +13,13 @@ Prints one line per seed with three sha256 digests:
 * ``extract``: ``provenance.jsonl``, ``extracted.csv`` and
   ``extract_stats.json`` of one ``extract`` run (replay provider,
   ``--budget 3``, ``--parallelism 1``);
-* ``n``: the number of replies hashed.
+* ``prompts``: every prompt the replay provider receives during that run,
+  in order, correction prompts included;
+* ``n``: the number of replies hashed, and ``calls`` the number of prompts.
 
-The last line digests all the others. A change to the parser or the repair
-rules that keeps every output byte for byte prints the same lines before
-and after:
+The last line digests all the others. A change to the parser, the repair
+rules or the correction prompts that keeps every output byte for byte prints
+the same lines before and after:
 
     python3 scripts/repair_hashes.py > after.txt   # run in each checkout, then diff
 """
@@ -37,7 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
-from medtab import vorc  # noqa: E402
+from medtab import llm, vorc  # noqa: E402
 from medtab.cli import main as cli_main  # noqa: E402
 
 SEEDS = (1, 2, 3, 7)
@@ -58,19 +60,35 @@ def reply_bytes(raw: str) -> bytes:
     return json.dumps([parsed, repaired, span], sort_keys=True).encode()
 
 
-def extract_digest(inputs: Path, out: Path) -> str:
+def extract_digests(inputs: Path, out: Path) -> tuple[str, str, int]:
+    """Digests of the ``extract`` outputs and of the prompts it sent, and the
+    number of prompts."""
     args = ["--output-dir", out, "extract",
             "--schema", ROOT / "schemas" / "heart.schema.json",
             "--templates", ROOT / "templates" / "heart",
             "--corpus", inputs / "corpus.jsonl",
             "--replay", inputs / "replay.json",
             "--budget", 3, "--parallelism", 1]
-    with redirect_stdout(io.StringIO()):
-        cli_main.main(args=[str(a) for a in args], prog_name="medtab", standalone_mode=False)
+    prompts = hashlib.sha256()
+    calls = 0
+    complete = llm.ReplayProvider.complete
+
+    def recording(self, request):
+        nonlocal calls
+        prompts.update(hashlib.sha256(request.prompt.encode()).digest())
+        calls += 1
+        return complete(self, request)
+
+    llm.ReplayProvider.complete = recording
+    try:
+        with redirect_stdout(io.StringIO()):
+            cli_main.main(args=[str(a) for a in args], prog_name="medtab", standalone_mode=False)
+    finally:
+        llm.ReplayProvider.complete = complete
     digest = hashlib.sha256()
     for name in OUTPUTS:
         digest.update(hashlib.sha256((out / name).read_bytes()).digest())
-    return digest.hexdigest()
+    return digest.hexdigest(), prompts.hexdigest(), calls
 
 
 def main() -> None:
@@ -84,8 +102,9 @@ def main() -> None:
             digest = hashlib.sha256()
             for raw in replies:
                 digest.update(hashlib.sha256(reply_bytes(raw)).digest())
-            extract = extract_digest(inputs, Path(tmp) / f"out-{seed}")
-            line = f"seed={seed} n={len(replies)} replies={digest.hexdigest()} extract={extract}"
+            extract, prompts, calls = extract_digests(inputs, Path(tmp) / f"out-{seed}")
+            line = (f"seed={seed} n={len(replies)} replies={digest.hexdigest()} extract={extract}"
+                    f" calls={calls} prompts={prompts}")
             total.update(line.encode() + b"\n")
             print(line, flush=True)
     print(f"all {total.hexdigest()}")

@@ -260,6 +260,9 @@ def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
         artifact = models.load_model(model_path)
         dataset = ds.load_csv(data_path, schema)
         assignment = ds.load_split(split_path)
+        last = max(assignment.train_ids + assignment.val_ids + assignment.test_ids, default=-1)
+        if last >= dataset.n:
+            _fail(f"split id {last} is outside the table ({dataset.n} rows)")
         ids = {"train": assignment.train_ids, "val": assignment.val_ids,
                "test": assignment.test_ids}[part]
         scores = artifact.predict_proba_dataset(dataset, ids)
@@ -289,11 +292,7 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     schema = _schema_from(state, schema_path)
     provenance = None
     if provenance_path:
-        try:
-            provenance = [json.loads(line) for line in
-                          Path(provenance_path).read_text(encoding="utf-8").splitlines() if line]
-        except (OSError, json.JSONDecodeError) as e:
-            _fail(f"cannot read provenance: {e}")
+        provenance = _read_corpus(Path(provenance_path), ("id", "vorc_iterations"), "provenance")
     try:
         truth = ds.load_csv(truth_path, schema)
         extracted = ds.load_csv(extracted_path, schema)

@@ -242,7 +242,24 @@ def save_split(assignment: SplitAssignment, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> SplitAssignment:
-    return SplitAssignment.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a split file. Raises DatasetError when it lacks the seed or an id
+    list, or an id is not a non-negative integer or is listed twice, in one
+    part or in two. Whether the ids fit a table is for its caller to check."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    parts = ("train", "val", "test")
+    if not isinstance(doc, dict) or "seed" not in doc \
+            or not all(isinstance(doc.get(part), list) for part in parts):
+        raise DatasetError(f"{path}: a split needs a 'seed' and 'train', 'val' and 'test' id lists")
+    seen: dict[int, str] = {}
+    for part in parts:
+        for rid in doc[part]:
+            if type(rid) is not int or rid < 0:
+                raise DatasetError(f"{path}: {part} id {rid!r} is not a non-negative integer")
+            if rid in seen:
+                where = f"twice under {part}" if seen[rid] == part else f"under {seen[rid]} and {part}"
+                raise DatasetError(f"{path}: id {rid} is listed {where}")
+            seen[rid] = part
+    return SplitAssignment.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

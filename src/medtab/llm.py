@@ -123,9 +123,6 @@ class HttpProvider:
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._permits = threading.Semaphore(permits)
-        self._probe_lock = threading.Lock()
-        self._in_flight = 0
-        self.max_in_flight = 0  # test probe: peak concurrent transport calls
 
     def _payload(self, request: CompletionRequest) -> dict:
         body = {
@@ -161,14 +158,7 @@ class HttpProvider:
         for attempt in range(1, self.max_attempts + 1):
             try:
                 with self._permits:
-                    with self._probe_lock:
-                        self._in_flight += 1
-                        self.max_in_flight = max(self.max_in_flight, self._in_flight)
-                    try:
-                        resp = self._transport(self.endpoint, headers, payload, self.timeout)
-                    finally:
-                        with self._probe_lock:
-                            self._in_flight -= 1
+                    resp = self._transport(self.endpoint, headers, payload, self.timeout)
             except ConnectionError as e:
                 last_status, last_error = None, str(e)
                 self._backoff(attempt, None)
@@ -225,7 +215,6 @@ class ReplayProvider:
     def __init__(self, entries: list[ReplayEntry]):
         self._entries = list(entries)
         self._lock = threading.Lock()
-        self.max_in_flight = 1
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayProvider":

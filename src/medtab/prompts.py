@@ -215,31 +215,28 @@ def _fit_sections(front: str, middle: str, back: str, max_chars: int) -> tuple[s
     return front, middle
 
 
+def _correction_prompt(opening: str, original_prompt: str, response: str, heading: str,
+                       body: str, closing: str, max_chars: int) -> str:
+    """The frame both correction prompts share: the opening line, the original
+    prompt, the response (truncated first to fit ``max_chars``), then the
+    heading, its body and the closing request."""
+    front = f"{opening}\n\nOriginal prompt:\n{original_prompt}\n\nResponse:\n"
+    back = f"\n\n{heading}:\n{body}\n\n{closing}"
+    front, response = _fit_sections(front, response, back, max_chars)
+    return front + response + back
+
+
 def build_json_correction_prompt(original_prompt: str, response: str, error: str,
                                  max_chars: int = DEFAULT_MAX_PROMPT_CHARS) -> str:
     """Ask the model to re-emit JSON after a parse failure, showing it the
-    original prompt, its response, and the error."""
-    if not (original_prompt and response and error):
-        raise PromptError("original prompt, response and error must all be nonempty")
-    front = (
-        "Your previous answer could not be parsed as JSON.\n"
-        "\n"
-        "Original prompt:\n"
-        f"{original_prompt}\n"
-        "\n"
-        "Response:\n"
-    )
-    back = (
-        "\n"
-        "\n"
-        "Error:\n"
-        f"{error}\n"
-        "\n"
+    original prompt, its response (which may be empty), and the error."""
+    if not (original_prompt and error):
+        raise PromptError("original prompt and error must be nonempty")
+    return _correction_prompt(
+        "Your previous answer could not be parsed as JSON.", original_prompt, response,
+        "Error", error,
         "Extract the JSON data once more. Respond with only the corrected JSON "
-        "instance and nothing else."
-    )
-    front, response = _fit_sections(front, response, back, max_chars)
-    return front + response + back
+        "instance and nothing else.", max_chars)
 
 
 def build_type_correction_prompt(original_prompt: str, response_json: str,
@@ -247,44 +244,24 @@ def build_type_correction_prompt(original_prompt: str, response_json: str,
                                  max_chars: int = DEFAULT_MAX_PROMPT_CHARS) -> str:
     """Ask the model to fix specific key values; one line per violation.
 
-    ``violations`` holds ``(feature_name, detail)`` pairs or objects with
-    ``key``/``message`` attributes (as produced by record validation); input
-    order is preserved.
+    ``violations`` holds objects with ``key`` and ``message`` attributes and
+    an optional ``received`` value, as record validation produces them; a
+    line shows the received value when it is not None. Input order is
+    preserved.
     """
     if not violations:
         raise PromptError("violations must be nonempty")
     lines = []
     for v in violations:
-        if isinstance(v, tuple):
-            key, detail = v
-            lines.append(f"- {key}: {detail}")
-        else:
-            received = getattr(v, "received", None)
-            if received is None:
-                lines.append(f"- {v.key}: {v.message}")
-            else:
-                lines.append(f"- {v.key} (received {received!r}): {v.message}")
-    front = (
+        received = getattr(v, "received", None)
+        shown = "" if received is None else f" (received {received!r})"
+        lines.append(f"- {v.key}{shown}: {v.message}")
+    return _correction_prompt(
         "Your previous answer contained values that do not conform to the expected "
-        "key types.\n"
-        "\n"
-        "Original prompt:\n"
-        f"{original_prompt}\n"
-        "\n"
-        "Response:\n"
-    )
-    back = (
-        "\n"
-        "\n"
-        "Errors:\n"
-        + "\n".join(lines)
-        + "\n"
-        "\n"
+        "key types.", original_prompt, response_json,
+        "Errors", "\n".join(lines),
         "Make the necessary corrections. Respond with only the corrected JSON "
-        "instance and nothing else."
-    )
-    front, response_json = _fit_sections(front, response_json, back, max_chars)
-    return front + response_json + back
+        "instance and nothing else.", max_chars)
 
 
 def build_fewshot_classifier_prompt(shots: list[tuple[str, str]], report: str,

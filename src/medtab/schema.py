@@ -202,22 +202,6 @@ def schema_from_dict(doc: dict, name: str = "") -> ExtractionSchema:
     return ExtractionSchema(features=tuple(features), label=label, name=name)
 
 
-def schema_to_dict(schema: ExtractionSchema) -> dict:
-    doc = {"features": []}
-    for f in schema.features:
-        entry = {"name": f.name, "title": f.title, "description": f.description, "kind": f.kind}
-        if f.kind == "categorical":
-            entry["allowed_values"] = list(f.allowed_values)
-        if f.numeric_range is not None:
-            entry["range"] = list(f.numeric_range)
-        entry["allow_missing"] = f.allow_missing
-        doc["features"].append(entry)
-    if schema.label is not None:
-        doc["label"] = {"name": schema.label.name, "positive": schema.label.positive_value,
-                        "negative": schema.label.negative_value}
-    return doc
-
-
 _JSON_TYPE = {"integer": "integer", "real": "number", "text": "string", "categorical": "string"}
 
 
@@ -239,7 +223,7 @@ def emit_json_schema_block(schema: ExtractionSchema) -> str:
     return json.dumps({"properties": props})
 
 
-def _coerce_number(raw, want_int: bool):
+def _coerce_number(raw):
     """Parse a JSON scalar or numeral string into a finite float; None when
     not numeric (infinities are not valid record values)."""
     if isinstance(raw, bool):
@@ -280,7 +264,7 @@ def canonicalize_value(spec: FeatureSpec, raw):
         raise CoercionError("missing-not-allowed", f"{spec.name}: value is missing but the feature requires one")
 
     if spec.kind in ("integer", "real"):
-        num = _coerce_number(raw, want_int=spec.kind == "integer")
+        num = _coerce_number(raw)
         if num is None:
             raise CoercionError("type-mismatch", f"{spec.name}: cannot interpret {raw!r} as a number")
         if spec.kind == "integer":

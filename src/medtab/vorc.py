@@ -10,6 +10,11 @@ is double-quoted, a backslash escapes the next character (a newline too), and
 a string that is never closed runs to the end of the text. The repair rules
 work on the pieces ``_STRINGS.split`` cuts, and the block scanner behind
 ``_json_spans`` steps over strings with the same pattern.
+
+``_RULES`` is the one ordered table of repair rules; ``repair_json`` runs them
+in that order. ``run_vorc`` takes one step per provider call: read the reply
+(strict parse, else rule repair), validate it, and on failure either stop at
+the budget or send the matching correction prompt.
 """
 
 from __future__ import annotations
@@ -22,17 +27,6 @@ from dataclasses import dataclass, field
 from .llm import CompletionRequest, ProviderError
 from .prompts import PromptBundle, build_json_correction_prompt, build_type_correction_prompt
 from .schema import MISSING, CoercionError, ExtractionSchema, canonicalize_value, fold_name
-
-REPAIR_ORDER = (
-    "strip_code_fence",
-    "single_to_double_quotes",
-    "remove_trailing_comma",
-    "quote_bare_key",
-    "pyliteral_to_json",
-    "nan_to_null",
-    "extract_json_substring",
-)
-
 
 class ParseFailure(ValueError):
     """Strict parsing failed; ``kind`` is ``no-json-found`` or ``strict-parse-error``."""
@@ -286,14 +280,15 @@ def _nan_to_null(text: str, pieces: list[str]) -> str:
     return _map_nonstring(pieces, lambda seg: re.sub(r"-?\bNaN\b", "null", seg))
 
 
-def _extract_json_substring(text: str, repairable: dict[str, bool]) -> str:
-    span = _answer_span(text, repairable)
+def _extract_json_substring(text: str, pieces: list[str]) -> str:
+    span = _answer_span(text)
     if span is None:
         return text
     candidate = text[span[0]:span[1]]
     return candidate if candidate != text.strip() else text
 
 
+# The repair rules, in the order ``repair_json`` applies them.
 _RULES = {
     "strip_code_fence": _strip_code_fence,
     "single_to_double_quotes": _single_to_double_quotes,
@@ -301,7 +296,9 @@ _RULES = {
     "quote_bare_key": _quote_bare_key,
     "pyliteral_to_json": _pyliteral_to_json,
     "nan_to_null": _nan_to_null,
+    "extract_json_substring": _extract_json_substring,
 }
+REPAIR_ORDER = tuple(_RULES)
 
 _MAX_REPAIR_PASSES = 3
 
@@ -339,14 +336,10 @@ def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
     if _parses(current.strip()):
         return current, actions
     pieces = _STRINGS.split(current)
-    repairable: dict[str, bool] = {}  # span text -> whether it repairs, for _answer_span
     for _ in range(_MAX_REPAIR_PASSES):
         changed = False
-        for kind in REPAIR_ORDER:
-            if kind == "extract_json_substring":
-                fixed = _extract_json_substring(current, repairable)
-            else:
-                fixed = _RULES[kind](current, pieces)
+        for kind, rule in _RULES.items():
+            fixed = rule(current, pieces)
             if fixed == current:
                 continue  # so are its pieces, and it still does not parse
             actions.append(RepairAction(kind=kind, span=_diff_span(current, fixed)))
@@ -358,30 +351,24 @@ def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
     raise UnrepairableError("response could not be repaired into valid JSON")
 
 
-def _answer_span(text: str, repairable: dict[str, bool] | None = None) -> tuple[int, int] | None:
+def _answer_span(text: str) -> tuple[int, int] | None:
     """The {...} span that holds the answer, or None when there is none.
 
     It is the last span, unless rule repair cannot make that span an object
     (``{systolic}`` in a note after the answer): then it is the last span
     before it that parses or repairs. A span that only needs repair is still
     the answer, so an object echoed earlier in the reply never wins over it.
-    When no span can be made an object, it is the last span. ``repairable``
-    keeps, across the calls of one repair, whether each span text repairs.
+    When no span can be made an object, it is the last span.
     """
     spans = _json_spans(text)
     if len(spans) <= 1:
         return spans[0] if spans else None
-    repairable = {} if repairable is None else repairable
     for start, end in reversed(spans):
-        span = text[start:end]  # each span is shorter than text
-        if span not in repairable:
-            try:
-                repair_json(span)
-                repairable[span] = True
-            except UnrepairableError:
-                repairable[span] = False
-        if repairable[span]:
-            return start, end
+        try:
+            repair_json(text[start:end])  # each span is shorter than text
+        except UnrepairableError:
+            continue
+        return start, end
     return spans[-1]
 
 
@@ -447,37 +434,31 @@ def run_vorc(provider, prompt: str, schema: ExtractionSchema,
     current_prompt = prompt
     while True:
         raw = provider.complete(CompletionRequest(prompt=current_prompt)).text
-        obj = None
-        parse_error = None
+        obj = violations = None
         try:
             obj = parse_response(raw)
         except ParseFailure as e:
-            parse_error = e
+            error = str(e)
             try:
                 repaired, actions = repair_json(raw)
                 repairs.extend(actions)
-                obj = parse_response(repaired)
-            except (UnrepairableError, ParseFailure):
-                obj = None
-
-        if obj is None:
-            if iterations >= budget.max_correction_prompts:
-                return VorcFailure(source_id, iterations, repairs, "budget-exhausted",
-                                   f"unparseable response: {parse_error}")
-            iterations += 1
-            current_prompt = build_json_correction_prompt(prompt, raw, str(parse_error))
-            continue
-
-        result = validate_record(obj, schema)
-        if not result.violations:
-            return ExtractionRecord(values=result.values, vorc_iterations=iterations,
-                                    repairs=repairs, source_id=source_id, label=result.label)
+                obj = _strict_loads(repaired)  # repair_json returns only text that parses
+            except UnrepairableError:
+                detail = f"unparseable response: {error}"
+        if obj is not None:
+            result = validate_record(obj, schema)
+            if not result.violations:
+                return ExtractionRecord(values=result.values, vorc_iterations=iterations,
+                                        repairs=repairs, source_id=source_id, label=result.label)
+            violations = result.violations
+            detail = "validation failed: " + "; ".join(v.message for v in violations)
         if iterations >= budget.max_correction_prompts:
-            detail = "; ".join(v.message for v in result.violations)
-            return VorcFailure(source_id, iterations, repairs, "budget-exhausted",
-                               f"validation failed: {detail}", result.violations)
+            return VorcFailure(source_id, iterations, repairs, "budget-exhausted", detail, violations)
         iterations += 1
-        current_prompt = build_type_correction_prompt(prompt, json.dumps(obj), result.violations)
+        if obj is None:
+            current_prompt = build_json_correction_prompt(prompt, raw, error)
+        else:
+            current_prompt = build_type_correction_prompt(prompt, json.dumps(obj), violations)
 
 
 def call_rate(iterations: list[int]) -> float | None:

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from medtab.dataset import TabularDataset
-from medtab.prompts import DEFAULT_INSTRUCTIONS, FORMAT_SECTION, OneShotExample, PromptBundle
+from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, FORMAT_SECTION,
+                            OneShotExample, PromptBundle, PromptError, _fit_sections)
 from medtab.schema import ExtractionSchema, FeatureSpec, LabelSpec, emit_json_schema_block
 from medtab.vorc import ParseFailure, RepairAction, UnrepairableError
 
@@ -535,3 +536,79 @@ def _answer_span(text: str) -> tuple[int, int] | None:
         return start, end
     return spans[-1]
 
+
+# ---------------------------------------------------------------------------
+# Reference correction prompts: the two builders as they were before they
+# shared one frame, kept verbatim as an oracle for medtab.prompts.
+# ---------------------------------------------------------------------------
+
+def build_json_correction_prompt(original_prompt: str, response: str, error: str,
+                                 max_chars: int = DEFAULT_MAX_PROMPT_CHARS) -> str:
+    """Ask the model to re-emit JSON after a parse failure, showing it the
+    original prompt, its response, and the error."""
+    if not (original_prompt and response and error):
+        raise PromptError("original prompt, response and error must all be nonempty")
+    front = (
+        "Your previous answer could not be parsed as JSON.\n"
+        "\n"
+        "Original prompt:\n"
+        f"{original_prompt}\n"
+        "\n"
+        "Response:\n"
+    )
+    back = (
+        "\n"
+        "\n"
+        "Error:\n"
+        f"{error}\n"
+        "\n"
+        "Extract the JSON data once more. Respond with only the corrected JSON "
+        "instance and nothing else."
+    )
+    front, response = _fit_sections(front, response, back, max_chars)
+    return front + response + back
+
+
+def build_type_correction_prompt(original_prompt: str, response_json: str,
+                                 violations: list,
+                                 max_chars: int = DEFAULT_MAX_PROMPT_CHARS) -> str:
+    """Ask the model to fix specific key values; one line per violation.
+
+    ``violations`` holds ``(feature_name, detail)`` pairs or objects with
+    ``key``/``message`` attributes (as produced by record validation); input
+    order is preserved.
+    """
+    if not violations:
+        raise PromptError("violations must be nonempty")
+    lines = []
+    for v in violations:
+        if isinstance(v, tuple):
+            key, detail = v
+            lines.append(f"- {key}: {detail}")
+        else:
+            received = getattr(v, "received", None)
+            if received is None:
+                lines.append(f"- {v.key}: {v.message}")
+            else:
+                lines.append(f"- {v.key} (received {received!r}): {v.message}")
+    front = (
+        "Your previous answer contained values that do not conform to the expected "
+        "key types.\n"
+        "\n"
+        "Original prompt:\n"
+        f"{original_prompt}\n"
+        "\n"
+        "Response:\n"
+    )
+    back = (
+        "\n"
+        "\n"
+        "Errors:\n"
+        + "\n".join(lines)
+        + "\n"
+        "\n"
+        "Make the necessary corrections. Respond with only the corrected JSON "
+        "instance and nothing else."
+    )
+    front, response_json = _fit_sections(front, response_json, back, max_chars)
+    return front + response_json + back

@@ -97,6 +97,24 @@ class TestExtract:
         assert result.exit_code == 0
         assert (tmp_path / "out" / "extracted.csv").exists()
 
+    def test_empty_reply_still_writes_outputs(self, runner, tmp_path):
+        corpus, replay, templates = vorc_fixture_files(tmp_path)
+        entries = json.loads(replay.read_text())
+        entries.insert(0, {"match_substring": "[record-00]", "response": ""})
+        replay.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--output-dir", str(out), "extract",
+                                      "--schema", str(small_schema_file(tmp_path)),
+                                      "--templates", str(templates), "--corpus", str(corpus),
+                                      "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        assert "extracted 9/10 records" in result.output
+        provenance = [json.loads(l) for l in (out / "provenance.jsonl").read_text().splitlines()]
+        assert provenance[0] == {"id": "r00", "vorc_iterations": 1, "repairs": [],
+                                 "status": "ok"}
+        assert (out / "extracted.csv").read_text().splitlines()[1].startswith("r00,30,M")
+        assert json.loads((out / "extract_stats.json").read_text())["n_records"] == 9
+
     def test_all_provider_failures_exit_3(self, runner, tmp_path):
         corpus, _, templates = vorc_fixture_files(tmp_path)
         schema = small_schema_file(tmp_path)
@@ -156,6 +174,28 @@ class TestTrainEvaluateCompare:
         doc = json.loads(result.output)
         metrics = doc["sections"]["classification (test)"]
         assert metrics["accuracy"] >= 0.9
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["test"].append(-1), "test id -1 is not a non-negative integer"),
+        (lambda doc: doc["test"].append(doc["test"][0]), "is listed twice under test"),
+        (lambda doc: doc["test"].append(doc["train"][0]), "is listed under train and test"),
+        (lambda doc: doc["test"].append(589), "split id 589 is outside the table (589 rows)"),
+    ], ids=["negative", "duplicate", "shared", "outside"])
+    def test_evaluate_bad_split_exits_2(self, runner, tmp_path, edit, message):
+        out = tmp_path / "out"
+        runner.invoke(main, ["--output-dir", str(out), "--seed", "7", "train",
+                             "--data", str(DATA / "hepatitis.csv"),
+                             "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                             "--family", "logreg"])
+        doc = json.loads((out / "split.json").read_text())
+        edit(doc)
+        (out / "split.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["evaluate", "--model", str(out / "model_logreg.json"),
+                                      "--data", str(DATA / "hepatitis.csv"),
+                                      "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                      "--split", str(out / "split.json")])
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_evaluate_mismatched_columns_exits_2(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -229,6 +269,22 @@ class TestTrainEvaluateCompare:
         assert extraction["missing_precision"] is None
         assert extraction["vorc_call_rate"] == 0.0
         assert extraction["n_evaluated"] == 24
+
+    @pytest.mark.parametrize("bad_line", [[1], {"id": "r0", "status": "ok"}])
+    def test_compare_malformed_provenance_exits_2_with_its_line(self, runner, tmp_path,
+                                                                bad_line):
+        provenance = tmp_path / "provenance.jsonl"
+        provenance.write_text(json.dumps({"id": "a", "vorc_iterations": 0}) + "\n"
+                              + json.dumps(bad_line) + "\n")
+        result = runner.invoke(main, ["--seed", "7", "compare",
+                                      "--truth", str(DATA / "hepatitis.csv"),
+                                      "--extracted", str(DATA / "hepatitis.csv"),
+                                      "--provenance", str(provenance),
+                                      "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                      "--family", "logreg"])
+        assert result.exit_code == 2
+        assert f"{provenance}:2: provenance lines need 'id' and 'vorc_iterations'" \
+            in result.output
 
     def test_compare_disjoint_ids_exits_2(self, runner, tmp_path):
         import csv as csv_module

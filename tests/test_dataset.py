@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +158,24 @@ class TestSplit:
         path = tmp_path / "split.json"
         save_split(a, path)
         assert load_split(path) == a
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["val"].append(-2), "val id -2 is not a non-negative integer"),
+        (lambda doc: doc["val"].append(1.0), "val id 1.0 is not a non-negative integer"),
+        (lambda doc: doc["val"].append(True), "val id True is not a non-negative integer"),
+        (lambda doc: doc["val"].append("3"), "val id '3' is not a non-negative integer"),
+        (lambda doc: doc["val"].append(doc["val"][0]), "is listed twice under val"),
+        (lambda doc: doc["test"].append(doc["val"][0]), "is listed under val and test"),
+        (lambda doc: doc.pop("seed"), "needs a 'seed'"),
+        (lambda doc: doc.update(train=None), "'train', 'val' and 'test' id lists"),
+    ], ids=["negative", "float", "bool", "string", "duplicate", "shared", "no-seed", "no-list"])
+    def test_malformed_split_file_rejected(self, tmp_path, edit, message):
+        doc = split(toy_dataset(n=40), 5).to_dict()
+        edit(doc)
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            load_split(path)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -139,14 +140,25 @@ class TestHttpProvider:
 
     def test_permit_limit_observed(self, credential):
         barrier = threading.Barrier(8, timeout=5)
+        lock = threading.Lock()
+        two_inside = threading.Event()
         release = threading.Event()
+        in_flight = peak = 0
 
-        def slow_transport(url, headers, payload, timeout):
+        def counting_transport(url, headers, payload, timeout):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+                if in_flight == 2:
+                    two_inside.set()
             release.wait(timeout=5)
+            with lock:
+                in_flight -= 1
             return TransportResponse(200, {}, completions_body("ok"))
 
         provider = HttpProvider(endpoint="e", model="m", credential_env=credential,
-                                transport=slow_transport, permits=2, sleep=lambda s: None)
+                                transport=counting_transport, permits=2, sleep=lambda s: None)
 
         def worker():
             barrier.wait()
@@ -156,10 +168,13 @@ class TestHttpProvider:
         for t in threads:
             t.start()
         barrier.wait()
+        assert two_inside.wait(timeout=5)
+        time.sleep(0.05)  # room for any caller beyond the permits to get in
         release.set()
         for t in threads:
             t.join(timeout=10)
-        assert provider.max_in_flight <= 2
+        assert not any(t.is_alive() for t in threads)
+        assert peak == 2
 
 
 class TestLiveHttpTransport:

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers as oracle  # holds the two correction builders before they shared a frame
 from helpers import TEMPLATES, bundle_for, small_schema
 
 from medtab.prompts import (DEFAULT_MAX_PROMPT_CHARS, OneShotExample, PromptError,
@@ -116,6 +118,15 @@ class TestJsonCorrectionPrompt:
         with pytest.raises(PromptError):
             build_json_correction_prompt("", "r", "e")
 
+    def test_empty_error_rejected(self):
+        with pytest.raises(PromptError):
+            build_json_correction_prompt("p", "r", "")
+
+    def test_empty_response_accepted(self):
+        prompt = build_json_correction_prompt("THE PROMPT", "", "no JSON object found")
+        assert prompt.startswith("Your previous answer could not be parsed as JSON.\n")
+        assert "THE PROMPT\n\nResponse:\n\n\nError:\nno JSON object found\n" in prompt
+
 
 class TestTypeCorrectionPrompt:
     def test_range_violation_names_key_and_bounds(self, heart_schema):
@@ -141,6 +152,39 @@ class TestTypeCorrectionPrompt:
     def test_empty_violations_rejected(self):
         with pytest.raises(PromptError):
             build_type_correction_prompt("orig", "{}", [])
+
+
+texts = st.text(min_size=1, max_size=150) | st.text(alphabet='ab {}"\n', min_size=1, max_size=150)
+violations = st.lists(st.builds(Violation, key=st.text(max_size=8),
+                                reason=st.just("type-mismatch"), message=st.text(max_size=20),
+                                received=st.none() | st.integers() | st.text(max_size=5)),
+                      min_size=1, max_size=4)
+
+
+def any_limit(data, full: str) -> int:
+    """A limit from 0 to past the untruncated prompt: the response alone, or
+    the original prompt as well, gets truncated, or nothing does."""
+    return data.draw(st.integers(0, len(full) + 10) | st.just(DEFAULT_MAX_PROMPT_CHARS))
+
+
+class TestCorrectionPromptsAgainstOracle:
+    """Both builders against their separate versions in tests/helpers.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts, texts, texts, st.data())
+    def test_json_correction_equals_oracle(self, original, response, error, data):
+        full = oracle.build_json_correction_prompt(original, response, error, 10**9)
+        max_chars = any_limit(data, full)
+        assert build_json_correction_prompt(original, response, error, max_chars) == \
+            oracle.build_json_correction_prompt(original, response, error, max_chars)
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts, texts, violations, st.data())
+    def test_type_correction_equals_oracle(self, original, response, found, data):
+        full = oracle.build_type_correction_prompt(original, response, found, 10**9)
+        max_chars = any_limit(data, full)
+        assert build_type_correction_prompt(original, response, found, max_chars) == \
+            oracle.build_type_correction_prompt(original, response, found, max_chars)
 
 
 class TestFewshotPrompt:

@@ -8,10 +8,10 @@ from helpers import bundle_for, small_schema, vorc_fixture_files
 
 from medtab.llm import ReplayEntry, ReplayProvider, configure_provider
 from medtab.schema import MISSING
-from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, VorcBudget,
-                         VorcFailure, _RULES, _STRINGS, _answer_span, _json_spans,
-                         call_rate, extract_corpus, parse_response, provenance_entries,
-                         repair_json, run_vorc, validate_record)
+from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, Violation,
+                         VorcBudget, VorcFailure, _RULES, _STRINGS, _answer_span, _json_spans,
+                         _strict_loads, call_rate, extract_corpus, parse_response,
+                         provenance_entries, repair_json, run_vorc, validate_record)
 
 # (raw, expected object, expected action kinds) - each repair rule alone and in pairs
 REPAIR_CORPUS = [
@@ -317,6 +317,16 @@ class TestAgainstCharacterLoopOracle:
             return
         assert repair_json(repaired) == (repaired, [])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='ab "\'\\\n{}[],:', max_size=40) | replies)
+    def test_repaired_text_parses_to_its_strict_load(self, raw):
+        # run_vorc reads a repaired reply with _strict_loads alone
+        try:
+            repaired, _ = repair_json(raw)
+        except UnrepairableError:
+            return
+        assert parse_response(repaired) == _strict_loads(repaired)
+
     @pytest.mark.parametrize("raw", [
         '{"s": "a\\"b", \'t\': 1,}',  # escaped quote inside a string
         '{"s": "line\\\nbreak", "n": None}',  # escaped newline inside a string
@@ -458,6 +468,45 @@ class TestRunVorc:
         assert isinstance(outcome, VorcFailure)
         assert outcome.vorc_iterations == 0
 
+    def test_unparseable_failure_detail(self):
+        outcome = self.run(replay("garbage", "{age: 31, sex: M}"), budget=VorcBudget(1))
+        assert isinstance(outcome, VorcFailure)
+        assert outcome.vorc_iterations == 1
+        assert outcome.detail == ("unparseable response: invalid JSON at position 1: "
+                                  "Expecting property name enclosed in double quotes: "
+                                  "line 1 column 2 (char 1)")
+        assert outcome.violations is None
+
+    def test_validation_failure_detail(self):
+        outcome = self.run(replay("garbage", '{"age": "old", "sex": "X", "bp": 1}'),
+                           budget=VorcBudget(1))
+        assert isinstance(outcome, VorcFailure)
+        assert outcome.vorc_iterations == 1
+        assert outcome.detail == ("validation failed: key 'bp' is not part of the schema; "
+                                  "age: cannot interpret 'old' as a number; "
+                                  "sex: 'X' is not one of the allowed values: M, F")
+        assert outcome.violations == [
+            Violation("bp", "unknown-extra-key", "key 'bp' is not part of the schema", 1),
+            Violation("age", "type-mismatch", "age: cannot interpret 'old' as a number", "old"),
+            Violation("sex", "unknown-category",
+                      "sex: 'X' is not one of the allowed values: M, F", "X")]
+
+    def test_empty_reply_gets_a_correction_prompt(self):
+        captured = []
+
+        class SpyProvider:
+            inner = replay("", '{"age": 31, "sex": "M"}')
+
+            def complete(self, request):
+                captured.append(request.prompt)
+                return self.inner.complete(request)
+
+        outcome = self.run(SpyProvider())
+        assert isinstance(outcome, ExtractionRecord)
+        assert outcome.vorc_iterations == 1
+        assert outcome.values == {"age": 31, "sex": "M"}
+        assert "Response:\n\n\nError:\nno JSON object found in the response" in captured[1]
+
     def test_correction_prompt_embeds_original(self):
         captured = []
 
@@ -534,6 +583,14 @@ class TestExtractCorpus:
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         with pytest.raises(ValueError, match="unique"):
             extract_corpus(replay(), [("a", "r"), ("a", "r")], schema, bundle)
+
+    def test_empty_reply_does_not_abort_the_corpus(self):
+        schema = small_schema()
+        bundle = bundle_for(schema, {"age": 40, "sex": "M"})
+        provider = replay("", '{"age": 1, "sex": "F"}', '{"age": 2, "sex": "M"}')
+        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema, bundle)
+        assert [o.vorc_iterations for o in result.records] == [1, 0]
+        assert result.stats.n_failures == 0
 
     def test_provider_error_collected_per_record(self):
         schema = small_schema()
