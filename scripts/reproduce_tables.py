@@ -31,16 +31,7 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
     schema_path, csv_path = DATASETS[name]
     schema = load_schema(schema_path)
     table = ds.load_csv(csv_path, schema)
-    assignment = ds.split(table, seed)
-    encoder = ds.fit_encoder(table, assignment.train_ids)
-    y = table.label_array()
-    X = {part: ds.transform(table, encoder, ids).values
-         for part, ids in (("train", assignment.train_ids),
-                           ("val", assignment.val_ids),
-                           ("test", assignment.test_ids))}
-    y_parts = {part: y[list(ids)] for part, ids in (("train", assignment.train_ids),
-                                                    ("val", assignment.val_ids),
-                                                    ("test", assignment.test_ids))}
+    assignment, encoder, X, y = ds.prepare(table, seed)
 
     print(f"\n=== {name} (n={table.n}, seed={seed}, "
           f"split {len(assignment.train_ids)}/{len(assignment.val_ids)}/"
@@ -48,11 +39,10 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
     print(f"{'model':8s} {'acc':>6s} {'prec':>6s} {'rec':>6s} {'F1':>6s} {'AUC':>6s}  params")
     for family in ("logreg", "dtree", "gbdt"):
         started = time.monotonic()
-        search = models.grid_search(family, X["train"], y_parts["train"],
-                                    X["val"], y_parts["val"],
+        search = models.grid_search(family, X["train"], y["train"], X["val"], y["val"],
                                     feature_names=encoder.column_names)
         scores = models.predict_proba(search.model, X["test"])
-        m = evalkit.classification_metrics(y_parts["test"], scores)
+        m = evalkit.classification_metrics(y["test"], scores)
         print(f"{family:8s} {m.accuracy:6.3f} {m.precision:6.3f} {m.recall:6.3f} "
               f"{m.f1:6.3f} {m.auc:6.3f}  {search.params} "
               f"[{time.monotonic() - started:.1f}s]")

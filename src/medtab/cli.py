@@ -94,9 +94,10 @@ def _templates_from(state: CliState, templates_path: str | None, schema):
 
 
 def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
-                 what: str = "corpus") -> list[dict]:
+                 what: str = "corpus", problem=lambda doc: None) -> list[dict]:
     """The objects of a JSON-lines file, blank lines skipped; exits 2 when the
-    file cannot be read, a line is not JSON or an object lacks one of ``keys``."""
+    file cannot be read, a line is not JSON, an object lacks one of ``keys``
+    or ``problem(object)`` names what is wrong with it."""
     entries = []
     try:
         with path.open(encoding="utf-8") as fh:
@@ -108,6 +109,9 @@ def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
                 if not isinstance(doc, dict) or any(k not in doc for k in keys):
                     _fail(f"{path}:{lineno}: {what} lines need "
                           + " and ".join(repr(k) for k in keys))
+                wrong = problem(doc)
+                if wrong:
+                    _fail(f"{path}:{lineno}: {wrong}")
                 entries.append(doc)
     except OSError as e:
         _fail(f"cannot read {what}: {e}")
@@ -197,15 +201,6 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
         _fail("provider failed on every record", EXIT_PROVIDER)
 
 
-def _prepare_training(dataset, seed):
-    assignment = ds.split(dataset, seed)
-    encoder = ds.fit_encoder(dataset, assignment.train_ids)
-    X_train = ds.transform(dataset, encoder, assignment.train_ids)
-    X_val = ds.transform(dataset, encoder, assignment.val_ids)
-    y = dataset.label_array()
-    return assignment, encoder, X_train, X_val, y
-
-
 def _grid_report_csv(result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -226,9 +221,8 @@ def cmd_train(state, data_path, schema_path, family):
     schema = _schema_from(state, schema_path)
     try:
         dataset = ds.load_csv(data_path, schema)
-        assignment, encoder, X_train, X_val, y = _prepare_training(dataset, state.seed)
-        result = models.grid_search(family, X_train.values, y[list(assignment.train_ids)],
-                                    X_val.values, y[list(assignment.val_ids)],
+        assignment, encoder, X, y = ds.prepare(dataset, state.seed)
+        result = models.grid_search(family, X["train"], y["train"], X["val"], y["val"],
                                     feature_names=encoder.column_names)
     except (ds.DatasetError, ValueError) as e:
         _fail(str(e))
@@ -251,7 +245,7 @@ def cmd_train(state, data_path, schema_path, family):
 @click.option("--data", "data_path", type=str, required=True)
 @click.option("--split", "split_path", type=str, required=True)
 @click.option("--schema", "schema_path", type=str, default=None)
-@click.option("--part", type=click.Choice(["train", "val", "test"]), default="test")
+@click.option("--part", type=click.Choice(ds.PARTS), default="test")
 @click.pass_obj
 def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
     """Score a saved model on one split of a dataset."""
@@ -259,24 +253,24 @@ def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
     try:
         artifact = models.load_model(model_path)
         dataset = ds.load_csv(data_path, schema)
-        assignment = ds.load_split(split_path)
-        last = max(assignment.train_ids + assignment.val_ids + assignment.test_ids, default=-1)
+        parts = ds.load_split(split_path).parts()
+        last = max((rid for ids in parts.values() for rid in ids), default=-1)
         if last >= dataset.n:
             _fail(f"split id {last} is outside the table ({dataset.n} rows)")
-        ids = {"train": assignment.train_ids, "val": assignment.val_ids,
-               "test": assignment.test_ids}[part]
+        ids = parts[part]
         scores = artifact.predict_proba_dataset(dataset, ids)
-        y = dataset.label_array()[list(ids)]
-        report = evalkit.classification_metrics(y, scores)
+        report = evalkit.classification_metrics(dataset.label_array()[list(ids)], scores)
     except (models.PersistError, ds.DatasetError, evalkit.EvalError, ValueError, OSError) as e:
         _fail(str(e))
     click.echo(evalkit.render_report({f"classification ({part})": report},
                                      "json" if state.as_json else "text"), nl=False)
 
 
-def _restrict_to(dataset, keep_ids):
-    indices = [i for i, rid in enumerate(dataset.ids) if rid in keep_ids]
-    return dataset.subset(indices)
+def _iterations_problem(entry: dict) -> str | None:
+    n = entry["vorc_iterations"]
+    if type(n) is not int or n < 0:  # bool is not an iteration count
+        return f"'vorc_iterations' must be a non-negative integer, got {n!r}"
+    return None
 
 
 @main.command("compare")
@@ -292,37 +286,28 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     schema = _schema_from(state, schema_path)
     provenance = None
     if provenance_path:
-        provenance = _read_corpus(Path(provenance_path), ("id", "vorc_iterations"), "provenance")
+        provenance = _read_corpus(Path(provenance_path), ("id", "vorc_iterations"), "provenance",
+                                  _iterations_problem)
     try:
         truth = ds.load_csv(truth_path, schema)
         extracted = ds.load_csv(extracted_path, schema)
-        extraction = evalkit.extraction_metrics(extracted, truth, provenance)
-
-        common = set(extracted.ids)
-        truth_sub = _restrict_to(truth, common)
-        if truth_sub.n != extracted.n:
-            _fail("extracted table contains ids that are absent from the truth table")
-        label_by_id = dict(zip(truth_sub.ids, truth_sub.labels))
-        order = {rid: k for k, rid in enumerate(truth_sub.ids)}
-        ext_indices = sorted(range(extracted.n), key=lambda i: order[extracted.ids[i]])
-        ext_sub = extracted.subset(ext_indices)
-        ext_sub = ds.TabularDataset(schema=schema, rows=ext_sub.rows, ids=ext_sub.ids,
-                                    labels=[label_by_id[rid] for rid in ext_sub.ids])
-
-        pair = {}
-        y_test = None
-        for name, table in (("gt", truth_sub), ("extracted", ext_sub)):
-            assignment, encoder, X_train, X_val, y = _prepare_training(table, state.seed)
-            result = models.grid_search(family, X_train.values, y[list(assignment.train_ids)],
-                                        X_val.values, y[list(assignment.val_ids)],
-                                        feature_names=encoder.column_names)
-            X_test = ds.transform(table, encoder, assignment.test_ids)
-            pair[name] = (result.model, X_test,
-                          models.feature_importances_named(result.model, encoder.column_names))
-            y_test = y[list(assignment.test_ids)]  # identical for both pipelines
-        fidelity = evalkit.fidelity(pair["gt"][0], pair["extracted"][0],
-                                    pair["gt"][1].values, pair["extracted"][1].values,
-                                    y_test, pair["gt"][2], pair["extracted"][2])
+        extraction = evalkit.extraction_metrics(extracted, truth, provenance)  # rejects unknown ids
+        # both tables hold the extracted ids in truth order with the truth labels,
+        # so their splits and test labels are the same
+        position = {rid: k for k, rid in enumerate(truth.ids)}
+        order = sorted(range(extracted.n), key=lambda i: position[extracted.ids[i]])
+        gt = truth.subset(position[extracted.ids[i]] for i in order)
+        ext = ds.TabularDataset(schema=schema, rows=[extracted.rows[i] for i in order],
+                                ids=gt.ids, labels=gt.labels)
+        fits = []
+        for table in (gt, ext):
+            _, encoder, X, y = ds.prepare(table, state.seed)
+            model = models.grid_search(family, X["train"], y["train"], X["val"], y["val"],
+                                       feature_names=encoder.column_names).model
+            fits.append((model, X["test"],
+                         models.feature_importances_named(model, encoder.column_names)))
+        (model_gt, X_gt, iv_gt), (model_ext, X_ext, iv_ext) = fits
+        fidelity = evalkit.fidelity(model_gt, model_ext, X_gt, X_ext, y["test"], iv_gt, iv_ext)
     except (ds.DatasetError, evalkit.EvalError, ValueError) as e:
         _fail(str(e))
     click.echo(evalkit.render_report(
@@ -358,17 +343,19 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)))
     shots = [(d["text"], str(d["label"]))
              for d in _read_corpus(Path(shots_path), ("text", "label"), "shots file")]
+    golds = [None if d.get("label") is None else schema.label.parse(d["label"]) for d in corpus]
+    for doc, gold in zip(corpus, golds):
+        if gold is None and doc.get("label") is not None:
+            _fail(f"report {doc['id']!r}: gold label {doc['label']!r} is neither "
+                  f"{schema.label.positive_value!r} nor {schema.label.negative_value!r}")
 
     rows = []
-    abstained = 0
     try:
-        for doc in corpus:
+        for doc, gold in zip(corpus, golds):
             prompt = prompts.build_fewshot_classifier_prompt(shots, doc["text"], schema.label)
             text = provider.complete(CompletionRequest(prompt=prompt)).text
-            predicted = _parse_answer(text, schema.label)
-            if predicted is None:
-                abstained += 1
-            rows.append({"id": doc["id"], "predicted": predicted, "gold": doc.get("label")})
+            rows.append({"id": doc["id"], "predicted": _parse_answer(text, schema.label),
+                         "gold": gold})
     except prompts.PromptError as e:
         _fail(str(e))
     except ProviderError as e:
@@ -385,9 +372,10 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
             writer.writerow([r["id"], pred, r["gold"] if r["gold"] is not None else ""])
 
     scored = [r for r in rows if r["predicted"] is not None and r["gold"] is not None]
-    report = {"n reports": len(rows), "n scored": len(scored), "n abstained": abstained}
+    report = {"n reports": len(rows), "n scored": len(scored),
+              "n abstained": sum(r["predicted"] is None for r in rows)}
     if scored:
-        y = [1 if str(r["gold"]) == schema.label.positive_value else 0 for r in scored]
+        y = [int(r["gold"] == schema.label.positive_value) for r in scored]
         pred = [r["predicted"] for r in scored]
         metrics = evalkit.classification_metrics(y, pred)
         # the few-shot baseline emits labels, not scores, so AUC is not reported

@@ -5,7 +5,9 @@ CSV layout: UTF-8, RFC-4180 quoting, header row required, empty cell means a
 missing value. An optional ``id`` column carries row identifiers (row indices
 are used when absent); the label column is matched by the schema's label name.
 
-Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``.
+Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``,
+an id list per name in ``PARTS``. ``prepare`` (split, fit the encoder on train
+rows only, encode every part) is the one modeling front end.
 """
 
 from __future__ import annotations
@@ -80,7 +82,11 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
                 if role == "id":
                     row_id = cell
                 elif role == "label":
-                    label = _parse_label(cell, schema, path, lineno)
+                    label = schema.label.parse(cell)
+                    if label is None:
+                        raise DatasetError(f"{path}:{lineno}: label {cell!r} is neither "
+                                           f"{schema.label.positive_value!r} nor "
+                                           f"{schema.label.negative_value!r}")
                 else:
                     try:
                         row[role.name] = canonicalize_value(role, cell if cell != "" else None)
@@ -89,7 +95,7 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
             rows.append(row)
             ids.append(row_id if row_id is not None else str(len(ids)))
             if has_label:
-                labels.append(label)
+                labels.append(int(label == schema.label.positive_value))
     return TabularDataset(schema=schema, rows=rows, ids=ids,
                           labels=labels if has_label else None)
 
@@ -118,17 +124,6 @@ def _map_header(header, schema, path):
     if missing:
         raise DatasetError(f"{path}: header is missing feature columns: {', '.join(missing)}")
     return columns
-
-
-def _parse_label(cell, schema, path, lineno) -> int:
-    text = cell.strip().lower()
-    if text == schema.label.positive_value.lower():
-        return 1
-    if text == schema.label.negative_value.lower():
-        return 0
-    raise DatasetError(
-        f"{path}:{lineno}: label {cell!r} is neither "
-        f"{schema.label.positive_value!r} nor {schema.label.negative_value!r}")
 
 
 def format_cell(value) -> str:
@@ -194,6 +189,9 @@ def _shuffled(indices: list[int], rng: _Lcg) -> list[int]:
     return out
 
 
+PARTS = ("train", "val", "test")
+
+
 @dataclass(frozen=True)
 class SplitAssignment:
     train_ids: tuple[int, ...]
@@ -201,14 +199,16 @@ class SplitAssignment:
     test_ids: tuple[int, ...]
     seed: int
 
+    def parts(self) -> dict[str, tuple[int, ...]]:
+        """Row indices by part name, in ``PARTS`` order."""
+        return dict(zip(PARTS, (self.train_ids, self.val_ids, self.test_ids)))
+
     def to_dict(self) -> dict:
-        return {"seed": self.seed, "train": list(self.train_ids),
-                "val": list(self.val_ids), "test": list(self.test_ids)}
+        return {"seed": self.seed, **{part: list(ids) for part, ids in self.parts().items()}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SplitAssignment":
-        return cls(train_ids=tuple(doc["train"]), val_ids=tuple(doc["val"]),
-                   test_ids=tuple(doc["test"]), seed=int(doc["seed"]))
+        return cls(*(tuple(doc[part]) for part in PARTS), seed=int(doc["seed"]))
 
 
 def split(dataset: TabularDataset, seed: int) -> SplitAssignment:
@@ -246,12 +246,11 @@ def load_split(path: str | Path) -> SplitAssignment:
     list, or an id is not a non-negative integer or is listed twice, in one
     part or in two. Whether the ids fit a table is for its caller to check."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    parts = ("train", "val", "test")
     if not isinstance(doc, dict) or "seed" not in doc \
-            or not all(isinstance(doc.get(part), list) for part in parts):
+            or not all(isinstance(doc.get(part), list) for part in PARTS):
         raise DatasetError(f"{path}: a split needs a 'seed' and 'train', 'val' and 'test' id lists")
     seen: dict[int, str] = {}
-    for part in parts:
+    for part in PARTS:
         for rid in doc[part]:
             if type(rid) is not int or rid < 0:
                 raise DatasetError(f"{path}: {part} id {rid!r} is not a non-negative integer")
@@ -379,6 +378,18 @@ def transform(dataset: TabularDataset, encoder: EncoderState, ids=None) -> Encod
             parts.append(block)
     values = np.hstack(parts) if parts else np.zeros((len(idx), 0))
     return EncodedMatrix(column_names=encoder.column_names, values=values, encoder_state=encoder)
+
+
+def prepare(dataset: TabularDataset, seed: int):
+    """``(assignment, encoder, X, y)``: the seeded split, the encoder fitted on
+    its train rows, and each part's matrix and labels keyed by part name. Encoding
+    is per cell, so a part's slice of one transform is that part's transform."""
+    assignment = split(dataset, seed)
+    encoder = fit_encoder(dataset, assignment.train_ids)
+    X, y = transform(dataset, encoder).values, dataset.label_array()
+    parts = assignment.parts().items()
+    return (assignment, encoder, {part: X[list(ids)] for part, ids in parts},
+            {part: y[list(ids)] for part, ids in parts})
 
 
 def _numeric_cell(row: dict, col: NumericState) -> float:

@@ -118,24 +118,19 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
 
 def auc_score(y_true, scores) -> float:
     """Rank-based AUC with ties credited 0.5, equal to brute-force pairwise
-    comparison: midranks make the two formulations identical."""
+    comparison: midranks make the two formulations identical. Scores must be
+    finite (NaN has no rank)."""
     y = np.asarray(y_true, dtype=np.int64)
     s = np.asarray(scores, dtype=np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvalError("AUC needs both classes present")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        midrank = (i + j) / 2.0 + 1.0
-        ranks[order[i:j + 1]] = midrank
-        i = j + 1
+    if not np.isfinite(s).all():
+        raise EvalError("AUC needs finite scores")
+    # a value's midrank is its last 1-based sorted position minus half its ties
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

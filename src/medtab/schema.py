@@ -128,6 +128,13 @@ class LabelSpec:
         if self.positive_value == self.negative_value:
             raise SchemaError("label positive_value must differ from negative_value")
 
+    def parse(self, raw) -> str | None:
+        """The value ``raw`` names, compared stripped and lowercased (positive
+        first), or None when it names neither."""
+        text = str(raw).strip().lower()
+        return next((v for v in (self.positive_value, self.negative_value)
+                     if v.lower() == text), None)
+
 
 @dataclass(frozen=True)
 class ExtractionSchema:

@@ -328,13 +328,13 @@ def _diff_span(before: str, after: str) -> tuple[int, int]:
 def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
     """Apply the repair rules in fixed order until the text parses strictly.
 
-    Already-valid JSON comes back unchanged with no actions. Raises
-    UnrepairableError when the rule set cannot produce parseable text.
+    The text comes back stripped, and already-valid JSON with no actions.
+    Raises UnrepairableError when the rule set cannot produce parseable text.
     """
     current = raw
     actions: list[RepairAction] = []
     if _parses(current.strip()):
-        return current, actions
+        return current.strip(), actions
     pieces = _STRINGS.split(current)
     for _ in range(_MAX_REPAIR_PASSES):
         changed = False
@@ -393,11 +393,9 @@ def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
                 matched[spec.name] = raw
             continue
         if label_fold is not None and fold_name(key) == label_fold:
-            text = str(raw).strip().lower()
-            for candidate in (schema.label.positive_value, schema.label.negative_value):
-                if candidate.lower() == text:
-                    label_value = candidate
-                    break
+            parsed = schema.label.parse(raw)
+            if parsed is not None:
+                label_value = parsed
             else:
                 violations.append(Violation(
                     key, "unknown-category",

@@ -144,6 +144,26 @@ def brute_force_auc(y, scores) -> float:
     return total / (len(pos) * len(neg))
 
 
+def loop_midrank_auc(y, scores) -> float:
+    """The rank AUC with midranks found by a loop over sorted runs of equal
+    scores, as evalkit computed it before taking them from ``np.unique``."""
+    y = np.asarray(y, dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s), dtype=np.float64)
+    sorted_scores = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return (float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def corrupt_cells(table: TabularDataset, fraction: float, seed: int) -> TabularDataset:
     """Return a copy with ``fraction`` of feature cells replaced: numerics take
     another row's value from the same column, categoricals a different allowed

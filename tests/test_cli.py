@@ -286,6 +286,33 @@ class TestTrainEvaluateCompare:
         assert f"{provenance}:2: provenance lines need 'id' and 'vorc_iterations'" \
             in result.output
 
+    @pytest.mark.parametrize("iterations", ["x", True, -1, 1.5, None])
+    def test_compare_bad_iteration_count_exits_2_with_its_line(self, runner, tmp_path,
+                                                               iterations):
+        provenance = tmp_path / "provenance.jsonl"
+        provenance.write_text(json.dumps({"id": "a", "vorc_iterations": 0}) + "\n"
+                              + json.dumps({"id": "b", "vorc_iterations": iterations}) + "\n")
+        result = runner.invoke(main, ["--seed", "7", "compare",
+                                      "--truth", str(DATA / "hepatitis.csv"),
+                                      "--extracted", str(DATA / "hepatitis.csv"),
+                                      "--provenance", str(provenance),
+                                      "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                      "--family", "logreg"])
+        assert result.exit_code == 2
+        assert f"{provenance}:2: 'vorc_iterations' must be a non-negative integer, got " \
+            f"{iterations!r}" in result.output
+
+    def test_compare_unlabeled_truth_exits_2(self, runner, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in (DATA / "hepatitis.csv").read_text().splitlines()))
+        result = runner.invoke(main, ["--seed", "7", "compare", "--truth", str(truth),
+                                      "--extracted", str(DATA / "hepatitis.csv"),
+                                      "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                      "--family", "logreg"])
+        assert result.exit_code == 2
+        assert "error: stratified split needs labels" in result.output
+
     def test_compare_disjoint_ids_exits_2(self, runner, tmp_path):
         import csv as csv_module
         src = (DATA / "hepatitis.csv").read_text().splitlines()
@@ -334,6 +361,29 @@ class TestFewshot:
         labels = (tmp_path / "out" / "fewshot_labels.csv").read_text().splitlines()
         assert labels[0] == "id,predicted,gold"
         assert len(labels) == 5
+
+    def test_gold_case_variants_score_as_their_label(self, runner, tmp_path):
+        answers = [("yes", "yes"), ("Yes", "yes"), (" NO ", "no"), (None, "no")]
+        schema, shots, corpus, replay = self.make_files(tmp_path, answers)
+        result = runner.invoke(main, ["--output-dir", str(tmp_path / "out"), "--json",
+                                      "fewshot", "--schema", str(schema),
+                                      "--shots", str(shots), "--corpus", str(corpus),
+                                      "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)["sections"]["fewshot"]
+        assert (doc["n scored"], doc["accuracy"], doc["recall"]) == (3, 1.0, 1.0)
+        labels = (tmp_path / "out" / "fewshot_labels.csv").read_text().splitlines()
+        assert labels[1:] == ["q0,yes,yes", "q1,yes,yes", "q2,no,no", "q3,no,"]
+
+    def test_gold_naming_neither_value_exits_2_with_its_id(self, runner, tmp_path):
+        answers = [("yes", "yes"), ("yess", "yes")]
+        schema, shots, corpus, replay = self.make_files(tmp_path, answers)
+        result = runner.invoke(main, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                      "--schema", str(schema), "--shots", str(shots),
+                                      "--corpus", str(corpus), "--replay", str(replay)])
+        assert result.exit_code == 2
+        assert "report 'q1': gold label 'yess' is neither 'yes' nor 'no'" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_unparseable_answer_becomes_abstain(self, runner, tmp_path):
         answers = [("yes", "yes"), ("no", "I refuse to answer")]

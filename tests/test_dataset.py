@@ -1,5 +1,7 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import DATA, cat_feature, int_feature, real_feature
 
-from medtab.dataset import (DatasetError, EncoderState, TabularDataset, fit_encoder,
-                            load_csv, load_split, save_csv, save_split, split, transform)
+from medtab.dataset import (PARTS, DatasetError, EncoderState, TabularDataset, fit_encoder,
+                            load_csv, load_split, prepare, save_csv, save_split, split,
+                            transform)
 from medtab.schema import MISSING, ExtractionSchema, LabelSpec
 
 
@@ -282,3 +285,78 @@ class TestEncoder:
         cats = sum(len(f.allowed_values) for f in heart_schema.features
                    if f.kind == "categorical")
         assert len(enc.column_names) == numeric + cats == 21
+
+
+# Random toy-schema cells, a third of them missing; scores span magnitudes
+# so that standardizing rounds.
+_CELLS = {
+    "age": st.integers(-50, 200),
+    "score": st.floats(-1e6, 1e6, allow_nan=False),
+    "color": st.sampled_from(["red", "green", "blue"]),
+}
+
+
+def _rows(n):
+    return st.lists(st.fixed_dictionaries({name: st.just(MISSING) | cells | cells
+                                           for name, cells in _CELLS.items()}),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def toy_tables(draw):
+    """Tables of 10 to 40 rows with at least 3 rows of each class, the
+    smallest that split accepts."""
+    n_neg = draw(st.integers(3, 20))
+    n_pos = draw(st.integers(max(3, 10 - n_neg), 20))
+    labels = draw(st.permutations([0] * n_neg + [1] * n_pos))
+    return TabularDataset(schema=toy_schema(), rows=draw(_rows(len(labels))),
+                          ids=[f"r{i}" for i in range(len(labels))], labels=list(labels))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPrepare:
+    @given(toy_tables(), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_each_part_equals_its_own_transform(self, table, seed):
+        assignment, encoder, X, y = prepare(table, seed)
+        assert assignment == split(table, seed)
+        assert encoder == fit_encoder(table, assignment.train_ids)
+        assert list(X) == list(y) == list(PARTS)
+        for part, ids in assignment.parts().items():
+            assert _same_bits(X[part], transform(table, encoder, ids).values), part
+            assert y[part].tolist() == [table.labels[i] for i in ids], part
+
+    @given(toy_tables(), st.integers(0, 2**32), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_val_and_test_cells_never_reach_the_encoder(self, table, seed, data):
+        assignment, encoder, X, _ = prepare(table, seed)
+        held_out = assignment.val_ids + assignment.test_ids
+        for i, row in zip(held_out, data.draw(_rows(len(held_out)))):
+            table.rows[i] = row
+        after, encoder_after, X_after, _ = prepare(table, seed)
+        assert after == assignment
+        assert encoder_after == encoder
+        assert _same_bits(X_after["train"], X["train"])
+
+    @given(toy_tables(), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_parts_round_trip_through_split_file(self, table, seed):
+        assignment = split(table, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.json"
+            save_split(assignment, path)
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            back = load_split(path)
+        assert list(doc) == ["seed", *PARTS]
+        assert back == assignment
+        assert back.parts() == assignment.parts()
+        assert {part: tuple(doc[part]) for part in PARTS} == assignment.parts()
+
+    def test_unlabeled_table_rejected(self):
+        table = toy_dataset(n=20)
+        table.labels = None
+        with pytest.raises(DatasetError, match="needs labels"):
+            prepare(table, 1)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_auc, cat_feature, int_feature, real_feature, small_schema
+from helpers import (brute_force_auc, cat_feature, int_feature, loop_midrank_auc, real_feature,
+                     small_schema)
 
 from medtab.dataset import TabularDataset
 from medtab.evalkit import (ClassificationReport, EvalError, auc_score,
@@ -177,6 +178,27 @@ class TestClassificationMetrics:
                 continue
             scores = rng.integers(0, 5, n) / 4.0  # coarse grid forces ties
             assert abs(auc_score(y, scores) - brute_force_auc(y, scores)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_have_no_auc(self, bad):
+        # np.unique would merge NaNs into one tie, where pairwise comparison
+        # ranks each NaN apart, so such scores are refused
+        y, s = [0, 1, 0, 1], [0.1, bad, 0.3, bad]
+        with pytest.raises(EvalError, match="finite scores"):
+            auc_score(y, s)
+        report = classification_metrics(y, s)
+        assert report.auc is None and "finite" in report.auc_note
+
+    @given(st.lists(st.tuples(st.integers(0, 1),
+                              st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 2.0, 1e300])),
+                    min_size=2, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_auc_equals_loop_midranks_on_ties(self, pairs):
+        y, s = zip(*pairs)
+        if len(set(y)) < 2:
+            return
+        assert auc_score(y, s) == loop_midrank_auc(y, s)  # bit for bit
+        assert auc_score(y, s) == pytest.approx(brute_force_auc(y, s), abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -54,6 +54,16 @@ class TestLoadSchema:
             schema = load_schema(SCHEMAS / f"{name}.schema.json")
             assert schema.m >= 10
 
+    @pytest.mark.parametrize("raw, value", [
+        ("yes", "Yes"), (" YES\n", "Yes"), ("no", "No"), ("No", "No"), (True, None),
+        ("yess", None), ("", None), (None, None)])
+    def test_label_parse_folds_case_and_space(self, raw, value):
+        assert LabelSpec("outcome", "Yes", "No").parse(raw) == value
+
+    def test_label_parse_reads_non_strings_as_text(self):
+        assert LabelSpec("flag", "true", "false").parse(True) == "true"
+        assert LabelSpec("flag", "1", "0").parse(0) == "0"
+
     def test_label_feature_collision_rejected(self):
         with pytest.raises(SchemaError, match="collides"):
             ExtractionSchema(features=(int_feature("age"),),
