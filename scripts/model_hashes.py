@@ -41,12 +41,12 @@ def model_bytes(model, X_val) -> bytes:
     return doc + models.predict_proba(model, X_val).tobytes()
 
 
-def group_digests(family, X_train, y_train, X_val, y_val, names) -> tuple[str, str]:
+def group_digests(family, X_train, y_train, X_val, y_val) -> tuple[str, str]:
     points = hashlib.sha256()
     for params in _candidates(family):
-        model = TRAINERS[family](X_train, y_train, feature_names=names, **params)
+        model = TRAINERS[family](X_train, y_train, **params)
         points.update(hashlib.sha256(model_bytes(model, X_val)).digest())
-    result = models.grid_search(family, X_train, y_train, X_val, y_val, feature_names=names)
+    result = models.grid_search(family, X_train, y_train, X_val, y_val)
     summary = json.dumps({"report": [[p.params, repr(p.val_accuracy)] for p in result.report],
                           "params": result.params, "val_accuracy": repr(result.val_accuracy)},
                          sort_keys=True).encode()
@@ -63,12 +63,11 @@ def main() -> None:
         for seed in seeds:
             assignment = ds.split(table, seed)
             encoder = ds.fit_encoder(table, assignment.train_ids)
-            X_train = ds.transform(table, encoder, assignment.train_ids).values
-            X_val = ds.transform(table, encoder, assignment.val_ids).values
+            X_train = ds.transform(table, encoder, assignment.train_ids)
+            X_val = ds.transform(table, encoder, assignment.val_ids)
             y_train, y_val = y[list(assignment.train_ids)], y[list(assignment.val_ids)]
             for family in TRAINERS:
-                points, search = group_digests(family, X_train, y_train, X_val, y_val,
-                                               encoder.column_names)
+                points, search = group_digests(family, X_train, y_train, X_val, y_val)
                 line = f"{table_name} seed={seed} {family} points={points} search={search}"
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)

@@ -39,8 +39,7 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
     print(f"{'model':8s} {'acc':>6s} {'prec':>6s} {'rec':>6s} {'F1':>6s} {'AUC':>6s}  params")
     for family in ("logreg", "dtree", "gbdt"):
         started = time.monotonic()
-        search = models.grid_search(family, X["train"], y["train"], X["val"], y["val"],
-                                    feature_names=encoder.column_names)
+        search = models.grid_search(family, X["train"], y["train"], X["val"], y["val"])
         scores = models.predict_proba(search.model, X["test"])
         m = evalkit.classification_metrics(y["test"], scores)
         print(f"{family:8s} {m.accuracy:6.3f} {m.precision:6.3f} {m.recall:6.3f} "
@@ -51,7 +50,7 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
         print("         top importances: "
               + ", ".join(f"{n}={s:+.3f}" for n, s in ranked))
         if family == "dtree" and show_tree:
-            print(models.export_tree(search.model))
+            print(models.export_tree(search.model, encoder.column_names))
 
 
 def main():

@@ -222,16 +222,14 @@ def cmd_train(state, data_path, schema_path, family):
     try:
         dataset = ds.load_csv(data_path, schema)
         assignment, encoder, X, y = ds.prepare(dataset, state.seed)
-        result = models.grid_search(family, X["train"], y["train"], X["val"], y["val"],
-                                    feature_names=encoder.column_names)
+        result = models.grid_search(family, X["train"], y["train"], X["val"], y["val"])
     except (ds.DatasetError, ValueError) as e:
         _fail(str(e))
 
     out = state.output_dir
     out.mkdir(parents=True, exist_ok=True)
     artifact = models.ModelArtifact(family=family, model=result.model, encoder=encoder,
-                                    column_names=encoder.column_names, label=schema.label,
-                                    params=result.params, seed=state.seed)
+                                    label=schema.label, params=result.params, seed=state.seed)
     model_path = out / f"model_{family}.json"
     models.save_model(artifact, model_path)
     (out / "grid_report.csv").write_text(_grid_report_csv(result), encoding="utf-8")
@@ -302,8 +300,7 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
         fits = []
         for table in (gt, ext):
             _, encoder, X, y = ds.prepare(table, state.seed)
-            model = models.grid_search(family, X["train"], y["train"], X["val"], y["val"],
-                                       feature_names=encoder.column_names).model
+            model = models.grid_search(family, X["train"], y["train"], X["val"], y["val"]).model
             fits.append((model, X["test"],
                          models.feature_importances_named(model, encoder.column_names)))
         (model_gt, X_gt, iv_gt), (model_ext, X_ext, iv_ext) = fits

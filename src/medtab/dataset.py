@@ -8,6 +8,9 @@ are used when absent); the label column is matched by the schema's label name.
 Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``,
 an id list per name in ``PARTS``. ``prepare`` (split, fit the encoder on train
 rows only, encode every part) is the one modeling front end.
+
+``EncoderState`` owns the encoded columns: each column state fits itself on
+train cells, names, saves and encodes its columns. Models hold no names.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 from pathlib import Path
 
 import numpy as np
@@ -267,17 +271,88 @@ def load_split(path: str | Path) -> SplitAssignment:
 
 @dataclass(frozen=True)
 class NumericState:
+    """One column, z-scored against the imputed train cells (zero variance
+    yields scale 1); a missing cell takes the observed train mean."""
+
+    KIND: ClassVar[str] = "numeric"
     name: str
     impute_mean: float
     center: float
     scale: float
 
+    @classmethod
+    def fit(cls, spec, cells) -> "NumericState":
+        observed = np.array([float(v) for v in cells if v is not MISSING], dtype=np.float64)
+        impute = float(observed.mean()) if observed.size else 0.0
+        imputed = np.array([float(v) if v is not MISSING else impute for v in cells])
+        scale = float(imputed.std())
+        return cls(name=spec.name, impute_mean=impute, center=float(imputed.mean()),
+                   scale=scale if scale > 0 else 1.0)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "NumericState":
+        return cls(doc["name"], doc["impute_mean"], doc["center"], doc["scale"])
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return (self.name,)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.KIND, "name": self.name, "impute_mean": self.impute_mean,
+                "center": self.center, "scale": self.scale}
+
+    def encode(self, cells) -> np.ndarray:
+        raw = np.array([self.impute_mean if v is MISSING else float(v) for v in cells],
+                       dtype=np.float64)
+        return ((raw - self.center) / self.scale)[:, None]
+
 
 @dataclass(frozen=True)
 class CategoricalState:
+    """One indicator column per allowed value, in schema order; a missing cell
+    takes the train mode."""
+
+    KIND: ClassVar[str] = "categorical"
     name: str
     categories: tuple[str, ...]
     impute_category: str
+
+    @classmethod
+    def fit(cls, spec, cells) -> "CategoricalState":
+        counts = {cat: 0 for cat in spec.allowed_values}
+        for v in cells:
+            if v is not MISSING:
+                counts[v] += 1
+        mode = max(spec.allowed_values, key=lambda cat: counts[cat])  # ties: schema order
+        return cls(name=spec.name, categories=spec.allowed_values, impute_category=mode)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CategoricalState":
+        return cls(doc["name"], tuple(doc["categories"]), doc["impute_category"])
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(f"{self.name}_{cat}" for cat in self.categories)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.KIND, "name": self.name, "categories": list(self.categories),
+                "impute_category": self.impute_category}
+
+    def encode(self, cells) -> np.ndarray:
+        pos = {cat: j for j, cat in enumerate(self.categories)}
+        block = np.zeros((len(cells), len(self.categories)), dtype=np.float64)
+        for r, v in enumerate(cells):
+            cat = self.impute_category if v is MISSING else v
+            if cat not in pos:
+                raise DatasetError(f"{self.name}: value {cat!r} is not an allowed category")
+            block[r, pos[cat]] = 1.0
+        return block
+
+
+# The saved "kind", and the schema feature kind (text has none), to the column class
+_COLUMN_KINDS = {cls.KIND: cls for cls in (NumericState, CategoricalState)}
+_FEATURE_COLUMNS = {"integer": NumericState, "real": NumericState,
+                    "categorical": CategoricalState}
 
 
 @dataclass(frozen=True)
@@ -286,98 +361,36 @@ class EncoderState:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        names = []
-        for col in self.columns:
-            if isinstance(col, NumericState):
-                names.append(col.name)
-            else:
-                names.extend(f"{col.name}_{cat}" for cat in col.categories)
-        return tuple(names)
+        return tuple(name for col in self.columns for name in col.names)
 
     def to_dict(self) -> dict:
-        out = []
-        for col in self.columns:
-            if isinstance(col, NumericState):
-                out.append({"kind": "numeric", "name": col.name, "impute_mean": col.impute_mean,
-                            "center": col.center, "scale": col.scale})
-            else:
-                out.append({"kind": "categorical", "name": col.name,
-                            "categories": list(col.categories),
-                            "impute_category": col.impute_category})
-        return {"columns": out}
+        return {"columns": [col.to_dict() for col in self.columns]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EncoderState":
-        cols = []
-        for c in doc["columns"]:
-            if c["kind"] == "numeric":
-                cols.append(NumericState(c["name"], c["impute_mean"], c["center"], c["scale"]))
-            else:
-                cols.append(CategoricalState(c["name"], tuple(c["categories"]), c["impute_category"]))
-        return cls(columns=tuple(cols))
-
-
-@dataclass
-class EncodedMatrix:
-    column_names: tuple[str, ...]
-    values: np.ndarray  # (n, d) float64
-    encoder_state: EncoderState
+        return cls(columns=tuple(_COLUMN_KINDS[c["kind"]].from_dict(c) for c in doc["columns"]))
 
 
 def fit_encoder(dataset: TabularDataset, train_ids) -> EncoderState:
-    """Fit imputation, one-hot maps and standardization on the training rows only.
-
-    Numerics: impute with the observed train mean, then z-score against the
-    imputed train column (zero variance yields scale 1). Categoricals: one
-    column per allowed value, missing imputed as the train mode.
-    """
+    """Fit each feature's column state on the training rows only."""
     train_idx = list(train_ids)
     if not train_idx:
         raise DatasetError("train_ids must be nonempty")
     columns = []
     for spec in dataset.schema.features:
-        cells = [dataset.rows[i][spec.name] for i in train_idx]
-        if spec.is_numeric:
-            observed = np.array([float(v) for v in cells if v is not MISSING], dtype=np.float64)
-            impute = float(observed.mean()) if observed.size else 0.0
-            imputed = np.array([float(v) if v is not MISSING else impute for v in cells])
-            scale = float(imputed.std())
-            columns.append(NumericState(name=spec.name, impute_mean=impute,
-                                        center=float(imputed.mean()),
-                                        scale=scale if scale > 0 else 1.0))
-        elif spec.kind == "categorical":
-            counts = {cat: 0 for cat in spec.allowed_values}
-            for v in cells:
-                if v is not MISSING:
-                    counts[v] += 1
-            mode = max(spec.allowed_values, key=lambda cat: counts[cat])  # ties: schema order
-            columns.append(CategoricalState(name=spec.name, categories=spec.allowed_values,
-                                            impute_category=mode))
-        else:
+        kind = _FEATURE_COLUMNS.get(spec.kind)
+        if kind is None:
             raise DatasetError(f"feature {spec.name!r}: text features cannot be encoded for modeling")
+        columns.append(kind.fit(spec, [dataset.rows[i][spec.name] for i in train_idx]))
     return EncoderState(columns=tuple(columns))
 
 
-def transform(dataset: TabularDataset, encoder: EncoderState, ids=None) -> EncodedMatrix:
-    """Apply a fitted encoder to the given rows (all rows when ids is None)."""
-    idx = list(ids) if ids is not None else list(range(dataset.n))
-    parts = []
-    for col in encoder.columns:
-        if isinstance(col, NumericState):
-            raw = np.array([_numeric_cell(dataset.rows[i], col) for i in idx], dtype=np.float64)
-            parts.append(((raw - col.center) / col.scale)[:, None])
-        else:
-            block = np.zeros((len(idx), len(col.categories)), dtype=np.float64)
-            pos = {cat: j for j, cat in enumerate(col.categories)}
-            for r, i in enumerate(idx):
-                v = dataset.rows[i][col.name]
-                cat = col.impute_category if v is MISSING else v
-                if cat not in pos:
-                    raise DatasetError(f"{col.name}: value {cat!r} is not an allowed category")
-                block[r, pos[cat]] = 1.0
-            parts.append(block)
-    values = np.hstack(parts) if parts else np.zeros((len(idx), 0))
-    return EncodedMatrix(column_names=encoder.column_names, values=values, encoder_state=encoder)
+def transform(dataset: TabularDataset, encoder: EncoderState, ids=None) -> np.ndarray:
+    """The (rows, ``encoder.column_names``) float64 matrix of the given rows
+    (all rows when ids is None)."""
+    rows = dataset.rows if ids is None else [dataset.rows[i] for i in ids]
+    parts = [col.encode([row[col.name] for row in rows]) for col in encoder.columns]
+    return np.hstack(parts) if parts else np.zeros((len(rows), 0))
 
 
 def prepare(dataset: TabularDataset, seed: int):
@@ -386,12 +399,8 @@ def prepare(dataset: TabularDataset, seed: int):
     is per cell, so a part's slice of one transform is that part's transform."""
     assignment = split(dataset, seed)
     encoder = fit_encoder(dataset, assignment.train_ids)
-    X, y = transform(dataset, encoder).values, dataset.label_array()
+    X, y = transform(dataset, encoder), dataset.label_array()
     parts = assignment.parts().items()
     return (assignment, encoder, {part: X[list(ids)] for part, ids in parts},
             {part: y[list(ids)] for part, ids in parts})
 
-
-def _numeric_cell(row: dict, col: NumericState) -> float:
-    v = row[col.name]
-    return col.impute_mean if v is MISSING else float(v)

@@ -250,28 +250,32 @@ class ReplayProvider:
             return len(self._entries)
 
 
+_PROVIDER_SETTINGS = {  # kind: (required keys, {optional key: conversion})
+    "http": (("endpoint", "model", "credential_env"),
+             {"chat": bool, "max_attempts": int, "permits": int, "timeout": float}),
+    "replay": (("script",), {}),
+}
+
+
 def configure_provider(kind: str, settings: dict):
     """Build an immutable provider handle from validated settings.
 
     ``http`` needs ``endpoint``, ``model`` and ``credential_env``; optional
-    keys: ``chat``, ``max_attempts``, ``permits``, ``timeout``.
-    ``replay`` needs ``script`` (path to the replay file).
+    keys: ``chat``, ``max_attempts``, ``permits``, ``timeout``, each defaulting
+    as in ``HttpProvider``. ``replay`` needs ``script`` (path to the replay
+    file). A missing or unknown key raises ProviderConfigError naming it.
     """
-    if kind == "http":
-        missing = [k for k in ("endpoint", "model", "credential_env") if k not in settings]
-        if missing:
-            raise ProviderConfigError(f"http provider settings missing: {', '.join(missing)}")
-        return HttpProvider(
-            endpoint=settings["endpoint"],
-            model=settings["model"],
-            credential_env=settings["credential_env"],
-            chat=bool(settings.get("chat", False)),
-            max_attempts=int(settings.get("max_attempts", 5)),
-            permits=int(settings.get("permits", 4)),
-            timeout=float(settings.get("timeout", 60.0)),
-        )
+    if not isinstance(kind, str) or kind not in _PROVIDER_SETTINGS:
+        raise ProviderConfigError(f"unknown provider kind {kind!r}")
+    required, optional = _PROVIDER_SETTINGS[kind]
+    missing = [k for k in required if k not in settings]
+    if missing:
+        raise ProviderConfigError(f"{kind} provider settings missing: {', '.join(missing)}")
+    unknown = sorted(map(str, set(settings).difference(required, optional)))
+    if unknown:
+        raise ProviderConfigError(f"unknown {kind} provider settings: {', '.join(unknown)}")
     if kind == "replay":
-        if "script" not in settings:
-            raise ProviderConfigError("replay provider settings missing: script")
         return ReplayProvider.from_file(settings["script"])
-    raise ProviderConfigError(f"unknown provider kind {kind!r}")
+    return HttpProvider(**{k: settings[k] for k in required},
+                        **{k: convert(settings[k]) for k, convert in optional.items()
+                           if k in settings})

@@ -4,11 +4,13 @@ feature importances and JSON persistence.
 
 Each family's model class (``LogRegModel``, ``TreeModel``, ``GbdtModel``)
 owns its behaviour: ``predict_proba(X)``, ``importances()``, ``to_doc()`` and
-the ``from_doc(doc, feature_names)`` classmethod. ``search.MODEL_TYPES`` is
-the one table from family name to class, which ``load_model`` reads; the
-search module, which also holds each family's grid and trainer call, is the
-only place that knows family names. Adding a family touches its own module
-and ``search.py``.
+the ``from_doc(doc)`` classmethod. ``search.MODEL_TYPES`` is the one table
+from family name to class, which ``load_model`` reads; the search module,
+which also holds each family's grid and trainer call, is the only place that
+knows family names. Adding a family touches its own module and ``search.py``.
+
+Models hold no column names: callers pass ``EncoderState.column_names`` to
+``feature_importances_named`` and ``export_tree``.
 """
 
 from __future__ import annotations
@@ -41,27 +43,20 @@ def predict_proba(model, X: np.ndarray) -> np.ndarray:
     return model.predict_proba(X)
 
 
-def feature_importances(model) -> ImportanceVector:
-    return feature_importances_named(model, getattr(model, "feature_names", ()))
-
-
 def feature_importances_named(model, names) -> ImportanceVector:
+    """The model's importances under its column names, one per column."""
     scores = model.importances()
-    names = tuple(names) if names else tuple(f"x{i}" for i in range(len(scores)))
+    names = tuple(names)
     if len(names) != len(scores):
         raise ValueError("column names do not match the importance vector length")
     return ImportanceVector(names=names, scores=scores)
 
 
-def artifact_importances(artifact: ModelArtifact) -> ImportanceVector:
-    return feature_importances_named(artifact.model, artifact.column_names)
-
-
 __all__ = [
     "FAMILIES", "GbdtModel", "GridSearchResult", "ImportanceVector", "LogRegModel",
     "MODEL_TYPES", "ModelArtifact", "PersistError", "TreeModel", "TreeNode",
-    "artifact_importances", "best_gini_split", "export_tree", "feature_importances",
-    "feature_importances_named", "grid_search", "load_model", "log_loss", "predict_proba",
-    "save_model", "sigmoid", "train_dtree", "train_gbdt", "train_logreg", "tree_predict",
+    "best_gini_split", "export_tree", "feature_importances_named", "grid_search", "load_model",
+    "log_loss", "predict_proba", "save_model", "sigmoid", "train_dtree", "train_gbdt",
+    "train_logreg", "tree_predict",
     "LOGREG_C_GRID", "DTREE_DEPTH_GRID", "DTREE_MIN_SPLIT_GRID", "GBDT_N_GRID", "GBDT_LR_GRID",
 ]

@@ -33,7 +33,6 @@ class GbdtModel:
     initial_log_odds: float
     max_tree_depth: int = DEFAULT_TREE_DEPTH
     n_columns: int = 0
-    feature_names: tuple[str, ...] = ()
     _gains: np.ndarray = field(default=None, repr=False)
 
     def importances(self) -> np.ndarray:
@@ -49,16 +48,15 @@ class GbdtModel:
                 "trees": [t.to_doc() for t in self.trees]}
 
     @classmethod
-    def from_doc(cls, doc: dict, feature_names: tuple[str, ...]) -> "GbdtModel":
+    def from_doc(cls, doc: dict) -> "GbdtModel":
         return cls(trees=[TreeNode.from_doc(t) for t in doc["trees"]],
                    learning_rate=doc["learning_rate"], n_estimators=doc["n_estimators"],
                    initial_log_odds=doc["initial_log_odds"],
                    max_tree_depth=doc["max_tree_depth"], n_columns=doc["n_columns"],
-                   feature_names=feature_names, _gains=np.asarray(doc["gains"], dtype=np.float64))
+                   _gains=np.asarray(doc["gains"], dtype=np.float64))
 
 
-def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_DEPTH,
-                feature_names: tuple[str, ...] = ()):
+def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_DEPTH):
     """Boost without end, yielding the model after 0, 1, 2, ... trees. Each
     yielded model is a snapshot: later rounds do not change it."""
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -75,7 +73,7 @@ def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_D
     while True:
         yield GbdtModel(trees=list(trees), learning_rate=learning_rate, n_estimators=len(trees),
                         initial_log_odds=f0, max_tree_depth=max_tree_depth, n_columns=d,
-                        feature_names=tuple(feature_names), _gains=gains.copy())
+                        _gains=gains.copy())
         p = sigmoid(scores)
         residuals = y - p
         hess = p * (1.0 - p)
@@ -87,9 +85,8 @@ def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_D
 
 
 def train_gbdt(X, y, n_estimators: int, learning_rate: float,
-               max_tree_depth: int = DEFAULT_TREE_DEPTH,
-               feature_names: tuple[str, ...] = ()) -> GbdtModel:
-    stages = gbdt_stages(X, y, learning_rate, max_tree_depth, feature_names)
+               max_tree_depth: int = DEFAULT_TREE_DEPTH) -> GbdtModel:
+    stages = gbdt_stages(X, y, learning_rate, max_tree_depth)
     return next(islice(stages, n_estimators, None))
 
 

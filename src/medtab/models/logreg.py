@@ -22,7 +22,6 @@ class LogRegModel:
     C: float
     n_iter: int = 0
     converged: bool = False
-    feature_names: tuple[str, ...] = ()
 
     def importances(self) -> np.ndarray:
         return self.weights.copy()
@@ -38,10 +37,9 @@ class LogRegModel:
                 "n_iter": self.n_iter, "converged": self.converged}
 
     @classmethod
-    def from_doc(cls, doc: dict, feature_names: tuple[str, ...]) -> "LogRegModel":
+    def from_doc(cls, doc: dict) -> "LogRegModel":
         return cls(weights=np.asarray(doc["weights"], dtype=np.float64), bias=doc["bias"],
-                   C=doc["C"], n_iter=doc["n_iter"], converged=doc["converged"],
-                   feature_names=feature_names)
+                   C=doc["C"], n_iter=doc["n_iter"], converged=doc["converged"])
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -66,7 +64,7 @@ def loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: floa
     return loss, grad_w, grad_b
 
 
-def train_logreg(X, y, C: float, feature_names: tuple[str, ...] = ()) -> LogRegModel:
+def train_logreg(X, y, C: float) -> LogRegModel:
     if C <= 0:
         raise ValueError("C must be positive")
     X = np.asarray(X, dtype=np.float64)
@@ -74,7 +72,6 @@ def train_logreg(X, y, C: float, feature_names: tuple[str, ...] = ()) -> LogRegM
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    names = tuple(feature_names)
     loss, grad_w, grad_b = loss_and_grad(w, b, X, y, C)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss on the initial point; degenerate input")
@@ -83,8 +80,7 @@ def train_logreg(X, y, C: float, feature_names: tuple[str, ...] = ()) -> LogRegM
         grad = np.append(grad_w, grad_b)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= GRAD_TOL:
-            return LogRegModel(weights=w, bias=b, C=C, n_iter=n_iter - 1,
-                               converged=True, feature_names=names)
+            return LogRegModel(weights=w, bias=b, C=C, n_iter=n_iter - 1, converged=True)
 
         p = sigmoid(X @ w + b)
         s = p * (1.0 - p)
@@ -114,5 +110,4 @@ def train_logreg(X, y, C: float, feature_names: tuple[str, ...] = ()) -> LogRegM
         w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_gw, new_gb
 
     gnorm = float(np.linalg.norm(np.append(grad_w, grad_b)))
-    return LogRegModel(weights=w, bias=b, C=C, n_iter=n_iter,
-                       converged=gnorm <= GRAD_TOL, feature_names=names)
+    return LogRegModel(weights=w, bias=b, C=C, n_iter=n_iter, converged=gnorm <= GRAD_TOL)

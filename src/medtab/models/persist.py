@@ -1,7 +1,8 @@
 """Versioned JSON persistence for trained models.
 
-A saved document embeds the fitted encoder state and column names, so a
-loaded artifact predicts on raw datasets without any other context.
+A saved document embeds the fitted encoder state and its column names, which
+``load_model`` checks against each other, so a loaded artifact predicts on raw
+datasets without any other context.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ class ModelArtifact:
     family: str
     model: object
     encoder: EncoderState
-    column_names: tuple[str, ...]
     label: LabelSpec | None = None
     params: dict | None = None
     seed: int | None = None
 
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return self.encoder.column_names
+
     def predict_proba_dataset(self, dataset: TabularDataset, ids=None) -> np.ndarray:
-        matrix = transform(dataset, self.encoder, ids)
-        if matrix.column_names != self.column_names:
-            raise PersistError("dataset columns do not match the model's columns")
-        return self.model.predict_proba(matrix.values)
+        return self.model.predict_proba(transform(dataset, self.encoder, ids))
 
 
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
@@ -51,8 +52,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
         "model": artifact.model.to_doc(),
     }
     if artifact.label is not None:
-        doc["label"] = {"name": artifact.label.name, "positive": artifact.label.positive_value,
-                        "negative": artifact.label.negative_value}
+        doc["label"] = artifact.label.to_doc()
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -65,17 +65,14 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise PersistError(f"unsupported model format version {doc.get('format_version')!r}")
     if doc.get("family") not in MODEL_TYPES:
         raise PersistError(f"unknown family {doc.get('family')!r}")
-    columns = tuple(doc["columns"])
-    label = None
-    if "label" in doc:
-        label = LabelSpec(name=doc["label"]["name"], positive_value=doc["label"]["positive"],
-                          negative_value=doc["label"]["negative"])
+    encoder = EncoderState.from_dict(doc["encoder"])
+    if tuple(doc["columns"]) != encoder.column_names:
+        raise PersistError(f"model file {path}: its columns do not match its encoder's")
     return ModelArtifact(
         family=doc["family"],
-        model=MODEL_TYPES[doc["family"]].from_doc(doc["model"], columns),
-        encoder=EncoderState.from_dict(doc["encoder"]),
-        column_names=columns,
-        label=label,
+        model=MODEL_TYPES[doc["family"]].from_doc(doc["model"]),
+        encoder=encoder,
+        label=LabelSpec.from_doc(doc["label"]) if "label" in doc else None,
         params=doc.get("params") or {},
         seed=doc.get("seed"),
     )

@@ -66,39 +66,42 @@ def _candidates(family: str):
     raise ValueError(f"unknown model family {family!r}; expected one of {FAMILIES}")
 
 
-def _fits(family: str, X, y, feature_names):
+def _fits(family: str, X, y):
     """(params, model) for every candidate; GBDT in learning-rate-major order."""
     if family == "gbdt":
         for lr in GBDT_LR_GRID:
-            stages = gbdt_stages(X, y, lr, feature_names=feature_names)
+            stages = gbdt_stages(X, y, lr)
             for model in islice(stages, max(GBDT_N_GRID) + 1):
                 if model.n_estimators in GBDT_N_GRID:
                     yield {"n_estimators": model.n_estimators, "learning_rate": lr}, model
         return
     for params in _candidates(family):
-        yield params, _train(family, params, X, y, feature_names)
+        yield params, _train(family, params, X, y)
 
 
-def _train(family: str, params: dict, X, y, feature_names):
+def _train(family: str, params: dict, X, y):
     if family == "logreg":
-        return train_logreg(X, y, feature_names=feature_names, **params)
+        return train_logreg(X, y, **params)
     if family == "dtree":
-        return train_dtree(X, y, feature_names=feature_names, **params)
-    return train_gbdt(X, y, feature_names=feature_names, **params)
+        return train_dtree(X, y, **params)
+    return train_gbdt(X, y, **params)
 
 
-def grid_search(family: str, X_train, y_train, X_val, y_val,
-                feature_names: tuple[str, ...] = ()) -> GridSearchResult:
+def grid_search(family: str, X_train, y_train, X_val, y_val) -> GridSearchResult:
     """Train every grid point on the training split and keep the candidate
-    with the best validation accuracy."""
+    with the best validation accuracy. Raises ValueError when the train or
+    val part has no rows, since no accuracy could rank the candidates."""
     X_train = np.asarray(X_train, dtype=np.float64)
     X_val = np.asarray(X_val, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
     y_val = np.asarray(y_val, dtype=np.int64)
+    for part, X in (("train", X_train), ("val", X_val)):
+        if len(X) == 0:
+            raise ValueError(f"grid search needs {part} rows, and the {part} part is empty")
     candidates = _candidates(family)
     accuracy = {}
     best = None  # (accuracy, rank, model): the first best candidate in rank order
-    for params, model in _fits(family, X_train, y_train, feature_names):
+    for params, model in _fits(family, X_train, y_train):
         rank = candidates.index(params)
         acc = accuracy[rank] = _accuracy(y_val, model.predict_proba(X_val))
         if best is None or acc > best[0] or (acc == best[0] and rank < best[1]):

@@ -28,7 +28,6 @@ import numpy as np
 @dataclass
 class TreeNode:
     n_samples: int
-    depth: int
     column: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
@@ -50,13 +49,12 @@ class TreeNode:
                 "left": self.left.to_doc(), "right": self.right.to_doc()}
 
     @classmethod
-    def from_doc(cls, doc: dict, depth: int = 0) -> "TreeNode":
+    def from_doc(cls, doc: dict) -> "TreeNode":
         if "column" not in doc:
             counts = tuple(doc["counts"]) if "counts" in doc else None
-            return cls(n_samples=doc["n"], depth=depth, counts=counts, value=doc["value"])
-        return cls(n_samples=doc["n"], depth=depth, column=doc["column"],
-                   threshold=doc["threshold"], left=cls.from_doc(doc["left"], depth + 1),
-                   right=cls.from_doc(doc["right"], depth + 1))
+            return cls(n_samples=doc["n"], counts=counts, value=doc["value"])
+        return cls(n_samples=doc["n"], column=doc["column"], threshold=doc["threshold"],
+                   left=cls.from_doc(doc["left"]), right=cls.from_doc(doc["right"]))
 
 
 def normalized_gains(gains: np.ndarray) -> np.ndarray:
@@ -168,7 +166,6 @@ class TreeModel:
     min_samples_split: int
     n_columns: int
     n_training_rows: int
-    feature_names: tuple[str, ...] = ()
     _gains: np.ndarray = field(default=None, repr=False)
 
     def importances(self) -> np.ndarray:
@@ -186,10 +183,10 @@ class TreeModel:
                 "gains": self._gains.tolist(), "root": self.root.to_doc()}
 
     @classmethod
-    def from_doc(cls, doc: dict, feature_names: tuple[str, ...]) -> "TreeModel":
+    def from_doc(cls, doc: dict) -> "TreeModel":
         return cls(root=TreeNode.from_doc(doc["root"]), max_depth=doc["max_depth"],
                    min_samples_split=doc["min_samples_split"], n_columns=doc["n_columns"],
-                   n_training_rows=doc["n_training_rows"], feature_names=feature_names,
+                   n_training_rows=doc["n_training_rows"],
                    _gains=np.asarray(doc["gains"], dtype=np.float64))
 
 
@@ -198,7 +195,7 @@ def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best
     (a recursive closure would reference itself, and the cycle would keep the
     training arrays alive until a full garbage collection).
 
-    ``new_leaf(rows, depth)`` returns the node as a leaf and whether it may
+    ``new_leaf(rows)`` returns the node as a leaf and whether it may
     split; ``best_split(sorted_rows)`` returns (column, threshold, gain) or
     None. Returns (root, per-column gain vector), each split adding its gain
     weighted by its share of the rows.
@@ -209,7 +206,7 @@ def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best
     stack = [(np.arange(n), sorted_rows, 0, None, "")]
     while stack:
         rows, node_rows, depth, parent, side = stack.pop()
-        node, splittable = new_leaf(rows, depth)
+        node, splittable = new_leaf(rows)
         if parent is None:
             root = node
         else:
@@ -232,8 +229,7 @@ def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best
     return root, gains
 
 
-def train_dtree(X, y, max_depth: int, min_samples_split: int,
-                feature_names: tuple[str, ...] = ()) -> TreeModel:
+def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
     """Grow a CART classifier. Stops on depth, node size, purity or zero gain."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -243,18 +239,16 @@ def train_dtree(X, y, max_depth: int, min_samples_split: int,
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
 
-    def new_leaf(rows, depth):
+    def new_leaf(rows):
         pos = int(y[rows].sum())
         neg = len(rows) - pos
-        node = TreeNode(n_samples=len(rows), depth=depth, counts=(neg, pos),
-                        value=pos / len(rows))
+        node = TreeNode(n_samples=len(rows), counts=(neg, pos), value=pos / len(rows))
         return node, pos > 0 and neg > 0
 
     root, gains = _grow(X, presort(X), max_depth, min_samples_split, new_leaf,
                         lambda node_rows: best_gini_split(X, y, node_rows))
     return TreeModel(root=root, max_depth=max_depth, min_samples_split=min_samples_split,
-                     n_columns=d, n_training_rows=n,
-                     feature_names=tuple(feature_names), _gains=gains)
+                     n_columns=d, n_training_rows=n, _gains=gains)
 
 
 def train_regression_tree(X, targets, weights, max_depth: int = 6,
@@ -270,9 +264,9 @@ def train_regression_tree(X, targets, weights, max_depth: int = 6,
     if sorted_rows is None:
         sorted_rows = presort(X)
 
-    def new_leaf(rows, depth):
+    def new_leaf(rows):
         value = float(t[rows].sum() / (w[rows].sum() + eps))
-        return TreeNode(n_samples=len(rows), depth=depth, value=value), True
+        return TreeNode(n_samples=len(rows), value=value), True
 
     return _grow(X, sorted_rows, max_depth, min_samples_split, new_leaf,
                  lambda node_rows: best_sse_split(X, t, node_rows))
@@ -295,15 +289,10 @@ def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_label(model: TreeModel, col: int) -> str:
-    if model.feature_names and col < len(model.feature_names):
-        return model.feature_names[col]
-    return f"x{col}"
-
-
-def export_tree(model: TreeModel, format: str = "text") -> str:
+def export_tree(model: TreeModel, names, format: str = "text") -> str:
     """Deterministic rendering of the tree: ``text`` indented lines or a
-    graphviz ``dot`` digraph."""
+    graphviz ``dot`` digraph. ``names`` labels the columns, as
+    ``EncoderState.column_names`` does for an encoded table."""
     if format == "text":
         lines = []
 
@@ -313,7 +302,7 @@ def export_tree(model: TreeModel, format: str = "text") -> str:
                 lines.append(f"{pad}leaf: p={node.value:.6f} counts={list(node.counts)} "
                              f"samples={node.n_samples}")
             else:
-                lines.append(f"{pad}{_column_label(model, node.column)} <= {node.threshold:.6g} "
+                lines.append(f"{pad}{names[node.column]} <= {node.threshold:.6g} "
                              f"(samples={node.n_samples})")
                 walk(node.left, indent + 1)
                 walk(node.right, indent + 1)
@@ -330,7 +319,7 @@ def export_tree(model: TreeModel, format: str = "text") -> str:
             if node.is_leaf:
                 label = f"p={node.value:.4f}\\ncounts={list(node.counts)}\\nsamples={node.n_samples}"
             else:
-                label = (f"{_column_label(model, node.column)} <= {node.threshold:.6g}"
+                label = (f"{names[node.column]} <= {node.threshold:.6g}"
                          f"\\nsamples={node.n_samples}")
             lines.append(f'  n{nid} [label="{label}"];')
             if not node.is_leaf:

@@ -135,6 +135,16 @@ class LabelSpec:
         return next((v for v in (self.positive_value, self.negative_value)
                      if v.lower() == text), None)
 
+    def to_doc(self) -> dict:
+        """``{"name", "positive", "negative"}``, as schema and model files hold it."""
+        return {"name": self.name, "positive": self.positive_value,
+                "negative": self.negative_value}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "LabelSpec":
+        return cls(name=doc["name"], positive_value=str(doc["positive"]),
+                   negative_value=str(doc["negative"]))
+
 
 @dataclass(frozen=True)
 class ExtractionSchema:
@@ -201,11 +211,7 @@ def schema_from_dict(doc: dict, name: str = "") -> ExtractionSchema:
             numeric_range=(float(rng[0]), float(rng[1])) if rng is not None else None,
             allow_missing=bool(entry.get("allow_missing", True)),
         ))
-    label = None
-    if doc.get("label") is not None:
-        ld = doc["label"]
-        label = LabelSpec(name=ld["name"], positive_value=str(ld["positive"]),
-                          negative_value=str(ld["negative"]))
+    label = LabelSpec.from_doc(doc["label"]) if doc.get("label") is not None else None
     return ExtractionSchema(features=tuple(features), label=label, name=name)
 
 

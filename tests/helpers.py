@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from medtab.dataset import TabularDataset
+from medtab.dataset import TabularDataset, load_csv
 from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, FORMAT_SECTION,
                             OneShotExample, PromptBundle, PromptError, _fit_sections)
 from medtab.schema import ExtractionSchema, FeatureSpec, LabelSpec, emit_json_schema_block
@@ -186,6 +186,15 @@ def corrupt_cells(table: TabularDataset, fraction: float, seed: int) -> TabularD
             rows[i][spec.name] = rows[k][spec.name]
     return TabularDataset(schema=table.schema, rows=rows, ids=list(table.ids),
                           labels=list(table.labels) if table.labels is not None else None)
+
+
+def eleven_hepatitis_rows(schema: ExtractionSchema) -> TabularDataset:
+    """The first 5 positive and first 6 negative rows of hepatitis.csv: every
+    seed splits them 7/0/4, since floor(0.1 n) is 0 in both classes."""
+    table = load_csv(DATA / "hepatitis.csv", schema)
+    pos = [i for i, y in enumerate(table.labels) if y][:5]
+    neg = [i for i, y in enumerate(table.labels) if not y][:6]
+    return table.subset(sorted(pos + neg))
 
 
 # ---------------------------------------------------------------------------

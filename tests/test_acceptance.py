@@ -183,7 +183,7 @@ def _pipeline(table, seed):
     assignment = ds.split(table, seed)
     encoder = ds.fit_encoder(table, assignment.train_ids)
     y = table.label_array()
-    parts = {name: ds.transform(table, encoder, ids).values
+    parts = {name: ds.transform(table, encoder, ids)
              for name, ids in (("train", assignment.train_ids),
                                ("val", assignment.val_ids),
                                ("test", assignment.test_ids))}
@@ -200,8 +200,7 @@ def test_criterion_6_hepatitis_reproduction(hepatitis_schema):
     _, encoder, X, y = _pipeline(table, seed=7)
     results = {}
     for family in ("dtree", "logreg", "gbdt"):
-        search = models.grid_search(family, X["train"], y["train"], X["val"], y["val"],
-                                    feature_names=encoder.column_names)
+        search = models.grid_search(family, X["train"], y["train"], X["val"], y["val"])
         scores = models.predict_proba(search.model, X["test"])
         results[family] = evalkit.classification_metrics(y["test"], scores)
     checks = {
@@ -223,12 +222,10 @@ def test_criterion_7_heart_reproduction(heart_schema):
     table = ds.load_csv(DATA / "heart.csv", heart_schema)
     assert table.n == 917
     _, encoder, X, y = _pipeline(table, seed=7)
-    gbdt = models.grid_search("gbdt", X["train"], y["train"], X["val"], y["val"],
-                              feature_names=encoder.column_names)
+    gbdt = models.grid_search("gbdt", X["train"], y["train"], X["val"], y["val"])
     gbdt_acc = evalkit.classification_metrics(
         y["test"], models.predict_proba(gbdt.model, X["test"])).accuracy
-    dtree = models.grid_search("dtree", X["train"], y["train"], X["val"], y["val"],
-                               feature_names=encoder.column_names)
+    dtree = models.grid_search("dtree", X["train"], y["train"], X["val"], y["val"])
     iv = models.feature_importances_named(dtree.model, encoder.column_names)
     ranked = [name for name, _ in sorted(zip(iv.names, iv.scores), key=lambda t: -t[1])]
     top2 = ranked[:2]
@@ -251,11 +248,9 @@ def test_criterion_8_fidelity_under_corruption(hepatitis_schema):
     failures = []
     for family in ("logreg", "gbdt"):
         search = models.grid_search(family, X_gt["train"], y["train"],
-                                    X_gt["val"], y["val"],
-                                    feature_names=enc_gt.column_names)
+                                    X_gt["val"], y["val"])
         model_gt = search.model
-        model_bad = _train(family, search.params, X_bad["train"], y["train"],
-                           enc_bad.column_names)
+        model_bad = _train(family, search.params, X_bad["train"], y["train"])
         iv_gt = models.feature_importances_named(model_gt, enc_gt.column_names)
         iv_bad = models.feature_importances_named(model_bad, enc_bad.column_names)
         fid = evalkit.fidelity(model_gt, model_bad, X_gt["test"], X_bad["test"],

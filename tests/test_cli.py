@@ -159,6 +159,28 @@ class TestTrainEvaluateCompare:
                                       "--family", "dtree"])
         assert result.exit_code == 2
 
+    def test_empty_val_part_exits_2_and_writes_nothing(self, runner, tmp_path,
+                                                        hepatitis_schema):
+        from helpers import eleven_hepatitis_rows
+        from medtab.dataset import save_csv
+
+        csv_path = tmp_path / "eleven.csv"
+        save_csv(eleven_hepatitis_rows(hepatitis_schema), csv_path)
+        schema = str(SCHEMAS / "hepatitis.schema.json")
+        for family in ("logreg", "dtree", "gbdt"):
+            out = tmp_path / family
+            result = runner.invoke(main, ["--output-dir", str(out), "--seed", "3", "train",
+                                          "--data", str(csv_path), "--schema", schema,
+                                          "--family", family])
+            assert result.exit_code == 2, result.output
+            assert "the val part is empty" in result.output
+            assert not out.exists()
+            result = runner.invoke(main, ["--seed", "3", "compare", "--truth", str(csv_path),
+                                          "--extracted", str(csv_path), "--schema", schema,
+                                          "--family", family])
+            assert result.exit_code == 2, result.output
+            assert "the val part is empty" in result.output
+
     def test_evaluate_on_test_split(self, runner, tmp_path):
         out = tmp_path / "out"
         runner.invoke(main, ["--output-dir", str(out), "--seed", "7", "train",
@@ -208,6 +230,24 @@ class TestTrainEvaluateCompare:
                                       "--schema", str(SCHEMAS / "heart.schema.json"),
                                       "--split", str(out / "split.json")])
         assert result.exit_code == 2
+
+    def test_evaluate_model_columns_disagreeing_with_encoder_exits_2(self, runner, tmp_path):
+        out = tmp_path / "out"
+        runner.invoke(main, ["--output-dir", str(out), "--seed", "7", "train",
+                             "--data", str(DATA / "hepatitis.csv"),
+                             "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                             "--family", "logreg"])
+        args = ["evaluate", "--model", str(out / "model_logreg.json"),
+                "--data", str(DATA / "hepatitis.csv"),
+                "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                "--split", str(out / "split.json")]
+        assert runner.invoke(main, args).exit_code == 0
+        doc = json.loads((out / "model_logreg.json").read_text())
+        doc["columns"] = doc["columns"][1:] + doc["columns"][:1]
+        (out / "model_logreg.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "columns do not match" in result.output
 
     def test_compare_identical_tables(self, runner, tmp_path):
         result = runner.invoke(main, ["--json", "--seed", "7", "compare",

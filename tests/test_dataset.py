@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import DATA, cat_feature, int_feature, real_feature
 
-from medtab.dataset import (PARTS, DatasetError, EncoderState, TabularDataset, fit_encoder,
-                            load_csv, load_split, prepare, save_csv, save_split, split,
-                            transform)
+from medtab.dataset import (PARTS, CategoricalState, DatasetError, EncoderState, NumericState,
+                            TabularDataset, fit_encoder, load_csv, load_split, prepare, save_csv,
+                            save_split, split, transform)
 from medtab.schema import MISSING, ExtractionSchema, LabelSpec
 
 
@@ -200,7 +200,7 @@ class TestEncoder:
         table = toy_dataset(missing_every=4)
         enc = fit_encoder(table, range(10))
         matrix = transform(table, enc)
-        block = matrix.values[:, 2:5]
+        block = matrix[:, 2:5]
         assert np.allclose(block.sum(axis=1), 1.0)
 
     def test_categorical_encoding_values(self):
@@ -209,8 +209,8 @@ class TestEncoder:
         enc = fit_encoder(table, range(table.n))
         matrix = transform(table, enc, [0])
         names = list(enc.column_names)
-        assert matrix.values[0, names.index("color_green")] == 1.0
-        assert matrix.values[0, names.index("color_red")] == 0.0
+        assert matrix[0, names.index("color_green")] == 1.0
+        assert matrix[0, names.index("color_red")] == 0.0
 
     def test_zero_variance_column_scales_to_zero(self):
         table = toy_dataset()
@@ -218,7 +218,7 @@ class TestEncoder:
             row["age"] = 42
         enc = fit_encoder(table, range(table.n))
         matrix = transform(table, enc)
-        assert np.all(matrix.values[:, 0] == 0.0)
+        assert np.all(matrix[:, 0] == 0.0)
 
     def test_missing_numeric_imputed_with_train_mean(self):
         table = toy_dataset()
@@ -228,7 +228,7 @@ class TestEncoder:
         observed = [float(table.rows[i]["score"]) for i in train]
         state = enc.columns[1]
         assert state.impute_mean == pytest.approx(np.mean(observed))
-        row0 = transform(table, enc, [0]).values[0]
+        row0 = transform(table, enc, [0])[0]
         expected = (state.impute_mean - state.center) / state.scale
         assert row0[1] == pytest.approx(expected)
 
@@ -239,7 +239,7 @@ class TestEncoder:
         table.rows[15]["color"] = MISSING
         enc = fit_encoder(table, range(table.n))
         assert enc.columns[2].impute_category == "blue"
-        row = transform(table, enc, [15]).values[0]
+        row = transform(table, enc, [15])[0]
         assert row[list(enc.column_names).index("color_blue")] == 1.0
 
     def test_columns_stable_across_splits(self):
@@ -247,14 +247,15 @@ class TestEncoder:
         enc = fit_encoder(table, range(0, 20))
         m_train = transform(table, enc, range(0, 20))
         m_test = transform(table, enc, range(20, 30))
-        assert m_train.column_names == m_test.column_names
+        assert m_train.shape == (20, len(enc.column_names))
+        assert m_test.shape == (10, len(enc.column_names))
 
     def test_row_at_train_mean_encodes_to_zero(self):
         table = toy_dataset()
         enc = fit_encoder(table, range(table.n))
         state = enc.columns[1]
         table.rows[0]["score"] = state.center
-        row = transform(table, enc, [0]).values[0]
+        row = transform(table, enc, [0])[0]
         assert row[1] == pytest.approx(0.0)
 
     def test_no_leakage_from_non_train_rows(self):
@@ -267,9 +268,15 @@ class TestEncoder:
         assert enc_before == enc_after
 
     def test_encoder_state_round_trip(self):
-        table = toy_dataset()
+        table = toy_dataset(missing_every=4)
         enc = fit_encoder(table, range(table.n))
+        assert [type(c) for c in enc.columns] == [NumericState, NumericState, CategoricalState]
         assert EncoderState.from_dict(enc.to_dict()) == enc
+        # through JSON, as a model file holds it: lists come back as tuples
+        loaded = EncoderState.from_dict(json.loads(json.dumps(enc.to_dict())))
+        assert loaded == enc
+        assert loaded.columns[2].categories == ("red", "green", "blue")
+        assert loaded.column_names == enc.column_names
 
     def test_text_features_rejected(self):
         from medtab.schema import FeatureSpec
@@ -326,7 +333,7 @@ class TestPrepare:
         assert encoder == fit_encoder(table, assignment.train_ids)
         assert list(X) == list(y) == list(PARTS)
         for part, ids in assignment.parts().items():
-            assert _same_bits(X[part], transform(table, encoder, ids).values), part
+            assert _same_bits(X[part], transform(table, encoder, ids)), part
             assert y[part].tolist() == [table.labels[i] for i in ids], part
 
     @given(toy_tables(), st.integers(0, 2**32), st.data())

@@ -218,14 +218,13 @@ class TestFidelity:
         rng = np.random.default_rng(21)
         X = rng.normal(size=(60, 4))
         y = (X[:, 0] + 0.2 * rng.normal(size=60) > 0).astype(np.int64)
-        model = train_logreg(X[:40], y[:40].astype(float), C=1.0,
-                             feature_names=("a", "b", "c", "d"))
+        model = train_logreg(X[:40], y[:40].astype(float), C=1.0)
         return model, X[40:], y[40:]
 
     def test_self_comparison(self):
         model, X_test, y_test = self.setup_models()
-        from medtab.models import feature_importances
-        iv = feature_importances(model)
+        from medtab.models import feature_importances_named
+        iv = feature_importances_named(model, ("a", "b", "c", "d"))
         report = fidelity(model, model, X_test, X_test, y_test, iv, iv)
         assert report.acc_d == 0.0
         assert report.auc_d == 0.0
@@ -233,8 +232,8 @@ class TestFidelity:
 
     def test_single_class_test_set_gives_null_auc_d(self):
         model, X_test, _ = self.setup_models()
-        from medtab.models import feature_importances
-        iv = feature_importances(model)
+        from medtab.models import feature_importances_named
+        iv = feature_importances_named(model, ("a", "b", "c", "d"))
         y_one_class = np.ones(len(X_test), dtype=np.int64)
         report = fidelity(model, model, X_test, X_test, y_one_class, iv, iv)
         assert report.auc_d is None
@@ -259,11 +258,13 @@ class TestFidelity:
 
     def test_different_families_rejected(self):
         model, X_test, y_test = self.setup_models()
-        from medtab.models import feature_importances, train_dtree
+        from medtab.models import feature_importances_named, train_dtree
         tree = train_dtree(X_test, y_test, 3, 2)
+        names = ("a", "b", "c", "d")
         with pytest.raises(EvalError, match="same family"):
             fidelity(model, tree, X_test, X_test, y_test,
-                     feature_importances(model), feature_importances(tree))
+                     feature_importances_named(model, names),
+                     feature_importances_named(tree, names))
 
 
 class TestRenderReport:

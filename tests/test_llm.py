@@ -1,8 +1,12 @@
+import inspect
 import json
+import re
 import threading
 import time
 
 import pytest
+
+from helpers import ROOT
 
 from medtab.llm import (AuthenticationError, CompletionRequest, ExhaustedRetriesError,
                         HttpProvider, ProviderConfigError, ReplayEntry, ReplayProvider,
@@ -286,9 +290,38 @@ class TestConfigureProvider:
         with pytest.raises(ProviderConfigError, match="entry 0"):
             configure_provider("replay", {"script": script})
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("http", {"permit": 1, "max_attemps": 1}),
+        ("replay", {"permits": 2}),
+    ])
+    def test_unknown_setting_rejected_by_name(self, credential, tmp_path, kind, extra):
+        script = tmp_path / "replay.json"
+        script.write_text("[]")
+        settings = {"http": {"endpoint": "https://e", "model": "m", "credential_env": credential},
+                    "replay": {"script": script}}[kind]
+        configure_provider(kind, settings)
+        with pytest.raises(ProviderConfigError) as err:
+            configure_provider(kind, {**settings, **extra})
+        assert str(err.value) == f"unknown {kind} provider settings: {', '.join(sorted(extra))}"
+
+    def test_readme_http_settings_load_and_absent_ones_take_the_defaults(self, credential):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r'"provider": (\{.*?\}),\n', readme, re.S).group(1)
+        settings = {**json.loads(block), "credential_env": credential}
+        provider = configure_provider(settings.pop("kind"), settings)
+        assert (provider.chat, provider.max_attempts) == (False, 5)
+        defaults = inspect.signature(HttpProvider).parameters
+        bare = configure_provider("http", {"endpoint": "e", "model": "m",
+                                           "credential_env": credential})
+        assert bare.max_attempts == defaults["max_attempts"].default
+        assert bare.timeout == defaults["timeout"].default
+        assert bare.chat is defaults["chat"].default
+
     def test_unknown_kind(self):
         with pytest.raises(ProviderConfigError):
             configure_provider("grpc", {})
+        with pytest.raises(ProviderConfigError, match="unknown provider kind"):
+            configure_provider(["http"], {})  # a JSON list is not a kind
 
 
 class TestCompletionRequest:

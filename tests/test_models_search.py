@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from medtab.dataset import fit_encoder, transform
-from medtab.models import (ModelArtifact, artifact_importances, feature_importances,
-                           grid_search, load_model, predict_proba, save_model)
+from medtab.models import (ModelArtifact, feature_importances_named, grid_search, load_model,
+                           predict_proba, save_model)
 
 
 def separable_data(rng, n=60, d=3):
@@ -63,7 +63,7 @@ def reference_grid_search(family, X_train, y_train, X_val, y_val):
 
     best, report = None, []
     for params in _candidates(family):
-        model = _train(family, params, X_train, y_train, ())
+        model = _train(family, params, X_train, y_train)
         acc = float(np.mean((predict_proba(model, X_val) >= 0.5) == y_val))
         report.append((params, acc))
         if best is None or acc > best[0]:
@@ -88,11 +88,28 @@ class TestGridMatchesSeparateFits:
                 == json.dumps(model.to_doc(), sort_keys=True))
 
 
+class TestEmptyPart:
+    def test_empty_val_part_rejected_for_each_family(self, hepatitis_schema):
+        from helpers import eleven_hepatitis_rows
+        from medtab.dataset import prepare
+        from medtab.models import FAMILIES
+
+        assignment, _, X, y = prepare(eleven_hepatitis_rows(hepatitis_schema), 3)
+        assert [len(ids) for ids in assignment.parts().values()] == [7, 0, 4]
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="the val part is empty"):
+                grid_search(family, X["train"], y["train"], X["val"], y["val"])
+
+    def test_empty_train_part_rejected(self):
+        X, y = separable_data(np.random.default_rng(2))
+        with pytest.raises(ValueError, match="the train part is empty"):
+            grid_search("dtree", X[:0], y[:0], X, y)
+
+
 class TestHepatitisImportances:
     def test_dtree_ast_importance_dominant(self, hepatitis_schema):
         from helpers import DATA
         from medtab.dataset import load_csv, split
-        from medtab.models import feature_importances_named
 
         table = load_csv(DATA / "hepatitis.csv", hepatitis_schema)
         assignment = split(table, 7)
@@ -100,11 +117,10 @@ class TestHepatitisImportances:
         y = table.label_array()
         result = grid_search(
             "dtree",
-            transform(table, enc, assignment.train_ids).values,
+            transform(table, enc, assignment.train_ids),
             y[list(assignment.train_ids)],
-            transform(table, enc, assignment.val_ids).values,
-            y[list(assignment.val_ids)],
-            feature_names=enc.column_names)
+            transform(table, enc, assignment.val_ids),
+            y[list(assignment.val_ids)])
         iv = feature_importances_named(result.model, enc.column_names)
         by_name = dict(zip(iv.names, iv.scores))
         assert max(by_name, key=by_name.get) == "AST"
@@ -122,11 +138,9 @@ class TestPersistence:
         X_train = transform(table, enc, range(30))
         X_val = transform(table, enc, range(30, 40))
         y = table.label_array()
-        result = grid_search(family, X_train.values, y[:30], X_val.values, y[30:],
-                             feature_names=enc.column_names)
+        result = grid_search(family, X_train, y[:30], X_val, y[30:])
         artifact = ModelArtifact(family=family, model=result.model, encoder=enc,
-                                 column_names=enc.column_names, label=table.schema.label,
-                                 params=result.params, seed=11)
+                                 label=table.schema.label, params=result.params, seed=11)
         path = tmp_path / "model.json"
         save_model(artifact, path)
         loaded = load_model(path)
@@ -134,8 +148,8 @@ class TestPersistence:
         assert loaded.params == result.params
         assert loaded.column_names == enc.column_names
         assert loaded.label == table.schema.label
-        original = predict_proba(result.model, X_val.values)
-        restored = predict_proba(loaded.model, X_val.values)
+        original = predict_proba(result.model, X_val)
+        restored = predict_proba(loaded.model, X_val)
         assert np.array_equal(original, restored)
         via_dataset = loaded.predict_proba_dataset(table, range(30, 40))
         assert np.array_equal(original, via_dataset)
@@ -148,13 +162,30 @@ class TestPersistence:
         enc = fit_encoder(table, range(20))
         X = transform(table, enc, range(20))
         y = table.label_array()
-        result = grid_search("logreg", X.values, y[:20], X.values, y[:20])
-        save_model(ModelArtifact("logreg", result.model, enc, enc.column_names),
-                   tmp_path / "m.json")
+        result = grid_search("logreg", X, y[:20], X, y[:20])
+        save_model(ModelArtifact("logreg", result.model, enc), tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
         doc["family"] = "mlp"
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(PersistError, match="unknown family 'mlp'"):
+            load_model(tmp_path / "m.json")
+
+    def test_columns_disagreeing_with_encoder_rejected_on_load(self, tmp_path):
+        from medtab.models import PersistError
+        from test_dataset import toy_dataset
+
+        table = toy_dataset(n=30)
+        enc = fit_encoder(table, range(20))
+        X = transform(table, enc, range(20))
+        y = table.label_array()
+        result = grid_search("logreg", X, y[:20], X, y[:20])
+        save_model(ModelArtifact("logreg", result.model, enc), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert tuple(doc["columns"]) == enc.column_names
+        assert load_model(tmp_path / "m.json").column_names == enc.column_names
+        doc["columns"][2:4] = doc["columns"][3:1:-1]  # two one-hot columns swapped
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(PersistError, match="columns do not match"):
             load_model(tmp_path / "m.json")
 
     def test_importances_survive_round_trip(self, tmp_path):
@@ -164,13 +195,12 @@ class TestPersistence:
         enc = fit_encoder(table, range(30))
         X_train = transform(table, enc, range(30))
         y = table.label_array()
-        result = grid_search("dtree", X_train.values, y[:30],
-                             X_train.values, y[:30], feature_names=enc.column_names)
-        artifact = ModelArtifact("dtree", result.model, enc, enc.column_names)
+        result = grid_search("dtree", X_train, y[:30], X_train, y[:30])
+        artifact = ModelArtifact("dtree", result.model, enc)
         save_model(artifact, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
-        a = feature_importances(result.model)
-        b = artifact_importances(loaded)
+        a = feature_importances_named(result.model, enc.column_names)
+        b = feature_importances_named(loaded.model, loaded.column_names)
         assert a.names == b.names
         assert np.allclose(a.scores, b.scores)
 
@@ -182,9 +212,8 @@ class TestPersistence:
         enc = fit_encoder(table, range(20))
         X = transform(table, enc, range(20))
         y = table.label_array()
-        result = grid_search(family, X.values, y[:20], X.values, y[:20],
-                             feature_names=enc.column_names)
-        artifact = ModelArtifact(family, result.model, enc, enc.column_names,
+        result = grid_search(family, X, y[:20], X, y[:20])
+        artifact = ModelArtifact(family, result.model, enc,
                                  label=table.schema.label, params=result.params, seed=3)
         save_model(artifact, tmp_path / "a.json")
         save_model(artifact, tmp_path / "b.json")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_gini_split, brute_force_sse_split
 
-from medtab.models import export_tree, feature_importances, train_dtree, tree_predict
+from medtab.models import export_tree, feature_importances_named, train_dtree, tree_predict
 from medtab.models.tree import (best_gini_split, best_sse_split, gini_from_counts,
                                 train_regression_tree)
 
@@ -200,11 +200,9 @@ class TestTrainDtree:
         model = train_dtree(X, y, max_depth=2, min_samples_split=2)
 
         def depth(node):
-            if node.is_leaf:
-                return node.depth
-            return max(depth(node.left), depth(node.right))
+            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
 
-        assert depth(model.root) <= 2
+        assert depth(model.root) == 2
 
     def test_min_samples_split_respected(self):
         rng = np.random.default_rng(1)
@@ -249,8 +247,9 @@ class TestTrainDtree:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 4))
         y = rng.integers(0, 2, 50)
-        a = export_tree(train_dtree(X, y, 5, 2))
-        b = export_tree(train_dtree(X, y, 5, 2))
+        names = ("a", "b", "c", "d")
+        a = export_tree(train_dtree(X, y, 5, 2), names)
+        b = export_tree(train_dtree(X, y, 5, 2), names)
         assert a == b
 
     def test_invalid_hyperparams(self):
@@ -282,7 +281,7 @@ class TestImportances:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
         y = np.array([0, 1, 0, 1] * 3)
         model = train_dtree(X, y, max_depth=1, min_samples_split=2)
-        iv = feature_importances(model)
+        iv = feature_importances_named(model, ("a", "b"))
         assert iv.scores[1] == pytest.approx(1.0)
         assert iv.scores[0] == 0.0
 
@@ -291,34 +290,36 @@ class TestImportances:
         X = rng.normal(size=(80, 5))
         y = ((X[:, 0] + X[:, 3]) > 0).astype(np.int64)
         model = train_dtree(X, y, max_depth=5, min_samples_split=2)
-        iv = feature_importances(model)
+        iv = feature_importances_named(model, ("a", "b", "c", "d", "e"))
         assert iv.scores.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(iv.scores >= 0)
 
 
 class TestExportTree:
+    NAMES = ("alpha",)
+
     def make(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]] * 2)
         y = np.array([0, 0, 1, 1] * 2)
-        return train_dtree(X, y, 1, 2, feature_names=("alpha",))
+        return train_dtree(X, y, 1, 2)
 
     def test_stump_text_render(self):
-        text = export_tree(self.make(), "text")
+        text = export_tree(self.make(), self.NAMES, "text")
         lines = text.strip().split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("alpha <= 1.5")
         assert "counts=" in lines[1]
 
     def test_dot_is_balanced_digraph(self):
-        dot = export_tree(self.make(), "dot")
+        dot = export_tree(self.make(), self.NAMES, "dot")
         assert dot.startswith("digraph")
         assert dot.count("{") == dot.count("}")
         assert dot.count("->") == 2
 
     def test_identical_bytes_for_same_model(self):
         model = self.make()
-        assert export_tree(model, "dot") == export_tree(model, "dot")
+        assert export_tree(model, self.NAMES, "dot") == export_tree(model, self.NAMES, "dot")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            export_tree(self.make(), "yaml")
+            export_tree(self.make(), self.NAMES, "yaml")
