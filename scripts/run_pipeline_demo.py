@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,10 +23,12 @@ sys.path.insert(0, str(ROOT / "src"))
 N_REPORTS = 40
 
 
-def cli(args, **kw):
+def cli(args):
+    """Run one ``python -m medtab.cli`` command with ``src/`` first on its path."""
     cmd = [sys.executable, "-m", "medtab.cli", *args]
     print("+", " ".join(str(a) for a in cmd))
-    subprocess.run([str(a) for a in cmd], check=True, **kw)
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    subprocess.run([str(a) for a in cmd], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def build_fixture(workdir: Path):

@@ -368,7 +368,12 @@ class EncoderState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EncoderState":
-        return cls(columns=tuple(_COLUMN_KINDS[c["kind"]].from_dict(c) for c in doc["columns"]))
+        columns = []
+        for column in doc["columns"]:
+            if column["kind"] not in _COLUMN_KINDS:
+                raise DatasetError(f"unknown encoder column kind {column['kind']!r}")
+            columns.append(_COLUMN_KINDS[column["kind"]].from_dict(column))
+        return cls(columns=tuple(columns))
 
 
 def fit_encoder(dataset: TabularDataset, train_ids) -> EncoderState:

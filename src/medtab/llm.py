@@ -250,9 +250,17 @@ class ReplayProvider:
             return len(self._entries)
 
 
+def _chat_flag(value) -> bool:
+    """``chat`` as given, which must be a real boolean: ``bool("false")`` is True."""
+    if not isinstance(value, bool):
+        raise ProviderConfigError(f"http provider setting chat must be true or false, "
+                                  f"got {value!r}")
+    return value
+
+
 _PROVIDER_SETTINGS = {  # kind: (required keys, {optional key: conversion})
     "http": (("endpoint", "model", "credential_env"),
-             {"chat": bool, "max_attempts": int, "permits": int, "timeout": float}),
+             {"chat": _chat_flag, "max_attempts": int, "permits": int, "timeout": float}),
     "replay": (("script",), {}),
 }
 

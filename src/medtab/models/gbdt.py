@@ -9,7 +9,8 @@ Boosting is stagewise: round ``k`` depends only on the rounds before it, so
 the first ``k`` trees of a longer run, with the importance gains summed over
 those trees, are exactly the model ``train_gbdt`` fits with
 ``n_estimators=k``. ``gbdt_stages`` yields those models one round at a time;
-the training matrix is presorted once for all trees.
+the training matrix is presorted once for all trees, and the training scores
+take each tree's values from the leaves its grower put the rows in.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_D
     scores = np.full(n, f0)
     trees: list[TreeNode] = []
     gains = np.zeros(d)
+    fitted = np.empty(n)  # each training row's value in the newest tree
     while True:
         yield GbdtModel(trees=list(trees), learning_rate=learning_rate, n_estimators=len(trees),
                         initial_log_odds=f0, max_tree_depth=max_tree_depth, n_columns=d,
@@ -78,10 +80,10 @@ def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_D
         residuals = y - p
         hess = p * (1.0 - p)
         root, tree_gains = train_regression_tree(X, residuals, hess, max_depth=max_tree_depth,
-                                                 sorted_rows=sorted_rows)
+                                                 sorted_rows=sorted_rows, fitted=fitted)
         gains += tree_gains
         trees.append(root)
-        scores = scores + learning_rate * tree_predict(root, X)
+        scores = scores + learning_rate * fitted
 
 
 def train_gbdt(X, y, n_estimators: int, learning_rate: float,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset import EncoderState, TabularDataset, transform
+from ..dataset import DatasetError, EncoderState, TabularDataset, transform
 from ..schema import LabelSpec
 from .search import MODEL_TYPES
 
@@ -61,18 +61,22 @@ def load_model(path: str | Path) -> ModelArtifact:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise PersistError(f"cannot load model file {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise PersistError(f"model file {path}: expected a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise PersistError(f"unsupported model format version {doc.get('format_version')!r}")
     if doc.get("family") not in MODEL_TYPES:
         raise PersistError(f"unknown family {doc.get('family')!r}")
-    encoder = EncoderState.from_dict(doc["encoder"])
-    if tuple(doc["columns"]) != encoder.column_names:
+    try:
+        encoder = EncoderState.from_dict(doc["encoder"])
+        columns = tuple(doc["columns"])
+        model = MODEL_TYPES[doc["family"]].from_doc(doc["model"])
+        label = LabelSpec.from_doc(doc["label"]) if "label" in doc else None
+    except KeyError as e:
+        raise PersistError(f"model file {path}: missing key {e}") from e
+    except (DatasetError, TypeError) as e:
+        raise PersistError(f"model file {path}: {e}") from e
+    if columns != encoder.column_names:
         raise PersistError(f"model file {path}: its columns do not match its encoder's")
-    return ModelArtifact(
-        family=doc["family"],
-        model=MODEL_TYPES[doc["family"]].from_doc(doc["model"]),
-        encoder=encoder,
-        label=LabelSpec.from_doc(doc["label"]) if "label" in doc else None,
-        params=doc.get("params") or {},
-        seed=doc.get("seed"),
-    )
+    return ModelArtifact(family=doc["family"], model=model, encoder=encoder, label=label,
+                         params=doc.get("params") or {}, seed=doc.get("seed"))

@@ -9,6 +9,11 @@ The GBDT grid is fitted stagewise: per learning rate, one run boosts to
 ``max(GBDT_N_GRID)`` trees and every smaller ``n_estimators`` is scored on
 its prefix, which is exactly the model ``train_gbdt`` would fit (see
 ``gbdt``). Only the current run and the incumbent best model are kept.
+
+The dtree grid is fitted by pruning: one tree is grown at the largest depth
+and the smallest min split, and every grid point is cut from it
+(``TreeModel.pruned``), which is exactly the tree ``train_dtree`` would grow
+at that point, since the two settings only decide which nodes are searched.
 """
 
 from __future__ import annotations
@@ -67,7 +72,13 @@ def _candidates(family: str):
 
 
 def _fits(family: str, X, y):
-    """(params, model) for every candidate; GBDT in learning-rate-major order."""
+    """(params, model) for every candidate: logreg fitted per point, dtree
+    pruned from one tree, GBDT stagewise in learning-rate-major order."""
+    if family == "dtree":
+        full = train_dtree(X, y, max(DTREE_DEPTH_GRID), min(DTREE_MIN_SPLIT_GRID))
+        for params in _candidates(family):
+            yield params, full.pruned(**params)
+        return
     if family == "gbdt":
         for lr in GBDT_LR_GRID:
             stages = gbdt_stages(X, y, lr)

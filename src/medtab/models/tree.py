@@ -32,8 +32,11 @@ class TreeNode:
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    counts: tuple[int, int] | None = None  # classification leaves: (class0, class1)
+    counts: tuple[int, int] | None = None  # classification: (class0, class1) of the node's rows
     value: float | None = None             # leaf prediction
+    # A split's unweighted impurity decrease, kept in memory for pruning and
+    # not saved: ``to_doc`` writes counts for leaves only, and no gain.
+    gain: float | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -189,16 +192,69 @@ class TreeModel:
                    n_training_rows=doc["n_training_rows"],
                    _gains=np.asarray(doc["gains"], dtype=np.float64))
 
+    def pruned(self, max_depth: int, min_samples_split: int) -> "TreeModel":
+        """The tree ``train_dtree`` grows on the same rows at ``(max_depth,
+        min_samples_split)``, cut from this one without a split search.
 
-def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best_split):
+        Those two settings only decide whether a node is searched, never
+        which split it gets, so for ``max_depth`` up to this tree's and
+        ``min_samples_split`` from this tree's up, a node stays split iff
+        this tree split it, its depth is below ``max_depth`` and it has at
+        least ``min_samples_split`` rows. A cut node becomes the leaf
+        ``train_dtree`` makes of its rows, and the gains are summed again in
+        the grower's order, so the model is the same bit for bit. Needs the
+        split gains of a tree grown in this process (a loaded one has none).
+        """
+        _check_dtree_params(max_depth, min_samples_split)
+        if max_depth > self.max_depth or min_samples_split < self.min_samples_split:
+            raise ValueError(f"cannot prune a tree grown at max_depth={self.max_depth}, "
+                             f"min_samples_split={self.min_samples_split} to max_depth="
+                             f"{max_depth}, min_samples_split={min_samples_split}")
+        if not self.root.is_leaf and self.root.gain is None:
+            raise ValueError("only a tree grown in this process can be pruned: "
+                             "saved trees carry no split gains")
+        n = self.n_training_rows
+        gains = np.zeros(self.n_columns)
+        root = None
+        stack = [(self.root, 0, None, "")]
+        while stack:
+            node, depth, parent, side = stack.pop()
+            if node.is_leaf or depth >= max_depth or node.n_samples < min_samples_split:
+                copy = TreeNode(n_samples=node.n_samples, counts=node.counts,
+                                value=node.counts[1] / node.n_samples)
+            else:
+                gains[node.column] += (node.n_samples / n) * node.gain
+                copy = TreeNode(n_samples=node.n_samples, column=node.column,
+                                threshold=node.threshold, counts=node.counts, gain=node.gain)
+                stack.append((node.right, depth + 1, copy, "right"))
+                stack.append((node.left, depth + 1, copy, "left"))
+            if parent is None:
+                root = copy
+            else:
+                setattr(parent, side, copy)
+        return TreeModel(root=root, max_depth=max_depth, min_samples_split=min_samples_split,
+                         n_columns=self.n_columns, n_training_rows=n, _gains=gains)
+
+
+def _check_dtree_params(max_depth: int, min_samples_split: int) -> None:
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if min_samples_split < 2:
+        raise ValueError("min_samples_split must be >= 2")
+
+
+def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best_split,
+          fitted: np.ndarray | None = None):
     """Grow a tree depth first, left child before right, from an explicit stack
     (a recursive closure would reference itself, and the cycle would keep the
     training arrays alive until a full garbage collection).
 
     ``new_leaf(rows)`` returns the node as a leaf and whether it may
     split; ``best_split(sorted_rows)`` returns (column, threshold, gain) or
-    None. Returns (root, per-column gain vector), each split adding its gain
-    weighted by its share of the rows.
+    None. A node that splits keeps its counts and records its gain. Returns
+    (root, per-column gain vector), each split adding its gain weighted by
+    its share of the rows. When given, ``fitted[rows]`` is set to the value
+    of the leaf that holds those training rows.
     """
     n, d = X.shape
     gains = np.zeros(d)
@@ -211,15 +267,16 @@ def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best
             root = node
         else:
             setattr(parent, side, node)
-        if not splittable or depth >= max_depth or len(rows) < min_samples_split:
-            continue
-        found = best_split(node_rows)
+        found = None
+        if splittable and depth < max_depth and len(rows) >= min_samples_split:
+            found = best_split(node_rows)
         if found is None:
+            if fitted is not None:
+                fitted[rows] = node.value
             continue
         col, thr, gain = found
         gains[col] += (len(rows) / n) * gain
-        node.column, node.threshold = col, thr
-        node.counts, node.value = None, None
+        node.column, node.threshold, node.gain, node.value = col, thr, gain, None
         goes_left = X[:, col] <= thr
         left, left_sorted = goes_left.take(rows), goes_left.take(node_rows).ravel()
         stack.append((rows.compress(~left), node_rows.compress(~left_sorted).reshape(d, -1),
@@ -231,10 +288,7 @@ def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best
 
 def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
     """Grow a CART classifier. Stops on depth, node size, purity or zero gain."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if min_samples_split < 2:
-        raise ValueError("min_samples_split must be >= 2")
+    _check_dtree_params(max_depth, min_samples_split)
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
@@ -253,11 +307,14 @@ def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
 
 def train_regression_tree(X, targets, weights, max_depth: int = 6,
                           min_samples_split: int = 2, eps: float = 1e-12,
-                          sorted_rows: np.ndarray | None = None):
+                          sorted_rows: np.ndarray | None = None,
+                          fitted: np.ndarray | None = None):
     """Fit a regression tree on ``targets`` with leaf values
     sum(targets) / (sum(weights) + eps) per leaf (the second-order step used
     by boosting). ``sorted_rows`` is ``presort(X)``, computed here when not
-    given. Returns (root, per-column gain vector)."""
+    given. When given, ``fitted`` (length ``len(X)``) receives each training
+    row's leaf value, as ``tree_predict(root, X)`` would give it. Returns
+    (root, per-column gain vector)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -269,7 +326,7 @@ def train_regression_tree(X, targets, weights, max_depth: int = 6,
         return TreeNode(n_samples=len(rows), value=value), True
 
     return _grow(X, sorted_rows, max_depth, min_samples_split, new_leaf,
-                 lambda node_rows: best_sse_split(X, t, node_rows))
+                 lambda node_rows: best_sse_split(X, t, node_rows), fitted)
 
 
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:

@@ -249,6 +249,30 @@ class TestTrainEvaluateCompare:
         assert result.exit_code == 2
         assert "columns do not match" in result.output
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc.pop("columns"), "missing key 'columns'"),
+        (lambda doc: doc["encoder"]["columns"][0].update(kind="ordinal"),
+         "unknown encoder column kind 'ordinal'"),
+        (lambda doc: doc.update(columns=5), "'int' object is not iterable"),
+    ], ids=["no-columns", "ordinal-kind", "columns-not-a-list"])
+    def test_evaluate_damaged_model_file_exits_2_naming_file_and_key(self, runner, tmp_path,
+                                                                      corrupt, message):
+        out = tmp_path / "out"
+        runner.invoke(main, ["--output-dir", str(out), "--seed", "7", "train",
+                             "--data", str(DATA / "hepatitis.csv"),
+                             "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                             "--family", "dtree"])
+        model = out / "model_dtree.json"
+        doc = json.loads(model.read_text())
+        corrupt(doc)
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["evaluate", "--model", str(model),
+                                      "--data", str(DATA / "hepatitis.csv"),
+                                      "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                      "--split", str(out / "split.json")])
+        assert result.exit_code == 2, result.output
+        assert f"model file {model}: {message}" in result.output
+
     def test_compare_identical_tables(self, runner, tmp_path):
         result = runner.invoke(main, ["--json", "--seed", "7", "compare",
                                       "--truth", str(DATA / "hepatitis.csv"),

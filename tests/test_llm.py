@@ -317,6 +317,18 @@ class TestConfigureProvider:
         assert bare.timeout == defaults["timeout"].default
         assert bare.chat is defaults["chat"].default
 
+    @pytest.mark.parametrize("chat", [True, False])
+    def test_chat_boolean_passes_through(self, credential, chat):
+        provider = configure_provider("http", {"endpoint": "e", "model": "m",
+                                               "credential_env": credential, "chat": chat})
+        assert provider.chat is chat
+
+    @pytest.mark.parametrize("chat", ["false", 1])
+    def test_chat_that_is_not_a_boolean_rejected(self, credential, chat):
+        with pytest.raises(ProviderConfigError, match="chat must be true or false"):
+            configure_provider("http", {"endpoint": "e", "model": "m",
+                                        "credential_env": credential, "chat": chat})
+
     def test_unknown_kind(self):
         with pytest.raises(ProviderConfigError):
             configure_provider("grpc", {})

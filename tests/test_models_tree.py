@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_force_gini_split, brute_force_sse_split
 
 from medtab.models import export_tree, feature_importances_named, train_dtree, tree_predict
-from medtab.models.tree import (best_gini_split, best_sse_split, gini_from_counts,
+from medtab.models.tree import (TreeModel, best_gini_split, best_sse_split, gini_from_counts,
                                 train_regression_tree)
 
 
@@ -170,6 +170,29 @@ class TestEngineOracles:
             assert np.array_equal(tree_predict(root, Xq), walk_predict(root, Xq))
         assert tree_predict(root, Xq[:0]).shape == (0,)
 
+    @given(tie_heavy_tables(n_max=40))
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_tree_equals_direct_growth(self, table):
+        X, y, _, _ = table
+        full = train_dtree(X, y, 5, 2)
+        for max_depth in range(1, 6):
+            for min_samples_split in range(2, 11):
+                got = full.pruned(max_depth, min_samples_split)
+                want = train_dtree(X, y, max_depth, min_samples_split)
+                assert got.to_doc() == want.to_doc()
+                assert np.array_equal(got._gains, want._gains)
+
+    def test_pruning_outside_the_grown_tree_rejected(self):
+        X = np.arange(8, dtype=np.float64)[:, None]
+        y = np.array([0, 1] * 4)
+        full = train_dtree(X, y, 3, 4)
+        for max_depth, min_samples_split in ((4, 4), (3, 3), (0, 4)):
+            with pytest.raises(ValueError):
+                full.pruned(max_depth, min_samples_split)
+        loaded = TreeModel.from_doc(full.to_doc())
+        with pytest.raises(ValueError, match="carry no split gains"):
+            loaded.pruned(2, 4)
+
     def test_training_leaves_no_reference_cycles(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 3))
@@ -177,7 +200,7 @@ class TestEngineOracles:
         gc.collect()
         gc.disable()
         try:
-            train_dtree(X, y, 4, 2)
+            train_dtree(X, y, 5, 2).pruned(3, 4)
             train_regression_tree(X, y - 0.5, np.full(60, 0.25))
             unreachable = gc.collect()
         finally:
