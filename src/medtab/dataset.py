@@ -1,9 +1,13 @@
 """Tabular dataset container: CSV ingestion, seeded stratified splitting, and
 leakage-free encoding (impute, one-hot, standardize) fitted on training rows.
 
-CSV layout: UTF-8, RFC-4180 quoting, header row required, empty cell means a
-missing value. An optional ``id`` column carries row identifiers (row indices
-are used when absent); the label column is matched by the schema's label name.
+CSV layout: UTF-8 (a leading byte-order mark is allowed), RFC-4180 quoting,
+header row required, empty cell means a missing value. An optional ``id``
+column carries row identifiers (row indices are used when absent); the label
+column is matched by the schema's label name. ``load_csv`` reads whole columns
+and coerces each distinct raw string of a column once; the error it reports is
+the first bad cell in file order (by line, then header position), else the
+first line with the wrong number of cells.
 
 Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``,
 an id list per name in ``PARTS``. ``prepare`` (split, fit the encoder on train
@@ -18,12 +22,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import ClassVar
 from pathlib import Path
 
 import numpy as np
 
-from .schema import MISSING, CoercionError, ExtractionSchema, canonicalize_value, fold_name
+from .schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec,
+                     canonicalize_value, fold_name)
 
 
 class DatasetError(ValueError):
@@ -65,43 +71,92 @@ class TabularDataset:
 
 
 def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
-    """Read a dataset; every cell passes through the schema coercion rules."""
+    """Read a dataset column by column: every cell passes through the schema
+    coercion rules, each distinct raw string of a column once.
+
+    The error raised is the one a line-by-line read meets first: the first bad
+    cell in file order (by line, then header position), else the first line
+    without one cell per header column. Lines from that one on are not coerced.
+    """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
-        columns = _map_header(header, schema, path)
-        rows, ids, labels = [], [], []
-        has_label = any(role == "label" for role in columns)
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(columns):
-                raise DatasetError(f"{path}:{lineno}: expected {len(columns)} cells, got {len(cells)}")
-            row: dict = {}
-            row_id = None
-            label = None
-            for role, cell in zip(columns, cells):
-                if role == "id":
-                    row_id = cell
-                elif role == "label":
-                    label = schema.label.parse(cell)
-                    if label is None:
-                        raise DatasetError(f"{path}:{lineno}: label {cell!r} is neither "
-                                           f"{schema.label.positive_value!r} nor "
-                                           f"{schema.label.negative_value!r}")
-                else:
-                    try:
-                        row[role.name] = canonicalize_value(role, cell if cell != "" else None)
-                    except CoercionError as e:
-                        raise DatasetError(f"{path}:{lineno}: column {role.name!r}: {e}") from e
-            rows.append(row)
-            ids.append(row_id if row_id is not None else str(len(ids)))
-            if has_label:
-                labels.append(int(label == schema.label.positive_value))
-    return TabularDataset(schema=schema, rows=rows, ids=ids,
-                          labels=labels if has_label else None)
+        roles = _map_header(header, schema, path)
+        records, stop = _read_records(reader, len(roles), path)
+    columns = list(zip(*records)) or [()] * len(roles)
+    values, failures = {}, []  # failures: (record, header position, error)
+    for j, (role, column) in enumerate(zip(roles, columns)):
+        if role != "id":
+            values[j], failure = _coerce_column(column, _coercer(role, schema.label))
+            if failure is not None:
+                record, error = failure
+                failures.append((record, j, error))
+    if failures:
+        record, _, error = min(failures, key=lambda f: f[:2])
+        raise DatasetError(f"{path}:{record + 2}: {error}") from error.__cause__
+    if stop is not None:
+        raise stop
+    features = [j for j, role in enumerate(roles) if isinstance(role, FeatureSpec)]
+    names = [roles[j].name for j in features]
+    rows = [dict(zip(names, cells)) for cells in zip(*(values[j] for j in features))]
+    ids = (list(columns[roles.index("id")]) if "id" in roles
+           else [str(i) for i in range(len(records))])
+    labels = values[roles.index("label")] if "label" in roles else None
+    return TabularDataset(schema=schema, rows=rows, ids=ids, labels=labels)
+
+
+def _read_records(reader, width: int, path: Path):
+    """``(records, stop)``: the records before the first one without ``width``
+    cells, and the error that ends the read there. A record the reader cannot
+    read or decode ends it too, with its own error; ``stop`` is None at the end
+    of the file."""
+    records = []
+    try:
+        for cells in reader:
+            if len(cells) != width:
+                return records, DatasetError(f"{path}:{len(records) + 2}: expected {width} "
+                                             f"cells, got {len(cells)}")
+            records.append(cells)
+    except (csv.Error, UnicodeDecodeError) as e:
+        return records, e
+    return records, None
+
+
+def _coercer(role, label: LabelSpec | None):
+    """The function from a raw cell of a feature or label column to its value
+    (the label's as 1 for positive, 0 for negative). It raises DatasetError,
+    without the cell's line, for a cell it rejects."""
+    if role == "label":
+        def coerce(raw):
+            value = label.parse(raw)
+            if value is None:
+                raise DatasetError(f"label {raw!r} is neither {label.positive_value!r} "
+                                   f"nor {label.negative_value!r}")
+            return int(value == label.positive_value)
+    else:
+        def coerce(raw):
+            try:
+                return canonicalize_value(role, raw if raw != "" else None)
+            except CoercionError as e:
+                raise DatasetError(f"column {role.name!r}: {e}") from e
+    return coerce
+
+
+def _coerce_column(column, coerce):
+    """``(values, None)``, coercing each distinct cell once, in the order of
+    first occurrence; or ``(None, (record, error))`` for the first cell that
+    ``coerce`` rejects, which is that raw string's first occurrence."""
+    memo = {}
+    for raw in dict.fromkeys(column):
+        try:
+            memo[raw] = coerce(raw)
+        except DatasetError as e:
+            return None, (column.index(raw), e)
+    return list(map(memo.__getitem__, column)), None
 
 
 def _map_header(header, schema, path):
@@ -282,9 +337,10 @@ class NumericState:
 
     @classmethod
     def fit(cls, spec, cells) -> "NumericState":
-        observed = np.array([float(v) for v in cells if v is not MISSING], dtype=np.float64)
+        values, missing = float_column(cells)
+        observed = values[~missing]
         impute = float(observed.mean()) if observed.size else 0.0
-        imputed = np.array([float(v) if v is not MISSING else impute for v in cells])
+        imputed = np.where(missing, impute, values)
         scale = float(imputed.std())
         return cls(name=spec.name, impute_mean=impute, center=float(imputed.mean()),
                    scale=scale if scale > 0 else 1.0)
@@ -302,8 +358,8 @@ class NumericState:
                 "center": self.center, "scale": self.scale}
 
     def encode(self, cells) -> np.ndarray:
-        raw = np.array([self.impute_mean if v is MISSING else float(v) for v in cells],
-                       dtype=np.float64)
+        values, missing = float_column(cells)
+        raw = np.where(missing, self.impute_mean, values)
         return ((raw - self.center) / self.scale)[:, None]
 
 
@@ -319,11 +375,10 @@ class CategoricalState:
 
     @classmethod
     def fit(cls, spec, cells) -> "CategoricalState":
-        counts = {cat: 0 for cat in spec.allowed_values}
-        for v in cells:
-            if v is not MISSING:
-                counts[v] += 1
-        mode = max(spec.allowed_values, key=lambda cat: counts[cat])  # ties: schema order
+        k = len(spec.allowed_values)
+        counts = np.bincount(_category_codes(spec.name, spec.allowed_values, cells, None),
+                             minlength=k + 1)[:k]
+        mode = spec.allowed_values[int(counts.argmax())]  # ties: schema order
         return cls(name=spec.name, categories=spec.allowed_values, impute_category=mode)
 
     @classmethod
@@ -339,14 +394,38 @@ class CategoricalState:
                 "impute_category": self.impute_category}
 
     def encode(self, cells) -> np.ndarray:
-        pos = {cat: j for j, cat in enumerate(self.categories)}
-        block = np.zeros((len(cells), len(self.categories)), dtype=np.float64)
-        for r, v in enumerate(cells):
-            cat = self.impute_category if v is MISSING else v
-            if cat not in pos:
-                raise DatasetError(f"{self.name}: value {cat!r} is not an allowed category")
-            block[r, pos[cat]] = 1.0
-        return block
+        codes = _category_codes(self.name, self.categories, cells, self.impute_category)
+        return np.eye(len(self.categories))[codes]
+
+
+def object_column(cells) -> tuple[np.ndarray, np.ndarray]:
+    """A column's cells as an object array, and the mask of the missing ones
+    (``MISSING`` equals only itself)."""
+    column = np.array(cells, dtype=object)
+    return column, column == MISSING
+
+
+def float_column(cells) -> tuple[np.ndarray, np.ndarray]:
+    """A numeric column's cells as float64 (0 where missing), and the mask of
+    the missing ones."""
+    column, missing = object_column(cells)
+    return np.where(missing, 0.0, column).astype(np.float64), missing
+
+
+def _category_codes(name: str, categories: tuple[str, ...], cells, impute) -> np.ndarray:
+    """Each cell's position in ``categories``, a missing cell taking
+    ``impute``'s, or ``len(categories)`` when ``impute`` is None (a fit, which
+    counts missing cells apart). DatasetError names the first cell, a missing
+    one as ``impute``, that is none of the categories."""
+    pos = dict(zip(categories, range(len(categories))))
+    pos[MISSING] = len(categories) if impute is None else pos.get(impute, -1)
+    codes = np.fromiter(map(pos.get, cells, repeat(-1)), dtype=np.intp, count=len(cells))
+    unknown = codes < 0
+    if unknown.any():
+        value = cells[int(unknown.argmax())]
+        value = impute if value is MISSING else value
+        raise DatasetError(f"{name}: value {value!r} is not an allowed category")
+    return codes
 
 
 # The saved "kind", and the schema feature kind (text has none), to the column class

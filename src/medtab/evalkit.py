@@ -10,9 +10,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import TabularDataset
+from .dataset import TabularDataset, float_column, object_column
 from .models import ImportanceVector
-from .schema import MISSING
 from .vorc import call_rate
 
 REAL_MATCH_RTOL = 1e-9
@@ -49,26 +48,17 @@ class FidelityReport:
     r2: float | None
 
 
-def cells_match(spec, a, b) -> bool:
-    """Cell equality: Missing only matches Missing; reals compare with a
-    relative tolerance, everything else exactly."""
-    if a is MISSING or b is MISSING:
-        return a is MISSING and b is MISSING
-    if spec.kind == "real":
-        fa, fb = float(a), float(b)
-        return abs(fa - fb) <= REAL_MATCH_RTOL * max(abs(fa), abs(fb), 1.0)
-    return a == b
-
-
 def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
                        provenance: list[dict] | None = None) -> ExtractionReport:
-    """Compare an extracted table against ground truth row by row.
+    """Compare an extracted table against ground truth, one feature column at
+    a time.
 
     Extracted ids must all exist in the truth table (rows that failed
     extraction may be absent from the extracted table; they simply are not
-    evaluated). Missing-value precision/recall treat "cell is missing" as the
-    positive class. Every rate comes back as None when its denominator is
-    zero, so with no compared rows both accuracies are None.
+    evaluated). Missing only matches missing; reals match within a relative
+    tolerance, everything else exactly. Missing-value precision/recall treat
+    "cell is missing" as the positive class. Every rate comes back as None when
+    its denominator is zero, so with no compared rows both accuracies are None.
     """
     names = [spec.name for spec in extracted.schema.features]
     truth_names = [spec.name for spec in truth.schema.features]
@@ -81,29 +71,26 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
         raise EvalError(f"extracted ids not present in truth table: {unknown[:5]}")
 
     features = truth.schema.features
+    truth_rows = [truth_by_id[rid] for rid in extracted.ids]
     n_rows = extracted.n
-    exact_rows = 0
-    matched_cells = 0
-    both_missing = 0
-    extracted_missing = 0
-    truth_missing = 0
-    for rid, row in zip(extracted.ids, extracted.rows):
-        truth_row = truth_by_id[rid]
-        row_exact = True
-        for spec in features:
-            a = row[spec.name]
-            b = truth_row[spec.name]
-            if a is MISSING:
-                extracted_missing += 1
-            if b is MISSING:
-                truth_missing += 1
-            if a is MISSING and b is MISSING:
-                both_missing += 1
-            if cells_match(spec, a, b):
-                matched_cells += 1
-            else:
-                row_exact = False
-        exact_rows += row_exact
+    row_exact = np.ones(n_rows, dtype=bool)
+    matched_cells = both_missing = extracted_missing = truth_missing = 0
+    for spec in features:
+        column = float_column if spec.kind == "real" else object_column
+        a, a_missing = column([row[spec.name] for row in extracted.rows])
+        b, b_missing = column([row[spec.name] for row in truth_rows])
+        if spec.kind == "real":
+            equal = np.abs(a - b) <= REAL_MATCH_RTOL * np.maximum(
+                np.maximum(np.abs(a), np.abs(b)), 1.0)
+        else:
+            equal = a == b
+        match = np.where(a_missing | b_missing, a_missing & b_missing, equal)
+        extracted_missing += int(a_missing.sum())
+        truth_missing += int(b_missing.sum())
+        both_missing += int((a_missing & b_missing).sum())
+        matched_cells += int(match.sum())
+        row_exact &= match
+    exact_rows = int(row_exact.sum())
 
     total_cells = n_rows * len(features)
     return ExtractionReport(

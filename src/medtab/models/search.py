@@ -8,7 +8,9 @@ to the earlier candidate, so toward stronger regularization.
 The GBDT grid is fitted stagewise: per learning rate, one run boosts to
 ``max(GBDT_N_GRID)`` trees and every smaller ``n_estimators`` is scored on
 its prefix, which is exactly the model ``train_gbdt`` would fit (see
-``gbdt``). Only the current run and the incumbent best model are kept.
+``gbdt``). The validation raw scores are carried from stage to stage, so
+each tree predicts the validation rows once. Only the current run and the
+incumbent best model are kept.
 
 The dtree grid is fitted by pruning: one tree is grown at the largest depth
 and the smallest min split, and every grid point is cut from it
@@ -24,8 +26,8 @@ from itertools import islice
 import numpy as np
 
 from .gbdt import GbdtModel, gbdt_stages, train_gbdt
-from .logreg import LogRegModel, train_logreg
-from .tree import TreeModel, train_dtree
+from .logreg import LogRegModel, sigmoid, train_logreg
+from .tree import TreeModel, train_dtree, tree_predict
 
 LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 DTREE_DEPTH_GRID = (3, 4, 5)
@@ -71,23 +73,30 @@ def _candidates(family: str):
     raise ValueError(f"unknown model family {family!r}; expected one of {FAMILIES}")
 
 
-def _fits(family: str, X, y):
-    """(params, model) for every candidate: logreg fitted per point, dtree
-    pruned from one tree, GBDT stagewise in learning-rate-major order."""
+def _fits(family: str, X, y, X_val):
+    """(params, model, validation probabilities) for every candidate: logreg
+    fitted per point, dtree pruned from one tree, GBDT stagewise in
+    learning-rate-major order with the validation raw scores carried from
+    stage to stage (each tree added in ``gbdt_raw_scores``' order)."""
     if family == "dtree":
         full = train_dtree(X, y, max(DTREE_DEPTH_GRID), min(DTREE_MIN_SPLIT_GRID))
         for params in _candidates(family):
-            yield params, full.pruned(**params)
+            model = full.pruned(**params)
+            yield params, model, model.predict_proba(X_val)
         return
     if family == "gbdt":
         for lr in GBDT_LR_GRID:
-            stages = gbdt_stages(X, y, lr)
+            stages, raw = gbdt_stages(X, y, lr), None
             for model in islice(stages, max(GBDT_N_GRID) + 1):
+                raw = (np.full(len(X_val), model.initial_log_odds) if raw is None
+                       else raw + model.learning_rate * tree_predict(model.trees[-1], X_val))
                 if model.n_estimators in GBDT_N_GRID:
-                    yield {"n_estimators": model.n_estimators, "learning_rate": lr}, model
+                    yield ({"n_estimators": model.n_estimators, "learning_rate": lr}, model,
+                           sigmoid(raw))
         return
     for params in _candidates(family):
-        yield params, _train(family, params, X, y)
+        model = _train(family, params, X, y)
+        yield params, model, model.predict_proba(X_val)
 
 
 def _train(family: str, params: dict, X, y):
@@ -109,12 +118,14 @@ def grid_search(family: str, X_train, y_train, X_val, y_val) -> GridSearchResult
     for part, X in (("train", X_train), ("val", X_val)):
         if len(X) == 0:
             raise ValueError(f"grid search needs {part} rows, and the {part} part is empty")
+    if X_val.shape[1] != X_train.shape[1]:
+        raise ValueError(f"expected {X_train.shape[1]} val columns, got {X_val.shape[1]}")
     candidates = _candidates(family)
     accuracy = {}
     best = None  # (accuracy, rank, model): the first best candidate in rank order
-    for params, model in _fits(family, X_train, y_train):
+    for params, model, scores in _fits(family, X_train, y_train, X_val):
         rank = candidates.index(params)
-        acc = accuracy[rank] = _accuracy(y_val, model.predict_proba(X_val))
+        acc = accuracy[rank] = _accuracy(y_val, scores)
         if best is None or acc > best[0] or (acc == best[0] and rank < best[1]):
             best = (acc, rank, model)
     acc, rank, model = best

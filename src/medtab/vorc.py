@@ -122,7 +122,10 @@ def _scan_block(text: str, start: int, ends: dict[int, int | None]) -> None:
     strings, and record in ``ends`` where every block opened on the way ends
     (None when it is never closed). A fresh scan from any of those ``{``
     would see the same strings, so ``_json_spans`` needs no scan of its own
-    for them, and text of unclosed braces is scanned once, not once per brace."""
+    for them, and text of unclosed braces is scanned once, not once per brace.
+    For the same reason a ``{`` an earlier scan recorded is not scanned again:
+    the scan jumps to its end, or, when it never closes, neither does any
+    block still open."""
     open_at = []
     pos = start
     while True:
@@ -131,7 +134,12 @@ def _scan_block(text: str, start: int, ends: dict[int, int | None]) -> None:
         if not brace:
             break
         if brace == "{":
-            open_at.append(pos - 1)
+            if pos - 1 not in ends:
+                open_at.append(pos - 1)
+            elif ends[pos - 1] is None:
+                break
+            else:
+                pos = ends[pos - 1]
             continue
         ends[open_at.pop()] = pos
         if not open_at:

@@ -3,17 +3,21 @@ replay-scripted extraction fixture."""
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 
-from medtab.dataset import TabularDataset, load_csv
+from medtab.dataset import (CategoricalState, DatasetError, NumericState, TabularDataset,
+                            _map_header, load_csv)
+from medtab.evalkit import EvalError, ExtractionReport
 from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, FORMAT_SECTION,
                             OneShotExample, PromptBundle, PromptError, _fit_sections)
-from medtab.schema import ExtractionSchema, FeatureSpec, LabelSpec, emit_json_schema_block
-from medtab.vorc import ParseFailure, RepairAction, UnrepairableError
+from medtab.schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec,
+                           canonicalize_value, emit_json_schema_block)
+from medtab.vorc import ParseFailure, RepairAction, UnrepairableError, call_rate
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -641,3 +645,155 @@ def build_type_correction_prompt(original_prompt: str, response_json: str,
     )
     front, response_json = _fit_sections(front, response_json, back, max_chars)
     return front + response_json + back
+
+
+# ---------------------------------------------------------------------------
+# Reference table layer: the cell-by-cell loader, column encoders and
+# extraction metrics that the column-wise versions in medtab.dataset and
+# medtab.evalkit replaced, kept verbatim as an oracle (the loader under a new
+# name, the column methods as functions of the state).
+# ---------------------------------------------------------------------------
+
+def load_csv_by_cell(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
+    """Read a dataset; every cell passes through the schema coercion rules."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file, expected a header row") from None
+        columns = _map_header(header, schema, path)
+        rows, ids, labels = [], [], []
+        has_label = any(role == "label" for role in columns)
+        for lineno, cells in enumerate(reader, start=2):
+            if len(cells) != len(columns):
+                raise DatasetError(f"{path}:{lineno}: expected {len(columns)} cells, got {len(cells)}")
+            row: dict = {}
+            row_id = None
+            label = None
+            for role, cell in zip(columns, cells):
+                if role == "id":
+                    row_id = cell
+                elif role == "label":
+                    label = schema.label.parse(cell)
+                    if label is None:
+                        raise DatasetError(f"{path}:{lineno}: label {cell!r} is neither "
+                                           f"{schema.label.positive_value!r} nor "
+                                           f"{schema.label.negative_value!r}")
+                else:
+                    try:
+                        row[role.name] = canonicalize_value(role, cell if cell != "" else None)
+                    except CoercionError as e:
+                        raise DatasetError(f"{path}:{lineno}: column {role.name!r}: {e}") from e
+            rows.append(row)
+            ids.append(row_id if row_id is not None else str(len(ids)))
+            if has_label:
+                labels.append(int(label == schema.label.positive_value))
+    return TabularDataset(schema=schema, rows=rows, ids=ids,
+                          labels=labels if has_label else None)
+
+
+def numeric_fit(spec, cells) -> NumericState:
+    observed = np.array([float(v) for v in cells if v is not MISSING], dtype=np.float64)
+    impute = float(observed.mean()) if observed.size else 0.0
+    imputed = np.array([float(v) if v is not MISSING else impute for v in cells])
+    scale = float(imputed.std())
+    return NumericState(name=spec.name, impute_mean=impute, center=float(imputed.mean()),
+                        scale=scale if scale > 0 else 1.0)
+
+
+def numeric_encode(self: NumericState, cells) -> np.ndarray:
+    raw = np.array([self.impute_mean if v is MISSING else float(v) for v in cells],
+                   dtype=np.float64)
+    return ((raw - self.center) / self.scale)[:, None]
+
+
+def categorical_fit(spec, cells) -> CategoricalState:
+    counts = {cat: 0 for cat in spec.allowed_values}
+    for v in cells:
+        if v is not MISSING:
+            counts[v] += 1
+    mode = max(spec.allowed_values, key=lambda cat: counts[cat])  # ties: schema order
+    return CategoricalState(name=spec.name, categories=spec.allowed_values, impute_category=mode)
+
+
+def categorical_encode(self: CategoricalState, cells) -> np.ndarray:
+    pos = {cat: j for j, cat in enumerate(self.categories)}
+    block = np.zeros((len(cells), len(self.categories)), dtype=np.float64)
+    for r, v in enumerate(cells):
+        cat = self.impute_category if v is MISSING else v
+        if cat not in pos:
+            raise DatasetError(f"{self.name}: value {cat!r} is not an allowed category")
+        block[r, pos[cat]] = 1.0
+    return block
+
+
+REAL_MATCH_RTOL = 1e-9
+
+
+def cells_match(spec, a, b) -> bool:
+    """Cell equality: Missing only matches Missing; reals compare with a
+    relative tolerance, everything else exactly."""
+    if a is MISSING or b is MISSING:
+        return a is MISSING and b is MISSING
+    if spec.kind == "real":
+        fa, fb = float(a), float(b)
+        return abs(fa - fb) <= REAL_MATCH_RTOL * max(abs(fa), abs(fb), 1.0)
+    return a == b
+
+
+def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
+                       provenance: list[dict] | None = None) -> ExtractionReport:
+    """Compare an extracted table against ground truth row by row.
+
+    Extracted ids must all exist in the truth table (rows that failed
+    extraction may be absent from the extracted table; they simply are not
+    evaluated). Missing-value precision/recall treat "cell is missing" as the
+    positive class. Every rate comes back as None when its denominator is
+    zero, so with no compared rows both accuracies are None.
+    """
+    names = [spec.name for spec in extracted.schema.features]
+    truth_names = [spec.name for spec in truth.schema.features]
+    if names != truth_names:
+        raise EvalError(f"extracted and truth tables use different schemas: features "
+                        f"{names} vs {truth_names}")
+    truth_by_id = {rid: row for rid, row in zip(truth.ids, truth.rows)}
+    unknown = [rid for rid in extracted.ids if rid not in truth_by_id]
+    if unknown:
+        raise EvalError(f"extracted ids not present in truth table: {unknown[:5]}")
+
+    features = truth.schema.features
+    n_rows = extracted.n
+    exact_rows = 0
+    matched_cells = 0
+    both_missing = 0
+    extracted_missing = 0
+    truth_missing = 0
+    for rid, row in zip(extracted.ids, extracted.rows):
+        truth_row = truth_by_id[rid]
+        row_exact = True
+        for spec in features:
+            a = row[spec.name]
+            b = truth_row[spec.name]
+            if a is MISSING:
+                extracted_missing += 1
+            if b is MISSING:
+                truth_missing += 1
+            if a is MISSING and b is MISSING:
+                both_missing += 1
+            if cells_match(spec, a, b):
+                matched_cells += 1
+            else:
+                row_exact = False
+        exact_rows += row_exact
+
+    total_cells = n_rows * len(features)
+    return ExtractionReport(
+        record_accuracy=exact_rows / n_rows if n_rows else None,
+        cell_accuracy=matched_cells / total_cells if total_cells else None,
+        missing_precision=both_missing / extracted_missing if extracted_missing else None,
+        missing_recall=both_missing / truth_missing if truth_missing else None,
+        vorc_call_rate=call_rate([e.get("vorc_iterations", 0) for e in provenance or ()]),
+        n_evaluated=n_rows,
+    )

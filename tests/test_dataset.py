@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import tempfile
@@ -7,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers as oracle  # holds the cell-by-cell loader and column encoders
 from helpers import DATA, cat_feature, int_feature, real_feature
 
 from medtab.dataset import (PARTS, CategoricalState, DatasetError, EncoderState, NumericState,
                             TabularDataset, fit_encoder, load_csv, load_split, prepare, save_csv,
                             save_split, split, transform)
-from medtab.schema import MISSING, ExtractionSchema, LabelSpec
+from medtab.schema import MISSING, ExtractionSchema, FeatureSpec, LabelSpec
 
 
 def toy_schema():
@@ -100,6 +103,173 @@ class TestLoadCsv:
         assert back.ids == table.ids
         assert back.labels == table.labels
         assert back.rows == table.rows
+
+
+
+# Cells the generated CSV files draw from, by header column: good ones (missing
+# sentinels among them where the feature allows it; line i has id ``r<i>``)
+# and bad ones. The pools are small, so values repeat across lines.
+_GOOD = {
+    "age": ["40", "7", " 12 ", "1e2", "3,0", "120", "", "n/a", "NaN", "None"],
+    "dose": ["1.5", "0.25", "-0.0", "1,5", "2", "1e-3"],
+    "color": ["red", "GREEN", " blue", "", "N/A"],
+    "note": ["", "x", "free text", "none", "7"],
+    "target": ["pos", "NEG", " neg ", "Pos"],
+}
+_BAD = {
+    "id": ["r0"],  # the first line's id again
+    "age": ["121", "-1", "4.5", "forty", "inf"],
+    "dose": ["", "nan", "abc", "inf", "1,5,0"],
+    "color": ["purple", "re d"],
+    "note": [],
+    "target": ["maybe", ""],
+}
+
+
+def loader_schema():
+    return ExtractionSchema(
+        features=(int_feature("age", 0, 120), real_feature("dose", allow_missing=False),
+                  cat_feature("color", ["red", "green", "blue"]),
+                  FeatureSpec(name="note", kind="text")),
+        label=LabelSpec("target", "pos", "neg"),
+        name="loader",
+    )
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text for ``loader_schema``: the columns in any order, id and label
+    optional, up to 12 lines, a few bad cells and lines with a cell too few or
+    too many."""
+    header = draw(st.permutations(["age", "dose", "color", "note"]
+                                  + sorted(draw(st.sets(st.sampled_from(["id", "target"]))))))
+    n = draw(st.integers(0, 12))
+    lines = [[f"r{i}" if name == "id" else draw(st.sampled_from(_GOOD[name])) for name in header]
+             for i in range(n)]
+    if n:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(header) - 1))
+            if _BAD[header[j]]:
+                lines[i][j] = draw(st.sampled_from(_BAD[header[j]]))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, n - 1))
+            lines[i] = lines[i][:-1] if draw(st.booleans()) else lines[i] + ["extra"]
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *lines])
+    return out.getvalue()
+
+
+def loaded(load, path, schema):
+    """What ``load`` makes of a file: every row's items (their order and the
+    repr of each value), ids and labels, or the error message."""
+    try:
+        table = load(path, schema)
+    except DatasetError as e:
+        return "error", str(e)
+    return "ok", [[(k, repr(v)) for k, v in row.items()] for row in table.rows], table.ids, \
+        table.labels
+
+
+class TestLoadCsvByColumn:
+    """The column-wise loader against the cell-by-cell one it replaced."""
+
+    def both(self, tmp_path, text, encoding="utf-8"):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode(encoding) if isinstance(text, str) else text)
+        want = loaded(oracle.load_csv_by_cell, path, loader_schema())
+        assert loaded(load_csv, path, loader_schema()) == want
+        return want
+
+    @given(csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_cell_by_cell_loader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.both(Path(tmp), text)
+
+    def test_later_column_on_earlier_line_wins(self, tmp_path):
+        got = self.both(tmp_path, "age,dose,color,note,target\n40,1.5,purple,,pos\n"
+                                  "forty,1.5,red,,pos\n")
+        assert got == ("error", f"{tmp_path / 't.csv'}:2: column 'color': color: 'purple' is not "
+                                "one of the allowed values: red, green, blue")
+
+    def test_short_line_after_a_bad_cell(self, tmp_path):
+        got = self.both(tmp_path, "age,dose,color,note,target\n40,abc,red,,pos\n40,1.5,red,\n")
+        assert got[0] == "error" and ":2: column 'dose'" in got[1]
+
+    def test_bad_cell_after_a_short_line(self, tmp_path):
+        got = self.both(tmp_path, "age,dose,color,note,target\n40,1.5,red,\n40,abc,red,,pos\n")
+        assert got[0] == "error" and got[1].endswith(":2: expected 5 cells, got 4")
+
+    def test_repeated_bad_value_reported_at_its_first_line(self, tmp_path):
+        got = self.both(tmp_path, "age,dose,color,note,target\n40,1.5,red,,pos\n"
+                                  "forty,1.5,red,,pos\n41,abc,red,,pos\nforty,abc,red,,pos\n")
+        assert got[0] == "error" and ":3: column 'age'" in got[1]
+
+    def test_bad_label_and_missing_sentinels(self, tmp_path):
+        got = self.both(tmp_path, "age,dose,color,note,target\nn/a,1.5,,,pos\n"
+                                  "40,1.5,red,,maybe\n")
+        assert got[0] == "error" and ":3: label 'maybe'" in got[1]
+
+    def test_unreadable_record_after_a_bad_cell(self, tmp_path):
+        # the read stops at the field over csv's size limit, or at the byte
+        # that is no UTF-8 (past the first decoded chunk), after line 2 failed
+        head = "age,dose,color,note,target\n40,abc,red,,pos\n" + "40,1.5,red,,pos\n" * 800
+        for tail in (("x" * 200_000).encode(), b"\xff\n"):
+            got = self.both(tmp_path, head.encode() + tail)
+            assert got[0] == "error" and ":2: column 'dose'" in got[1]
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, hepatitis_schema):
+        plain = load_csv(DATA / "hepatitis.csv", hepatitis_schema)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / "hepatitis.csv").read_bytes())
+        bom = load_csv(path, hepatitis_schema)
+        assert (bom.rows, bom.ids, bom.labels) == (plain.rows, plain.ids, plain.labels)
+
+# Train and encoded cells for the column states; encoded categorical cells
+# also hold values that are no category.
+_NUMERIC_CELLS = st.lists(st.just(MISSING) | st.integers(-10**6, 10**6)
+                          | st.floats(-1e9, 1e9, allow_nan=False), max_size=40)
+_COLORS = ["red", "green", "blue"]
+
+
+def encoded(encode, cells):
+    try:
+        block = encode(cells)
+    except DatasetError as e:
+        return "error", str(e)
+    return "ok", block.dtype, block.shape, block.tobytes()
+
+
+class TestColumnStatesByColumn:
+    """``fit`` and ``encode`` on whole columns against the cell-by-cell
+    versions they replaced."""
+
+    @given(st.sampled_from([int_feature("n"), real_feature("n")]),
+           _NUMERIC_CELLS.filter(lambda cells: cells), _NUMERIC_CELLS)
+    @settings(max_examples=200, deadline=None)
+    def test_numeric_equals_cell_by_cell(self, spec, train, cells):
+        state = NumericState.fit(spec, train)
+        assert repr(state) == repr(oracle.numeric_fit(spec, train))
+        assert encoded(state.encode, cells) == encoded(
+            lambda c: oracle.numeric_encode(state, c), cells)
+
+    @given(st.lists(st.sampled_from([MISSING, *_COLORS]), min_size=1, max_size=40),
+           st.lists(st.sampled_from([MISSING, *_COLORS, "purple", "Red"]), max_size=40),
+           st.sampled_from([None, "blue", "purple"]))
+    @settings(max_examples=200, deadline=None)
+    def test_categorical_equals_cell_by_cell(self, train, cells, impute):
+        spec = cat_feature("color", _COLORS)
+        state = CategoricalState.fit(spec, train)
+        assert repr(state) == repr(oracle.categorical_fit(spec, train))
+        if impute is not None:  # a saved state may impute any string
+            state = CategoricalState(state.name, state.categories, impute)
+        assert encoded(state.encode, cells) == encoded(
+            lambda c: oracle.categorical_encode(state, c), cells)
+
+    def test_fit_names_an_unknown_category(self):
+        # the cell-by-cell fit let a KeyError out here
+        with pytest.raises(DatasetError, match="color: value 'purple' is not an allowed category"):
+            CategoricalState.fit(cat_feature("color", _COLORS), ["red", MISSING, "purple"])
 
 
 class TestSplit:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers as oracle  # holds the row-by-row extraction metrics
 from helpers import (brute_force_auc, cat_feature, int_feature, loop_midrank_auc, real_feature,
                      small_schema)
 
@@ -135,6 +136,59 @@ class TestExtractionMetrics:
         sections = json.loads(render_report({"extraction": report}, "json"))["sections"]
         assert sections["extraction"]["record_accuracy"] is None
         assert "record_accuracy = -" in render_report({"extraction": report}, "text")
+
+
+# Truth cells of ``metrics_schema`` and what an extraction may make of each:
+# the same value, a missing cell, another value, or a real moved by a relative
+# step on either side of the match tolerance.
+_TRUTH_CELLS = {
+    "a": st.just(MISSING) | st.integers(-5, 5),
+    "b": st.just(MISSING) | st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+    "c": st.sampled_from([MISSING, "x", "y"]),
+    "d": st.just(MISSING) | st.integers(0, 3),
+}
+
+
+@st.composite
+def extraction_pairs(draw):
+    """(extracted, truth) tables: the extracted ids are some of the truth's,
+    in any order, and each cell is kept, blanked, redrawn or nudged."""
+    truth_rows = draw(st.lists(st.fixed_dictionaries(_TRUTH_CELLS), max_size=12))
+    truth = table(truth_rows)
+    ids = draw(st.permutations(truth.ids))[:draw(st.integers(0, len(truth_rows)))]
+    rows = []
+    for rid in ids:
+        row = dict(truth_rows[truth.ids.index(rid)])
+        for name, cells in _TRUTH_CELLS.items():
+            edit = draw(st.sampled_from(["keep", "keep", "missing", "redraw", "nudge"]))
+            if edit == "missing":
+                row[name] = MISSING
+            elif edit == "redraw":
+                row[name] = draw(cells)
+            elif edit == "nudge" and name == "b" and row[name] is not MISSING:
+                row[name] *= 1 + draw(st.sampled_from([1e-12, -1e-10, 1e-9, -1e-9, 2e-9, -1e-8]))
+        rows.append(row)
+    return table(rows, ids=list(ids)), truth
+
+
+class TestExtractionMetricsByColumn:
+    def test_tolerance_boundaries_equal_row_by_row(self):
+        # pairs at, just inside and just outside 1e-9 of the larger magnitude
+        pairs = [(0.0, 1e-9), (-1e-9, 0.0), (1e6, 1e6 * (1 - 1e-9)), (1e6 * (1 - 1e-9), 1e6),
+                 (3.0, 3.0 + 3e-9), (3.0 + 3.1e-9, 3.0), (-2e3, -2e3 * (1 + 1e-9)),
+                 (1e12, 999999999000.0)]  # within 1e-9 of the truth's magnitude only
+        truth = table([{"a": 1, "b": t, "c": "x", "d": 1} for t, _ in pairs])
+        extracted = table([{"a": 1, "b": e, "c": "x", "d": 1} for _, e in pairs])
+        report = extraction_metrics(extracted, truth)
+        assert repr(report) == repr(oracle.extraction_metrics(extracted, truth))
+        assert 0 < report.record_accuracy < 1
+
+    @given(extraction_pairs(), st.sampled_from([None, [], [{"vorc_iterations": 1}, {}]]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_row_by_row_metrics(self, pair, provenance):
+        extracted, truth = pair
+        assert repr(extraction_metrics(extracted, truth, provenance)) == repr(
+            oracle.extraction_metrics(extracted, truth, provenance))
 
 
 class TestClassificationMetrics:

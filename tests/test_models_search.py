@@ -6,6 +6,7 @@ import pytest
 from medtab.dataset import fit_encoder, transform
 from medtab.models import (ModelArtifact, feature_importances_named, grid_search, load_model,
                            predict_proba, save_model)
+from medtab.models.tree import tree_predict
 
 
 def separable_data(rng, n=60, d=3):
@@ -220,3 +221,30 @@ class TestPersistence:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         save_model(load_model(tmp_path / "a.json"), tmp_path / "c.json")
         assert (tmp_path / "c.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+class TestGbdtValidationScores:
+    def test_carried_scores_equal_predictions_with_600_tree_calls(self, monkeypatch):
+        from medtab.models import search
+
+        rng = np.random.default_rng(6)
+        X, y = separable_data(rng, n=40)
+        calls = []
+
+        def counted(root, X):
+            calls.append(len(X))
+            return tree_predict(root, X)
+
+        monkeypatch.setattr(search, "tree_predict", counted)
+        points = 0
+        for params, model, scores in search._fits("gbdt", X[:30], y[:30], X[30:]):
+            assert scores.tobytes() == model.predict_proba(X[30:]).tobytes(), params
+            points += 1
+        assert points == 9
+        # 200 trees per learning rate, each predicting the validation rows once
+        assert calls == [10] * 600
+
+    def test_val_columns_must_match_train(self):
+        X = np.zeros((6, 3))
+        with pytest.raises(ValueError, match="expected 3 val columns, got 2"):
+            grid_search("gbdt", X, np.array([0, 1] * 3), X[:2, :2], np.array([0, 1]))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import helpers as oracle  # holds the character-loop parser and repair
 from helpers import bundle_for, small_schema, vorc_fixture_files
 
+from medtab import vorc
 from medtab.llm import ReplayEntry, ReplayProvider, configure_provider
 from medtab.schema import MISSING
 from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, Violation,
@@ -123,6 +124,24 @@ class TestParseResponse:
     @given(st.text(alphabet='{}"\\ a:', max_size=40))
     def test_spans_equal_rescanning_reference(self, text):
         assert _json_spans(text) == rescanned_spans(text)
+
+    @pytest.mark.parametrize("repeats", [800, 3200])
+    def test_braces_quoted_for_every_earlier_scan_equal_oracle(self, repeats, monkeypatch):
+        # every second { lies inside a string for each scan before its own
+        text = '"{\\""{' * repeats
+        steps = []
+
+        class CountedPattern:
+            def match(self, *args):
+                steps.append(None)
+                return pattern.match(*args)
+
+        pattern = vorc._NEXT_BRACE
+        monkeypatch.setattr(vorc, "_NEXT_BRACE", CountedPattern())
+        assert _json_spans(text) == oracle._json_spans(text)
+        # a scan stops at a brace an earlier scan left open, so the brace
+        # steps grow linearly with the text, not with its square
+        assert len(steps) <= 4 * repeats
 
     def test_many_unclosed_braces_do_not_exhaust_the_stack(self):
         assert parse_response("{" * 1200 + '{"a": {"b": 1}} and {') == {"a": {"b": 1}}
