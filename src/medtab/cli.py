@@ -3,8 +3,12 @@ fewshot.
 
 Settings come from an optional JSON config file with flag overrides (flags
 win). Secrets are only ever read from the environment variable named by the
-provider settings. Exit codes: 0 success (possibly with per-record failures),
-2 configuration or validation error, 3 provider exhaustion.
+provider settings.
+
+Exit codes are decided in one place, ``_Main.invoke``: 0 on success (possibly
+with per-record extraction failures); 2 for a ``ProviderConfigError``, a
+``ValueError`` (every medtab error class is one) or an ``OSError``; 3 for any
+other ``ProviderError``. A failure prints one ``error: <message>`` line.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import click
 from . import dataset as ds
 from . import evalkit, models, prompts, vorc
 from .llm import CompletionRequest, ProviderConfigError, ProviderError, configure_provider
-from .schema import SchemaError, load_schema
+from .schema import load_schema
 
 EXIT_CONFIG = 2
 EXIT_PROVIDER = 3
@@ -70,27 +74,17 @@ def _provider_from(state: CliState, replay_script: str | None):
         settings = {"kind": "replay", "script": replay_script}
     else:
         settings = state.setting("provider", required=True)
-    try:
-        kind = settings.get("kind")
-        return configure_provider(kind, {k: v for k, v in settings.items() if k != "kind"})
-    except ProviderConfigError as e:
-        _fail(str(e))
+    return configure_provider(settings.get("kind"),
+                              {k: v for k, v in settings.items() if k != "kind"})
 
 
 def _schema_from(state: CliState, schema_path: str | None):
-    path = state.setting("schema", schema_path, required=True)
-    try:
-        return load_schema(path)
-    except (SchemaError, OSError) as e:
-        _fail(str(e))
+    return load_schema(state.setting("schema", schema_path, required=True))
 
 
 def _templates_from(state: CliState, templates_path: str | None, schema):
-    path = state.setting("templates", templates_path, required=True)
-    try:
-        return prompts.load_templates(path, schema)
-    except prompts.PromptError as e:
-        _fail(str(e))
+    return prompts.load_templates(state.setting("templates", templates_path, required=True),
+                                  schema)
 
 
 def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
@@ -120,7 +114,20 @@ def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
     return entries
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one place that turns an exception into an
+    exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ProviderConfigError, ValueError, OSError) as e:
+            _fail(str(e))
+        except ProviderError as e:
+            _fail(str(e), EXIT_PROVIDER)
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=str, default=None,
               help="JSON config file; flags override its values.")
 @click.option("--seed", type=int, default=None, help="Random seed for splits.")
@@ -172,12 +179,8 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)))
     budget = vorc.VorcBudget(budget if budget is not None else state.config.get("budget", 3))
     parallelism = parallelism if parallelism is not None else state.config.get("parallelism", 1)
-
-    try:
-        result = vorc.extract_corpus(provider, [(d["id"], d["text"]) for d in corpus],
-                                     schema, bundle, budget, parallelism)
-    except ValueError as e:
-        _fail(str(e))
+    result = vorc.extract_corpus(provider, [(d["id"], d["text"]) for d in corpus],
+                                 schema, bundle, budget, parallelism)
 
     out = state.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -219,12 +222,9 @@ def _grid_report_csv(result) -> str:
 def cmd_train(state, data_path, schema_path, family):
     """Grid-search a model family on a 70/10/20 split and save the best model."""
     schema = _schema_from(state, schema_path)
-    try:
-        dataset = ds.load_csv(data_path, schema)
-        assignment, encoder, X, y = ds.prepare(dataset, state.seed)
-        result = models.grid_search(family, X["train"], y["train"], X["val"], y["val"])
-    except (ds.DatasetError, ValueError) as e:
-        _fail(str(e))
+    dataset = ds.load_csv(data_path, schema)
+    assignment, encoder, X, y = ds.prepare(dataset, state.seed)
+    result = models.grid_search(family, X["train"], y["train"], X["val"], y["val"])
 
     out = state.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -248,18 +248,15 @@ def cmd_train(state, data_path, schema_path, family):
 def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
     """Score a saved model on one split of a dataset."""
     schema = _schema_from(state, schema_path)
-    try:
-        artifact = models.load_model(model_path)
-        dataset = ds.load_csv(data_path, schema)
-        parts = ds.load_split(split_path).parts()
-        last = max((rid for ids in parts.values() for rid in ids), default=-1)
-        if last >= dataset.n:
-            _fail(f"split id {last} is outside the table ({dataset.n} rows)")
-        ids = parts[part]
-        scores = artifact.predict_proba_dataset(dataset, ids)
-        report = evalkit.classification_metrics(dataset.label_array()[list(ids)], scores)
-    except (models.PersistError, ds.DatasetError, evalkit.EvalError, ValueError, OSError) as e:
-        _fail(str(e))
+    artifact = models.load_model(model_path)
+    dataset = ds.load_csv(data_path, schema)
+    parts = ds.load_split(split_path).parts()
+    last = max((rid for ids in parts.values() for rid in ids), default=-1)
+    if last >= dataset.n:
+        _fail(f"split id {last} is outside the table ({dataset.n} rows)")
+    ids = parts[part]
+    scores = artifact.predict_proba_dataset(dataset, ids)
+    report = evalkit.classification_metrics(dataset.label_array()[list(ids)], scores)
     click.echo(evalkit.render_report({f"classification ({part})": report},
                                      "json" if state.as_json else "text"), nl=False)
 
@@ -286,27 +283,24 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     if provenance_path:
         provenance = _read_corpus(Path(provenance_path), ("id", "vorc_iterations"), "provenance",
                                   _iterations_problem)
-    try:
-        truth = ds.load_csv(truth_path, schema)
-        extracted = ds.load_csv(extracted_path, schema)
-        extraction = evalkit.extraction_metrics(extracted, truth, provenance)  # rejects unknown ids
-        # both tables hold the extracted ids in truth order with the truth labels,
-        # so their splits and test labels are the same
-        position = {rid: k for k, rid in enumerate(truth.ids)}
-        order = sorted(range(extracted.n), key=lambda i: position[extracted.ids[i]])
-        gt = truth.subset(position[extracted.ids[i]] for i in order)
-        ext = ds.TabularDataset(schema=schema, rows=[extracted.rows[i] for i in order],
-                                ids=gt.ids, labels=gt.labels)
-        fits = []
-        for table in (gt, ext):
-            _, encoder, X, y = ds.prepare(table, state.seed)
-            model = models.grid_search(family, X["train"], y["train"], X["val"], y["val"]).model
-            fits.append((model, X["test"],
-                         models.feature_importances_named(model, encoder.column_names)))
-        (model_gt, X_gt, iv_gt), (model_ext, X_ext, iv_ext) = fits
-        fidelity = evalkit.fidelity(model_gt, model_ext, X_gt, X_ext, y["test"], iv_gt, iv_ext)
-    except (ds.DatasetError, evalkit.EvalError, ValueError) as e:
-        _fail(str(e))
+    truth = ds.load_csv(truth_path, schema)
+    extracted = ds.load_csv(extracted_path, schema)
+    extraction = evalkit.extraction_metrics(extracted, truth, provenance)  # rejects unknown ids
+    # both tables hold the extracted ids in truth order with the truth labels,
+    # so their splits and test labels are the same
+    position = {rid: k for k, rid in enumerate(truth.ids)}
+    order = sorted(range(extracted.n), key=lambda i: position[extracted.ids[i]])
+    gt = truth.subset(position[extracted.ids[i]] for i in order)
+    ext = ds.TabularDataset(schema=schema, rows=[extracted.rows[i] for i in order],
+                            ids=gt.ids, labels=gt.labels)
+    fits = []
+    for table in (gt, ext):
+        _, encoder, X, y = ds.prepare(table, state.seed)
+        model = models.grid_search(family, X["train"], y["train"], X["val"], y["val"]).model
+        fits.append((model, X["test"],
+                     models.feature_importances_named(model, encoder.column_names)))
+    (model_gt, X_gt, iv_gt), (model_ext, X_ext, iv_ext) = fits
+    fidelity = evalkit.fidelity(model_gt, model_ext, X_gt, X_ext, y["test"], iv_gt, iv_ext)
     click.echo(evalkit.render_report(
         {"extraction": extraction, f"fidelity ({family})": fidelity},
         "json" if state.as_json else "text"), nl=False)
@@ -347,16 +341,11 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
                   f"{schema.label.positive_value!r} nor {schema.label.negative_value!r}")
 
     rows = []
-    try:
-        for doc, gold in zip(corpus, golds):
-            prompt = prompts.build_fewshot_classifier_prompt(shots, doc["text"], schema.label)
-            text = provider.complete(CompletionRequest(prompt=prompt)).text
-            rows.append({"id": doc["id"], "predicted": _parse_answer(text, schema.label),
-                         "gold": gold})
-    except prompts.PromptError as e:
-        _fail(str(e))
-    except ProviderError as e:
-        _fail(str(e), EXIT_PROVIDER)
+    for doc, gold in zip(corpus, golds):
+        prompt = prompts.build_fewshot_classifier_prompt(shots, doc["text"], schema.label)
+        text = provider.complete(CompletionRequest(prompt=prompt)).text
+        rows.append({"id": doc["id"], "predicted": _parse_answer(text, schema.label),
+                     "gold": gold})
 
     out = state.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,8 @@ column carries row identifiers (row indices are used when absent); the label
 column is matched by the schema's label name. ``load_csv`` reads whole columns
 and coerces each distinct raw string of a column once; the error it reports is
 the first bad cell in file order (by line, then header position), else the
-first line with the wrong number of cells.
+first line with the wrong number of cells, and it names the physical line on
+which that record starts.
 
 Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``,
 an id list per name in ``PARTS``. ``prepare`` (split, fit the encoder on train
@@ -86,7 +87,7 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
         roles = _map_header(header, schema, path)
-        records, stop = _read_records(reader, len(roles), path)
+        records, lines, stop = _read_records(reader, len(roles), path)
     columns = list(zip(*records)) or [()] * len(roles)
     values, failures = {}, []  # failures: (record, header position, error)
     for j, (role, column) in enumerate(zip(roles, columns)):
@@ -97,7 +98,7 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
                 failures.append((record, j, error))
     if failures:
         record, _, error = min(failures, key=lambda f: f[:2])
-        raise DatasetError(f"{path}:{record + 2}: {error}") from error.__cause__
+        raise DatasetError(f"{path}:{lines[record]}: {error}") from error.__cause__
     if stop is not None:
         raise stop
     features = [j for j, role in enumerate(roles) if isinstance(role, FeatureSpec)]
@@ -110,20 +111,24 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
 
 
 def _read_records(reader, width: int, path: Path):
-    """``(records, stop)``: the records before the first one without ``width``
-    cells, and the error that ends the read there. A record the reader cannot
-    read or decode ends it too, with its own error; ``stop`` is None at the end
-    of the file."""
-    records = []
+    """``(records, lines, stop)``: the records before the first one without
+    ``width`` cells, the physical line each of them starts on (a quoted cell
+    may span lines), and the error that ends the read there. A record the
+    reader cannot read or decode ends it too, with its own error; ``stop`` is
+    None at the end of the file."""
+    records, lines = [], []
     try:
+        start = reader.line_num + 1
         for cells in reader:
             if len(cells) != width:
-                return records, DatasetError(f"{path}:{len(records) + 2}: expected {width} "
-                                             f"cells, got {len(cells)}")
+                return records, lines, DatasetError(f"{path}:{start}: expected {width} "
+                                                    f"cells, got {len(cells)}")
             records.append(cells)
+            lines.append(start)
+            start = reader.line_num + 1
     except (csv.Error, UnicodeDecodeError) as e:
-        return records, e
-    return records, None
+        return records, lines, e
+    return records, lines, None
 
 
 def _coercer(role, label: LabelSpec | None):
@@ -301,10 +306,13 @@ def save_split(assignment: SplitAssignment, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> SplitAssignment:
-    """Read a split file. Raises DatasetError when it lacks the seed or an id
-    list, or an id is not a non-negative integer or is listed twice, in one
+    """Read a split file. Raises DatasetError, naming the file, when it is not
+    UTF-8 JSON, lacks the seed or an id list, or an id is not a non-negative integer or is listed twice, in one
     part or in two. Whether the ids fit a table is for its caller to check."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DatasetError(f"{path}: {e}") from e
     if not isinstance(doc, dict) or "seed" not in doc \
             or not all(isinstance(doc.get(part), list) for part in PARTS):
         raise DatasetError(f"{path}: a split needs a 'seed' and 'train', 'val' and 'test' id lists")

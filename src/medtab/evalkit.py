@@ -15,6 +15,7 @@ from .models import ImportanceVector
 from .vorc import call_rate
 
 REAL_MATCH_RTOL = 1e-9
+THRESHOLD = 0.5  # a score at or above it predicts the positive class
 
 
 class EvalError(ValueError):
@@ -122,8 +123,8 @@ def auc_score(y_true, scores) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def classification_metrics(y_true, scores, threshold: float = 0.5) -> ClassificationReport:
-    """Accuracy, positive-class precision/recall/F1 at the threshold, and AUC.
+def classification_metrics(y_true, scores) -> ClassificationReport:
+    """Accuracy, positive-class precision/recall/F1 at ``THRESHOLD``, and AUC.
 
     AUC is None (with a note) when only one class is present. Precision with
     no predicted positives, and F1 with precision+recall both zero, are 0.
@@ -132,7 +133,7 @@ def classification_metrics(y_true, scores, threshold: float = 0.5) -> Classifica
     s = np.asarray(scores, dtype=np.float64)
     if len(y) != len(s) or len(y) == 0:
         raise EvalError("y_true and scores must be nonempty and equally long")
-    pred = (s >= threshold).astype(np.int64)
+    pred = (s >= THRESHOLD).astype(np.int64)
     tp = int(np.sum((pred == 1) & (y == 1)))
     fp = int(np.sum((pred == 1) & (y == 0)))
     fn = int(np.sum((pred == 0) & (y == 1)))

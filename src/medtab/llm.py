@@ -1,8 +1,9 @@
 """Uniform completion interface: a real HTTP provider and a deterministic
 replay provider for offline runs and tests.
 
-The HTTP provider posts a completions-style JSON body (prompt in, text out);
-a ``chat`` flag switches to the chat wire format. Credentials come only from
+The HTTP provider posts a completions-style JSON body (prompt in, text out,
+``max_tokens`` 1024 and ``temperature`` 0.0 on every request); a ``chat``
+flag switches to the chat wire format. Credentials come only from
 the environment variable named in the settings, never from config values.
 
 Replay scripts are JSON lists of ``{"match_substring"?: str, "response": str}``.
@@ -53,17 +54,10 @@ class ReplayExhaustedError(ProviderError):
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
-    max_tokens: int = 1024
-    temperature: float = 0.0
-    stop: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.prompt:
             raise ValueError("prompt must be nonempty")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -125,13 +119,7 @@ class HttpProvider:
         self._permits = threading.Semaphore(permits)
 
     def _payload(self, request: CompletionRequest) -> dict:
-        body = {
-            "model": self.model,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-        }
-        if request.stop:
-            body["stop"] = list(request.stop)
+        body = {"model": self.model, "max_tokens": 1024, "temperature": 0.0}
         if self.chat:
             body["messages"] = [{"role": "user", "content": request.prompt}]
         else:

@@ -32,8 +32,8 @@ class GbdtModel:
     learning_rate: float
     n_estimators: int
     initial_log_odds: float
-    max_tree_depth: int = DEFAULT_TREE_DEPTH
-    n_columns: int = 0
+    max_tree_depth: int
+    n_columns: int
     _gains: np.ndarray = field(default=None, repr=False)
 
     def importances(self) -> np.ndarray:
@@ -94,7 +94,7 @@ def train_gbdt(X, y, n_estimators: int, learning_rate: float,
 
 def gbdt_raw_scores(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if model.n_columns and X.shape[1] != model.n_columns:
+    if X.shape[1] != model.n_columns:
         raise ValueError(f"expected {model.n_columns} columns, got {X.shape[1]}")
     scores = np.full(len(X), model.initial_log_odds)
     for root in model.trees:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+LEAF_EPS = 1e-12  # keeps a regression leaf finite when its weights sum to 0
+
 
 @dataclass
 class TreeNode:
@@ -306,12 +308,11 @@ def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
 
 
 def train_regression_tree(X, targets, weights, max_depth: int = 6,
-                          min_samples_split: int = 2, eps: float = 1e-12,
                           sorted_rows: np.ndarray | None = None,
                           fitted: np.ndarray | None = None):
     """Fit a regression tree on ``targets`` with leaf values
-    sum(targets) / (sum(weights) + eps) per leaf (the second-order step used
-    by boosting). ``sorted_rows`` is ``presort(X)``, computed here when not
+    sum(targets) / (sum(weights) + LEAF_EPS) per leaf (the second-order step
+    used by boosting); any node of two or more rows may split. ``sorted_rows`` is ``presort(X)``, computed here when not
     given. When given, ``fitted`` (length ``len(X)``) receives each training
     row's leaf value, as ``tree_predict(root, X)`` would give it. Returns
     (root, per-column gain vector)."""
@@ -322,10 +323,10 @@ def train_regression_tree(X, targets, weights, max_depth: int = 6,
         sorted_rows = presort(X)
 
     def new_leaf(rows):
-        value = float(t[rows].sum() / (w[rows].sum() + eps))
+        value = float(t[rows].sum() / (w[rows].sum() + LEAF_EPS))
         return TreeNode(n_samples=len(rows), value=value), True
 
-    return _grow(X, sorted_rows, max_depth, min_samples_split, new_leaf,
+    return _grow(X, sorted_rows, max_depth, 2, new_leaf,
                  lambda node_rows: best_sse_split(X, t, node_rows), fitted)
 
 

@@ -14,8 +14,10 @@ lives in external template files, one directory per schema::
         example_output.json
         guidelines.txt        (optional, empty means no extra guidance)
 
-Template files may reference {{SCHEMA_BLOCK}}; the rendered prompt substitutes
-the report into the {{REPORT}} slot.
+Template files may reference {{SCHEMA_BLOCK}}; the rendered prompt ends with
+``REPORT_SLOT``, the report substituted into its {{REPORT}} slot. The format
+text (``FORMAT_SECTION``) and the report slot are the same for every bundle,
+and the few-shot prompt takes 1 to ``MAX_SHOTS`` examples.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ SCHEMA_HEADING = "Here is the output JSON schema:"
 EXAMPLE_HEADING = "Here is an example of a process:"
 SEPARATOR = "-" * 80
 REPORT_SLOT = "Medical report: {{REPORT}}"
+MAX_SHOTS = 32
 
 DEFAULT_MAX_PROMPT_CHARS = 14000
 TRUNCATION_MARKER = "\n[... truncated ...]\n"
@@ -74,14 +77,13 @@ class OneShotExample:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """All pieces of an extraction prompt minus the report itself."""
+    """The per-schema pieces of an extraction prompt; the format text, the
+    headings and the report slot are the same for every schema."""
 
     instructions: str
     schema_block: str
-    format_section: str
     example: OneShotExample
     reasoning_guidelines: str
-    report_slot: str = REPORT_SLOT
 
     def reasoning_block(self) -> str:
         """The removable reasoning section; empty when both sources are empty."""
@@ -101,7 +103,7 @@ class PromptBundle:
             f"{self.schema_block}\n"
             f"```\n"
             f"\n"
-            f"{self.format_section}\n"
+            f"{FORMAT_SECTION}\n"
             f"\n"
             f"{EXAMPLE_HEADING}\n"
             f"\n"
@@ -114,7 +116,7 @@ class PromptBundle:
             f"\n"
             f"{SEPARATOR}\n"
             f"\n"
-            f"{self.report_slot}"
+            f"{REPORT_SLOT}"
         )
         body = body.replace("{{SCHEMA_BLOCK}}", self.schema_block)
         return body.replace("{{REPORT}}", report)
@@ -135,26 +137,6 @@ def _check_example(example: OneShotExample, schema: ExtractionSchema) -> None:
     if result.violations:
         details = "; ".join(v.message for v in result.violations)
         raise PromptError(f"example output does not validate against the schema: {details}")
-
-
-def build_rextract_prompt(schema: ExtractionSchema, example: OneShotExample,
-                          guidelines: str, report: str,
-                          instructions: str = DEFAULT_INSTRUCTIONS) -> str:
-    """Render the full extraction prompt for one report.
-
-    Pass empty ``guidelines`` together with an example stripped of its
-    reasoning (``example.without_reasoning()``) to get the extract-only
-    ablation; every byte outside the reasoning block is unchanged.
-    """
-    _check_example(example, schema)
-    bundle = PromptBundle(
-        instructions=instructions,
-        schema_block=emit_json_schema_block(schema),
-        format_section=FORMAT_SECTION,
-        example=example,
-        reasoning_guidelines=guidelines,
-    )
-    return bundle.render(report)
 
 
 def load_templates(template_dir: str | Path, schema: ExtractionSchema) -> PromptBundle:
@@ -182,7 +164,6 @@ def load_templates(template_dir: str | Path, schema: ExtractionSchema) -> Prompt
     return PromptBundle(
         instructions=read_optional("instructions.txt", DEFAULT_INSTRUCTIONS),
         schema_block=emit_json_schema_block(schema),
-        format_section=FORMAT_SECTION,
         example=example,
         reasoning_guidelines=read_optional("guidelines.txt"),
     )
@@ -265,10 +246,10 @@ def build_type_correction_prompt(original_prompt: str, response_json: str,
 
 
 def build_fewshot_classifier_prompt(shots: list[tuple[str, str]], report: str,
-                                    label_spec: LabelSpec, max_shots: int = 32) -> str:
+                                    label_spec: LabelSpec) -> str:
     """K labeled report/answer pairs followed by the query and an empty answer slot."""
-    if not 1 <= len(shots) <= max_shots:
-        raise PromptError(f"need between 1 and {max_shots} shots, got {len(shots)}")
+    if not 1 <= len(shots) <= MAX_SHOTS:
+        raise PromptError(f"need between 1 and {MAX_SHOTS} shots, got {len(shots)}")
     valid = {label_spec.positive_value, label_spec.negative_value}
     parts = [
         f"Classify each medical report. Answer with exactly one of: "

@@ -109,10 +109,6 @@ class FeatureSpec:
             if lo > hi:
                 raise SchemaError(f"feature {self.name!r}: range min {lo} > max {hi}")
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in ("integer", "real")
-
 
 @dataclass(frozen=True)
 class LabelSpec:

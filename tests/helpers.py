@@ -13,8 +13,8 @@ import numpy as np
 from medtab.dataset import (CategoricalState, DatasetError, NumericState, TabularDataset,
                             _map_header, load_csv)
 from medtab.evalkit import EvalError, ExtractionReport
-from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, FORMAT_SECTION,
-                            OneShotExample, PromptBundle, PromptError, _fit_sections)
+from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, OneShotExample,
+                            PromptBundle, PromptError, _fit_sections)
 from medtab.schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec,
                            canonicalize_value, emit_json_schema_block)
 from medtab.vorc import ParseFailure, RepairAction, UnrepairableError, call_rate
@@ -52,7 +52,6 @@ def bundle_for(schema: ExtractionSchema, example_values: dict) -> PromptBundle:
     return PromptBundle(
         instructions=DEFAULT_INSTRUCTIONS,
         schema_block=emit_json_schema_block(schema),
-        format_section=FORMAT_SECTION,
         example=OneShotExample(
             report_text="Example patient, 40-year-old man.",
             reasoning_text='The report says 40-year-old, therefore "age": 40.',

@@ -481,3 +481,77 @@ class TestFewshot:
                                       "--schema", str(schema), "--shots", str(empty_shots),
                                       "--corpus", str(corpus), "--replay", str(replay)])
         assert result.exit_code == 2
+
+
+class TestErrorBoundary:
+    """Errors that no command catches exit through the group's one boundary:
+    one ``error:`` line on stderr, no traceback."""
+
+    def assert_one_error(self, result, message, code=2):
+        assert result.exit_code == code
+        assert "Traceback" not in result.output
+        assert result.stderr == f"error: {message}\n"
+        assert not result.stdout
+
+    def test_train_missing_data_exits_2(self, runner, tmp_path):
+        missing = tmp_path / "missing.csv"
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "train",
+                                 "--data", str(missing),
+                                 "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                 "--family", "logreg"])
+        self.assert_one_error(result, f"[Errno 2] No such file or directory: '{missing}'")
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_missing_truth_exits_2(self, runner, tmp_path):
+        missing = tmp_path / "missing.csv"
+        result = invoke(runner, ["compare", "--truth", str(missing),
+                                 "--extracted", str(DATA / "hepatitis.csv"),
+                                 "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                 "--family", "logreg"])
+        self.assert_one_error(result, f"[Errno 2] No such file or directory: '{missing}'")
+
+    def test_extract_negative_budget_exits_2(self, runner, tmp_path):
+        corpus, replay, templates = vorc_fixture_files(tmp_path)
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "extract",
+                                 "--schema", str(small_schema_file(tmp_path)),
+                                 "--templates", str(templates), "--corpus", str(corpus),
+                                 "--replay", str(replay), "--budget", "-1"])
+        self.assert_one_error(result, "max_correction_prompts must be >= 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_split_not_json_names_the_file(self, runner, tmp_path):
+        out = tmp_path / "out"
+        invoke(runner, ["--output-dir", str(out), "--seed", "7", "train",
+                        "--data", str(DATA / "hepatitis.csv"),
+                        "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                        "--family", "logreg"])
+        split_path = out / "split.json"
+        split_path.write_text("{seed: 7}")
+        result = invoke(runner, ["evaluate", "--model", str(out / "model_logreg.json"),
+                                 "--data", str(DATA / "hepatitis.csv"),
+                                 "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                 "--split", str(split_path)])
+        self.assert_one_error(result, f"{split_path}: Expecting property name enclosed in "
+                                      "double quotes: line 1 column 2 (char 1)")
+
+    def test_provider_error_exits_3(self, runner, tmp_path):
+        schema = small_schema_file(tmp_path)
+        shots = tmp_path / "shots.jsonl"
+        shots.write_text(json.dumps({"text": "shot", "label": "yes"}) + "\n")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "q0", "text": "report"}) + "\n")
+        replay = tmp_path / "replay.json"
+        replay.write_text("[]")
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                 "--schema", str(schema), "--shots", str(shots),
+                                 "--corpus", str(corpus), "--replay", str(replay)])
+        self.assert_one_error(result, "no pending replay entry matches the request", code=3)
+
+    def test_provider_config_error_exits_2(self, runner, tmp_path):
+        corpus, _, templates = vorc_fixture_files(tmp_path)
+        missing = tmp_path / "missing.json"
+        result = invoke(runner, ["extract", "--schema", str(small_schema_file(tmp_path)),
+                                 "--templates", str(templates), "--corpus", str(corpus),
+                                 "--replay", str(missing)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot read replay script {missing}: ")

