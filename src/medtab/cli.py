@@ -63,6 +63,8 @@ def _load_config_file(path: str | None) -> dict:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         _fail(f"config file {p} is not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        _fail(f"config file {p} must hold a JSON object")
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         _fail(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -74,6 +76,8 @@ def _provider_from(state: CliState, replay_script: str | None):
         settings = {"kind": "replay", "script": replay_script}
     else:
         settings = state.setting("provider", required=True)
+        if not isinstance(settings, dict):
+            _fail("config key 'provider' must be a JSON object")
     return configure_provider(settings.get("kind"),
                               {k: v for k, v in settings.items() if k != "kind"})
 

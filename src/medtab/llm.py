@@ -238,17 +238,24 @@ class ReplayProvider:
             return len(self._entries)
 
 
-def _chat_flag(value) -> bool:
-    """``chat`` as given, which must be a real boolean: ``bool("false")`` is True."""
-    if not isinstance(value, bool):
-        raise ProviderConfigError(f"http provider setting chat must be true or false, "
-                                  f"got {value!r}")
-    return value
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-_PROVIDER_SETTINGS = {  # kind: (required keys, {optional key: conversion})
+def _is_timeout(value) -> bool:
+    # NaN fails both comparisons, and infinity the second.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
+_COUNT = (_is_count, "an integer of at least 1")
+# kind: (required keys, {optional key: (check, what the value must be)}). The
+# checks are on the types JSON gives: "2" is not 2, and true is not 1.
+_PROVIDER_SETTINGS = {
     "http": (("endpoint", "model", "credential_env"),
-             {"chat": _chat_flag, "max_attempts": int, "permits": int, "timeout": float}),
+             {"chat": (lambda value: isinstance(value, bool), "true or false"),
+              "max_attempts": _COUNT, "permits": _COUNT,
+              "timeout": (_is_timeout, "a finite number greater than 0")}),
     "replay": (("script",), {}),
 }
 
@@ -258,8 +265,11 @@ def configure_provider(kind: str, settings: dict):
 
     ``http`` needs ``endpoint``, ``model`` and ``credential_env``; optional
     keys: ``chat``, ``max_attempts``, ``permits``, ``timeout``, each defaulting
-    as in ``HttpProvider``. ``replay`` needs ``script`` (path to the replay
-    file). A missing or unknown key raises ProviderConfigError naming it.
+    as in ``HttpProvider``: ``chat`` a boolean, ``max_attempts`` and
+    ``permits`` integers of at least 1, ``timeout`` a finite number above 0.
+    ``replay`` needs ``script`` (path to the replay file). A missing or
+    unknown key, or a value of the wrong type or range, raises
+    ProviderConfigError naming it.
     """
     if not isinstance(kind, str) or kind not in _PROVIDER_SETTINGS:
         raise ProviderConfigError(f"unknown provider kind {kind!r}")
@@ -270,8 +280,10 @@ def configure_provider(kind: str, settings: dict):
     unknown = sorted(map(str, set(settings).difference(required, optional)))
     if unknown:
         raise ProviderConfigError(f"unknown {kind} provider settings: {', '.join(unknown)}")
+    for key, (valid, expected) in optional.items():
+        if key in settings and not valid(settings[key]):
+            raise ProviderConfigError(f"{kind} provider setting {key} must be {expected}, "
+                                      f"got {settings[key]!r}")
     if kind == "replay":
         return ReplayProvider.from_file(settings["script"])
-    return HttpProvider(**{k: settings[k] for k in required},
-                        **{k: convert(settings[k]) for k, convert in optional.items()
-                           if k in settings})
+    return HttpProvider(**settings)

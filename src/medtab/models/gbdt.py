@@ -8,9 +8,16 @@ log-odds of the training base rate.
 Boosting is stagewise: round ``k`` depends only on the rounds before it, so
 the first ``k`` trees of a longer run, with the importance gains summed over
 those trees, are exactly the model ``train_gbdt`` fits with
-``n_estimators=k``. ``gbdt_stages`` yields those models one round at a time;
-the training matrix is presorted once for all trees, and the training scores
-take each tree's values from the leaves its grower put the rows in.
+``n_estimators=k``. ``gbdt_stages`` yields those models one round at a time,
+and the training scores take each tree's values from the leaves its grower
+put the rows in.
+
+All trees of a run grow from one ``tree.NodeRows`` root, so the training
+matrix is presorted once. Each node of it keeps its sorted layout and the
+two children of its last split; when a round cuts a node where the round
+before did, the children are reused, and only the residuals are gathered,
+summed and scored again. A different cut replaces the remembered pair, so
+the run keeps at most one tree's worth of nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .logreg import sigmoid
-from .tree import TreeNode, normalized_gains, presort, train_regression_tree, tree_predict
+from .tree import NodeRows, TreeNode, normalized_gains, train_regression_tree, tree_predict
 
 DEFAULT_TREE_DEPTH = 6
 
@@ -67,7 +74,7 @@ def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_D
         raise ValueError("training needs at least two rows with both classes present")
     base = float(y.mean())
     f0 = float(np.log(base / (1.0 - base)))
-    sorted_rows = presort(X)
+    node_rows = NodeRows.root(X)
     scores = np.full(n, f0)
     trees: list[TreeNode] = []
     gains = np.zeros(d)
@@ -80,7 +87,7 @@ def gbdt_stages(X, y, learning_rate: float, max_tree_depth: int = DEFAULT_TREE_D
         residuals = y - p
         hess = p * (1.0 - p)
         root, tree_gains = train_regression_tree(X, residuals, hess, max_depth=max_tree_depth,
-                                                 sorted_rows=sorted_rows, fitted=fitted)
+                                                 node_rows=node_rows, fitted=fitted)
         gains += tree_gains
         trees.append(root)
         scores = scores + learning_rate * fitted

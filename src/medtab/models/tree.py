@@ -6,25 +6,40 @@ distinct sorted values per column, the chosen split maximizes the weighted
 impurity decrease, and ties break toward the lower column index then the
 lower threshold. Training is deterministic.
 
-Both trees share one engine. Each column of the training matrix is argsorted
-once (``presort``, a stable sort, so tied rows stay in row order). A node
-carries its rows per column in that order, and splitting a node keeps the
-order in both children, because a boolean filter of a sorted list is sorted.
-So every node sees exactly what a stable per-node argsort would give, and its
-cumulative sums, gains and thresholds are the same bit for bit. A node's split
-search is one 2-D scan: gather the node's values and statistics in sorted
-order, take cumulative sums along each column, score the cuts between
-distinct neighbouring values and take the first maximum in (column,
-position) order, which is the tie rule above.
+Both trees share one engine and one grower. A ``NodeRows`` holds one node's
+training rows, in row order and per column in value order. The root argsorts
+each column once (a stable sort, so tied rows stay in row order), and
+splitting a node keeps the order in both children, because a boolean filter
+of a sorted list is sorted. So every node sees exactly what a stable
+per-node argsort would give, and its cumulative sums, gains and thresholds
+are the same bit for bit.
+
+A node's split search is one 2-D scan. The first search of a node gathers
+its values in sorted order and finds its cuts between distinct neighbouring
+values, with the row counts on each side; the node keeps them. Every search
+gathers the node's statistics (targets or labels) in sorted order, takes
+cumulative sums along each column, scores the cuts and takes the first
+maximum in (column, position) order, which is the tie rule above.
+
+A node also remembers the two children of its last split. Boosting grows
+tree after tree on the same rows from one root (``train_regression_tree``'s
+``node_rows``), and when a round cuts a node where the last one did, the
+children, with their layouts and their own remembered splits, are reused
+instead of partitioned again. Only the target-dependent work is redone. A
+different cut replaces the pair, so the nodes kept from a root never exceed
+one tree's worth (at most ``2 ** (max_depth + 1) - 1``), however many trees
+grow from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 LEAF_EPS = 1e-12  # keeps a regression leaf finite when its weights sum to 0
+SSE_MIN_GAIN = 1e-12  # a regression split must decrease the squared error by more
 
 
 @dataclass
@@ -76,92 +91,136 @@ def gini_from_counts(neg: int, pos: int) -> float:
     return 1.0 - (pos * pos + neg * neg) / (n * n)
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Row indices of ``X`` per column in ascending value order, ties in row
-    order: shape (columns, rows)."""
-    return np.argsort(X, axis=0, kind="stable").T.copy()
+class NodeRows:
+    """The training rows of one tree node: ``rows`` in row order and
+    ``order``, shape (columns, rows), per column in ascending value order with
+    ties in row order. ``columns`` is the training matrix transposed, one
+    contiguous row per column, shared by every node of a root.
 
-
-def _cuts(X: np.ndarray, sorted_rows: np.ndarray):
-    """The node's values in sorted order, shape (columns, rows), and its cuts
-    between distinct neighbouring values as flat indices into the (columns,
-    rows - 1) grid, so in column then position order. Cut ``(c, k)`` sends
-    sorted positions ``0..k`` of column ``c`` left."""
-    d = X.shape[1]
-    xs = X.ravel().take(sorted_rows * d + np.arange(d)[:, None])
-    return xs, np.flatnonzero(xs[:, :-1] != xs[:, 1:])
-
-
-def _first_best(xs, cuts, gains, min_gain: float):
-    """(column, threshold, gain) of the first maximum of ``gains``, so the
-    lowest column and then the lowest threshold win ties; None when it does
-    not exceed ``min_gain``."""
-    i = int(np.argmax(gains))
-    gain = float(gains[i])
-    if gain <= min_gain:
-        return None
-    col, k = divmod(int(cuts[i]), xs.shape[1] - 1)
-    return col, float((xs[col, k] + xs[col, k + 1]) / 2.0), gain
-
-
-def best_gini_split(X: np.ndarray, y: np.ndarray, sorted_rows: np.ndarray | None = None):
-    """Exhaustive best (column, threshold) by Gini decrease; None if no split gains.
-
-    Returns (column, threshold, gain) for the node whose rows ``sorted_rows``
-    lists per column in ascending value order (``presort``); all rows of
-    ``X`` when omitted. The gain formula matches an integer-count
-    recomputation exactly, so independent brute force agrees bit for bit.
+    What depends on the matrix alone is made once: the cut layout the first
+    time the node is searched, and the two children of a split. The node
+    keeps the children of its last split only, so a later tree that cuts
+    this node at the same place reuses them, a different cut replaces them,
+    and the nodes reachable from a root never exceed one tree's worth.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if sorted_rows is None:
-        sorted_rows = presort(X)
-    xs, cuts = _cuts(X, sorted_rows)
-    if cuts.size == 0:
-        return None
-    n = sorted_rows.shape[1]
-    ys = y.take(sorted_rows[:, :-1])
-    pos_total = int(y.take(sorted_rows[0]).sum())
-    neg_total = n - pos_total
-    parent = gini_from_counts(neg_total, pos_total)
-    n_l = cuts % (n - 1) + 1
-    pos_l = np.cumsum(ys, axis=1).take(cuts)
+
+    __slots__ = ("columns", "offsets", "rows", "order", "cuts", "n_left", "n_right", "cut",
+                 "children")
+
+    def __init__(self, columns, offsets, rows, order):
+        self.columns, self.offsets, self.rows, self.order = columns, offsets, rows, order
+        self.cuts = self.n_left = self.n_right = self.cut = self.children = None
+
+    @classmethod
+    def root(cls, X: np.ndarray) -> "NodeRows":
+        """All rows of ``X``, each column argsorted once by a stable sort."""
+        columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        d, n = columns.shape
+        return cls(columns, np.arange(d)[:, None] * n, np.arange(n),
+                   np.argsort(columns, axis=1, kind="stable"))
+
+    def _layout(self) -> None:
+        """``cuts``: the cuts between distinct neighbouring values as flat
+        indices into ``order``, so in column then position order (cut
+        ``(c, k)`` sends sorted positions ``0..k`` of column ``c`` left),
+        and the row counts left and right of each."""
+        d, m = self.order.shape
+        xs = self.columns.ravel().take(self.order + self.offsets)
+        differs = np.zeros((d, m), dtype=bool)
+        np.not_equal(xs[:, :-1], xs[:, 1:], out=differs[:, :-1])
+        self.cuts = differs.ravel().nonzero()[0]
+        self.n_left = self.cuts % m + 1.0
+        self.n_right = m - self.n_left
+
+    def best_split(self, gains_of, min_gain: float):
+        """(cut, column, threshold, gain) of the first maximum of
+        ``gains_of(self)``, the gains at ``self.cuts``, so the lowest column
+        and then the lowest threshold win ties; None when the node has no cut
+        or no gain exceeds ``min_gain``."""
+        if self.cuts is None:
+            self._layout()
+        if self.cuts.size == 0:
+            return None
+        gains = gains_of(self)
+        i = int(gains.argmax())
+        gain = float(gains[i])
+        if gain <= min_gain:
+            return None
+        col, k = divmod(int(self.cuts[i]), self.order.shape[1])
+        low, high = self.columns[col].take(self.order[col, k:k + 2])
+        return i, col, float((low + high) / 2.0), gain
+
+    def split(self, cut: int, column: int, threshold: float):
+        """(left, right) children of ``cut``, which sends the rows whose
+        ``column`` value is at most ``threshold`` left: the remembered pair
+        when the last split was at the same cut, otherwise partitioned now
+        and remembered. A boolean filter of a sorted list stays sorted, so
+        each child sees the order a stable argsort of its own rows gives."""
+        if cut != self.cut:
+            goes_left = self.columns[column] <= threshold
+            rows_left = goes_left.take(self.rows)
+            order_left = goes_left.take(self.order).ravel()
+            d = len(self.order)
+            rows, order = self.rows, self.order
+            self.children = (
+                NodeRows(self.columns, self.offsets, rows.compress(rows_left),
+                         order.compress(order_left).reshape(d, -1)),
+                NodeRows(self.columns, self.offsets, rows.compress(~rows_left),
+                         order.compress(~order_left).reshape(d, -1)))
+            self.cut = cut
+        return self.children
+
+
+def _gini_gains(node: NodeRows, y: np.ndarray) -> np.ndarray:
+    """Gini decrease at each cut of ``node``. Counts are integers, so the
+    gains match an integer-count recomputation exactly."""
+    m = len(node.rows)
+    pos_total = int(y.take(node.rows).sum())
+    parent = gini_from_counts(m - pos_total, pos_total)
+    n_l, n_r = node.n_left, node.n_right
+    pos_l = np.cumsum(y.take(node.order), axis=1).take(node.cuts)
     neg_l = n_l - pos_l
-    n_r = n - n_l
     pos_r = pos_total - pos_l
     neg_r = n_r - pos_r
     gini_l = 1.0 - (pos_l * pos_l + neg_l * neg_l) / (n_l * n_l)
     gini_r = 1.0 - (pos_r * pos_r + neg_r * neg_r) / (n_r * n_r)
-    gains = parent - (n_l * gini_l + n_r * gini_r) / n
-    return _first_best(xs, cuts, gains, 0.0)
+    return parent - (n_l * gini_l + n_r * gini_r) / m
 
 
-def best_sse_split(X: np.ndarray, t: np.ndarray, sorted_rows: np.ndarray | None = None):
-    """Best (column, threshold, gain) by squared-error decrease on targets
-    ``t``, over the node given as in ``best_gini_split``."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if sorted_rows is None:
-        sorted_rows = presort(X)
-    xs, cuts = _cuts(X, sorted_rows)
-    if cuts.size == 0:
-        return None
-    n = sorted_rows.shape[1]
+def _sse_gains(node: NodeRows, t: np.ndarray) -> np.ndarray:
+    """Squared-error decrease on targets ``t`` at each cut of ``node``."""
+    m = len(node.rows)
     # Node totals are summed in row order, as over a slice t[rows].
-    node_t = t.take(np.sort(sorted_rows[0]))
+    node_t = t.take(node.rows)
     total = float(node_t.sum())
     total_sq = float((node_t * node_t).sum())
-    parent = total_sq - total * total / n
-    ts = t.take(sorted_rows[:, :-1])
-    sum_l = np.cumsum(ts, axis=1).take(cuts)
-    sq_l = np.cumsum(ts * ts, axis=1).take(cuts)
-    n_l = cuts % (n - 1) + 1
+    parent = total_sq - total * total / m
+    ts = t.take(node.order)
+    sum_l = np.cumsum(ts, axis=1).take(node.cuts)
+    sq_l = np.cumsum(ts * ts, axis=1).take(node.cuts)
+    n_l, n_r = node.n_left, node.n_right
     sse_l = sq_l - sum_l * sum_l / n_l
-    n_r = n - n_l
     sum_r = total - sum_l
     sse_r = (total_sq - sq_l) - sum_r * sum_r / n_r
-    gains = parent - (sse_l + sse_r)
-    return _first_best(xs, cuts, gains, 1e-12)
+    return parent - (sse_l + sse_r)
+
+
+def best_gini_split(X: np.ndarray, y: np.ndarray):
+    """Exhaustive best (column, threshold, gain) by Gini decrease over all
+    rows of ``X``; None if no split gains. The gain formula matches an
+    integer-count recomputation exactly, so independent brute force agrees
+    bit for bit."""
+    y = np.asarray(y, dtype=np.int64)
+    found = NodeRows.root(X).best_split(partial(_gini_gains, y=y), 0.0)
+    return None if found is None else found[1:]
+
+
+def best_sse_split(X: np.ndarray, t: np.ndarray):
+    """Best (column, threshold, gain) by squared-error decrease on targets
+    ``t`` over all rows of ``X``, as in ``best_gini_split``."""
+    t = np.asarray(t, dtype=np.float64)
+    found = NodeRows.root(X).best_split(partial(_sse_gains, t=t), SSE_MIN_GAIN)
+    return None if found is None else found[1:]
 
 
 @dataclass
@@ -245,47 +304,46 @@ def _check_dtree_params(max_depth: int, min_samples_split: int) -> None:
         raise ValueError("min_samples_split must be >= 2")
 
 
-def _grow(X, sorted_rows, max_depth: int, min_samples_split: int, new_leaf, best_split,
-          fitted: np.ndarray | None = None):
+def _grow(root: NodeRows, max_depth: int, min_samples_split: int, new_leaf, gains_of,
+          min_gain: float, fitted: np.ndarray | None = None):
     """Grow a tree depth first, left child before right, from an explicit stack
     (a recursive closure would reference itself, and the cycle would keep the
     training arrays alive until a full garbage collection).
 
-    ``new_leaf(rows)`` returns the node as a leaf and whether it may
-    split; ``best_split(sorted_rows)`` returns (column, threshold, gain) or
-    None. A node that splits keeps its counts and records its gain. Returns
-    (root, per-column gain vector), each split adding its gain weighted by
-    its share of the rows. When given, ``fitted[rows]`` is set to the value
-    of the leaf that holds those training rows.
+    ``new_leaf(rows)`` returns the node as a leaf and whether it may split;
+    a node that may is searched with ``NodeRows.best_split(gains_of,
+    min_gain)`` and split with ``NodeRows.split``. A node that splits keeps
+    its counts and records its gain. Returns (root, per-column gain vector),
+    each split adding its gain weighted by its share of the rows. When
+    given, ``fitted[rows]`` is set to the value of the leaf that holds those
+    training rows.
     """
-    n, d = X.shape
+    d, n = root.columns.shape
     gains = np.zeros(d)
-    root = None
-    stack = [(np.arange(n), sorted_rows, 0, None, "")]
+    tree = None
+    stack = [(root, 0, None, "")]
     while stack:
-        rows, node_rows, depth, parent, side = stack.pop()
+        node_rows, depth, parent, side = stack.pop()
+        rows = node_rows.rows
         node, splittable = new_leaf(rows)
         if parent is None:
-            root = node
+            tree = node
         else:
             setattr(parent, side, node)
         found = None
         if splittable and depth < max_depth and len(rows) >= min_samples_split:
-            found = best_split(node_rows)
+            found = node_rows.best_split(gains_of, min_gain)
         if found is None:
             if fitted is not None:
                 fitted[rows] = node.value
             continue
-        col, thr, gain = found
+        cut, col, thr, gain = found
         gains[col] += (len(rows) / n) * gain
         node.column, node.threshold, node.gain, node.value = col, thr, gain, None
-        goes_left = X[:, col] <= thr
-        left, left_sorted = goes_left.take(rows), goes_left.take(node_rows).ravel()
-        stack.append((rows.compress(~left), node_rows.compress(~left_sorted).reshape(d, -1),
-                      depth + 1, node, "right"))
-        stack.append((rows.compress(left), node_rows.compress(left_sorted).reshape(d, -1),
-                      depth + 1, node, "left"))
-    return root, gains
+        left, right = node_rows.split(cut, col, thr)
+        stack.append((right, depth + 1, node, "right"))
+        stack.append((left, depth + 1, node, "left"))
+    return tree, gains
 
 
 def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
@@ -296,38 +354,39 @@ def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
     n, d = X.shape
 
     def new_leaf(rows):
-        pos = int(y[rows].sum())
+        pos = int(y.take(rows).sum())
         neg = len(rows) - pos
         node = TreeNode(n_samples=len(rows), counts=(neg, pos), value=pos / len(rows))
         return node, pos > 0 and neg > 0
 
-    root, gains = _grow(X, presort(X), max_depth, min_samples_split, new_leaf,
-                        lambda node_rows: best_gini_split(X, y, node_rows))
+    root, gains = _grow(NodeRows.root(X), max_depth, min_samples_split, new_leaf,
+                        partial(_gini_gains, y=y), 0.0)
     return TreeModel(root=root, max_depth=max_depth, min_samples_split=min_samples_split,
                      n_columns=d, n_training_rows=n, _gains=gains)
 
 
 def train_regression_tree(X, targets, weights, max_depth: int = 6,
-                          sorted_rows: np.ndarray | None = None,
+                          node_rows: NodeRows | None = None,
                           fitted: np.ndarray | None = None):
     """Fit a regression tree on ``targets`` with leaf values
     sum(targets) / (sum(weights) + LEAF_EPS) per leaf (the second-order step
-    used by boosting); any node of two or more rows may split. ``sorted_rows`` is ``presort(X)``, computed here when not
-    given. When given, ``fitted`` (length ``len(X)``) receives each training
-    row's leaf value, as ``tree_predict(root, X)`` would give it. Returns
-    (root, per-column gain vector)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    used by boosting); any node of two or more rows may split.
+    ``node_rows`` is ``NodeRows.root(X)``, made here when not given; trees
+    grown one after another from the same root reuse its sorted layouts and
+    remembered splits. When given, ``fitted`` (length ``len(X)``) receives
+    each training row's leaf value, as ``tree_predict(root, X)`` would give
+    it. Returns (root, per-column gain vector)."""
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if sorted_rows is None:
-        sorted_rows = presort(X)
+    if node_rows is None:
+        node_rows = NodeRows.root(X)
 
     def new_leaf(rows):
-        value = float(t[rows].sum() / (w[rows].sum() + LEAF_EPS))
+        value = float(t.take(rows).sum() / (w.take(rows).sum() + LEAF_EPS))
         return TreeNode(n_samples=len(rows), value=value), True
 
-    return _grow(X, sorted_rows, max_depth, 2, new_leaf,
-                 lambda node_rows: best_sse_split(X, t, node_rows), fitted)
+    return _grow(node_rows, max_depth, 2, new_leaf, partial(_sse_gains, t=t), SSE_MIN_GAIN,
+                 fitted)
 
 
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:

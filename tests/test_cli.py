@@ -547,6 +547,38 @@ class TestErrorBoundary:
                                  "--corpus", str(corpus), "--replay", str(replay)])
         self.assert_one_error(result, "no pending replay entry matches the request", code=3)
 
+    def extract_with_config(self, runner, tmp_path, config):
+        corpus, _, templates = vorc_fixture_files(tmp_path)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        result = invoke(runner, ["--config", str(path), "extract",
+                                 "--schema", str(small_schema_file(tmp_path)),
+                                 "--templates", str(templates), "--corpus", str(corpus)])
+        return result, path
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("permits", 0, "an integer of at least 1"),
+        ("permits", None, "an integer of at least 1"),
+        ("max_attempts", "2", "an integer of at least 1"),
+        ("timeout", -1, "a finite number greater than 0"),
+    ])
+    def test_bad_provider_setting_exits_2(self, runner, tmp_path, monkeypatch,
+                                          key, value, expected):
+        monkeypatch.setenv("TEST_CLI_TOKEN", "sekrit")
+        provider = {"kind": "http", "endpoint": "http://localhost:9/v1", "model": "m",
+                    "credential_env": "TEST_CLI_TOKEN", key: value}
+        result, _ = self.extract_with_config(runner, tmp_path, {"provider": provider})
+        self.assert_one_error(result, f"http provider setting {key} must be {expected}, "
+                                      f"got {value!r}")
+
+    def test_config_that_is_not_an_object_exits_2(self, runner, tmp_path):
+        result, path = self.extract_with_config(runner, tmp_path, [])
+        self.assert_one_error(result, f"config file {path} must hold a JSON object")
+
+    def test_provider_that_is_not_an_object_exits_2(self, runner, tmp_path):
+        result, _ = self.extract_with_config(runner, tmp_path, {"provider": ["http"]})
+        self.assert_one_error(result, "config key 'provider' must be a JSON object")
+
     def test_provider_config_error_exits_2(self, runner, tmp_path):
         corpus, _, templates = vorc_fixture_files(tmp_path)
         missing = tmp_path / "missing.json"

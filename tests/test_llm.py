@@ -327,6 +327,34 @@ class TestConfigureProvider:
             configure_provider("http", {"endpoint": "e", "model": "m",
                                         "credential_env": credential, "chat": chat})
 
+    @pytest.mark.parametrize("key", ["permits", "max_attempts"])
+    @pytest.mark.parametrize("value", [None, "2", True, 0, -1, float("nan"), 2.0])
+    def test_count_that_is_not_a_positive_integer_rejected(self, credential, key, value):
+        with pytest.raises(ProviderConfigError) as err:
+            configure_provider("http", {"endpoint": "e", "model": "m",
+                                        "credential_env": credential, key: value})
+        assert str(err.value) == (f"http provider setting {key} must be an integer of "
+                                  f"at least 1, got {value!r}")
+
+    @pytest.mark.parametrize("value", [None, "2", True, 0, -1, -0.5, float("nan"),
+                                       float("inf")])
+    def test_timeout_that_is_not_a_positive_finite_number_rejected(self, credential, value):
+        with pytest.raises(ProviderConfigError) as err:
+            configure_provider("http", {"endpoint": "e", "model": "m",
+                                        "credential_env": credential, "timeout": value})
+        assert str(err.value) == ("http provider setting timeout must be a finite number "
+                                  f"greater than 0, got {value!r}")
+
+    def test_smallest_valid_settings_accepted(self, credential):
+        provider = configure_provider("http", {"endpoint": "e", "model": "m",
+                                               "credential_env": credential, "permits": 1,
+                                               "max_attempts": 1, "timeout": 0.5})
+        assert (provider.max_attempts, provider.timeout) == (1, 0.5)
+        assert provider._permits.acquire(blocking=False)
+        assert configure_provider("http", {"endpoint": "e", "model": "m",
+                                           "credential_env": credential,
+                                           "timeout": 30}).timeout == 30
+
     def test_unknown_kind(self):
         with pytest.raises(ProviderConfigError):
             configure_provider("grpc", {})

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_force_gini_split, brute_force_sse_split
 
 from medtab.models import export_tree, feature_importances_named, train_dtree, tree_predict
-from medtab.models.tree import (TreeModel, best_gini_split, best_sse_split, gini_from_counts,
-                                train_regression_tree)
+from medtab.models.tree import (NodeRows, TreeModel, best_gini_split, best_sse_split,
+                                gini_from_counts, train_regression_tree)
 
 
 class TestGini:
@@ -202,10 +202,93 @@ class TestEngineOracles:
         try:
             train_dtree(X, y, 5, 2).pruned(3, 4)
             train_regression_tree(X, y - 0.5, np.full(60, 0.25))
+            shared = NodeRows.root(X)
+            for t in (y - 0.5, X[:, 1], y - 0.5):
+                train_regression_tree(X, t, np.full(60, 0.25), node_rows=shared)
+            del shared
             unreachable = gc.collect()
         finally:
             gc.enable()
         assert unreachable == 0
+
+
+@st.composite
+def target_rounds(draw, n_max=30):
+    """(X, w, rounds): a tie-heavy table, weights, and a list of (targets,
+    max_depth) rounds. The targets are picked from a pool of up to three
+    vectors, so consecutive rounds often repeat a target (every split
+    repeats) or switch to another one (splits change, and a later switch
+    back finds the first splits replaced)."""
+    X, _, _, w = draw(tie_heavy_tables(n_max=n_max))
+    n = len(X)
+    pool = [np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)),
+                     dtype=np.float64) / 4.0
+            for _ in range(draw(st.integers(1, 3)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=8))
+    return X, w, [(pool[i], draw(st.integers(1, 4))) for i in picks]
+
+
+def split_gains(root):
+    """Each split's gain, in preorder."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            out.append(node.gain)
+            stack += [node.right, node.left]
+    return out
+
+
+def remembered(node_rows):
+    """Every NodeRows reachable from ``node_rows`` through remembered splits."""
+    out, stack = [], [node_rows]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += node.children or ()
+    return out
+
+
+class TestSharedRoot:
+    @given(target_rounds())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_root_equals_fresh_growth(self, case):
+        X, w, rounds = case
+        shared = NodeRows.root(X)
+        for t, max_depth in rounds:
+            got_fitted, want_fitted = np.empty(len(X)), np.empty(len(X))
+            got, got_gains = train_regression_tree(X, t, w, max_depth, node_rows=shared,
+                                                   fitted=got_fitted)
+            want, want_gains = train_regression_tree(X, t, w, max_depth, fitted=want_fitted)
+            assert got.to_doc() == want.to_doc()
+            assert split_gains(got) == split_gains(want)
+            assert np.array_equal(got_gains, want_gains)
+            assert np.array_equal(got_fitted, want_fitted)
+
+    def test_same_split_reuses_children_and_another_replaces_them(self):
+        X = np.arange(16, dtype=np.float64).reshape(8, 2)
+        w = np.ones(8)
+        shared = NodeRows.root(X)
+        low_high = np.array([-1.0] * 4 + [1.0] * 4)
+        train_regression_tree(X, low_high, w, 1, node_rows=shared)
+        children = shared.children
+        assert [len(c.rows) for c in children] == [4, 4]
+        train_regression_tree(X, 2 * low_high, w, 1, node_rows=shared)
+        assert shared.children is children
+        train_regression_tree(X, np.array([-1.0] * 2 + [1.0] * 6), w, 1, node_rows=shared)
+        assert shared.children is not children
+        assert [len(c.rows) for c in shared.children] == [2, 6]
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 5])
+    def test_remembered_nodes_stay_within_one_tree(self, max_depth):
+        rng = np.random.default_rng(max_depth)
+        X = rng.normal(size=(200, 4)).round(1)
+        w = np.full(200, 0.25)
+        shared = NodeRows.root(X)
+        bound = 2 ** (max_depth + 1) - 1
+        for _ in range(60):
+            train_regression_tree(X, rng.normal(size=200), w, max_depth, node_rows=shared)
+            assert len(remembered(shared)) <= bound
 
 
 class TestTrainDtree:
