@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -189,8 +189,10 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     out = state.output_dir
     out.mkdir(parents=True, exist_ok=True)
     records = result.records
-    table = ds.TabularDataset(schema=schema, rows=[r.values for r in records],
-                              ids=[r.source_id for r in records])
+    table = ds.TabularDataset(
+        schema=schema, columns={spec.name: [r.values[spec.name] for r in records]
+                                for spec in schema.features},
+        ids=[r.source_id for r in records])
     ds.save_csv(table, out / "extracted.csv")
     with (out / "provenance.jsonl").open("w", encoding="utf-8") as fh:
         for entry in vorc.provenance_entries(result):
@@ -295,8 +297,7 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     position = {rid: k for k, rid in enumerate(truth.ids)}
     order = sorted(range(extracted.n), key=lambda i: position[extracted.ids[i]])
     gt = truth.subset(position[extracted.ids[i]] for i in order)
-    ext = ds.TabularDataset(schema=schema, rows=[extracted.rows[i] for i in order],
-                            ids=gt.ids, labels=gt.labels)
+    ext = replace(extracted.subset(order), labels=gt.labels)
     fits = []
     for table in (gt, ext):
         _, encoder, X, y = ds.prepare(table, state.seed)

@@ -1,6 +1,12 @@
 """Tabular dataset container: CSV ingestion, seeded stratified splitting, and
 leakage-free encoding (impute, one-hot, standardize) fitted on training rows.
 
+A ``TabularDataset`` holds one list of cells per feature, and every stage
+reads whole columns: ``load_csv`` hands over the columns it coerced,
+``subset`` gathers them, ``save_csv`` writes them, and the encoder fits and
+encodes column by column. ``rows`` is only a read-only view for readers that
+want one mapping per row.
+
 CSV layout: UTF-8 (a leading byte-order mark is allowed), RFC-4180 quoting,
 header row required, empty cell means a missing value. An optional ``id``
 column carries row identifiers (row indices are used when absent); the label
@@ -24,6 +30,7 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import repeat
+from types import MappingProxyType
 from typing import ClassVar
 from pathlib import Path
 
@@ -39,30 +46,49 @@ class DatasetError(ValueError):
 
 @dataclass
 class TabularDataset:
+    """A table held column by column: ``columns`` maps each feature name to
+    its cells in row order (``load_csv`` keeps the file's header order), and
+    ``ids`` and ``labels`` run along the same rows."""
+
     schema: ExtractionSchema
-    rows: list[dict]
+    columns: dict[str, list]
     ids: list[str]
     labels: list[int] | None = None  # 1 = positive_value
 
     def __post_init__(self):
-        if len(self.ids) != len(self.rows):
-            raise DatasetError("ids and rows must have equal length")
-        if self.labels is not None and len(self.labels) != len(self.rows):
-            raise DatasetError("labels and rows must have equal length")
+        if set(self.columns) != {spec.name for spec in self.schema.features}:
+            raise DatasetError("columns must be the schema's features, one each")
+        if any(len(cells) != len(self.ids) for cells in self.columns.values()):
+            raise DatasetError("ids and columns must have equal length")
+        if self.labels is not None and len(self.labels) != len(self.ids):
+            raise DatasetError("labels and ids must have equal length")
         if len(set(self.ids)) != len(self.ids):
             raise DatasetError("row ids must be unique")
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
+
+    @property
+    def rows(self) -> tuple[MappingProxyType, ...]:
+        """A read-only view of the rows, each a mapping from feature name to
+        cell in ``columns`` order; built on each access, so read the columns
+        where speed matters."""
+        names = tuple(self.columns)
+        return tuple(MappingProxyType(dict(zip(names, cells)))
+                     for cells in zip(*self.columns.values()))
 
     def subset(self, indices) -> "TabularDataset":
         idx = list(indices)
+
+        def take(cells):
+            return [cells[i] for i in idx]
+
         return TabularDataset(
             schema=self.schema,
-            rows=[self.rows[i] for i in idx],
-            ids=[self.ids[i] for i in idx],
-            labels=[self.labels[i] for i in idx] if self.labels is not None else None,
+            columns={name: take(cells) for name, cells in self.columns.items()},
+            ids=take(self.ids),
+            labels=take(self.labels) if self.labels is not None else None,
         )
 
     def label_array(self) -> np.ndarray:
@@ -88,9 +114,9 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
         roles = _map_header(header, schema, path)
         records, lines, stop = _read_records(reader, len(roles), path)
-    columns = list(zip(*records)) or [()] * len(roles)
+    raw = list(zip(*records)) or [()] * len(roles)
     values, failures = {}, []  # failures: (record, header position, error)
-    for j, (role, column) in enumerate(zip(roles, columns)):
+    for j, (role, column) in enumerate(zip(roles, raw)):
         if role != "id":
             values[j], failure = _coerce_column(column, _coercer(role, schema.label))
             if failure is not None:
@@ -101,13 +127,12 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
         raise DatasetError(f"{path}:{lines[record]}: {error}") from error.__cause__
     if stop is not None:
         raise stop
-    features = [j for j, role in enumerate(roles) if isinstance(role, FeatureSpec)]
-    names = [roles[j].name for j in features]
-    rows = [dict(zip(names, cells)) for cells in zip(*(values[j] for j in features))]
-    ids = (list(columns[roles.index("id")]) if "id" in roles
+    columns = {role.name: values[j] for j, role in enumerate(roles)
+               if isinstance(role, FeatureSpec)}
+    ids = (list(raw[roles.index("id")]) if "id" in roles
            else [str(i) for i in range(len(records))])
     labels = values[roles.index("label")] if "label" in roles else None
-    return TabularDataset(schema=schema, rows=rows, ids=ids, labels=labels)
+    return TabularDataset(schema=schema, columns=columns, ids=ids, labels=labels)
 
 
 def _read_records(reader, width: int, path: Path):
@@ -205,18 +230,17 @@ def format_cell(value) -> str:
 def save_csv(dataset: TabularDataset, path: str | Path) -> None:
     """Write a dataset (id column first, label last when present)."""
     path = Path(path)
+    features, label = dataset.schema.features, dataset.schema.label
+    header = ["id"] + [f.name for f in features]
+    columns = [dataset.ids] + [list(map(format_cell, dataset.columns[f.name])) for f in features]
+    if dataset.labels is not None:
+        header.append(label.name)
+        columns.append([label.positive_value if y else label.negative_value
+                        for y in dataset.labels])
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["id"] + [f.name for f in dataset.schema.features]
-        if dataset.labels is not None:
-            header.append(dataset.schema.label.name)
         writer.writerow(header)
-        for i, row in enumerate(dataset.rows):
-            cells = [dataset.ids[i]] + [format_cell(row[f.name]) for f in dataset.schema.features]
-            if dataset.labels is not None:
-                cells.append(dataset.schema.label.positive_value if dataset.labels[i]
-                             else dataset.schema.label.negative_value)
-            writer.writerow(cells)
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +497,20 @@ def fit_encoder(dataset: TabularDataset, train_ids) -> EncoderState:
         kind = _FEATURE_COLUMNS.get(spec.kind)
         if kind is None:
             raise DatasetError(f"feature {spec.name!r}: text features cannot be encoded for modeling")
-        columns.append(kind.fit(spec, [dataset.rows[i][spec.name] for i in train_idx]))
+        cells = dataset.columns[spec.name]
+        columns.append(kind.fit(spec, [cells[i] for i in train_idx]))
     return EncoderState(columns=tuple(columns))
 
 
 def transform(dataset: TabularDataset, encoder: EncoderState, ids=None) -> np.ndarray:
     """The (rows, ``encoder.column_names``) float64 matrix of the given rows
     (all rows when ids is None)."""
-    rows = dataset.rows if ids is None else [dataset.rows[i] for i in ids]
-    parts = [col.encode([row[col.name] for row in rows]) for col in encoder.columns]
-    return np.hstack(parts) if parts else np.zeros((len(rows), 0))
+    idx = None if ids is None else list(ids)
+    parts = []
+    for col in encoder.columns:
+        cells = dataset.columns[col.name]
+        parts.append(col.encode(cells if idx is None else [cells[i] for i in idx]))
+    return np.hstack(parts) if parts else np.zeros((dataset.n if idx is None else len(idx), 0))
 
 
 def prepare(dataset: TabularDataset, seed: int):

@@ -66,20 +66,21 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
     if names != truth_names:
         raise EvalError(f"extracted and truth tables use different schemas: features "
                         f"{names} vs {truth_names}")
-    truth_by_id = {rid: row for rid, row in zip(truth.ids, truth.rows)}
-    unknown = [rid for rid in extracted.ids if rid not in truth_by_id]
+    position = {rid: k for k, rid in enumerate(truth.ids)}
+    unknown = [rid for rid in extracted.ids if rid not in position]
     if unknown:
         raise EvalError(f"extracted ids not present in truth table: {unknown[:5]}")
 
     features = truth.schema.features
-    truth_rows = [truth_by_id[rid] for rid in extracted.ids]
+    truth_idx = [position[rid] for rid in extracted.ids]
     n_rows = extracted.n
     row_exact = np.ones(n_rows, dtype=bool)
     matched_cells = both_missing = extracted_missing = truth_missing = 0
     for spec in features:
         column = float_column if spec.kind == "real" else object_column
-        a, a_missing = column([row[spec.name] for row in extracted.rows])
-        b, b_missing = column([row[spec.name] for row in truth_rows])
+        truth_cells = truth.columns[spec.name]
+        a, a_missing = column(extracted.columns[spec.name])
+        b, b_missing = column([truth_cells[k] for k in truth_idx])
         if spec.kind == "real":
             equal = np.abs(a - b) <= REAL_MATCH_RTOL * np.maximum(
                 np.maximum(np.abs(a), np.abs(b)), 1.0)

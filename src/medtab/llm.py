@@ -249,27 +249,30 @@ def _is_timeout(value) -> bool:
 
 
 _COUNT = (_is_count, "an integer of at least 1")
-# kind: (required keys, {optional key: (check, what the value must be)}). The
-# checks are on the types JSON gives: "2" is not 2, and true is not 1.
+_TEXT = (lambda value: isinstance(value, str), "a string")
+# kind: ({required key: check}, {optional key: check}), each check being
+# (test, what the value must be). The checks are on the types JSON gives: "2"
+# is not 2, and true is not 1.
 _PROVIDER_SETTINGS = {
-    "http": (("endpoint", "model", "credential_env"),
+    "http": ({"endpoint": _TEXT, "model": _TEXT, "credential_env": _TEXT},
              {"chat": (lambda value: isinstance(value, bool), "true or false"),
               "max_attempts": _COUNT, "permits": _COUNT,
               "timeout": (_is_timeout, "a finite number greater than 0")}),
-    "replay": (("script",), {}),
+    "replay": ({"script": (lambda value: isinstance(value, (str, os.PathLike)),
+                           "a file path string")}, {}),
 }
 
 
 def configure_provider(kind: str, settings: dict):
     """Build an immutable provider handle from validated settings.
 
-    ``http`` needs ``endpoint``, ``model`` and ``credential_env``; optional
-    keys: ``chat``, ``max_attempts``, ``permits``, ``timeout``, each defaulting
-    as in ``HttpProvider``: ``chat`` a boolean, ``max_attempts`` and
-    ``permits`` integers of at least 1, ``timeout`` a finite number above 0.
-    ``replay`` needs ``script`` (path to the replay file). A missing or
-    unknown key, or a value of the wrong type or range, raises
-    ProviderConfigError naming it.
+    ``http`` needs ``endpoint``, ``model`` and ``credential_env``, each a
+    string; optional keys: ``chat``, ``max_attempts``, ``permits``,
+    ``timeout``, each defaulting as in ``HttpProvider``: ``chat`` a boolean,
+    ``max_attempts`` and ``permits`` integers of at least 1, ``timeout`` a
+    finite number above 0. ``replay`` needs ``script``, the path of the
+    replay file as a string (or a path object). A missing or unknown key, or
+    a value of the wrong type or range, raises ProviderConfigError naming it.
     """
     if not isinstance(kind, str) or kind not in _PROVIDER_SETTINGS:
         raise ProviderConfigError(f"unknown provider kind {kind!r}")
@@ -280,7 +283,7 @@ def configure_provider(kind: str, settings: dict):
     unknown = sorted(map(str, set(settings).difference(required, optional)))
     if unknown:
         raise ProviderConfigError(f"unknown {kind} provider settings: {', '.join(unknown)}")
-    for key, (valid, expected) in optional.items():
+    for key, (valid, expected) in {**required, **optional}.items():
         if key in settings and not valid(settings[key]):
             raise ProviderConfigError(f"{kind} provider setting {key} must be {expected}, "
                                       f"got {settings[key]!r}")

@@ -17,15 +17,20 @@ learning rate's run starts from a fresh root, and only the current run and
 the incumbent best model are kept.
 
 The dtree grid is fitted by pruning: one tree is grown at the largest depth
-and the smallest min split, and every grid point is cut from it
+and the smallest min split, and every grid point is a cut of it
 (``TreeModel.pruned``), which is exactly the tree ``train_dtree`` would grow
 at that point, since the two settings only decide which nodes are searched.
-That one tree grows from a fresh root, so it reuses nothing.
+That one tree grows from a fresh root, so it reuses nothing. The validation
+rows are routed through it once (``TreeModel.pruned_proba``): a point's
+probability for a row is the value at the first node on the row's path that
+the point leaves unsplit, so the grid predicts with no pruned tree, and only
+the winning point is cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -80,14 +85,16 @@ def _candidates(family: str):
 
 def _fits(family: str, X, y, X_val):
     """(params, model, validation probabilities) for every candidate: logreg
-    fitted per point, dtree pruned from one tree, GBDT stagewise in
-    learning-rate-major order with the validation raw scores carried from
-    stage to stage (each tree added in ``gbdt_raw_scores``' order)."""
+    fitted per point; dtree scored from one routing of the validation rows
+    through one grown tree, its model being the ``partial`` that prunes it,
+    so only the winner is cut; GBDT stagewise in learning-rate-major order
+    with the validation raw scores carried from stage to stage (each tree
+    added in ``gbdt_raw_scores``' order)."""
     if family == "dtree":
         full = train_dtree(X, y, max(DTREE_DEPTH_GRID), min(DTREE_MIN_SPLIT_GRID))
+        proba = full.pruned_proba(X_val)
         for params in _candidates(family):
-            model = full.pruned(**params)
-            yield params, model, model.predict_proba(X_val)
+            yield params, partial(full.pruned, **params), proba(**params)
         return
     if family == "gbdt":
         for lr in GBDT_LR_GRID:
@@ -134,6 +141,8 @@ def grid_search(family: str, X_train, y_train, X_val, y_val) -> GridSearchResult
         if best is None or acc > best[0] or (acc == best[0] and rank < best[1]):
             best = (acc, rank, model)
     acc, rank, model = best
+    if isinstance(model, partial):
+        model = model()
     report = [GridPoint(params=dict(p), val_accuracy=accuracy[i])
               for i, p in enumerate(candidates)]
     return GridSearchResult(family=family, model=model, params=dict(candidates[rank]),

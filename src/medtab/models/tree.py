@@ -266,14 +266,7 @@ class TreeModel:
         the grower's order, so the model is the same bit for bit. Needs the
         split gains of a tree grown in this process (a loaded one has none).
         """
-        _check_dtree_params(max_depth, min_samples_split)
-        if max_depth > self.max_depth or min_samples_split < self.min_samples_split:
-            raise ValueError(f"cannot prune a tree grown at max_depth={self.max_depth}, "
-                             f"min_samples_split={self.min_samples_split} to max_depth="
-                             f"{max_depth}, min_samples_split={min_samples_split}")
-        if not self.root.is_leaf and self.root.gain is None:
-            raise ValueError("only a tree grown in this process can be pruned: "
-                             "saved trees carry no split gains")
+        self._check_prunable(max_depth, min_samples_split)
         n = self.n_training_rows
         gains = np.zeros(self.n_columns)
         root = None
@@ -295,6 +288,54 @@ class TreeModel:
                 setattr(parent, side, copy)
         return TreeModel(root=root, max_depth=max_depth, min_samples_split=min_samples_split,
                          n_columns=self.n_columns, n_training_rows=n, _gains=gains)
+
+    def pruned_proba(self, X: np.ndarray):
+        """The function ``(max_depth, min_samples_split) -> self.pruned(
+        max_depth, min_samples_split).predict_proba(X)``, bit for bit, from
+        one routing of ``X`` through this tree.
+
+        Each row's path is recorded by depth: every node's row count, whether
+        it is a leaf, and ``counts[1] / n_samples``, the value of the leaf
+        ``pruned`` makes of it. A setting's probability for a row is the value
+        at the first node on its path that the setting leaves unsplit.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] != self.n_columns:
+            raise ValueError(f"expected {self.n_columns} columns, got {X.shape[1]}")
+        self._check_prunable(self.max_depth, self.min_samples_split)
+        shape = (len(X), self.max_depth + 1)
+        n_samples = np.zeros(shape, dtype=np.int64)
+        values = np.zeros(shape)
+        leaf = np.zeros(shape, dtype=bool)
+        stack = [(self.root, 0, np.arange(len(X)))]
+        while stack:
+            node, depth, idx = stack.pop()
+            n_samples[idx, depth] = node.n_samples
+            values[idx, depth] = node.counts[1] / node.n_samples
+            if node.is_leaf:
+                leaf[idx, depth] = True
+            elif idx.size:
+                left = X[idx, node.column] <= node.threshold
+                stack.append((node.left, depth + 1, idx[left]))
+                stack.append((node.right, depth + 1, idx[~left]))
+        depths, rows = np.arange(shape[1]), np.arange(shape[0])
+
+        def proba(max_depth: int, min_samples_split: int) -> np.ndarray:
+            self._check_prunable(max_depth, min_samples_split)
+            unsplit = leaf | (depths >= max_depth) | (n_samples < min_samples_split)
+            return values[rows, unsplit.argmax(axis=1)]
+
+        return proba
+
+    def _check_prunable(self, max_depth: int, min_samples_split: int) -> None:
+        _check_dtree_params(max_depth, min_samples_split)
+        if max_depth > self.max_depth or min_samples_split < self.min_samples_split:
+            raise ValueError(f"cannot prune a tree grown at max_depth={self.max_depth}, "
+                             f"min_samples_split={self.min_samples_split} to max_depth="
+                             f"{max_depth}, min_samples_split={min_samples_split}")
+        if not self.root.is_leaf and self.root.gain is None:
+            raise ValueError("only a tree grown in this process can be pruned: "
+                             "saved trees carry no split gains")
 
 
 def _check_dtree_params(max_depth: int, min_samples_split: int) -> None:

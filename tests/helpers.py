@@ -25,6 +25,15 @@ DATA = ROOT / "data"
 TEMPLATES = ROOT / "templates"
 
 
+def table_from_rows(schema, rows, ids, labels=None) -> TabularDataset:
+    """A table of the given row mappings, its columns in the first row's key
+    order (the schema's when there are no rows)."""
+    names = list(rows[0]) if rows else [spec.name for spec in schema.features]
+    return TabularDataset(schema=schema, columns={name: [row[name] for row in rows]
+                                                  for name in names},
+                          ids=list(ids), labels=labels)
+
+
 def int_feature(name, lo=None, hi=None, allow_missing=True):
     rng = (lo, hi) if lo is not None else None
     return FeatureSpec(name=name, title=name, kind="integer", numeric_range=rng,
@@ -187,8 +196,8 @@ def corrupt_cells(table: TabularDataset, fraction: float, seed: int) -> TabularD
             if k >= i:
                 k += 1
             rows[i][spec.name] = rows[k][spec.name]
-    return TabularDataset(schema=table.schema, rows=rows, ids=list(table.ids),
-                          labels=list(table.labels) if table.labels is not None else None)
+    return table_from_rows(table.schema, rows, table.ids,
+                           list(table.labels) if table.labels is not None else None)
 
 
 def eleven_hepatitis_rows(schema: ExtractionSchema) -> TabularDataset:
@@ -689,8 +698,7 @@ def load_csv_by_cell(path: str | Path, schema: ExtractionSchema) -> TabularDatas
             ids.append(row_id if row_id is not None else str(len(ids)))
             if has_label:
                 labels.append(int(label == schema.label.positive_value))
-    return TabularDataset(schema=schema, rows=rows, ids=ids,
-                          labels=labels if has_label else None)
+    return table_from_rows(schema, rows, ids, labels if has_label else None)
 
 
 def numeric_fit(spec, cells) -> NumericState:

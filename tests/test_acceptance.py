@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (DATA, brute_force_auc, brute_force_gini_split, corrupt_cells,
-                     small_schema, vorc_fixture_files)
+                     small_schema, table_from_rows, vorc_fixture_files)
 from test_vorc import ALREADY_VALID, REPAIR_CORPUS
 
 from medtab import dataset as ds
@@ -77,8 +77,8 @@ def test_criterion_2_vorc_loop_determinism(tmp_path):
         result = vorc.extract_corpus(provider, reports, schema, bundle,
                                      vorc.VorcBudget(3), parallelism)
         records = result.records
-        table = ds.TabularDataset(schema=schema, rows=[r.values for r in records],
-                                  ids=[r.source_id for r in records])
+        table = table_from_rows(schema, [r.values for r in records],
+                                [r.source_id for r in records])
         csv_path = workdir / "extracted.csv"
         ds.save_csv(table, csv_path)
         prov = "\n".join(json.dumps(e, sort_keys=True)

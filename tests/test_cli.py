@@ -571,6 +571,13 @@ class TestErrorBoundary:
         self.assert_one_error(result, f"http provider setting {key} must be {expected}, "
                                       f"got {value!r}")
 
+    @pytest.mark.parametrize("script", [5, None])
+    def test_replay_script_that_is_not_a_path_exits_2(self, runner, tmp_path, script):
+        result, _ = self.extract_with_config(runner, tmp_path,
+                                             {"provider": {"kind": "replay", "script": script}})
+        self.assert_one_error(result, f"replay provider setting script must be a file path "
+                                      f"string, got {script!r}")
+
     def test_config_that_is_not_an_object_exits_2(self, runner, tmp_path):
         result, path = self.extract_with_config(runner, tmp_path, [])
         self.assert_one_error(result, f"config file {path} must hold a JSON object")

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers as oracle  # holds the cell-by-cell loader and column encoders
-from helpers import DATA, cat_feature, int_feature, real_feature
+from helpers import DATA, cat_feature, int_feature, real_feature, table_from_rows
 
 from medtab.dataset import (PARTS, CategoricalState, DatasetError, EncoderState, NumericState,
                             TabularDataset, fit_encoder, load_csv, load_split, prepare, save_csv,
@@ -42,8 +43,47 @@ def toy_dataset(n=20, missing_every=None, seed=3):
         labels.append(int(rng.random() < 0.5))
     # make sure both classes appear a few times
     labels[:6] = [0, 1, 0, 1, 0, 1]
-    return TabularDataset(schema=schema, rows=rows, ids=[f"row{i}" for i in range(n)],
-                          labels=labels)
+    return table_from_rows(schema, rows, [f"row{i}" for i in range(n)], labels)
+
+
+def with_cells(table, name, cells):
+    """A copy of ``table`` whose column ``name`` holds ``cells`` (row index to
+    value) in place of its own; the table itself is unchanged."""
+    column = list(table.columns[name])
+    for i, value in cells.items():
+        column[i] = value
+    return replace(table, columns={**table.columns, name: column})
+
+
+class TestTabularDataset:
+    def test_rows_view_is_read_only(self):
+        table = toy_dataset()
+        with pytest.raises(TypeError):
+            table.rows[0]["age"] = 1
+        with pytest.raises(TypeError):
+            table.rows[0] = {"age": 1, "score": 0.5, "color": "red"}
+        assert [row["age"] for row in table.rows] == table.columns["age"]
+
+    def test_columns_and_rows_keep_the_header_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("color,target,score,age\nred,pos,1.5,40\n")
+        table = load_csv(path, toy_schema())
+        assert list(table.columns) == ["color", "score", "age"]
+        assert list(table.rows[0].items()) == [("color", "red"), ("score", 1.5), ("age", 40)]
+
+    def test_subset_gathers_every_column(self):
+        table = toy_dataset(n=6)
+        part = table.subset([4, 1])
+        assert part.ids == ["row4", "row1"]
+        assert part.labels == [table.labels[4], table.labels[1]]
+        assert part.rows == (table.rows[4], table.rows[1])
+
+    def test_columns_must_be_the_schema_features_along_the_ids(self):
+        with pytest.raises(DatasetError, match="schema's features"):
+            TabularDataset(schema=toy_schema(), columns={"age": [1]}, ids=["a"])
+        with pytest.raises(DatasetError, match="equal length"):
+            TabularDataset(schema=toy_schema(), ids=["a"],
+                           columns={"age": [1], "score": [1.0], "color": []})
 
 
 class TestLoadCsv:
@@ -398,8 +438,7 @@ class TestEncoder:
         assert np.allclose(block.sum(axis=1), 1.0)
 
     def test_categorical_encoding_values(self):
-        table = toy_dataset()
-        table.rows[0]["color"] = "green"
+        table = with_cells(toy_dataset(), "color", {0: "green"})
         enc = fit_encoder(table, range(table.n))
         matrix = transform(table, enc, [0])
         names = list(enc.column_names)
@@ -408,15 +447,13 @@ class TestEncoder:
 
     def test_zero_variance_column_scales_to_zero(self):
         table = toy_dataset()
-        for row in table.rows:
-            row["age"] = 42
+        table = with_cells(table, "age", {i: 42 for i in range(table.n)})
         enc = fit_encoder(table, range(table.n))
         matrix = transform(table, enc)
         assert np.all(matrix[:, 0] == 0.0)
 
     def test_missing_numeric_imputed_with_train_mean(self):
-        table = toy_dataset()
-        table.rows[0]["score"] = MISSING
+        table = with_cells(toy_dataset(), "score", {0: MISSING})
         train = list(range(1, table.n))
         enc = fit_encoder(table, train)
         observed = [float(table.rows[i]["score"]) for i in train]
@@ -427,10 +464,8 @@ class TestEncoder:
         assert row0[1] == pytest.approx(expected)
 
     def test_missing_categorical_imputed_with_mode(self):
-        table = toy_dataset()
-        for i in range(12):
-            table.rows[i]["color"] = "blue"
-        table.rows[15]["color"] = MISSING
+        table = with_cells(toy_dataset(), "color",
+                           {**{i: "blue" for i in range(12)}, 15: MISSING})
         enc = fit_encoder(table, range(table.n))
         assert enc.columns[2].impute_category == "blue"
         row = transform(table, enc, [15])[0]
@@ -448,7 +483,7 @@ class TestEncoder:
         table = toy_dataset()
         enc = fit_encoder(table, range(table.n))
         state = enc.columns[1]
-        table.rows[0]["score"] = state.center
+        table = with_cells(table, "score", {0: state.center})
         row = transform(table, enc, [0])[0]
         assert row[1] == pytest.approx(0.0)
 
@@ -456,8 +491,7 @@ class TestEncoder:
         table = toy_dataset(n=30)
         train = list(range(20))
         enc_before = fit_encoder(table, train)
-        table.rows[25]["score"] = 999.0
-        table.rows[25]["color"] = "blue"
+        table = with_cells(with_cells(table, "score", {25: 999.0}), "color", {25: "blue"})
         enc_after = fit_encoder(table, train)
         assert enc_before == enc_after
 
@@ -475,7 +509,7 @@ class TestEncoder:
     def test_text_features_rejected(self):
         from medtab.schema import FeatureSpec
         schema = ExtractionSchema(features=(FeatureSpec(name="note", kind="text"),))
-        table = TabularDataset(schema=schema, rows=[{"note": "hi"}], ids=["a"])
+        table = table_from_rows(schema, [{"note": "hi"}], ["a"])
         with pytest.raises(DatasetError, match="text features"):
             fit_encoder(table, [0])
 
@@ -510,8 +544,8 @@ def toy_tables(draw):
     n_neg = draw(st.integers(3, 20))
     n_pos = draw(st.integers(max(3, 10 - n_neg), 20))
     labels = draw(st.permutations([0] * n_neg + [1] * n_pos))
-    return TabularDataset(schema=toy_schema(), rows=draw(_rows(len(labels))),
-                          ids=[f"r{i}" for i in range(len(labels))], labels=list(labels))
+    return table_from_rows(toy_schema(), draw(_rows(len(labels))),
+                           [f"r{i}" for i in range(len(labels))], list(labels))
 
 
 def _same_bits(a, b):
@@ -535,8 +569,10 @@ class TestPrepare:
     def test_val_and_test_cells_never_reach_the_encoder(self, table, seed, data):
         assignment, encoder, X, _ = prepare(table, seed)
         held_out = assignment.val_ids + assignment.test_ids
+        rows = list(table.rows)
         for i, row in zip(held_out, data.draw(_rows(len(held_out)))):
-            table.rows[i] = row
+            rows[i] = row
+        table = table_from_rows(table.schema, rows, table.ids, table.labels)
         after, encoder_after, X_after, _ = prepare(table, seed)
         assert after == assignment
         assert encoder_after == encoder

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers as oracle  # holds the row-by-row extraction metrics
 from helpers import (brute_force_auc, cat_feature, int_feature, loop_midrank_auc, real_feature,
-                     small_schema)
+                     small_schema, table_from_rows)
 
-from medtab.dataset import TabularDataset
 from medtab.evalkit import (ClassificationReport, EvalError, auc_score,
                             classification_metrics, extraction_metrics, fidelity,
                             importance_r2, render_report)
@@ -27,8 +26,7 @@ def metrics_schema():
 
 def table(rows, ids=None):
     schema = metrics_schema()
-    return TabularDataset(schema=schema, rows=rows,
-                          ids=ids or [f"r{i}" for i in range(len(rows))])
+    return table_from_rows(schema, rows, ids or [f"r{i}" for i in range(len(rows))])
 
 
 class TestExtractionMetrics:
@@ -123,8 +121,8 @@ class TestExtractionMetrics:
         schema = small_schema()
         renamed = replace(schema, features=(replace(schema.features[0], name="years"),
                                             *schema.features[1:]))
-        extracted = TabularDataset(schema=renamed, rows=[{"years": 40, "sex": "M"}], ids=["r0"])
-        truth = TabularDataset(schema=schema, rows=[{"age": 40, "sex": "M"}], ids=["r0"])
+        extracted = table_from_rows(renamed, [{"years": 40, "sex": "M"}], ["r0"])
+        truth = table_from_rows(schema, [{"age": 40, "sex": "M"}], ["r0"])
         with pytest.raises(EvalError, match="different schemas"):
             extraction_metrics(extracted, truth)
 

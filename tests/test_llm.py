@@ -302,6 +302,21 @@ class TestConfigureProvider:
             configure_provider(kind, {**settings, **extra})
         assert str(err.value) == f"unknown {kind} provider settings: {', '.join(sorted(extra))}"
 
+    @pytest.mark.parametrize("kind, key, value, expected", [
+        ("replay", "script", 5, "a file path string"),
+        ("replay", "script", None, "a file path string"),
+        ("replay", "script", ["replay.json"], "a file path string"),
+        ("http", "endpoint", 5, "a string"),
+        ("http", "credential_env", 1, "a string"),
+    ])
+    def test_required_setting_of_the_wrong_type_rejected_by_name(self, credential, kind, key,
+                                                                 value, expected):
+        settings = {"http": {"endpoint": "e", "model": "m", "credential_env": credential},
+                    "replay": {}}[kind]
+        with pytest.raises(ProviderConfigError) as err:
+            configure_provider(kind, {**settings, key: value})
+        assert str(err.value) == f"{kind} provider setting {key} must be {expected}, got {value!r}"
+
     def test_readme_http_settings_load_and_absent_ones_take_the_defaults(self, credential):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         block = re.search(r'"provider": (\{.*?\}),\n', readme, re.S).group(1)

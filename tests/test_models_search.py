@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medtab.dataset import fit_encoder, transform
 from medtab.models import (ModelArtifact, feature_importances_named, grid_search, load_model,
                            predict_proba, save_model)
-from medtab.models.tree import tree_predict
+from medtab.models.tree import TreeModel, train_dtree, tree_predict
 
 
 def separable_data(rng, n=60, d=3):
@@ -248,3 +249,53 @@ class TestGbdtValidationScores:
         X = np.zeros((6, 3))
         with pytest.raises(ValueError, match="expected 3 val columns, got 2"):
             grid_search("gbdt", X, np.array([0, 1] * 3), X[:2, :2], np.array([0, 1]))
+
+
+@st.composite
+def dtree_tables(draw):
+    """(X_train, y_train, X_val) on a coarse value grid, so values tie often
+    and validation rows fall on thresholds' sides in every way."""
+    n, m, d = draw(st.integers(2, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+
+    def column(values, size):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
+
+    X = column(st.integers(0, 6), n * d).reshape(n, d) / 2.0
+    y = column(st.integers(0, 1), n).astype(np.int64)
+    X_val = column(st.integers(-1, 13), m * d).reshape(m, d) / 4.0
+    return X, y, X_val
+
+
+class TestDtreeGridScores:
+    """The dtree grid scores every point from one routing of the validation
+    rows; each point must score as the pruned tree it stands for."""
+
+    @given(dtree_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_probabilities_equal_each_pruned_tree(self, table):
+        from medtab.models import search
+
+        X, y, X_val = table
+        full = train_dtree(X, y, max(search.DTREE_DEPTH_GRID), min(search.DTREE_MIN_SPLIT_GRID))
+        points = 0
+        for params, model, scores in search._fits("dtree", X, y, X_val):
+            want = full.pruned(**params).predict_proba(X_val)
+            assert scores.dtype == want.dtype and scores.tobytes() == want.tobytes(), params
+            assert model().to_doc() == full.pruned(**params).to_doc(), params
+            points += 1
+        assert points == 18
+
+    def test_grid_prunes_only_the_winner(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X, y = separable_data(rng, n=50)
+        calls = []
+        pruned = TreeModel.pruned
+
+        def counted(self, max_depth, min_samples_split):
+            calls.append((max_depth, min_samples_split))
+            return pruned(self, max_depth, min_samples_split)
+
+        monkeypatch.setattr(TreeModel, "pruned", counted)
+        result = grid_search("dtree", X[:40], y[:40], X[40:], y[40:])
+        assert calls == [(result.params["max_depth"], result.params["min_samples_split"])]
+        assert result.model.max_depth == result.params["max_depth"]

@@ -182,16 +182,36 @@ class TestEngineOracles:
                 assert got.to_doc() == want.to_doc()
                 assert np.array_equal(got._gains, want._gains)
 
+    @given(tie_heavy_tables(n_max=40))
+    @settings(max_examples=60, deadline=None)
+    def test_one_routing_gives_every_pruned_trees_probabilities(self, table):
+        X, y, _, _ = table
+        Xq = np.concatenate([X, X + 0.25])  # the training rows, and rows on the thresholds
+        full = train_dtree(X, y, 5, 2)
+        proba = full.pruned_proba(Xq)
+        for max_depth in range(1, 6):
+            for min_samples_split in range(2, 11):
+                got = proba(max_depth, min_samples_split)
+                want = full.pruned(max_depth, min_samples_split).predict_proba(Xq)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_pruning_outside_the_grown_tree_rejected(self):
         X = np.arange(8, dtype=np.float64)[:, None]
         y = np.array([0, 1] * 4)
         full = train_dtree(X, y, 3, 4)
+        proba = full.pruned_proba(X)
         for max_depth, min_samples_split in ((4, 4), (3, 3), (0, 4)):
             with pytest.raises(ValueError):
                 full.pruned(max_depth, min_samples_split)
+            with pytest.raises(ValueError):
+                proba(max_depth, min_samples_split)
         loaded = TreeModel.from_doc(full.to_doc())
         with pytest.raises(ValueError, match="carry no split gains"):
             loaded.pruned(2, 4)
+        with pytest.raises(ValueError, match="carry no split gains"):
+            loaded.pruned_proba(X)
+        with pytest.raises(ValueError, match="expected 1 columns, got 2"):
+            full.pruned_proba(np.zeros((3, 2)))
 
     def test_training_leaves_no_reference_cycles(self):
         rng = np.random.default_rng(3)
