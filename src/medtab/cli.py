@@ -30,19 +30,32 @@ from .schema import load_schema
 EXIT_CONFIG = 2
 EXIT_PROVIDER = 3
 
-_CONFIG_KEYS = ("schema", "templates", "corpus", "provider", "budget",
-                "parallelism", "seed", "output_dir")
+# config key: (default, test, what the value must be). The tests are on the
+# types JSON gives: "3" is not 3, true is not 1 (its type is bool), and null
+# passes none of them.
+_PATH = (lambda value: isinstance(value, str), "a path string")
+_CONFIG = {
+    "schema": (None, *_PATH), "templates": (None, *_PATH), "corpus": (None, *_PATH),
+    "output_dir": (".", *_PATH),
+    "provider": (None, lambda value: isinstance(value, dict), "a JSON object"),
+    "seed": (7, lambda value: type(value) is int, "an integer"),
+    "budget": (3, lambda value: type(value) is int and value >= 0, "an integer of at least 0"),
+    "parallelism": (1, lambda value: type(value) is int and value >= 1,
+                    "an integer of at least 1"),
+}
 
 
 class CliState:
     def __init__(self, config: dict, seed: int | None, output_dir: str | None, as_json: bool):
         self.config = config
-        self.seed = seed if seed is not None else config.get("seed", 7)
-        self.output_dir = Path(output_dir or config.get("output_dir", "."))
+        self.seed = self.setting("seed", seed)
+        self.output_dir = Path(self.setting("output_dir", output_dir))
         self.as_json = as_json
 
     def setting(self, key: str, override=None, required: bool = False):
-        value = override if override is not None else self.config.get(key)
+        """The flag's value when given, else the config file's, else the
+        key's default."""
+        value = override if override is not None else self.config.get(key, _CONFIG[key][0])
         if required and value is None:
             _fail(f"missing required setting {key!r} (flag or config file)")
         return value
@@ -65,9 +78,13 @@ def _load_config_file(path: str | None) -> dict:
         _fail(f"config file {p} is not valid JSON: {e}")
     if not isinstance(doc, dict):
         _fail(f"config file {p} must hold a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS)
+    unknown = set(doc) - set(_CONFIG)
     if unknown:
         _fail(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        _, valid, expected = _CONFIG[key]
+        if not valid(value):
+            _fail(f"config key {key!r} must be {expected}")
     return doc
 
 
@@ -76,8 +93,6 @@ def _provider_from(state: CliState, replay_script: str | None):
         settings = {"kind": "replay", "script": replay_script}
     else:
         settings = state.setting("provider", required=True)
-        if not isinstance(settings, dict):
-            _fail("config key 'provider' must be a JSON object")
     return configure_provider(settings.get("kind"),
                               {k: v for k, v in settings.items() if k != "kind"})
 
@@ -181,10 +196,9 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     bundle = _templates_from(state, templates_path, schema)
     provider = _provider_from(state, replay_script)
     corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)))
-    budget = vorc.VorcBudget(budget if budget is not None else state.config.get("budget", 3))
-    parallelism = parallelism if parallelism is not None else state.config.get("parallelism", 1)
-    result = vorc.extract_corpus(provider, [(d["id"], d["text"]) for d in corpus],
-                                 schema, bundle, budget, parallelism)
+    result = vorc.extract_corpus(provider, [(d["id"], d["text"]) for d in corpus], schema,
+                                 bundle, vorc.VorcBudget(state.setting("budget", budget)),
+                                 state.setting("parallelism", parallelism))
 
     out = state.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -247,34 +247,23 @@ def save_csv(dataset: TabularDataset, path: str | Path) -> None:
 # Splitting
 # ---------------------------------------------------------------------------
 
-_LCG_MULT = 6364136223846793005  # Knuth's 64-bit MMIX constants
+# The split's 64-bit linear congruential generator: x <- (a*x + c) mod 2^64
+# with Knuth's MMIX constants. A bounded draw takes the high 32 bits through a
+# fixed-point multiply.
+_LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 
 
-class _Lcg:
-    """64-bit linear congruential generator: x <- (a*x + c) mod 2^64,
-    a = 6364136223846793005, c = 1442695040888963407. Bounded draws take the
-    high 32 bits through a fixed-point multiply."""
-
-    def __init__(self, seed: int):
-        self.state = (seed ^ 0x5DEECE66D) & _MASK64
-        self._next()
-
-    def _next(self) -> int:
-        self.state = (_LCG_MULT * self.state + _LCG_INC) & _MASK64
-        return self.state
-
-    def below(self, n: int) -> int:
-        return ((self._next() >> 32) * n) >> 32
-
-
-def _shuffled(indices: list[int], rng: _Lcg) -> list[int]:
+def _shuffled(indices: list[int], state: int) -> tuple[list[int], int]:
+    """``indices`` after a descending Fisher-Yates shuffle whose draws come
+    from the LCG at ``state``, and the state after the last draw."""
     out = list(indices)
-    for i in range(len(out) - 1, 0, -1):  # Fisher-Yates, descending
-        j = rng.below(i + 1)
+    for i in range(len(out) - 1, 0, -1):
+        state = (_LCG_MULT * state + _LCG_INC) & _MASK64
+        j = ((state >> 32) * (i + 1)) >> 32
         out[i], out[j] = out[j], out[i]
-    return out
+    return out, state
 
 
 PARTS = ("train", "val", "test")
@@ -309,13 +298,13 @@ def split(dataset: TabularDataset, seed: int) -> SplitAssignment:
         raise DatasetError(f"need at least 10 rows to split, got {dataset.n}")
     if dataset.labels is None:
         raise DatasetError("stratified split needs labels")
-    rng = _Lcg(seed)
+    state = (_LCG_MULT * ((seed ^ 0x5DEECE66D) & _MASK64) + _LCG_INC) & _MASK64  # one step in
     train, val, test = [], [], []
     for cls in (0, 1):
         members = [i for i, y in enumerate(dataset.labels) if y == cls]
         if len(members) < 3:
             raise DatasetError(f"class {cls} has {len(members)} members; cannot stratify")
-        shuffled = _shuffled(members, rng)
+        shuffled, state = _shuffled(members, state)
         n_tr = int(0.7 * len(members))
         n_val = int(0.1 * len(members))
         train += shuffled[:n_tr]
@@ -504,7 +493,11 @@ def fit_encoder(dataset: TabularDataset, train_ids) -> EncoderState:
 
 def transform(dataset: TabularDataset, encoder: EncoderState, ids=None) -> np.ndarray:
     """The (rows, ``encoder.column_names``) float64 matrix of the given rows
-    (all rows when ids is None)."""
+    (all rows when ids is None). DatasetError names the columns the encoder
+    needs that the table lacks."""
+    missing = [col.name for col in encoder.columns if col.name not in dataset.columns]
+    if missing:
+        raise DatasetError(f"the encoder needs column(s) the table lacks: {', '.join(missing)}")
     idx = None if ids is None else list(ids)
     parts = []
     for col in encoder.columns:

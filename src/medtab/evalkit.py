@@ -1,6 +1,6 @@
 """Evaluation: extraction quality against ground truth, binary classification
 metrics, and fidelity between models trained on ground-truth versus extracted
-tables. Report rendering is deterministic (text, JSON, CSV).
+tables. Report rendering is deterministic (text or JSON).
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import TabularDataset, float_column, object_column
-from .models import ImportanceVector
+from .models import THRESHOLD, ImportanceVector
 from .vorc import call_rate
 
 REAL_MATCH_RTOL = 1e-9
-THRESHOLD = 0.5  # a score at or above it predicts the positive class
 
 
 class EvalError(ValueError):
@@ -125,7 +124,8 @@ def auc_score(y_true, scores) -> float:
 
 
 def classification_metrics(y_true, scores) -> ClassificationReport:
-    """Accuracy, positive-class precision/recall/F1 at ``THRESHOLD``, and AUC.
+    """Accuracy, positive-class precision/recall/F1 at ``models.THRESHOLD``
+    (the cut grid search ranks by), and AUC.
 
     AUC is None (with a note) when only one class is present. Precision with
     no predicted positives, and F1 with precision+recall both zero, are 0.
@@ -188,23 +188,18 @@ def fidelity(model_gt, model_ext, X_test_gt, X_test_ext, y_test,
 
 
 def render_report(reports: dict, format: str = "text") -> str:
-    """Render named reports deterministically.
+    """Render named reports deterministically as ``text`` or ``json``.
 
     ``reports`` maps a section name to a report dataclass (or a plain dict).
-    JSON output is versioned; CSV emits one ``section,metric,value`` row per
-    metric, sections and fields in input order.
+    JSON output is versioned; text gives a ``[section]`` heading per section
+    and one ``metric = value`` line per metric, sections and fields in input
+    order.
     """
     items = [(name, asdict(r) if not isinstance(r, dict) else dict(r))
              for name, r in reports.items()]
     if format == "json":
         return json.dumps({"report_version": 1, "sections": dict(items)},
                           indent=2, sort_keys=False) + "\n"
-    if format == "csv":
-        lines = ["section,metric,value"]
-        for name, fields in items:
-            for key, value in fields.items():
-                lines.append(f"{name},{key},{_fmt(value)}")
-        return "\n".join(lines) + "\n"
     if format == "text":
         lines = []
         for name, fields in items:

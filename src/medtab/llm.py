@@ -88,21 +88,24 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float) 
 # The longest Retry-After a worker waits (the default request timeout); a
 # header asking for longer, such as 86400, gets this.
 RETRY_AFTER_CAP_S = 60.0
+# The first backoff wait; each later retry waits twice the one before.
+BACKOFF_BASE_S = 1.0
 
 
 class HttpProvider:
     """Completions over HTTP with exponential backoff and a permit limit.
 
-    Retries transport failures, 429 and 5xx with backoff (base 1s, factor 2,
-    10% jitter); 429 honors a numeric Retry-After header that is finite and
-    not negative, up to ``RETRY_AFTER_CAP_S``. Authentication and
-    request-size rejections fail immediately.
+    Retries transport failures, 429 and 5xx with backoff (``BACKOFF_BASE_S``,
+    factor 2, 10% jitter; ``sleep`` does the waiting); 429 honors a numeric
+    Retry-After header that is finite and not negative, up to
+    ``RETRY_AFTER_CAP_S``. Authentication and request-size rejections fail
+    immediately.
     """
 
     def __init__(self, endpoint: str, model: str, credential_env: str,
                  chat: bool = False, max_attempts: int = 5, permits: int = 4,
-                 timeout: float = 60.0, backoff_base: float = 1.0,
-                 transport=None, sleep=time.sleep, rng: random.Random | None = None):
+                 timeout: float = 60.0, transport=None, sleep=time.sleep,
+                 rng: random.Random | None = None):
         if credential_env not in os.environ:
             raise ProviderConfigError(f"credential environment variable {credential_env!r} is not set")
         self.endpoint = endpoint
@@ -111,7 +114,6 @@ class HttpProvider:
         self.chat = chat
         self.max_attempts = max_attempts
         self.timeout = timeout
-        self.backoff_base = backoff_base
         self.provider_id = model
         self._transport = transport or _requests_transport
         self._sleep = sleep
@@ -180,7 +182,7 @@ class HttpProvider:
         if math.isfinite(wait) and wait >= 0.0:
             self._sleep(min(wait, RETRY_AFTER_CAP_S))
             return
-        delay = self.backoff_base * (2 ** (attempt - 1))
+        delay = BACKOFF_BASE_S * (2 ** (attempt - 1))
         self._sleep(delay * (1.0 + 0.1 * self._rng.random()))
 
 
@@ -231,11 +233,6 @@ class ReplayProvider:
                     return CompletionResult(text=entry.response, provider_id=self.provider_id,
                                             latency_ms=0, attempt_count=1)
         raise ReplayExhaustedError("no pending replay entry matches the request")
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 def _is_count(value) -> bool:

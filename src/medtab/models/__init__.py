@@ -22,8 +22,9 @@ import numpy as np
 from .gbdt import GbdtModel, log_loss, train_gbdt
 from .logreg import LogRegModel, sigmoid, train_logreg
 from .persist import ModelArtifact, PersistError, load_model, save_model
-from .search import (FAMILIES, MODEL_TYPES, GridSearchResult, grid_search, LOGREG_C_GRID,
-                     DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, GBDT_N_GRID, GBDT_LR_GRID)
+from .search import (FAMILIES, MODEL_TYPES, THRESHOLD, GridSearchResult, grid_search,
+                     LOGREG_C_GRID, DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, GBDT_N_GRID,
+                     GBDT_LR_GRID)
 from .tree import TreeModel, TreeNode, best_gini_split, export_tree, train_dtree, tree_predict
 
 
@@ -54,7 +55,7 @@ def feature_importances_named(model, names) -> ImportanceVector:
 
 __all__ = [
     "FAMILIES", "GbdtModel", "GridSearchResult", "ImportanceVector", "LogRegModel",
-    "MODEL_TYPES", "ModelArtifact", "PersistError", "TreeModel", "TreeNode",
+    "MODEL_TYPES", "ModelArtifact", "PersistError", "THRESHOLD", "TreeModel", "TreeNode",
     "best_gini_split", "export_tree", "feature_importances_named", "grid_search", "load_model",
     "log_loss", "predict_proba", "save_model", "sigmoid", "train_dtree", "train_gbdt",
     "train_logreg", "tree_predict",

@@ -44,6 +44,7 @@ DTREE_DEPTH_GRID = (3, 4, 5)
 DTREE_MIN_SPLIT_GRID = (2, 3, 4, 5, 7, 10)
 GBDT_N_GRID = (50, 100, 200)
 GBDT_LR_GRID = (0.01, 0.1, 0.3)
+THRESHOLD = 0.5  # a score at or above it predicts the positive class
 
 # The one table from family name to model class; each class predicts, reports
 # importances and reads and writes its own JSON document.
@@ -67,7 +68,7 @@ class GridSearchResult:
 
 
 def _accuracy(y: np.ndarray, scores: np.ndarray) -> float:
-    return float(np.mean((scores >= 0.5).astype(np.int64) == y))
+    return float(np.mean((scores >= THRESHOLD).astype(np.int64) == y))
 
 
 def _candidates(family: str):

@@ -269,8 +269,8 @@ class TreeModel:
         self._check_prunable(max_depth, min_samples_split)
         n = self.n_training_rows
         gains = np.zeros(self.n_columns)
-        root = None
-        stack = [(self.root, 0, None, "")]
+        top = TreeNode(n_samples=n)  # holds the pruned root as its left child
+        stack = [(self.root, 0, top, "left")]
         while stack:
             node, depth, parent, side = stack.pop()
             if node.is_leaf or depth >= max_depth or node.n_samples < min_samples_split:
@@ -282,11 +282,8 @@ class TreeModel:
                                 threshold=node.threshold, counts=node.counts, gain=node.gain)
                 stack.append((node.right, depth + 1, copy, "right"))
                 stack.append((node.left, depth + 1, copy, "left"))
-            if parent is None:
-                root = copy
-            else:
-                setattr(parent, side, copy)
-        return TreeModel(root=root, max_depth=max_depth, min_samples_split=min_samples_split,
+            setattr(parent, side, copy)
+        return TreeModel(root=top.left, max_depth=max_depth, min_samples_split=min_samples_split,
                          n_columns=self.n_columns, n_training_rows=n, _gains=gains)
 
     def pruned_proba(self, X: np.ndarray):
@@ -294,35 +291,27 @@ class TreeModel:
         max_depth, min_samples_split).predict_proba(X)``, bit for bit, from
         one routing of ``X`` through this tree.
 
-        Each row's path is recorded by depth: every node's row count, whether
-        it is a leaf, and ``counts[1] / n_samples``, the value of the leaf
-        ``pruned`` makes of it. A setting's probability for a row is the value
-        at the first node on its path that the setting leaves unsplit.
+        Each row's ``route`` is recorded by depth: the row count of every
+        node this tree split (0 at a leaf, which every setting leaves
+        unsplit), and ``counts[1] / n_samples``, the value of the leaf
+        ``pruned`` makes of the node. A setting's probability for a row is the
+        value at the first node on its path that the setting leaves unsplit.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.n_columns:
             raise ValueError(f"expected {self.n_columns} columns, got {X.shape[1]}")
         self._check_prunable(self.max_depth, self.min_samples_split)
         shape = (len(X), self.max_depth + 1)
-        n_samples = np.zeros(shape, dtype=np.int64)
+        split_n = np.zeros(shape, dtype=np.int64)
         values = np.zeros(shape)
-        leaf = np.zeros(shape, dtype=bool)
-        stack = [(self.root, 0, np.arange(len(X)))]
-        while stack:
-            node, depth, idx = stack.pop()
-            n_samples[idx, depth] = node.n_samples
+        for node, depth, idx in route(self.root, X):
+            split_n[idx, depth] = 0 if node.is_leaf else node.n_samples
             values[idx, depth] = node.counts[1] / node.n_samples
-            if node.is_leaf:
-                leaf[idx, depth] = True
-            elif idx.size:
-                left = X[idx, node.column] <= node.threshold
-                stack.append((node.left, depth + 1, idx[left]))
-                stack.append((node.right, depth + 1, idx[~left]))
         depths, rows = np.arange(shape[1]), np.arange(shape[0])
 
         def proba(max_depth: int, min_samples_split: int) -> np.ndarray:
-            self._check_prunable(max_depth, min_samples_split)
-            unsplit = leaf | (depths >= max_depth) | (n_samples < min_samples_split)
+            self._check_prunable(max_depth, min_samples_split)  # min_samples_split >= 2 > 0
+            unsplit = (depths >= max_depth) | (split_n < min_samples_split)
             return values[rows, unsplit.argmax(axis=1)]
 
         return proba
@@ -361,16 +350,13 @@ def _grow(root: NodeRows, max_depth: int, min_samples_split: int, new_leaf, gain
     """
     d, n = root.columns.shape
     gains = np.zeros(d)
-    tree = None
-    stack = [(root, 0, None, "")]
+    top = TreeNode(n_samples=n)  # holds the root as its left child
+    stack = [(root, 0, top, "left")]
     while stack:
         node_rows, depth, parent, side = stack.pop()
         rows = node_rows.rows
         node, splittable = new_leaf(rows)
-        if parent is None:
-            tree = node
-        else:
-            setattr(parent, side, node)
+        setattr(parent, side, node)
         found = None
         if splittable and depth < max_depth and len(rows) >= min_samples_split:
             found = node_rows.best_split(gains_of, min_gain)
@@ -384,7 +370,7 @@ def _grow(root: NodeRows, max_depth: int, min_samples_split: int, new_leaf, gain
         left, right = node_rows.split(cut, col, thr)
         stack.append((right, depth + 1, node, "right"))
         stack.append((left, depth + 1, node, "left"))
-    return tree, gains
+    return top.left, gains
 
 
 def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
@@ -430,64 +416,46 @@ def train_regression_tree(X, targets, weights, max_depth: int = 6,
                  fitted)
 
 
+def route(root: TreeNode, X: np.ndarray):
+    """Yield ``(node, depth, rows)`` for every node that rows of ``X`` reach,
+    ``rows`` being the indices of those rows (``x[column] <= threshold`` goes
+    left). A node is yielded before its children."""
+    stack = [(root, 0, np.arange(len(X)))]
+    while stack:
+        node, depth, idx = stack.pop()
+        yield node, depth, idx
+        if not node.is_leaf and idx.size:
+            left = X[idx, node.column] <= node.threshold
+            stack.append((node.left, depth + 1, idx[left]))
+            stack.append((node.right, depth + 1, idx[~left]))
+
+
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Leaf values for the rows of ``X``, routing arrays of row indices down
-    the tree (``x[column] <= threshold`` goes left)."""
+    """Leaf values for the rows of ``X``, each row taken down its ``route``."""
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(len(X), dtype=np.float64)
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
+    for node, _, idx in route(root, X):
         if node.is_leaf:
             out[idx] = node.value
-        elif idx.size:
-            left = X[idx, node.column] <= node.threshold
-            stack.append((node.left, idx[left]))
-            stack.append((node.right, idx[~left]))
     return out
 
 
-def export_tree(model: TreeModel, names, format: str = "text") -> str:
-    """Deterministic rendering of the tree: ``text`` indented lines or a
-    graphviz ``dot`` digraph. ``names`` labels the columns, as
+def export_tree(model: TreeModel, names) -> str:
+    """Deterministic indented-text rendering of the tree, one line per node
+    and children below their split. ``names`` labels the columns, as
     ``EncoderState.column_names`` does for an encoded table."""
-    if format == "text":
-        lines = []
+    lines = []
 
-        def walk(node: TreeNode, indent: int):
-            pad = "  " * indent
-            if node.is_leaf:
-                lines.append(f"{pad}leaf: p={node.value:.6f} counts={list(node.counts)} "
-                             f"samples={node.n_samples}")
-            else:
-                lines.append(f"{pad}{names[node.column]} <= {node.threshold:.6g} "
-                             f"(samples={node.n_samples})")
-                walk(node.left, indent + 1)
-                walk(node.right, indent + 1)
+    def walk(node: TreeNode, indent: int):
+        pad = "  " * indent
+        if node.is_leaf:
+            lines.append(f"{pad}leaf: p={node.value:.6f} counts={list(node.counts)} "
+                         f"samples={node.n_samples}")
+        else:
+            lines.append(f"{pad}{names[node.column]} <= {node.threshold:.6g} "
+                         f"(samples={node.n_samples})")
+            walk(node.left, indent + 1)
+            walk(node.right, indent + 1)
 
-        walk(model.root, 0)
-        return "\n".join(lines) + "\n"
-    if format == "dot":
-        lines = ["digraph tree {", "  node [shape=box];"]
-        counter = [0]
-
-        def walk(node: TreeNode) -> int:
-            nid = counter[0]
-            counter[0] += 1
-            if node.is_leaf:
-                label = f"p={node.value:.4f}\\ncounts={list(node.counts)}\\nsamples={node.n_samples}"
-            else:
-                label = (f"{names[node.column]} <= {node.threshold:.6g}"
-                         f"\\nsamples={node.n_samples}")
-            lines.append(f'  n{nid} [label="{label}"];')
-            if not node.is_leaf:
-                left_id = walk(node.left)
-                right_id = walk(node.right)
-                lines.append(f"  n{nid} -> n{left_id};")
-                lines.append(f"  n{nid} -> n{right_id};")
-            return nid
-
-        walk(model.root)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown export format {format!r}")
+    walk(model.root, 0)
+    return "\n".join(lines) + "\n"

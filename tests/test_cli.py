@@ -586,6 +586,41 @@ class TestErrorBoundary:
         result, _ = self.extract_with_config(runner, tmp_path, {"provider": ["http"]})
         self.assert_one_error(result, "config key 'provider' must be a JSON object")
 
+    @pytest.mark.parametrize("config, message", [
+        ({"seed": "7"}, "config key 'seed' must be an integer"),
+        ({"budget": "3"}, "config key 'budget' must be an integer of at least 0"),
+        ({"budget": None}, "config key 'budget' must be an integer of at least 0"),
+        ({"budget": True}, "config key 'budget' must be an integer of at least 0"),
+        ({"parallelism": "4"}, "config key 'parallelism' must be an integer of at least 1"),
+        ({"parallelism": 2.5}, "config key 'parallelism' must be an integer of at least 1"),
+        ({"output_dir": 5}, "config key 'output_dir' must be a path string"),
+        ({"corpus": ["c.jsonl"]}, "config key 'corpus' must be a path string"),
+    ], ids=["seed-string", "budget-string", "budget-null", "budget-bool", "parallelism-string",
+            "parallelism-float", "output-dir-int", "corpus-list"])
+    def test_wrong_typed_config_value_exits_2(self, runner, tmp_path, config, message):
+        result, _ = self.extract_with_config(runner, tmp_path, config)
+        self.assert_one_error(result, message)
+
+    def test_evaluate_on_a_table_lacking_an_encoder_column_exits_2(self, runner, tmp_path):
+        def table(features):
+            name = "".join(features)
+            schema = tmp_path / f"{name}.schema.json"
+            schema.write_text(json.dumps({
+                "features": [{"name": f, "title": f, "description": f, "kind": "integer"}
+                             for f in features],
+                "label": {"name": "y", "positive": "1", "negative": "0"}}))
+            data = tmp_path / f"{name}.csv"
+            data.write_text("\n".join([f"id,{','.join(features)},y"] + [
+                f"r{i},{i % 5},{i % 3},{i % 2}" for i in range(24)]) + "\n")
+            return ["--data", str(data), "--schema", str(schema)]
+
+        out = tmp_path / "out"
+        invoke(runner, ["--output-dir", str(out), "train", *table(["a", "b"]),
+                        "--family", "logreg"])
+        result = invoke(runner, ["evaluate", "--model", str(out / "model_logreg.json"),
+                                 "--split", str(out / "split.json"), *table(["a", "c"])])
+        self.assert_one_error(result, "the encoder needs column(s) the table lacks: b")
+
     def test_provider_config_error_exits_2(self, runner, tmp_path):
         corpus, _, templates = vorc_fixture_files(tmp_path)
         missing = tmp_path / "missing.json"

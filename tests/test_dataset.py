@@ -414,6 +414,19 @@ class TestSplit:
         with pytest.raises(DatasetError, match=re.escape(f"{path}: Expecting property name")):
             load_split(path)
 
+    @pytest.mark.parametrize("seed, expected", [
+        (1, {"train": [0, 2, 3, 6, 7, 9, 10, 11, 12, 15, 16, 17, 19], "val": [14],
+             "test": [1, 4, 5, 8, 13, 18]}),
+        (123456789, {"train": [2, 3, 4, 6, 7, 8, 11, 12, 13, 15, 16, 18, 19], "val": [17],
+                     "test": [0, 1, 5, 9, 10, 14]}),
+        (-5, {"train": [0, 1, 2, 3, 4, 5, 6, 10, 11, 15, 16, 18, 19], "val": [8],
+              "test": [7, 9, 12, 13, 14, 17]}),
+    ])
+    def test_pinned_assignment(self, seed, expected):
+        # the documented LCG's shuffles, so a split file names the same rows
+        # in every release
+        assert split(toy_dataset(n=20), seed).to_dict() == {"seed": seed, **expected}
+
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_any_seed_yields_valid_partition(self, seed):
@@ -520,6 +533,16 @@ class TestEncoder:
         cats = sum(len(f.allowed_values) for f in heart_schema.features
                    if f.kind == "categorical")
         assert len(enc.column_names) == numeric + cats == 21
+
+    def test_transform_names_the_columns_the_table_lacks(self):
+        table = toy_dataset()
+        enc = fit_encoder(table, range(table.n))
+        columns = {"score": table.columns["score"]}
+        narrow = replace(table, schema=replace(table.schema, features=table.schema.features[1:2]),
+                         columns=columns)
+        with pytest.raises(DatasetError, match=re.escape(
+                "the encoder needs column(s) the table lacks: age, color")):
+            transform(narrow, enc)
 
 
 # Random toy-schema cells, a third of them missing; scores span magnitudes

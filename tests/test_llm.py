@@ -9,8 +9,8 @@ import pytest
 from helpers import ROOT
 
 from medtab.llm import (AuthenticationError, CompletionRequest, ExhaustedRetriesError,
-                        HttpProvider, ProviderConfigError, ReplayEntry, ReplayProvider,
-                        RETRY_AFTER_CAP_S, RequestTooLargeError, TransportResponse,
+                        HttpProvider, ProviderConfigError, ReplayEntry, ReplayExhaustedError,
+                        ReplayProvider, RETRY_AFTER_CAP_S, RequestTooLargeError, TransportResponse,
                         configure_provider)
 
 
@@ -195,8 +195,7 @@ class TestLiveHttpTransport:
                 body = json.loads(self.rfile.read(length))
                 if state["fail_first"] > 0:
                     state["fail_first"] -= 1
-                    self.send_response(429)
-                    self.send_header("Retry-After", "0")
+                    self.send_response(429)  # no Retry-After: the client backs off
                     self.end_headers()
                     return
                 resp = json.dumps({"choices": [{"text": "echo:" + body["prompt"]}]}).encode()
@@ -226,11 +225,13 @@ class TestLiveHttpTransport:
     def test_retry_through_real_transport(self, server, credential):
         port, state = server
         state["fail_first"] = 2
+        waits = []
         provider = HttpProvider(endpoint=f"http://127.0.0.1:{port}/v1/completions",
-                                model="m", credential_env=credential,
-                                backoff_base=0.01)
+                                model="m", credential_env=credential, sleep=waits.append)
         result = provider.complete(CompletionRequest(prompt="x"))
         assert result.attempt_count == 3
+        assert len(waits) == 2
+        assert 1.0 <= waits[0] <= 1.1 and 2.0 <= waits[1] <= 2.2
 
 
 class TestReplayProvider:
@@ -258,8 +259,10 @@ class TestReplayProvider:
         script = tmp_path / "replay.json"
         script.write_text(json.dumps([{"response": "a"}, {"match_substring": "z", "response": "b"}]))
         provider = ReplayProvider.from_file(script)
-        assert provider.pending == 2
         assert provider.complete(CompletionRequest(prompt="has z inside")).text == "a"
+        assert provider.complete(CompletionRequest(prompt="has z inside")).text == "b"
+        with pytest.raises(ReplayExhaustedError):
+            provider.complete(CompletionRequest(prompt="has z inside"))
 
 
 class TestConfigureProvider:

@@ -430,22 +430,29 @@ class TestExportTree:
         return train_dtree(X, y, 1, 2)
 
     def test_stump_text_render(self):
-        text = export_tree(self.make(), self.NAMES, "text")
-        lines = text.strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].startswith("alpha <= 1.5")
-        assert "counts=" in lines[1]
+        assert export_tree(self.make(), self.NAMES) == (
+            "alpha <= 1.5 (samples=8)\n"
+            "  leaf: p=0.000000 counts=[4, 0] samples=4\n"
+            "  leaf: p=1.000000 counts=[0, 4] samples=4\n")
 
-    def test_dot_is_balanced_digraph(self):
-        dot = export_tree(self.make(), self.NAMES, "dot")
-        assert dot.startswith("digraph")
-        assert dot.count("{") == dot.count("}")
-        assert dot.count("->") == 2
+    def test_depth_3_text_bytes(self):
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 5, size=(24, 3)).astype(float)
+        y = ((X[:, 0] + X[:, 2]) > 4).astype(int)
+        assert export_tree(train_dtree(X, y, 3, 2), ("a", "b", "c")) == (
+            "a <= 1.5 (samples=24)\n"
+            "  leaf: p=0.000000 counts=[8, 0] samples=8\n"
+            "  c <= 2.5 (samples=16)\n"
+            "    a <= 2.5 (samples=8)\n"
+            "      leaf: p=0.000000 counts=[4, 0] samples=4\n"
+            "      leaf: p=0.750000 counts=[1, 3] samples=4\n"
+            "    leaf: p=1.000000 counts=[0, 8] samples=8\n")
 
     def test_identical_bytes_for_same_model(self):
         model = self.make()
-        assert export_tree(model, self.NAMES, "dot") == export_tree(model, self.NAMES, "dot")
+        assert export_tree(model, self.NAMES) == export_tree(model, self.NAMES)
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            export_tree(self.make(), self.NAMES, "yaml")
+        # text is the only rendering, so there is no format to name
+        with pytest.raises(TypeError):
+            export_tree(self.make(), self.NAMES, "dot")
