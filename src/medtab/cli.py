@@ -270,7 +270,11 @@ def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
     schema = _schema_from(state, schema_path)
     artifact = models.load_model(model_path)
     dataset = ds.load_csv(data_path, schema)
-    parts = ds.load_split(split_path).parts()
+    assignment = ds.load_split(split_path)
+    if artifact.seed is not None and artifact.seed != assignment.seed:
+        _fail(f"model {model_path} was trained on split seed {artifact.seed}, "
+              f"but {split_path} holds split seed {assignment.seed}")
+    parts = assignment.parts()
     last = max((rid for ids in parts.values() for rid in ids), default=-1)
     if last >= dataset.n:
         _fail(f"split id {last} is outside the table ({dataset.n} rows)")

@@ -7,8 +7,11 @@ flag switches to the chat wire format. Credentials come only from
 the environment variable named in the settings, never from config values.
 
 Replay scripts are JSON lists of ``{"match_substring"?: str, "response": str}``.
-Each request consumes the first pending entry whose ``match_substring`` occurs
-in the prompt; entries without a match key are consumed in order.
+Each request consumes the first pending entry, in script order, whose
+``match_substring`` occurs in the prompt. An entry without a match key, or with
+the empty string as its key, matches any prompt. The provider indexes the script
+when it is built, so what a request costs depends on its prompt, not on how
+many entries are pending or were left unused.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,6 +199,13 @@ class ReplayEntry:
 class ReplayProvider:
     """Serves scripted responses; deterministic and offline.
 
+    The script is indexed once: one ascending queue of script positions per
+    match key, and one for the entries that match any prompt. The keys are
+    grouped by first character, and each group searches the prompt for its
+    keys' longest common prefix with ``str.find``; at each hit, one dict
+    lookup per key length tells which key, if any, starts there. The
+    request takes the lowest position at the head of a matching queue.
+
     Thread safe: matching and consumption happen under one lock, and because
     requests for one record arrive sequentially while distinct records carry
     distinct match substrings, output is independent of request interleaving.
@@ -203,7 +214,17 @@ class ReplayProvider:
     provider_id = "replay"
 
     def __init__(self, entries: list[ReplayEntry]):
-        self._entries = list(entries)
+        self._responses = [entry.response for entry in entries]
+        self._any = deque()
+        by_first = {}  # first character: {key: queue of positions}
+        for position, entry in enumerate(entries):
+            key = entry.match_substring
+            if key:
+                by_first.setdefault(key[0], {}).setdefault(key, deque()).append(position)
+            else:
+                self._any.append(position)
+        self._groups = [(os.path.commonprefix(list(group)), {len(key) for key in group}, group)
+                        for group in by_first.values()]
         self._lock = threading.Lock()
 
     @classmethod
@@ -221,18 +242,31 @@ class ReplayProvider:
         for i, item in enumerate(raw):
             if not isinstance(item, dict) or "response" not in item:
                 raise ProviderConfigError(f"replay entry {i} needs a 'response' field")
+            for key in ("response", "match_substring"):
+                if key in item and not isinstance(item[key], str):
+                    raise ProviderConfigError(f"replay entry {i}: '{key}' must be a string, "
+                                              f"got {item[key]!r}")
             entries.append(ReplayEntry(response=item["response"],
                                        match_substring=item.get("match_substring")))
         return cls(entries)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
+        prompt = request.prompt
         with self._lock:
-            for i, entry in enumerate(self._entries):
-                if entry.match_substring is None or entry.match_substring in request.prompt:
-                    self._entries.pop(i)
-                    return CompletionResult(text=entry.response, provider_id=self.provider_id,
-                                            latency_ms=0, attempt_count=1)
-        raise ReplayExhaustedError("no pending replay entry matches the request")
+            best = self._any
+            for prefix, lengths, group in self._groups:
+                at = prompt.find(prefix)
+                while at >= 0:
+                    for n in lengths:
+                        queue = group.get(prompt[at:at + n])
+                        if queue and (not best or queue[0] < best[0]):
+                            best = queue
+                    at = prompt.find(prefix, at + 1)
+            if not best:
+                raise ReplayExhaustedError("no pending replay entry matches the request")
+            text = self._responses[best.popleft()]
+        return CompletionResult(text=text, provider_id=self.provider_id,
+                                latency_ms=0, attempt_count=1)
 
 
 def _is_count(value) -> bool:

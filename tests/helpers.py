@@ -13,6 +13,7 @@ import numpy as np
 from medtab.dataset import (CategoricalState, DatasetError, NumericState, TabularDataset,
                             _map_header, load_csv)
 from medtab.evalkit import EvalError, ExtractionReport
+from medtab.llm import ReplayExhaustedError
 from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, OneShotExample,
                             PromptBundle, PromptError, _fit_sections)
 from medtab.schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec,
@@ -804,3 +805,15 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
         vorc_call_rate=call_rate([e.get("vorc_iterations", 0) for e in provenance or ()]),
         n_evaluated=n_rows,
     )
+
+
+def replay_by_scan(entries: list, prompt: str) -> str:
+    """The replay rule as a linear scan over the pending ``ReplayEntry`` list,
+    as ``ReplayProvider.complete`` applied it before the script was indexed:
+    pop and return the response of the first entry whose ``match_substring``
+    is None or occurs in ``prompt``."""
+    for i, entry in enumerate(entries):
+        if entry.match_substring is None or entry.match_substring in prompt:
+            entries.pop(i)
+            return entry.response
+    raise ReplayExhaustedError("no pending replay entry matches the request")

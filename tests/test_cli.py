@@ -621,6 +621,53 @@ class TestErrorBoundary:
                                  "--split", str(out / "split.json"), *table(["a", "c"])])
         self.assert_one_error(result, "the encoder needs column(s) the table lacks: b")
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"match_substring": 5, "response": "{}"},
+         "replay entry 1: 'match_substring' must be a string, got 5"),
+        ({"response": 5}, "replay entry 1: 'response' must be a string, got 5"),
+    ])
+    def test_replay_entry_of_the_wrong_type_exits_2(self, runner, tmp_path, entry, message):
+        corpus, _, templates = vorc_fixture_files(tmp_path)
+        script = tmp_path / "typed.json"
+        script.write_text(json.dumps([{"match_substring": "[record-00]", "response": "{}"},
+                                      entry]))
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "extract",
+                                 "--schema", str(small_schema_file(tmp_path)),
+                                 "--templates", str(templates), "--corpus", str(corpus),
+                                 "--replay", str(script)])
+        self.assert_one_error(result, message)
+        assert not (tmp_path / "out").exists()
+
+    def train_hepatitis_logreg(self, runner, out, seed):
+        result = invoke(runner, ["--output-dir", str(out), "--seed", str(seed), "train",
+                                 "--data", str(DATA / "hepatitis.csv"),
+                                 "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                 "--family", "logreg"])
+        assert result.exit_code == 0, result.output
+        return out / "model_logreg.json", out / "split.json"
+
+    def evaluate_hepatitis(self, runner, model, split):
+        return invoke(runner, ["evaluate", "--model", str(model),
+                               "--data", str(DATA / "hepatitis.csv"),
+                               "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                               "--split", str(split)])
+
+    def test_evaluate_with_another_seeds_split_exits_2(self, runner, tmp_path):
+        model, _ = self.train_hepatitis_logreg(runner, tmp_path / "seed5", 5)
+        _, split = self.train_hepatitis_logreg(runner, tmp_path / "seed9", 9)
+        result = self.evaluate_hepatitis(runner, model, split)
+        self.assert_one_error(result, f"model {model} was trained on split seed 5, "
+                                      f"but {split} holds split seed 9")
+
+    def test_evaluate_accepts_a_model_that_records_no_seed(self, runner, tmp_path):
+        model, split = self.train_hepatitis_logreg(runner, tmp_path / "seed5", 5)
+        doc = json.loads(model.read_text())
+        del doc["seed"]
+        model.write_text(json.dumps(doc))
+        result = self.evaluate_hepatitis(runner, model, split)
+        assert result.exit_code == 0, result.output
+        assert "accuracy" in result.stdout
+
     def test_provider_config_error_exits_2(self, runner, tmp_path):
         corpus, _, templates = vorc_fixture_files(tmp_path)
         missing = tmp_path / "missing.json"

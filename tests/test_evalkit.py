@@ -264,6 +264,18 @@ class TestClassificationMetrics:
         transformed = np.exp(3.0 * s) + 1.0
         assert auc_score(y, s) == pytest.approx(auc_score(y, transformed), abs=1e-12)
 
+    @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])),
+                    min_size=2, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_auc_of_flipped_labels_is_one_minus_auc(self, pairs):
+        y, s = map(np.array, zip(*pairs))
+        if y.min() == y.max():
+            return
+        # Exact in the rank sums; ``1 - x`` adds one rounding (1 - 1/3 is
+        # 0.6666666666666667, 2/3 is 0.6666666666666666), so the bound is one
+        # unit in the last place of 1.0.
+        assert abs(auc_score(y, s) - (1.0 - auc_score(1 - y, s))) <= 2.0 ** -52
+
 
 class TestFidelity:
     def setup_models(self):

@@ -1,12 +1,14 @@
 import inspect
 import json
 import re
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import ROOT
+from helpers import ROOT, replay_by_scan
 
 from medtab.llm import (AuthenticationError, CompletionRequest, ExhaustedRetriesError,
                         HttpProvider, ProviderConfigError, ReplayEntry, ReplayExhaustedError,
@@ -264,6 +266,74 @@ class TestReplayProvider:
         with pytest.raises(ReplayExhaustedError):
             provider.complete(CompletionRequest(prompt="has z inside"))
 
+    # Nested and overlapping keys, keys that share a first character but no
+    # longer prefix, and "" and None, which match any prompt.
+    KEYS = st.one_of(st.sampled_from(["a", "ab", "ba", "b", "aa", "[a]", "[a]x", "x[a]", "[b]",
+                                      "", None]),
+                     st.text(alphabet="ab[]x", min_size=1, max_size=4))
+
+    @given(keys=st.lists(KEYS, max_size=25),
+           prompts=st.lists(st.text(alphabet="ab[]xy", min_size=1, max_size=12),
+                            min_size=1, max_size=30))
+    # a shared prefix ("aa") that overlaps itself in the prompt
+    @example(keys=["aab", "aaa"], prompts=["aaab", "aaab"])
+    @settings(max_examples=400, deadline=None)
+    def test_serves_what_a_linear_scan_serves(self, keys, prompts):
+        entries = [ReplayEntry(response=f"r{i}", match_substring=key)
+                   for i, key in enumerate(keys)]
+        provider, pending = ReplayProvider(entries), list(entries)
+
+        def outcomes(complete):
+            served = []
+            for prompt in prompts:
+                try:
+                    served.append(complete(prompt))
+                except ReplayExhaustedError:
+                    served.append(None)
+            return served
+
+        expected = outcomes(lambda prompt: replay_by_scan(pending, prompt))
+        assert outcomes(lambda prompt: provider.complete(CompletionRequest(prompt)).text) \
+            == expected
+
+    def test_unused_leading_entries_do_not_change_the_choice(self):
+        unused = [ReplayEntry(response=f"unused-{i}", match_substring=f"[rpt-{i:05d}]")
+                  for i in range(1000)]
+        provider = ReplayProvider(unused + [ReplayEntry(response="b", match_substring="[rpt-b]"),
+                                            ReplayEntry(response="any"),
+                                            ReplayEntry(response="a", match_substring="[rpt-a]")])
+        assert provider.complete(CompletionRequest("report [rpt-a] [rpt-b]")).text == "b"
+        assert provider.complete(CompletionRequest("report [rpt-a]")).text == "any"
+        assert provider.complete(CompletionRequest("report [rpt-a]")).text == "a"
+        with pytest.raises(ReplayExhaustedError):
+            provider.complete(CompletionRequest("report [rpt-a] [rpt-b]"))
+        assert provider.complete(CompletionRequest("[rpt-00999]")).text == "unused-999"
+
+    def test_concurrent_callers_each_get_their_own_entries_in_order(self):
+        workers, calls = 8, 50
+        provider = ReplayProvider([ReplayEntry(response=f"{w}:{c}", match_substring=f"[w{w}]")
+                                   for c in range(calls) for w in range(workers)])
+        served = {w: [] for w in range(workers)}
+
+        def work(w):
+            for _ in range(calls):
+                served[w].append(provider.complete(CompletionRequest(f"report [w{w}]")).text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert served == {w: [f"{w}:{c}" for c in range(calls)] for w in range(workers)}
+        with pytest.raises(ReplayExhaustedError):
+            provider.complete(CompletionRequest("[w0] [w1] [w2] [w3] [w4] [w5] [w6] [w7]"))
+
 
 class TestConfigureProvider:
     def test_http_requires_settings(self, credential):
@@ -289,6 +359,20 @@ class TestConfigureProvider:
         script = tmp_path / "bad.json"
         script.write_text(json.dumps([{"match_substring": "x"}]))
         with pytest.raises(ProviderConfigError, match="entry 0"):
+            configure_provider("replay", {"script": script})
+
+    @pytest.mark.parametrize("entry, key, value", [
+        ({"match_substring": 5, "response": "{}"}, "match_substring", "5"),
+        ({"match_substring": None, "response": "{}"}, "match_substring", "None"),
+        ({"match_substring": ["x"], "response": "{}"}, "match_substring", r"\['x'\]"),
+        ({"response": 5}, "response", "5"),
+        ({"response": None}, "response", "None"),
+    ])
+    def test_replay_entry_of_the_wrong_type_names_it(self, tmp_path, entry, key, value):
+        script = tmp_path / "bad.json"
+        script.write_text(json.dumps([{"response": "ok"}, entry]))
+        with pytest.raises(ProviderConfigError,
+                           match=f"^replay entry 1: '{key}' must be a string, got {value}$"):
             configure_provider("replay", {"script": script})
 
     @pytest.mark.parametrize("kind, extra", [

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_gini_split, brute_force_sse_split
+from helpers import DATA, brute_force_gini_split, brute_force_sse_split
 
+from medtab import dataset as ds
 from medtab.models import export_tree, feature_importances_named, train_dtree, tree_predict
 from medtab.models.tree import (NodeRows, TreeModel, best_gini_split, best_sse_split,
                                 gini_from_counts, train_regression_tree)
@@ -400,6 +401,65 @@ class TestTrainDtree:
         else:
             assert not model.root.is_leaf
             assert (model.root.column, model.root.threshold) == (oracle[0], oracle[1])
+
+
+def flipped_doc(doc):
+    """A dtree document as training on flipped labels gives it: the same
+    splits and gains, each leaf's counts swapped and its value their new
+    positive share."""
+    out = dict(doc)
+    if "root" in doc:
+        out["root"] = flipped_doc(doc["root"])
+    elif "column" in doc:
+        out["left"], out["right"] = flipped_doc(doc["left"]), flipped_doc(doc["right"])
+    else:
+        neg, pos = doc["counts"]
+        out["counts"], out["value"] = [pos, neg], neg / doc["n"]
+    return out
+
+
+class TestDtreeMetamorphic:
+    """Whole-model invariants of ``train_dtree``: Gini gains come from integer
+    counts, so row order does not reach them, and they are symmetric in the
+    two classes."""
+
+    @given(tie_heavy_tables(n_max=40), st.integers(1, 5), st.integers(2, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_permutation_gives_the_same_document(self, table, max_depth,
+                                                     min_samples_split, data):
+        X, y, _, _ = table
+        order = np.array(data.draw(st.permutations(range(len(y)))), dtype=np.int64)
+        assert train_dtree(X[order], y[order], max_depth, min_samples_split).to_doc() == \
+            train_dtree(X, y, max_depth, min_samples_split).to_doc()
+
+    @given(tie_heavy_tables(n_max=40), tie_heavy_tables(n_max=30, d_max=1), st.integers(1, 5),
+           st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_label_flip_keeps_the_splits_and_flips_the_probabilities(
+            self, table, held_out, max_depth, min_samples_split):
+        X, y, _, _ = table
+        X_held = np.resize(held_out[0], (len(held_out[0]), X.shape[1]))
+        model = train_dtree(X, y, max_depth, min_samples_split)
+        flipped = train_dtree(X, 1 - y, max_depth, min_samples_split)
+        assert flipped.to_doc() == flipped_doc(model.to_doc())
+        # ``1 - p`` rounds once more than the flipped leaf's own share
+        assert np.abs(flipped.predict_proba(X_held) - (1.0 - model.predict_proba(X_held))).max() \
+            <= 2.0 ** -52
+
+    @pytest.mark.parametrize("name", ["hepatitis", "heart"])
+    def test_bundled_tables(self, request, name):
+        schema = request.getfixturevalue(f"{name}_schema")
+        _, _, X, y = ds.prepare(ds.load_csv(DATA / f"{name}.csv", schema), 7)
+        model = train_dtree(X["train"], y["train"], 5, 2)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            order = rng.permutation(len(y["train"]))
+            assert train_dtree(X["train"][order], y["train"][order], 5, 2).to_doc() == \
+                model.to_doc()
+        flipped = train_dtree(X["train"], 1 - y["train"], 5, 2)
+        assert flipped.to_doc() == flipped_doc(model.to_doc())
+        assert np.abs(flipped.predict_proba(X["test"])
+                      - (1.0 - model.predict_proba(X["test"]))).max() <= 2.0 ** -52
 
 
 class TestImportances:
