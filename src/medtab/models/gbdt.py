@@ -17,7 +17,10 @@ matrix is presorted once. Each node of it keeps its sorted layout and the
 two children of its last split; when a round cuts a node where the round
 before did, the children are reused, and only the residuals are gathered,
 summed and scored again. A different cut replaces the remembered pair, so
-the run keeps at most one tree's worth of nodes.
+the run keeps at most one tree's worth of nodes. A node whose residuals are
+all equal is a leaf without a search (a node of one class has equal
+residuals in the first round), and one complex cumulative sum gives the
+prefix sums of the residuals and of their squares together (see ``tree``).
 """
 
 from __future__ import annotations

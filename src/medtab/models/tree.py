@@ -21,6 +21,16 @@ gathers the node's statistics (targets or labels) in sorted order, takes
 cumulative sums along each column, scores the cuts and takes the first
 maximum in (column, position) order, which is the tie rule above.
 
+Squared error needs two prefix sums, of the targets and of their squares.
+They are the real and imaginary parts of one complex vector, so one complex
+cumulative sum gives both: complex addition adds the real parts and the
+imaginary parts separately, each in the order a float cumulative sum adds
+them, so the sums and gains are bit for bit those of two float sums. The
+node totals stay float sums, since a complex sum pairs its partial sums
+differently. A regression node whose targets are all equal is a leaf, as a
+pure node is for the classifier: no split can separate its rows, and only
+rounding noise in the sums could pass ``SSE_MIN_GAIN``.
+
 A node also remembers the two children of its last split. Boosting grows
 tree after tree on the same rows from one root (``train_regression_tree``'s
 ``node_rows``), and when a round cuts a node where the last one did, the
@@ -187,17 +197,32 @@ def _gini_gains(node: NodeRows, y: np.ndarray) -> np.ndarray:
     return parent - (n_l * gini_l + n_r * gini_r) / m
 
 
-def _sse_gains(node: NodeRows, t: np.ndarray) -> np.ndarray:
-    """Squared-error decrease on targets ``t`` at each cut of ``node``."""
+def _all_equal(values: np.ndarray) -> bool:
+    """True when every entry equals the first: a regression node with such
+    targets is a leaf (see the module docstring)."""
+    return not (values != values[:1]).any()
+
+
+def _paired(t: np.ndarray) -> np.ndarray:
+    """``t`` as the real parts and ``t * t`` as the imaginary parts, whose
+    one cumulative sum gives both prefix sums of ``_sse_gains``."""
+    tc = np.empty(len(t), dtype=np.complex128)
+    tc.real, tc.imag = t, t * t
+    return tc
+
+
+def _sse_gains(node: NodeRows, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
+    """Squared-error decrease on targets ``t`` at each cut of ``node``;
+    ``tc`` is ``_paired(t)``."""
     m = len(node.rows)
-    # Node totals are summed in row order, as over a slice t[rows].
+    # Node totals are float sums in row order, as over a slice t[rows]; a
+    # complex sum would pair its partial sums differently.
     node_t = t.take(node.rows)
     total = float(node_t.sum())
     total_sq = float((node_t * node_t).sum())
     parent = total_sq - total * total / m
-    ts = t.take(node.order)
-    sum_l = np.cumsum(ts, axis=1).take(node.cuts)
-    sq_l = np.cumsum(ts * ts, axis=1).take(node.cuts)
+    prefix = np.add.accumulate(tc.take(node.order), axis=1).take(node.cuts)
+    sum_l, sq_l = prefix.real, prefix.imag
     n_l, n_r = node.n_left, node.n_right
     sse_l = sq_l - sum_l * sum_l / n_l
     sum_r = total - sum_l
@@ -219,7 +244,9 @@ def best_sse_split(X: np.ndarray, t: np.ndarray):
     """Best (column, threshold, gain) by squared-error decrease on targets
     ``t`` over all rows of ``X``, as in ``best_gini_split``."""
     t = np.asarray(t, dtype=np.float64)
-    found = NodeRows.root(X).best_split(partial(_sse_gains, t=t), SSE_MIN_GAIN)
+    if _all_equal(t):
+        return None
+    found = NodeRows.root(X).best_split(partial(_sse_gains, t=t, tc=_paired(t)), SSE_MIN_GAIN)
     return None if found is None else found[1:]
 
 
@@ -397,10 +424,10 @@ def train_regression_tree(X, targets, weights, max_depth: int = 6,
                           fitted: np.ndarray | None = None):
     """Fit a regression tree on ``targets`` with leaf values
     sum(targets) / (sum(weights) + LEAF_EPS) per leaf (the second-order step
-    used by boosting); any node of two or more rows may split.
-    ``node_rows`` is ``NodeRows.root(X)``, made here when not given; trees
-    grown one after another from the same root reuse its sorted layouts and
-    remembered splits. When given, ``fitted`` (length ``len(X)``) receives
+    used by boosting); a node of two or more rows may split unless its
+    targets are all equal. ``node_rows`` is ``NodeRows.root(X)``, made here
+    when not given; trees grown one after another from the same root reuse
+    its sorted layouts and remembered splits. When given, ``fitted`` (length ``len(X)``) receives
     each training row's leaf value, as ``tree_predict(root, X)`` would give
     it. Returns (root, per-column gain vector)."""
     t = np.asarray(targets, dtype=np.float64)
@@ -409,11 +436,12 @@ def train_regression_tree(X, targets, weights, max_depth: int = 6,
         node_rows = NodeRows.root(X)
 
     def new_leaf(rows):
-        value = float(t.take(rows).sum() / (w.take(rows).sum() + LEAF_EPS))
-        return TreeNode(n_samples=len(rows), value=value), True
+        node_t = t.take(rows)
+        value = float(node_t.sum() / (w.take(rows).sum() + LEAF_EPS))
+        return TreeNode(n_samples=len(rows), value=value), not _all_equal(node_t)
 
-    return _grow(node_rows, max_depth, 2, new_leaf, partial(_sse_gains, t=t), SSE_MIN_GAIN,
-                 fitted)
+    return _grow(node_rows, max_depth, 2, new_leaf, partial(_sse_gains, t=t, tc=_paired(t)),
+                 SSE_MIN_GAIN, fitted)
 
 
 def route(root: TreeNode, X: np.ndarray):

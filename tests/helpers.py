@@ -143,6 +143,52 @@ def brute_force_sse_split(X, t):
     return best[1], best[2], best[0]
 
 
+def two_cumsum_sse_gains(node, t):
+    """The squared-error gains at each cut of a ``tree.NodeRows`` node as
+    ``tree._sse_gains`` computed them with one float cumulative sum of the
+    targets and another of their squares. It is the oracle for the paired
+    (complex) prefix sums on any targets, where the brute force above needs
+    exact sums."""
+    m = len(node.rows)
+    node_t = t.take(node.rows)
+    total = float(node_t.sum())
+    total_sq = float((node_t * node_t).sum())
+    parent = total_sq - total * total / m
+    ts = t.take(node.order)
+    sum_l = np.cumsum(ts, axis=1).take(node.cuts)
+    sq_l = np.cumsum(ts * ts, axis=1).take(node.cuts)
+    n_l, n_r = node.n_left, node.n_right
+    sse_l = sq_l - sum_l * sum_l / n_l
+    sum_r = total - sum_l
+    sse_r = (total_sq - sq_l) - sum_r * sum_r / n_r
+    return parent - (sse_l + sse_r)
+
+
+def monotone_mapped(X):
+    """(column, copy of ``X`` with ``exp(x / 3)`` applied to ``column``), the
+    column being the first with the most distinct values. The map is checked
+    to keep the column's sorted order and its ties, as a strictly increasing
+    map does."""
+    X = np.asarray(X, dtype=np.float64)
+    column = int(np.argmax([len(np.unique(values)) for values in X.T]))
+    out = X.copy()
+    out[:, column] = np.exp(X[:, column] / 3.0)
+    order = np.argsort(X[:, column], kind="stable")
+    assert np.array_equal(np.argsort(out[:, column], kind="stable"), order)
+    assert len(np.unique(out[:, column])) == len(np.unique(X[:, column]))
+    return column, out
+
+
+def thresholds_dropped(doc, column):
+    """A model document without the thresholds of the splits on ``column``."""
+    if isinstance(doc, list):
+        return [thresholds_dropped(item, column) for item in doc]
+    if isinstance(doc, dict):
+        return {key: thresholds_dropped(value, column) for key, value in doc.items()
+                if not (key == "threshold" and doc.get("column") == column)}
+    return doc
+
+
 def brute_force_auc(y, scores) -> float:
     """AUC by direct comparison of every positive/negative pair, ties 0.5."""
     pos = [s for s, t in zip(scores, y) if t == 1]

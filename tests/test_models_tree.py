@@ -1,15 +1,18 @@
 import gc
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import DATA, brute_force_gini_split, brute_force_sse_split
+from helpers import (DATA, brute_force_gini_split, brute_force_sse_split, monotone_mapped,
+                     thresholds_dropped, two_cumsum_sse_gains)
 
 from medtab import dataset as ds
-from medtab.models import export_tree, feature_importances_named, train_dtree, tree_predict
-from medtab.models.tree import (NodeRows, TreeModel, best_gini_split, best_sse_split,
-                                gini_from_counts, train_regression_tree)
+from medtab.models import (export_tree, feature_importances_named, train_dtree, train_gbdt,
+                           tree_predict)
+from medtab.models.tree import (NodeRows, TreeModel, _paired, _sse_gains, best_gini_split,
+                                best_sse_split, gini_from_counts, train_regression_tree)
 
 
 class TestGini:
@@ -312,6 +315,43 @@ class TestSharedRoot:
             assert len(remembered(shared)) <= bound
 
 
+@st.composite
+def wide_target_tables(draw, n_max=60):
+    """(X, t): a tie-heavy table and targets spread over forty binades, so
+    their sums round, unlike those of ``tie_heavy_tables``."""
+    X, _, _, _ = draw(tie_heavy_tables(n_max=n_max, d_max=4))
+    value = st.builds(lambda mantissa, exponent: mantissa * 2.0 ** exponent,
+                      st.floats(-1.0, 1.0), st.integers(-20, 20))
+    return X, np.array(draw(st.lists(value, min_size=len(X), max_size=len(X))))
+
+
+class TestSseSearch:
+    @given(wide_target_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_paired_prefix_sums_equal_two_float_cumsums(self, table):
+        X, t = table
+        gains_of = partial(_sse_gains, t=t, tc=_paired(t))
+        stack = [(NodeRows.root(X), 0)]
+        while stack:
+            node, depth = stack.pop()
+            found = node.best_split(gains_of, -np.inf)  # lays out the cuts, and any gain wins
+            if found is None:
+                continue
+            assert gains_of(node).tobytes() == two_cumsum_sse_gains(node, t).tobytes()
+            if depth < 3:
+                stack += [(child, depth + 1) for child in node.split(*found[:3])]
+
+    @pytest.mark.parametrize("value", [0.7, 0.9999])
+    def test_equal_targets_never_split_on_rounding_noise(self, value):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(10_000, 3))
+        t = np.full(10_000, value)
+        root, gains = train_regression_tree(X, t, np.full(10_000, 0.25))
+        assert root.is_leaf and root.n_samples == 10_000
+        assert not gains.any()
+        assert best_sse_split(X, t) is None
+
+
 class TestTrainDtree:
     def test_pure_node_is_leaf(self):
         X = np.arange(8, dtype=np.float64)[:, None]
@@ -460,6 +500,41 @@ class TestDtreeMetamorphic:
         assert flipped.to_doc() == flipped_doc(model.to_doc())
         assert np.abs(flipped.predict_proba(X["test"])
                       - (1.0 - model.predict_proba(X["test"]))).max() <= 2.0 ** -52
+
+
+class TestMonotoneColumnMap:
+    """A strictly increasing map of one column keeps its sorted order and its
+    ties, so both tree families split the same rows with the same gains and
+    the same leaf values; only the thresholds on that column move."""
+
+    @staticmethod
+    def check(train, X, y):
+        column, mapped_X = monotone_mapped(X)
+        model, mapped = train(X, y), train(mapped_X, y)
+        assert thresholds_dropped(mapped.to_doc(), column) == \
+            thresholds_dropped(model.to_doc(), column)
+        assert mapped._gains.tobytes() == model._gains.tobytes()
+        assert mapped.predict_proba(mapped_X).tobytes() == model.predict_proba(X).tobytes()
+
+    @given(tie_heavy_tables(n_max=40))
+    @settings(max_examples=100, deadline=None)
+    def test_dtree(self, table):
+        X, y, _, _ = table
+        self.check(lambda X, y: train_dtree(X, y, 5, 2), X, y)
+
+    @given(tie_heavy_tables(n_max=40))
+    @settings(max_examples=30, deadline=None)
+    def test_gbdt(self, table):
+        X, y, _, _ = table
+        assume(0 < y.sum() < len(y))
+        self.check(lambda X, y: train_gbdt(X, y, 100, 0.3), X, y)
+
+    @pytest.mark.parametrize("name", ["hepatitis", "heart"])
+    def test_bundled_tables(self, request, name):
+        schema = request.getfixturevalue(f"{name}_schema")
+        _, _, X, y = ds.prepare(ds.load_csv(DATA / f"{name}.csv", schema), 7)
+        self.check(lambda X, y: train_dtree(X, y, 5, 2), X["train"], y["train"])
+        self.check(lambda X, y: train_gbdt(X, y, 100, 0.3), X["train"], y["train"])
 
 
 class TestImportances:
