@@ -8,8 +8,11 @@ prompt it sends. Prints one line per seed with four sha256 digests:
 
 * ``replies``: for every reply, in script order, the ``parse_response``
   result (or the ``ParseFailure`` kind and message), the ``repair_json``
-  text and its ``RepairAction`` list (or ``UnrepairableError``), and the
-  ``_answer_span`` result;
+  text and its ``RepairAction`` list (or ``UnrepairableError``), the
+  ``_answer_span`` result, and the ``validate_record`` result against the
+  heart schema of the object the loop reads from the reply (parsed, else
+  repaired): every value with its repr, the label, and every violation's
+  key, reason and message;
 * ``extract``: ``provenance.jsonl``, ``extracted.csv`` and
   ``extract_stats.json`` of one ``extract`` run (replay provider,
   ``--budget 3``, ``--parallelism 1``);
@@ -41,23 +44,34 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 from medtab import llm, vorc  # noqa: E402
 from medtab.cli import main as cli_main  # noqa: E402
+from medtab.schema import load_schema  # noqa: E402
 
 SEEDS = (1, 2, 3, 7)
 OUTPUTS = ("provenance.jsonl", "extracted.csv", "extract_stats.json")
+SCHEMA = load_schema(ROOT / "schemas" / "heart.schema.json")
 
 
 def reply_bytes(raw: str) -> bytes:
+    obj = None
     try:
-        parsed = ["ok", vorc.parse_response(raw)]
+        obj = vorc.parse_response(raw)
+        parsed = ["ok", obj]
     except vorc.ParseFailure as e:
         parsed = ["fail", e.kind, str(e)]
     try:
         text, actions = vorc.repair_json(raw)
         repaired = ["ok", text, [[a.kind, list(a.span)] for a in actions]]
+        if obj is None:
+            obj = vorc._strict_loads(text)
     except vorc.UnrepairableError as e:
         repaired = ["unrepairable", str(e)]
     span = vorc._answer_span(raw)
-    return json.dumps([parsed, repaired, span], sort_keys=True).encode()
+    validated = None
+    if obj is not None:
+        result = vorc.validate_record(obj, SCHEMA)
+        validated = [[[name, repr(value)] for name, value in result.values.items()], result.label,
+                     [[v.key, v.reason, v.message] for v in result.violations]]
+    return json.dumps([parsed, repaired, span, validated], sort_keys=True).encode()
 
 
 def extract_digests(inputs: Path, out: Path) -> tuple[str, str, int]:

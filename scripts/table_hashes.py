@@ -117,7 +117,8 @@ def load_digest(path: Path, schema, scratch: Path):
         table = ds.load_csv(path, schema)
     except ds.DatasetError as e:
         return None, digest(["error", str(e).replace(str(scratch), "<dir>")])
-    rows = [[[k, repr(v)] for k, v in row.items()] for row in table.rows]
+    names = list(table.columns)
+    rows = [[[k, repr(v)] for k, v in zip(names, cells)] for cells in zip(*table.columns.values())]
     return table, digest(["ok", rows, table.ids, table.labels])
 
 

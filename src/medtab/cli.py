@@ -30,6 +30,9 @@ from .schema import load_schema
 EXIT_CONFIG = 2
 EXIT_PROVIDER = 3
 
+# ``json.dumps(..., sort_keys=True)``, without building an encoder per line.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
 # config key: (default, test, what the value must be). The tests are on the
 # types JSON gives: "3" is not 3, true is not 1 (its type is bool), and null
 # passes none of them.
@@ -112,6 +115,7 @@ def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
     file cannot be read, a line is not JSON, an object lacks one of ``keys``
     or ``problem(object)`` names what is wrong with it."""
     entries = []
+    required = set(keys)
     try:
         with path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -119,7 +123,7 @@ def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
                 if not line:
                     continue
                 doc = json.loads(line)
-                if not isinstance(doc, dict) or any(k not in doc for k in keys):
+                if not isinstance(doc, dict) or not required <= doc.keys():
                     _fail(f"{path}:{lineno}: {what} lines need "
                           + " and ".join(repr(k) for k in keys))
                 wrong = problem(doc)
@@ -210,7 +214,7 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     ds.save_csv(table, out / "extracted.csv")
     with (out / "provenance.jsonl").open("w", encoding="utf-8") as fh:
         for entry in vorc.provenance_entries(result):
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write(_SORTED_JSON.encode(entry) + "\n")
     stats = asdict(result.stats)
     (out / "extract_stats.json").write_text(json.dumps(stats, sort_keys=True) + "\n",
                                             encoding="utf-8")

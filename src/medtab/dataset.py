@@ -4,8 +4,7 @@ leakage-free encoding (impute, one-hot, standardize) fitted on training rows.
 A ``TabularDataset`` holds one list of cells per feature, and every stage
 reads whole columns: ``load_csv`` hands over the columns it coerced,
 ``subset`` gathers them, ``save_csv`` writes them, and the encoder fits and
-encodes column by column. ``rows`` is only a read-only view for readers that
-want one mapping per row.
+encodes column by column.
 
 CSV layout: UTF-8 (a leading byte-order mark is allowed), RFC-4180 quoting,
 header row required, empty cell means a missing value. An optional ``id``
@@ -30,14 +29,13 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from types import MappingProxyType
 from typing import ClassVar
 from pathlib import Path
 
 import numpy as np
 
-from .schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec,
-                     canonicalize_value, fold_name)
+from .schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec, MissingType,
+                     fold_name)
 
 
 class DatasetError(ValueError):
@@ -68,15 +66,6 @@ class TabularDataset:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    @property
-    def rows(self) -> tuple[MappingProxyType, ...]:
-        """A read-only view of the rows, each a mapping from feature name to
-        cell in ``columns`` order; built on each access, so read the columns
-        where speed matters."""
-        names = tuple(self.columns)
-        return tuple(MappingProxyType(dict(zip(names, cells)))
-                     for cells in zip(*self.columns.values()))
 
     def subset(self, indices) -> "TabularDataset":
         idx = list(indices)
@@ -168,9 +157,11 @@ def _coercer(role, label: LabelSpec | None):
                                    f"nor {label.negative_value!r}")
             return int(value == label.positive_value)
     else:
+        coerce_feature = role.coerce  # an empty cell is a missing value, as None is
+
         def coerce(raw):
             try:
-                return canonicalize_value(role, raw if raw != "" else None)
+                return coerce_feature(raw)
             except CoercionError as e:
                 raise DatasetError(f"column {role.name!r}: {e}") from e
     return coerce
@@ -227,12 +218,31 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# The csv module writes a cell of one of these exact types as ``format_cell``
+# formats it (``str`` of an int or a string, ``repr`` of a float), and None as
+# ``format_cell`` writes Missing, empty.
+_CSV_NATIVE = frozenset({int, float, str})
+
+
+def _csv_cells(cells: list) -> list:
+    """The cells of a column as ``save_csv`` hands them to the csv writer:
+    as they are, with Missing as None, when every cell's type is one the
+    writer formats as ``format_cell`` does, else through ``format_cell``."""
+    types = set(map(type, cells))
+    if types <= _CSV_NATIVE:
+        return cells
+    if types - {MissingType} <= _CSV_NATIVE:
+        return [None if cell is MISSING else cell for cell in cells]
+    return list(map(format_cell, cells))
+
+
 def save_csv(dataset: TabularDataset, path: str | Path) -> None:
-    """Write a dataset (id column first, label last when present)."""
+    """Write a dataset (id column first, label last when present). Cells are
+    written as ``format_cell`` formats them."""
     path = Path(path)
     features, label = dataset.schema.features, dataset.schema.label
     header = ["id"] + [f.name for f in features]
-    columns = [dataset.ids] + [list(map(format_cell, dataset.columns[f.name])) for f in features]
+    columns = [dataset.ids] + [_csv_cells(dataset.columns[f.name]) for f in features]
     if dataset.labels is not None:
         header.append(label.name)
         columns.append([label.positive_value if y else label.negative_value

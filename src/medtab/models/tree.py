@@ -142,16 +142,17 @@ class NodeRows:
         self.n_left = self.cuts % m + 1.0
         self.n_right = m - self.n_left
 
-    def best_split(self, gains_of, min_gain: float):
+    def best_split(self, gains_of, min_gain: float, totals: tuple):
         """(cut, column, threshold, gain) of the first maximum of
-        ``gains_of(self)``, the gains at ``self.cuts``, so the lowest column
-        and then the lowest threshold win ties; None when the node has no cut
-        or no gain exceeds ``min_gain``."""
+        ``gains_of(self, *totals)``, the gains at ``self.cuts``, so the lowest
+        column and then the lowest threshold win ties; None when the node has
+        no cut or no gain exceeds ``min_gain``. ``totals`` are the node's
+        target statistics, as its ``new_leaf`` (see ``_grow``) gathered them."""
         if self.cuts is None:
             self._layout()
         if self.cuts.size == 0:
             return None
-        gains = gains_of(self)
+        gains = gains_of(self, *totals)
         i = int(gains.argmax())
         gain = float(gains[i])
         if gain <= min_gain:
@@ -181,11 +182,11 @@ class NodeRows:
         return self.children
 
 
-def _gini_gains(node: NodeRows, y: np.ndarray) -> np.ndarray:
-    """Gini decrease at each cut of ``node``. Counts are integers, so the
-    gains match an integer-count recomputation exactly."""
+def _gini_gains(node: NodeRows, pos_total: int, y: np.ndarray) -> np.ndarray:
+    """Gini decrease at each cut of ``node``, which holds ``pos_total``
+    positive rows. Counts are integers, so the gains match an integer-count
+    recomputation exactly."""
     m = len(node.rows)
-    pos_total = int(y.take(node.rows).sum())
     parent = gini_from_counts(m - pos_total, pos_total)
     n_l, n_r = node.n_left, node.n_right
     pos_l = np.cumsum(y.take(node.order), axis=1).take(node.cuts)
@@ -211,14 +212,19 @@ def _paired(t: np.ndarray) -> np.ndarray:
     return tc
 
 
-def _sse_gains(node: NodeRows, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
-    """Squared-error decrease on targets ``t`` at each cut of ``node``;
-    ``tc`` is ``_paired(t)``."""
+def _sse_totals(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.floating]:
+    """A node's targets in row order, ``t[rows]``, and their sum."""
+    node_t = t.take(rows)
+    return node_t, node_t.sum()
+
+
+def _sse_gains(node: NodeRows, node_t: np.ndarray, total, tc: np.ndarray) -> np.ndarray:
+    """Squared-error decrease at each cut of ``node``, whose targets and
+    their sum are ``_sse_totals(t, node.rows)``; ``tc`` is ``_paired(t)``."""
     m = len(node.rows)
     # Node totals are float sums in row order, as over a slice t[rows]; a
     # complex sum would pair its partial sums differently.
-    node_t = t.take(node.rows)
-    total = float(node_t.sum())
+    total = float(total)
     total_sq = float((node_t * node_t).sum())
     parent = total_sq - total * total / m
     prefix = np.add.accumulate(tc.take(node.order), axis=1).take(node.cuts)
@@ -236,7 +242,7 @@ def best_gini_split(X: np.ndarray, y: np.ndarray):
     integer-count recomputation exactly, so independent brute force agrees
     bit for bit."""
     y = np.asarray(y, dtype=np.int64)
-    found = NodeRows.root(X).best_split(partial(_gini_gains, y=y), 0.0)
+    found = NodeRows.root(X).best_split(partial(_gini_gains, y=y), 0.0, (int(y.sum()),))
     return None if found is None else found[1:]
 
 
@@ -246,7 +252,9 @@ def best_sse_split(X: np.ndarray, t: np.ndarray):
     t = np.asarray(t, dtype=np.float64)
     if _all_equal(t):
         return None
-    found = NodeRows.root(X).best_split(partial(_sse_gains, t=t, tc=_paired(t)), SSE_MIN_GAIN)
+    root = NodeRows.root(X)
+    found = root.best_split(partial(_sse_gains, tc=_paired(t)), SSE_MIN_GAIN,
+                            _sse_totals(t, root.rows))
     return None if found is None else found[1:]
 
 
@@ -367,13 +375,14 @@ def _grow(root: NodeRows, max_depth: int, min_samples_split: int, new_leaf, gain
     (a recursive closure would reference itself, and the cycle would keep the
     training arrays alive until a full garbage collection).
 
-    ``new_leaf(rows)`` returns the node as a leaf and whether it may split;
-    a node that may is searched with ``NodeRows.best_split(gains_of,
-    min_gain)`` and split with ``NodeRows.split``. A node that splits keeps
-    its counts and records its gain. Returns (root, per-column gain vector),
-    each split adding its gain weighted by its share of the rows. When
-    given, ``fitted[rows]`` is set to the value of the leaf that holds those
-    training rows.
+    ``new_leaf(rows)`` returns the node as a leaf and, when it may split,
+    the target statistics it gathered (None when it may not); a node that
+    may is searched with ``NodeRows.best_split(gains_of, min_gain,
+    totals)``, which reuses them, and split with ``NodeRows.split``. A node
+    that splits keeps its counts and records its gain. Returns (root,
+    per-column gain vector), each split adding its gain weighted by its
+    share of the rows. When given, ``fitted[rows]`` is set to the value of
+    the leaf that holds those training rows.
     """
     d, n = root.columns.shape
     gains = np.zeros(d)
@@ -382,11 +391,11 @@ def _grow(root: NodeRows, max_depth: int, min_samples_split: int, new_leaf, gain
     while stack:
         node_rows, depth, parent, side = stack.pop()
         rows = node_rows.rows
-        node, splittable = new_leaf(rows)
+        node, totals = new_leaf(rows)
         setattr(parent, side, node)
         found = None
-        if splittable and depth < max_depth and len(rows) >= min_samples_split:
-            found = node_rows.best_split(gains_of, min_gain)
+        if totals is not None and depth < max_depth and len(rows) >= min_samples_split:
+            found = node_rows.best_split(gains_of, min_gain, totals)
         if found is None:
             if fitted is not None:
                 fitted[rows] = node.value
@@ -411,7 +420,7 @@ def train_dtree(X, y, max_depth: int, min_samples_split: int) -> TreeModel:
         pos = int(y.take(rows).sum())
         neg = len(rows) - pos
         node = TreeNode(n_samples=len(rows), counts=(neg, pos), value=pos / len(rows))
-        return node, pos > 0 and neg > 0
+        return node, (pos,) if pos > 0 and neg > 0 else None
 
     root, gains = _grow(NodeRows.root(X), max_depth, min_samples_split, new_leaf,
                         partial(_gini_gains, y=y), 0.0)
@@ -436,11 +445,12 @@ def train_regression_tree(X, targets, weights, max_depth: int = 6,
         node_rows = NodeRows.root(X)
 
     def new_leaf(rows):
-        node_t = t.take(rows)
-        value = float(node_t.sum() / (w.take(rows).sum() + LEAF_EPS))
-        return TreeNode(n_samples=len(rows), value=value), not _all_equal(node_t)
+        node_t, total = totals = _sse_totals(t, rows)
+        value = float(total / (w.take(rows).sum() + LEAF_EPS))
+        return (TreeNode(n_samples=len(rows), value=value),
+                None if _all_equal(node_t) else totals)
 
-    return _grow(node_rows, max_depth, 2, new_leaf, partial(_sse_gains, t=t, tc=_paired(t)),
+    return _grow(node_rows, max_depth, 2, new_leaf, partial(_sse_gains, tc=_paired(t)),
                  SSE_MIN_GAIN, fitted)
 
 

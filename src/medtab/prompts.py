@@ -17,13 +17,15 @@ lives in external template files, one directory per schema::
 Template files may reference {{SCHEMA_BLOCK}}; the rendered prompt ends with
 ``REPORT_SLOT``, the report substituted into its {{REPORT}} slot. The format
 text (``FORMAT_SECTION``) and the report slot are the same for every bundle,
-and the few-shot prompt takes 1 to ``MAX_SHOTS`` examples.
+and the few-shot prompt takes 1 to ``MAX_SHOTS`` examples. A bundle builds
+its prompt frame once, when it is made, with {{SCHEMA_BLOCK}} substituted;
+``render`` only joins the report into the frame's {{REPORT}} slots.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .schema import ExtractionSchema, LabelSpec, emit_json_schema_block
@@ -84,6 +86,8 @@ class PromptBundle:
     schema_block: str
     example: OneShotExample
     reasoning_guidelines: str
+    # the prompt with {{SCHEMA_BLOCK}} substituted, cut at every {{REPORT}}
+    _frame: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def reasoning_block(self) -> str:
         """The removable reasoning section; empty when both sources are empty."""
@@ -92,9 +96,7 @@ class PromptBundle:
             return ""
         return "Reasoning:\n" + "\n".join(parts) + "\n\n"
 
-    def render(self, report: str) -> str:
-        if not report:
-            raise PromptError("report must be nonempty")
+    def __post_init__(self):
         body = (
             f"{self.instructions}\n"
             f"\n"
@@ -118,8 +120,16 @@ class PromptBundle:
             f"\n"
             f"{REPORT_SLOT}"
         )
-        body = body.replace("{{SCHEMA_BLOCK}}", self.schema_block)
-        return body.replace("{{REPORT}}", report)
+        frame = body.replace("{{SCHEMA_BLOCK}}", self.schema_block).split("{{REPORT}}")
+        object.__setattr__(self, "_frame", tuple(frame))
+
+    def render(self, report: str) -> str:
+        """The extraction prompt for ``report``: the frame with the report in
+        every ``{{REPORT}}`` slot. A report is inserted as it is, so a
+        ``{{SCHEMA_BLOCK}}`` in it stays as written."""
+        if not report:
+            raise PromptError("report must be nonempty")
+        return report.join(self._frame)
 
     def without_reasoning(self) -> "PromptBundle":
         """Ablated bundle: drops guidelines and the example rationale, nothing else."""

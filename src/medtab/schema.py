@@ -16,6 +16,17 @@ A schema file is a JSON document::
 ``kind`` is one of ``integer``, ``real``, ``text``, ``categorical``.
 ``allowed_values`` is required for categoricals, ``range`` is optional for
 numerics (inclusive ``[min, max]``), ``allow_missing`` defaults to true.
+
+What every value and every key needs is built once. Each ``FeatureSpec``
+compiles its coercer when it is constructed: the kind, the range, the
+case-folded allowed values and the messages are chosen there, and the exact
+JSON or CSV types a value usually has (an ``int``, a finite ``float``, a
+numeral string, an allowed value's own spelling) take a short path.
+``canonicalize_value(spec, raw)`` calls it and still defines coercion: the
+coercer gives exactly its result. Each ``ExtractionSchema`` keeps an exact
+lookup from the key spellings replies use to their features, filled as keys
+are folded and bounded at ``KEY_LOOKUP_LIMIT`` spellings; ``match_key`` reads
+it, and ``vorc.validate_record`` and ``dataset.load_csv`` read both tables.
 """
 
 from __future__ import annotations
@@ -24,11 +35,17 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 KINDS = ("integer", "real", "text", "categorical")
 
 # Strings that coerce to Missing (case-insensitive), alongside JSON null.
 MISSING_SENTINELS = frozenset({"none", "", "n/a", "nan"})
+
+# At most this many key spellings are remembered per schema; a spelling seen
+# after that is folded on every call.
+KEY_LOOKUP_LIMIT = 1024
+_UNSEEN = object()
 
 
 class MissingType:
@@ -89,6 +106,9 @@ class FeatureSpec:
     allowed_values: tuple[str, ...] = ()
     numeric_range: tuple[float, float] | None = None
     allow_missing: bool = True
+    # raw value -> canonical value, built from the fields above; see
+    # ``canonicalize_value``.
+    coerce: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -108,6 +128,7 @@ class FeatureSpec:
             lo, hi = self.numeric_range
             if lo > hi:
                 raise SchemaError(f"feature {self.name!r}: range min {lo} > max {hi}")
+        object.__setattr__(self, "coerce", _compile_coercer(self))
 
 
 @dataclass(frozen=True)
@@ -150,6 +171,7 @@ class ExtractionSchema:
     label: LabelSpec | None = None
     name: str = ""
     _by_folded: dict = field(init=False, repr=False, compare=False, default=None)
+    _by_key: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.features:
@@ -169,6 +191,7 @@ class ExtractionSchema:
             if self.label.name in seen or fold_name(self.label.name) in folded:
                 raise SchemaError(f"label name {self.label.name!r} collides with a feature")
         object.__setattr__(self, "_by_folded", folded)
+        object.__setattr__(self, "_by_key", {})  # key spelling -> spec or None
 
     @property
     def m(self) -> int:
@@ -179,7 +202,14 @@ class ExtractionSchema:
         return self._by_folded[fold_name(name)]
 
     def match_key(self, key: str) -> FeatureSpec | None:
-        return self._by_folded.get(fold_name(key))
+        """The feature ``key`` names under ``fold_name``, or None. A spelling
+        is folded once and remembered, up to ``KEY_LOOKUP_LIMIT`` of them."""
+        spec = self._by_key.get(key, _UNSEEN)
+        if spec is _UNSEEN:
+            spec = self._by_folded.get(fold_name(key))
+            if len(self._by_key) < KEY_LOOKUP_LIMIT:
+                self._by_key[key] = spec
+        return spec
 
 
 def load_schema(path: str | Path) -> ExtractionSchema:
@@ -234,11 +264,16 @@ def emit_json_schema_block(schema: ExtractionSchema) -> str:
 
 def _coerce_number(raw):
     """Parse a JSON scalar or numeral string into a finite float; None when
-    not numeric (infinities are not valid record values)."""
+    not numeric. Infinities are not valid record values, and neither is an
+    integer too large for a float (a 400-digit ``Age``), which is treated as
+    ``1e400`` is."""
     if isinstance(raw, bool):
         return None
     if isinstance(raw, (int, float)):
-        value = float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            return None
         return value if math.isfinite(value) else None
     if isinstance(raw, str):
         s = raw.strip()
@@ -257,57 +292,144 @@ def _coerce_number(raw):
     return None
 
 
+def _is_missing(raw) -> bool:
+    """JSON null, Missing, a sentinel string or NaN."""
+    return (raw is MISSING or raw is None
+            or (isinstance(raw, str) and raw.strip().lower() in MISSING_SENTINELS)
+            or (isinstance(raw, float) and raw != raw))
+
+
+# Every int of at most this size is exact as a float, so ``int(float(raw))``
+# is ``raw`` itself.
+_EXACT_INT = 2 ** 53
+
+
+def _compile_coercer(spec: FeatureSpec):
+    """The coercer of ``spec`` (see ``canonicalize_value``). It first tries
+    the short path of the value's exact type, and hands everything else to
+    the rule for any value (``number`` or ``general``)."""
+    name = spec.name
+    missing_message = f"{name}: value is missing but the feature requires one"
+
+    def missing():
+        if spec.allow_missing:
+            return MISSING
+        raise CoercionError("missing-not-allowed", missing_message)
+
+    if spec.kind in ("integer", "real"):
+        integer = spec.kind == "integer"
+        if spec.numeric_range is None:
+            lo, hi, range_message = -math.inf, math.inf, ""  # every finite value passes
+        else:
+            lo, hi = spec.numeric_range
+            range_message = (f" outside the expected range between {_fmt_bound(lo)} and "
+                             f"{_fmt_bound(hi)}")
+
+        def number(raw):
+            """``raw`` as a finite float, or MISSING; raises CoercionError
+            for anything else."""
+            if raw.__class__ is str:
+                try:
+                    num = float(raw)
+                except ValueError:
+                    num = math.nan
+                if num - num == 0.0:  # a finite numeral, so no sentinel
+                    return num
+            if _is_missing(raw):
+                return missing()
+            num = _coerce_number(raw)
+            if num is None:
+                raise CoercionError("type-mismatch", f"{name}: cannot interpret {raw!r} as a number")
+            return num
+
+        def coerce(raw):
+            cls = raw.__class__
+            if ((cls is int and -_EXACT_INT <= raw <= _EXACT_INT)
+                    or (cls is float and raw - raw == 0.0)):
+                num = raw  # a JSON number: an int exact as a float, or a finite float
+            else:
+                num = number(raw)
+                if num is MISSING:
+                    return num
+            if integer:
+                value = int(num)
+                if value != num:
+                    raise CoercionError("type-mismatch", f"{name}: expected an integer, got {raw!r}")
+            else:
+                value = float(num)
+            if lo <= value <= hi:
+                return value
+            raise CoercionError("out-of-range", f"{name}: {value}{range_message}")
+
+        return coerce
+
+    if spec.kind == "categorical":
+        by_fold = {}
+        for allowed in spec.allowed_values:
+            by_fold.setdefault(allowed.lower(), allowed)
+        choices = ", ".join(spec.allowed_values)
+
+        def general(raw):
+            if _is_missing(raw):
+                return missing()
+            text = _stringify(raw).strip()
+            value = by_fold.get(text.lower())
+            if value is None:
+                raise CoercionError("unknown-category",
+                                    f"{name}: {text!r} is not one of the allowed values: {choices}")
+            return value
+
+        # the allowed values' own spellings, as ``general`` maps them
+        exact = {}
+        for allowed in spec.allowed_values:
+            try:
+                value = general(allowed)
+            except CoercionError:  # " M" strips to "M", which may not be allowed
+                continue
+            if value is not MISSING:
+                exact[allowed] = value
+
+        def coerce(raw):
+            if raw.__class__ is str:
+                value = exact.get(raw)
+                if value is not None:
+                    return value
+            return general(raw)
+
+        return coerce
+
+    def general(raw):  # text
+        return missing() if _is_missing(raw) else _stringify(raw)
+
+    def coerce(raw):
+        if raw.__class__ is str and raw.strip().lower() not in MISSING_SENTINELS:
+            return raw
+        return general(raw)
+
+    return coerce
+
+
 def canonicalize_value(spec: FeatureSpec, raw):
     """Coerce a raw JSON scalar into the feature's canonical typed value.
 
-    Returns the typed value or MISSING; raises CoercionError otherwise.
-    Idempotent: feeding the result back returns it unchanged.
+    Returns the typed value or MISSING; raises CoercionError otherwise:
+    ``missing-not-allowed`` for a missing value (JSON null, Missing, a
+    string in ``MISSING_SENTINELS`` after stripping and lowercasing, NaN) of
+    a feature that requires one; ``type-mismatch`` for a numeric feature's
+    value that is not a finite number (see ``_coerce_number``) or, for an
+    integer feature, not integral; ``out-of-range`` outside the numeric
+    range; ``unknown-category`` for a categorical value that matches no
+    allowed value after stripping and lowercasing. Idempotent: feeding the
+    result back returns it unchanged. This runs ``spec.coerce``, the coercer
+    compiled from the spec.
     """
-    if raw is MISSING or raw is None or (isinstance(raw, str) and raw.strip().lower() in MISSING_SENTINELS):
-        if spec.allow_missing:
-            return MISSING
-        raise CoercionError("missing-not-allowed", f"{spec.name}: value is missing but the feature requires one")
-    if isinstance(raw, float) and raw != raw:  # NaN slipping through a lenient parse
-        if spec.allow_missing:
-            return MISSING
-        raise CoercionError("missing-not-allowed", f"{spec.name}: value is missing but the feature requires one")
-
-    if spec.kind in ("integer", "real"):
-        num = _coerce_number(raw)
-        if num is None:
-            raise CoercionError("type-mismatch", f"{spec.name}: cannot interpret {raw!r} as a number")
-        if spec.kind == "integer":
-            if num != int(num):
-                raise CoercionError("type-mismatch", f"{spec.name}: expected an integer, got {raw!r}")
-            value = int(num)
-        else:
-            value = float(num)
-        if spec.numeric_range is not None:
-            lo, hi = spec.numeric_range
-            if not (lo <= value <= hi):
-                raise CoercionError(
-                    "out-of-range",
-                    f"{spec.name}: {value} outside the expected range between {_fmt_bound(lo)} and {_fmt_bound(hi)}")
-        return value
-
-    if spec.kind == "categorical":
-        text = _stringify(raw).strip()
-        lowered = text.lower()
-        for allowed in spec.allowed_values:
-            if allowed.lower() == lowered:
-                return allowed
-        raise CoercionError(
-            "unknown-category",
-            f"{spec.name}: {text!r} is not one of the allowed values: {', '.join(spec.allowed_values)}")
-
-    # text
-    return _stringify(raw)
+    return spec.coerce(raw)
 
 
 def _stringify(raw) -> str:
     if isinstance(raw, bool):
         return "true" if raw else "false"
-    if isinstance(raw, float) and raw == int(raw):
+    if isinstance(raw, float) and raw.is_integer():  # not inf, which int() cannot take
         return str(int(raw))
     return raw if isinstance(raw, str) else str(raw)
 

@@ -15,6 +15,14 @@ work on the pieces ``_STRINGS.split`` cuts, and the block scanner behind
 in that order. ``run_vorc`` takes one step per provider call: read the reply
 (strict parse, else rule repair), validate it, and on failure either stop at
 the budget or send the matching correction prompt.
+
+What every reply needs is built once, at import or with the schema: one JSON
+decoder for every strict parse, compiled patterns, and the schema's key
+lookup and per-feature coercers, which ``validate_record`` reads (see
+``schema``). A reply is not read again where the answer is already known:
+``_parses`` decodes only text that can be an object, each rule first checks
+on the text that it can change something there, and a text is cut into its
+string pieces only when a rule that reads them runs.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .llm import CompletionRequest, ProviderError
 from .prompts import PromptBundle, build_json_correction_prompt, build_type_correction_prompt
-from .schema import MISSING, CoercionError, ExtractionSchema, canonicalize_value, fold_name
+from .schema import MISSING, CoercionError, ExtractionSchema, fold_name
 
 class ParseFailure(ValueError):
     """Strict parsing failed; ``kind`` is ``no-json-found`` or ``strict-parse-error``."""
@@ -91,11 +99,21 @@ class VorcFailure:
     violations: list[Violation] | None = None
 
 
-def _strict_loads(text: str):
-    def reject_constant(name):
-        raise ValueError(f"non-standard JSON constant {name}")
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
-    return json.loads(text, parse_constant=reject_constant)
+
+# One decoder for every strict parse, shared by all threads as json.loads'
+# own default decoder is.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _strict_loads(text: str):
+    """``json.loads(text)`` that rejects NaN and the infinities, with
+    ``json.loads``' error for a leading byte-order mark."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
 
 
 _STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*(?:"|\\?\Z)'  # see the module docstring
@@ -109,12 +127,19 @@ _NEXT_BRACE = re.compile(rf'[^{{}}"]*(?:{_STRING}[^{{}}"]*)*([{{}}]|\Z)')
 _QUOTE_TOKEN = re.compile(f"'|{_STRING}")
 # A single-quoted string, closed on its own line (a bare newline makes it prose).
 _SINGLE_QUOTED = re.compile(r"'([^'\\\n]*(?:\\[\s\S][^'\\\n]*)*)'")
+# An escape in a single-quoted string: \' loses its backslash, others keep it.
+_UNESCAPE = re.compile(r"\\(')|(\\[\s\S])")
 _FENCE_LINE = re.compile(r"^\s*`{3,}[A-Za-z]*\s*$")
 _TRAILING_COMMA = re.compile(r",(\s*[}\]])")
 _STRUCTURE = re.compile(r"[{}\[\],]")
 _BARE_KEY = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*):")
-_BARE_KEY_ANYWHERE = re.compile("[{,]" + _BARE_KEY.pattern)
+# A bare key anywhere, as the rule's prefilter. Each run is matched whole
+# inside a lookahead and then consumed by its backreference, as an atomic
+# group would (Python 3.10 has none): giving back part of a run could never
+# lead to a match, and trying it costs time at every ``{`` and ``,``.
+_BARE_KEY_ANYWHERE = re.compile(r"[{,](?=(\s*))\1(?=([A-Za-z_][A-Za-z0-9_]*))\2(?=(\s*))\3:")
 _PY_LITERALS = (("True", "true"), ("False", "false"), ("None", "null"))
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def _scan_block(text: str, start: int, ends: dict[int, int | None]) -> None:
@@ -186,15 +211,35 @@ def parse_response(raw: str):
 
 def _parses(text: str) -> bool:
     """True when the whole text is strictly a JSON object (records are always
-    objects, so repairing into an array or scalar is not a success)."""
+    objects, so repairing into an array or scalar is not a success). Text
+    that does not start with ``{`` after JSON whitespace is not decoded."""
+    if not text.lstrip(_JSON_WHITESPACE).startswith("{"):
+        return False
     try:
         return isinstance(_strict_loads(text), dict)
     except (json.JSONDecodeError, ValueError):
         return False
 
 
-# Each rule takes the text and its ``_STRINGS.split`` pieces and returns the
-# repaired text (the same text when it has nothing to repair).
+# Each rule takes the text and a function that returns its ``_STRINGS.split``
+# pieces, and returns the repaired text (the same text when it has nothing to
+# repair). A rule first checks, on the text, that it can change something
+# there, so the pieces are cut only for a rule that reads them.
+
+def _splitter(text: str):
+    """The function that returns ``_STRINGS.split(text)``, cut on its first
+    call and kept for the later ones. (``functools.cache`` would do the same,
+    but it copies the wrapped function's attributes for every text.)"""
+    pieces = None
+
+    def split() -> list[str]:
+        nonlocal pieces
+        if pieces is None:
+            pieces = _STRINGS.split(text)
+        return pieces
+
+    return split
+
 
 def _map_nonstring(pieces: list[str], fn) -> str:
     """The text with ``fn`` applied outside strings. The pieces outside
@@ -205,7 +250,9 @@ def _map_nonstring(pieces: list[str], fn) -> str:
     return "".join(out)
 
 
-def _strip_code_fence(text: str, pieces: list[str]) -> str:
+def _strip_code_fence(text: str, pieces) -> str:
+    if "```" not in text:  # every fence line holds one
+        return text
     lines = text.split("\n")
     kept = [ln for ln in lines if not _FENCE_LINE.match(ln)]
     if len(kept) == len(lines):
@@ -213,7 +260,7 @@ def _strip_code_fence(text: str, pieces: list[str]) -> str:
     return "\n".join(kept)
 
 
-def _single_to_double_quotes(text: str, pieces: list[str]) -> str:
+def _single_to_double_quotes(text: str, pieces) -> str:
     """Convert single-quoted strings in JSON positions (after ``{ [ , :``) only,
     leaving prose apostrophes alone. A single-quoted string may hold ``"``,
     so this rule finds its own strings rather than using the pieces."""
@@ -224,13 +271,17 @@ def _single_to_double_quotes(text: str, pieces: list[str]) -> str:
     last_sig = ""  # last non-space character outside strings
     while m := _QUOTE_TOKEN.search(text, pos):
         at = m.start()
+        if text[at] == '"':
+            pos, last_sig = m.end(), '"'
+            continue
         gap = text[pos:at].rstrip()
         if gap:
             last_sig = gap[-1]
-        if text[at] == '"':
-            pos, last_sig = m.end(), '"'
-        elif last_sig in "{[,:" and (quoted := _SINGLE_QUOTED.match(text, at)):
-            inner = re.sub(r"\\(')|(\\[\s\S])", r"\1\2", quoted[1]).replace('"', '\\"')
+        if last_sig in "{[,:" and (quoted := _SINGLE_QUOTED.match(text, at)):
+            inner = quoted[1]
+            if "\\" in inner:
+                inner = _UNESCAPE.sub(r"\1\2", inner)
+            inner = inner.replace('"', '\\"')
             out += (text[copied:at], f'"{inner}"')
             copied = pos = quoted.end()
             last_sig = '"'
@@ -240,15 +291,21 @@ def _single_to_double_quotes(text: str, pieces: list[str]) -> str:
     return "".join(out)
 
 
-def _remove_trailing_comma(text: str, pieces: list[str]) -> str:
-    return _map_nonstring(pieces, lambda seg: _TRAILING_COMMA.sub(r"\1", seg))
+def _remove_trailing_comma(text: str, pieces) -> str:
+    # A match outside strings is a match in the text, since ``"`` ends none.
+    if not _TRAILING_COMMA.search(text):
+        return text
+    return _map_nonstring(pieces(), lambda seg: _TRAILING_COMMA.sub(r"\1", seg))
 
 
-def _quote_bare_key(text: str, pieces: list[str]) -> str:
-    """Quote bare identifiers in key position within object context."""
-    if not _BARE_KEY_ANYWHERE.search(text):
+def _quote_bare_key(text: str, pieces) -> str:
+    """Quote bare identifiers in key position within object context. Object
+    context opens at a ``{``, so a key before the first one is never quoted."""
+    start = text.find("{")
+    if start < 0 or not _BARE_KEY_ANYWHERE.search(text, start):
         return text
     stack: list[str] = []
+    pieces = pieces()
     out = pieces[:]
     for i in range(0, len(pieces), 2):
         seg = pieces[i]
@@ -270,25 +327,55 @@ def _quote_bare_key(text: str, pieces: list[str]) -> str:
     return "".join(out)
 
 
-def _pyliteral_to_json(text: str, pieces: list[str]) -> str:
-    # A word that is nowhere in the text cannot match: skip its slow \b search.
+def _is_word_char(c: str) -> bool:
+    """A word character of ``re``'s ``\\w`` on str patterns."""
+    return c.isalnum() or c == "_"
+
+
+def _sub_word(seg: str, word: str, literal: str, dash: bool = False) -> str:
+    """``re.sub(rf"\\b{word}\\b", literal, seg)``, or with ``dash``
+    ``re.sub(rf"-?\\b{word}\\b", ...)``, which also replaces a ``-`` just
+    before the word. A pattern that opens with ``\\b`` or ``-?`` has no literal
+    prefix, so ``re`` tries it at every position; here ``str.find`` visits
+    only the places where ``word`` is. ``word`` is one of ``True``, ``False``,
+    ``None`` and ``NaN``: a rejected place can hide no accepted one inside it."""
+    out = []
+    copied = 0
+    at = seg.find(word)
+    while at >= 0:
+        end = at + len(word)
+        if ((end == len(seg) or not _is_word_char(seg[end]))
+                and (at == 0 or not _is_word_char(seg[at - 1]))):
+            start = at - 1 if dash and at and seg[at - 1] == "-" else at
+            out += (seg[copied:start], literal)
+            copied = end
+            at = seg.find(word, end)
+        else:
+            at = seg.find(word, at + 1)
+    if not out:
+        return seg
+    out.append(seg[copied:])
+    return "".join(out)
+
+
+def _pyliteral_to_json(text: str, pieces) -> str:
     found = [(word, literal) for word, literal in _PY_LITERALS if word in text]
 
     def fix(seg: str) -> str:
         for word, literal in found:
-            seg = re.sub(rf"\b{word}\b", literal, seg)
+            seg = _sub_word(seg, word, literal)
         return seg
 
-    return _map_nonstring(pieces, fix) if found else text
+    return _map_nonstring(pieces(), fix) if found else text
 
 
-def _nan_to_null(text: str, pieces: list[str]) -> str:
+def _nan_to_null(text: str, pieces) -> str:
     if "NaN" not in text:
         return text
-    return _map_nonstring(pieces, lambda seg: re.sub(r"-?\bNaN\b", "null", seg))
+    return _map_nonstring(pieces(), lambda seg: _sub_word(seg, "NaN", "null", dash=True))
 
 
-def _extract_json_substring(text: str, pieces: list[str]) -> str:
+def _extract_json_substring(text: str, pieces) -> str:
     span = _answer_span(text)
     if span is None:
         return text
@@ -313,11 +400,12 @@ _MAX_REPAIR_PASSES = 3
 
 def _common_prefix(a: str, b: str, limit: int) -> int:
     """Length of the longest common prefix of ``a`` and ``b``, at most
-    ``limit``, by bisection on slice comparisons."""
+    ``limit``, by bisection; each step compares only the part not yet
+    known to agree."""
     lo, hi = 0, limit
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
+        if a[lo:mid] == b[lo:mid]:
             lo = mid
         else:
             hi = mid - 1
@@ -343,7 +431,7 @@ def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
     actions: list[RepairAction] = []
     if _parses(current.strip()):
         return current.strip(), actions
-    pieces = _STRINGS.split(current)
+    pieces = _splitter(current)
     for _ in range(_MAX_REPAIR_PASSES):
         changed = False
         for kind, rule in _RULES.items():
@@ -351,7 +439,7 @@ def repair_json(raw: str) -> tuple[str, list[RepairAction]]:
             if fixed == current:
                 continue  # so are its pieces, and it still does not parse
             actions.append(RepairAction(kind=kind, span=_diff_span(current, fixed)))
-            current, pieces, changed = fixed, _STRINGS.split(fixed), True
+            current, pieces, changed = fixed, _splitter(fixed), True
             if _parses(current.strip()):
                 return current.strip(), actions
         if not changed:
@@ -382,7 +470,9 @@ def _answer_span(text: str) -> tuple[int, int] | None:
 
 def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
     """Match response keys to features (case/spacing-insensitive), coerce every
-    value, and collect all violations instead of stopping at the first."""
+    value, and collect all violations instead of stopping at the first. Keys
+    go through the schema's key lookup and values through each feature's
+    compiled coercer (see ``schema``)."""
     violations: list[Violation] = []
     values: dict = {}
     label_value: str | None = None
@@ -390,9 +480,9 @@ def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
         return ValidationResult({}, None, [Violation("", "type-mismatch", "response is not a JSON object", obj)])
 
     matched: dict[str, object] = {}
-    label_fold = fold_name(schema.label.name) if schema.label else None
+    match_key = schema.match_key
     for key, raw in obj.items():
-        spec = schema.match_key(key)
+        spec = match_key(key)
         if spec is not None:
             if spec.name in matched:
                 violations.append(Violation(key, "unknown-extra-key",
@@ -400,15 +490,16 @@ def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
             else:
                 matched[spec.name] = raw
             continue
-        if label_fold is not None and fold_name(key) == label_fold:
-            parsed = schema.label.parse(raw)
+        label = schema.label
+        if label is not None and fold_name(key) == fold_name(label.name):
+            parsed = label.parse(raw)
             if parsed is not None:
                 label_value = parsed
             else:
                 violations.append(Violation(
                     key, "unknown-category",
-                    f"{schema.label.name}: expected {schema.label.positive_value!r} or "
-                    f"{schema.label.negative_value!r}", raw))
+                    f"{label.name}: expected {label.positive_value!r} or "
+                    f"{label.negative_value!r}", raw))
             continue
         violations.append(Violation(key, "unknown-extra-key",
                                     f"key {key!r} is not part of the schema", raw))
@@ -417,7 +508,7 @@ def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
         if spec.name in matched:
             raw = matched[spec.name]
             try:
-                values[spec.name] = canonicalize_value(spec, raw)
+                values[spec.name] = spec.coerce(raw)
             except CoercionError as e:
                 violations.append(Violation(spec.name, e.reason, str(e), raw))
         elif spec.allow_missing:

@@ -5,20 +5,23 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 
 from medtab.dataset import (CategoricalState, DatasetError, NumericState, TabularDataset,
-                            _map_header, load_csv)
+                            _map_header, format_cell, load_csv)
 from medtab.evalkit import EvalError, ExtractionReport
 from medtab.llm import ReplayExhaustedError
-from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, OneShotExample,
-                            PromptBundle, PromptError, _fit_sections)
-from medtab.schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec,
-                           canonicalize_value, emit_json_schema_block)
-from medtab.vorc import ParseFailure, RepairAction, UnrepairableError, call_rate
+from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, EXAMPLE_HEADING,
+                            FORMAT_SECTION, REPORT_SLOT, SCHEMA_HEADING, SEPARATOR,
+                            OneShotExample, PromptBundle, PromptError, _fit_sections)
+from medtab.schema import (MISSING, MISSING_SENTINELS, CoercionError, ExtractionSchema, FeatureSpec,
+                           LabelSpec, emit_json_schema_block, fold_name)
+from medtab.vorc import (ParseFailure, RepairAction, UnrepairableError, ValidationResult,
+                         Violation, call_rate)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -33,6 +36,13 @@ def table_from_rows(schema, rows, ids, labels=None) -> TabularDataset:
     return TabularDataset(schema=schema, columns={name: [row[name] for row in rows]
                                                   for name in names},
                           ids=list(ids), labels=labels)
+
+
+def table_rows(table: TabularDataset) -> tuple[dict, ...]:
+    """The table's rows built from its columns: one dict per row, from
+    feature name to cell, in ``columns`` order."""
+    names = tuple(table.columns)
+    return tuple(dict(zip(names, cells)) for cells in zip(*table.columns.values()))
 
 
 def int_feature(name, lo=None, hi=None, allow_missing=True):
@@ -228,7 +238,7 @@ def corrupt_cells(table: TabularDataset, fraction: float, seed: int) -> TabularD
     another row's value from the same column, categoricals a different allowed
     value. Cells are chosen uniformly at random."""
     rng = np.random.default_rng(seed)
-    rows = [dict(r) for r in table.rows]
+    rows = list(table_rows(table))
     feats = table.schema.features
     n_cells = len(rows) * len(feats)
     chosen = rng.choice(n_cells, size=int(round(fraction * n_cells)), replace=False)
@@ -703,6 +713,202 @@ def build_type_correction_prompt(original_prompt: str, response_json: str,
 
 
 # ---------------------------------------------------------------------------
+# Reference coercion, key matching, record validation and prompt rendering:
+# the per-call code that the compiled coercers and key lookup of
+# medtab.schema, the prompt frame of medtab.prompts and the column writer of
+# medtab.dataset replaced, kept verbatim as oracles (methods as functions of
+# their object; ``validate_record`` calls the ``match_key`` here). Two
+# changes are marked: in ``_coerce_number`` an int too large for a float is
+# not a number, as ``1e400`` is not, and ``_stringify`` writes an infinite
+# float as ``str`` does; the originals raised OverflowError for both.
+# ---------------------------------------------------------------------------
+
+def match_key(self: ExtractionSchema, key: str) -> FeatureSpec | None:
+    return self._by_folded.get(fold_name(key))
+
+
+def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
+    """Match response keys to features (case/spacing-insensitive), coerce every
+    value, and collect all violations instead of stopping at the first."""
+    violations: list[Violation] = []
+    values: dict = {}
+    label_value: str | None = None
+    if not isinstance(obj, dict):
+        return ValidationResult({}, None, [Violation("", "type-mismatch", "response is not a JSON object", obj)])
+
+    matched: dict[str, object] = {}
+    label_fold = fold_name(schema.label.name) if schema.label else None
+    for key, raw in obj.items():
+        spec = match_key(schema, key)
+        if spec is not None:
+            if spec.name in matched:
+                violations.append(Violation(key, "unknown-extra-key",
+                                            f"key {key!r} duplicates feature {spec.name!r}", raw))
+            else:
+                matched[spec.name] = raw
+            continue
+        if label_fold is not None and fold_name(key) == label_fold:
+            parsed = schema.label.parse(raw)
+            if parsed is not None:
+                label_value = parsed
+            else:
+                violations.append(Violation(
+                    key, "unknown-category",
+                    f"{schema.label.name}: expected {schema.label.positive_value!r} or "
+                    f"{schema.label.negative_value!r}", raw))
+            continue
+        violations.append(Violation(key, "unknown-extra-key",
+                                    f"key {key!r} is not part of the schema", raw))
+
+    for spec in schema.features:
+        if spec.name in matched:
+            raw = matched[spec.name]
+            try:
+                values[spec.name] = canonicalize_value(spec, raw)
+            except CoercionError as e:
+                violations.append(Violation(spec.name, e.reason, str(e), raw))
+        elif spec.allow_missing:
+            values[spec.name] = MISSING
+        else:
+            violations.append(Violation(spec.name, "missing-required-key",
+                                        f"required key {spec.name!r} is absent"))
+    return ValidationResult(values, label_value, violations)
+
+
+def render(self: PromptBundle, report: str) -> str:
+    if not report:
+        raise PromptError("report must be nonempty")
+    body = (
+        f"{self.instructions}\n"
+        f"\n"
+        f"{SCHEMA_HEADING}\n"
+        f"```\n"
+        f"{self.schema_block}\n"
+        f"```\n"
+        f"\n"
+        f"{FORMAT_SECTION}\n"
+        f"\n"
+        f"{EXAMPLE_HEADING}\n"
+        f"\n"
+        f"Medical report:\n"
+        f"{self.example.report_text}\n"
+        f"\n"
+        f"{self.reasoning_block()}"
+        f"Output JSON:\n"
+        f"{self.example.output_json_text}\n"
+        f"\n"
+        f"{SEPARATOR}\n"
+        f"\n"
+        f"{REPORT_SLOT}"
+    )
+    body = body.replace("{{SCHEMA_BLOCK}}", self.schema_block)
+    return body.replace("{{REPORT}}", report)
+
+
+def save_csv_by_cell(dataset: TabularDataset, path: str | Path) -> None:
+    """Write a dataset (id column first, label last when present)."""
+    path = Path(path)
+    features, label = dataset.schema.features, dataset.schema.label
+    header = ["id"] + [f.name for f in features]
+    columns = [dataset.ids] + [list(map(format_cell, dataset.columns[f.name])) for f in features]
+    if dataset.labels is not None:
+        header.append(label.name)
+        columns.append([label.positive_value if y else label.negative_value
+                        for y in dataset.labels])
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def _coerce_number(raw):
+    """Parse a JSON scalar or numeral string into a finite float; None when
+    not numeric (infinities are not valid record values)."""
+    if isinstance(raw, bool):
+        return None
+    if isinstance(raw, (int, float)):
+        try:
+            value = float(raw)
+        except OverflowError:  # the first change: an int too large for a float
+            return None
+        return value if math.isfinite(value) else None
+    if isinstance(raw, str):
+        s = raw.strip()
+        try:
+            value = float(s)
+        except ValueError:
+            # tolerate a comma decimal separator ("1,5" -> 1.5)
+            if s.count(",") == 1 and "." not in s:
+                try:
+                    value = float(s.replace(",", "."))
+                except ValueError:
+                    return None
+            else:
+                return None
+        return value if math.isfinite(value) else None
+    return None
+
+
+def canonicalize_value(spec: FeatureSpec, raw):
+    """Coerce a raw JSON scalar into the feature's canonical typed value.
+
+    Returns the typed value or MISSING; raises CoercionError otherwise.
+    Idempotent: feeding the result back returns it unchanged.
+    """
+    if raw is MISSING or raw is None or (isinstance(raw, str) and raw.strip().lower() in MISSING_SENTINELS):
+        if spec.allow_missing:
+            return MISSING
+        raise CoercionError("missing-not-allowed", f"{spec.name}: value is missing but the feature requires one")
+    if isinstance(raw, float) and raw != raw:  # NaN slipping through a lenient parse
+        if spec.allow_missing:
+            return MISSING
+        raise CoercionError("missing-not-allowed", f"{spec.name}: value is missing but the feature requires one")
+
+    if spec.kind in ("integer", "real"):
+        num = _coerce_number(raw)
+        if num is None:
+            raise CoercionError("type-mismatch", f"{spec.name}: cannot interpret {raw!r} as a number")
+        if spec.kind == "integer":
+            if num != int(num):
+                raise CoercionError("type-mismatch", f"{spec.name}: expected an integer, got {raw!r}")
+            value = int(num)
+        else:
+            value = float(num)
+        if spec.numeric_range is not None:
+            lo, hi = spec.numeric_range
+            if not (lo <= value <= hi):
+                raise CoercionError(
+                    "out-of-range",
+                    f"{spec.name}: {value} outside the expected range between {_fmt_bound(lo)} and {_fmt_bound(hi)}")
+        return value
+
+    if spec.kind == "categorical":
+        text = _stringify(raw).strip()
+        lowered = text.lower()
+        for allowed in spec.allowed_values:
+            if allowed.lower() == lowered:
+                return allowed
+        raise CoercionError(
+            "unknown-category",
+            f"{spec.name}: {text!r} is not one of the allowed values: {', '.join(spec.allowed_values)}")
+
+    # text
+    return _stringify(raw)
+
+
+def _stringify(raw) -> str:
+    if isinstance(raw, bool):
+        return "true" if raw else "false"
+    if isinstance(raw, float) and raw.is_integer():  # the second change
+        return str(int(raw))
+    return raw if isinstance(raw, str) else str(raw)
+
+
+def _fmt_bound(x: float) -> str:
+    return str(int(x)) if x == int(x) else str(x)
+
+
+# ---------------------------------------------------------------------------
 # Reference table layer: the cell-by-cell loader, column encoders and
 # extraction metrics that the column-wise versions in medtab.dataset and
 # medtab.evalkit replaced, kept verbatim as an oracle (the loader under a new
@@ -812,7 +1018,7 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
     if names != truth_names:
         raise EvalError(f"extracted and truth tables use different schemas: features "
                         f"{names} vs {truth_names}")
-    truth_by_id = {rid: row for rid, row in zip(truth.ids, truth.rows)}
+    truth_by_id = {rid: row for rid, row in zip(truth.ids, table_rows(truth))}
     unknown = [rid for rid in extracted.ids if rid not in truth_by_id]
     if unknown:
         raise EvalError(f"extracted ids not present in truth table: {unknown[:5]}")
@@ -824,7 +1030,7 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
     both_missing = 0
     extracted_missing = 0
     truth_missing = 0
-    for rid, row in zip(extracted.ids, extracted.rows):
+    for rid, row in zip(extracted.ids, table_rows(extracted)):
         truth_row = truth_by_id[rid]
         row_exact = True
         for spec in features:

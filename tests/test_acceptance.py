@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (DATA, brute_force_auc, brute_force_gini_split, corrupt_cells,
-                     small_schema, table_from_rows, vorc_fixture_files)
+                     small_schema, table_from_rows, table_rows, vorc_fixture_files)
 from test_vorc import ALREADY_VALID, REPAIR_CORPUS
 
 from medtab import dataset as ds
@@ -238,7 +238,7 @@ def test_criterion_8_fidelity_under_corruption(hepatitis_schema):
     budget = Budget(120.0)
     table = ds.load_csv(DATA / "hepatitis.csv", hepatitis_schema)
     corrupted = corrupt_cells(table, fraction=0.02, seed=99)
-    n_changed = sum(1 for gt_row, bad_row in zip(table.rows, corrupted.rows)
+    n_changed = sum(1 for gt_row, bad_row in zip(table_rows(table), table_rows(corrupted))
                     for f in hepatitis_schema.features
                     if gt_row[f.name] != bad_row[f.name])
     assert n_changed > 0.015 * table.n * hepatitis_schema.m

@@ -115,6 +115,24 @@ class TestExtract:
         assert (out / "extracted.csv").read_text().splitlines()[1].startswith("r00,30,M")
         assert json.loads((out / "extract_stats.json").read_text())["n_records"] == 9
 
+    def test_integer_too_large_for_a_float_gets_a_correction(self, runner, tmp_path):
+        corpus, replay, templates = vorc_fixture_files(tmp_path)
+        entries = json.loads(replay.read_text())
+        huge = '{"age": %s, "sex": "M"}' % ("9" * 400)
+        entries.insert(0, {"match_substring": "[record-00]", "response": f"Output JSON:\n{huge}"})
+        replay.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--output-dir", str(out), "extract",
+                                      "--schema", str(small_schema_file(tmp_path)),
+                                      "--templates", str(templates), "--corpus", str(corpus),
+                                      "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        assert "extracted 9/10 records" in result.output
+        provenance = [json.loads(l) for l in (out / "provenance.jsonl").read_text().splitlines()]
+        assert provenance[0] == {"id": "r00", "vorc_iterations": 1, "repairs": [],
+                                 "status": "ok"}
+        assert (out / "extracted.csv").read_text().splitlines()[1].startswith("r00,30,M")
+
     def test_all_provider_failures_exit_3(self, runner, tmp_path):
         corpus, _, templates = vorc_fixture_files(tmp_path)
         schema = small_schema_file(tmp_path)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers as oracle  # holds the cell-by-cell loader and column encoders
-from helpers import DATA, cat_feature, int_feature, real_feature, table_from_rows
+from helpers import DATA, cat_feature, int_feature, real_feature, table_from_rows, table_rows
 
 from medtab.dataset import (PARTS, CategoricalState, DatasetError, EncoderState, NumericState,
                             TabularDataset, fit_encoder, load_csv, load_split, prepare, save_csv,
@@ -56,27 +56,19 @@ def with_cells(table, name, cells):
 
 
 class TestTabularDataset:
-    def test_rows_view_is_read_only(self):
-        table = toy_dataset()
-        with pytest.raises(TypeError):
-            table.rows[0]["age"] = 1
-        with pytest.raises(TypeError):
-            table.rows[0] = {"age": 1, "score": 0.5, "color": "red"}
-        assert [row["age"] for row in table.rows] == table.columns["age"]
-
     def test_columns_and_rows_keep_the_header_order(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("color,target,score,age\nred,pos,1.5,40\n")
         table = load_csv(path, toy_schema())
         assert list(table.columns) == ["color", "score", "age"]
-        assert list(table.rows[0].items()) == [("color", "red"), ("score", 1.5), ("age", 40)]
+        assert list(table_rows(table)[0].items()) == [("color", "red"), ("score", 1.5), ("age", 40)]
 
     def test_subset_gathers_every_column(self):
         table = toy_dataset(n=6)
         part = table.subset([4, 1])
         assert part.ids == ["row4", "row1"]
         assert part.labels == [table.labels[4], table.labels[1]]
-        assert part.rows == (table.rows[4], table.rows[1])
+        assert table_rows(part) == (table_rows(table)[4], table_rows(table)[1])
 
     def test_columns_must_be_the_schema_features_along_the_ids(self):
         with pytest.raises(DatasetError, match="schema's features"):
@@ -91,7 +83,7 @@ class TestLoadCsv:
         table = load_csv(DATA / "hepatitis.csv", hepatitis_schema)
         assert table.n == 589
         assert table.labels is not None
-        assert not any(v is MISSING for row in table.rows for v in row.values())
+        assert not any(v is MISSING for row in table_rows(table) for v in row.values())
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -127,7 +119,7 @@ class TestLoadCsv:
         path = tmp_path / "m.csv"
         path.write_text("age,score,color,target\n40,,red,pos\n")
         table = load_csv(path, toy_schema())
-        assert table.rows[0]["score"] is MISSING
+        assert table_rows(table)[0]["score"] is MISSING
 
     def test_ids_default_to_row_indices(self, tmp_path):
         path = tmp_path / "noid.csv"
@@ -142,7 +134,7 @@ class TestLoadCsv:
         back = load_csv(path, table.schema)
         assert back.ids == table.ids
         assert back.labels == table.labels
-        assert back.rows == table.rows
+        assert table_rows(back) == table_rows(table)
 
     # A note quoted over lines 2-3 puts the next record on physical line 4.
     MULTI_LINE = 'age,dose,color,note,target\n40,1.5,red,"two\nlines",pos\n'
@@ -224,8 +216,8 @@ def loaded(load, path, schema):
         table = load(path, schema)
     except DatasetError as e:
         return "error", str(e)
-    return "ok", [[(k, repr(v)) for k, v in row.items()] for row in table.rows], table.ids, \
-        table.labels
+    rows = [[(k, repr(v)) for k, v in row.items()] for row in table_rows(table)]
+    return "ok", rows, table.ids, table.labels
 
 
 class TestLoadCsvByColumn:
@@ -281,7 +273,7 @@ class TestLoadCsvByColumn:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + (DATA / "hepatitis.csv").read_bytes())
         bom = load_csv(path, hepatitis_schema)
-        assert (bom.rows, bom.ids, bom.labels) == (plain.rows, plain.ids, plain.labels)
+        assert (table_rows(bom), bom.ids, bom.labels) == (table_rows(plain), plain.ids, plain.labels)
 
 # Train and encoded cells for the column states; encoded categorical cells
 # also hold values that are no category.
@@ -296,6 +288,39 @@ def encoded(encode, cells):
     except DatasetError as e:
         return "error", str(e)
     return "ok", block.dtype, block.shape, block.tobytes()
+
+
+# Cells of every type a column may hold: the three the csv writer formats as
+# format_cell does, Missing, and types it formats otherwise (bools), plus
+# strings that need quoting and floats whose repr is unusual.
+_ANY_CELL = st.one_of(st.just(MISSING), st.integers(-10 ** 30, 10 ** 30), st.floats(),
+                      st.sampled_from([-0.0, 1e16, 5e-324, 0.1]), st.booleans(),
+                      st.text(alphabet='ab ,"\n\r', max_size=4), st.none(),
+                      st.sampled_from([(1, 2), b"x"]))
+
+
+class TestSaveCsvByColumn:
+    """``save_csv`` hands whole columns to the csv writer; the cell-by-cell
+    writer it replaced (tests/helpers.py) is the oracle: the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 6), st.booleans())
+    def test_bytes_equal_oracle(self, data, n, labeled):
+        def column(kind):
+            cells = st.sampled_from([MISSING, 3, 0.5, "x"]) if kind else _ANY_CELL
+            return data.draw(st.lists(cells, min_size=n, max_size=n))
+
+        table = TabularDataset(schema=toy_schema(),
+                               columns={name: column(data.draw(st.booleans()))
+                                        for name in ("age", "score", "color")},
+                               ids=[f"r{i}" for i in range(n)],
+                               labels=data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                                         max_size=n)) if labeled else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            save_csv(table, ours)
+            oracle.save_csv_by_cell(table, theirs)
+            assert ours.read_bytes() == theirs.read_bytes()
 
 
 class TestColumnStatesByColumn:
@@ -469,7 +494,7 @@ class TestEncoder:
         table = with_cells(toy_dataset(), "score", {0: MISSING})
         train = list(range(1, table.n))
         enc = fit_encoder(table, train)
-        observed = [float(table.rows[i]["score"]) for i in train]
+        observed = [float(table_rows(table)[i]["score"]) for i in train]
         state = enc.columns[1]
         assert state.impute_mean == pytest.approx(np.mean(observed))
         row0 = transform(table, enc, [0])[0]
@@ -592,7 +617,7 @@ class TestPrepare:
     def test_val_and_test_cells_never_reach_the_encoder(self, table, seed, data):
         assignment, encoder, X, _ = prepare(table, seed)
         held_out = assignment.val_ids + assignment.test_ids
-        rows = list(table.rows)
+        rows = list(table_rows(table))
         for i, row in zip(held_out, data.draw(_rows(len(held_out)))):
             rows[i] = row
         table = table_from_rows(table.schema, rows, table.ids, table.labels)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import DATA, SCHEMAS
+
+from medtab import dataset as ds
 from medtab.models import LOGREG_C_GRID, train_logreg
 from medtab.models.logreg import GRAD_TOL, loss_and_grad, sigmoid
+from medtab.schema import load_schema
 
 
 def random_instance(rng):
@@ -117,3 +122,39 @@ class TestTraining:
         model = train_logreg(np.zeros((4, 2)), np.array([0, 1, 0, 1.0]), 1.0)
         with pytest.raises(ValueError):
             model.predict_proba(np.zeros((3, 5)))
+
+
+# Training on 1 - y mirrors every Newton step: the gradient and the Hessian
+# of the flipped objective at (-w, -b) are the negated gradient and the same
+# Hessian at (w, b). So the two runs take the same number of steps and end at
+# negated weights up to rounding. Measured gaps were at most 5e-13 of the
+# largest weight; the tolerance leaves room for other inputs and machines.
+FLIP_TOL = 1e-10
+
+
+def assert_label_flip_negates(X, y, C):
+    model, flipped = train_logreg(X, y, C), train_logreg(X, 1.0 - y, C)
+    scale = max(1.0, float(np.max(np.abs(model.weights))), abs(model.bias))
+    assert np.max(np.abs(model.weights + flipped.weights)) <= FLIP_TOL * scale
+    assert abs(model.bias + flipped.bias) <= FLIP_TOL * scale
+    assert (flipped.n_iter, flipped.converged) == (model.n_iter, model.converged)
+
+
+class TestLabelFlip:
+    """Metamorphic property: logreg trained on flipped labels negates its
+    weights and intercept."""
+
+    @pytest.mark.parametrize("name", ["heart", "hepatitis"])
+    @pytest.mark.parametrize("C", [0.001, 1.0, 100.0])
+    def test_bundled_tables(self, name, C):
+        table = ds.load_csv(DATA / f"{name}.csv", load_schema(SCHEMAS / f"{name}.schema.json"))
+        _, _, X, y = ds.prepare(table, 7)
+        assert_label_flip_negates(X["train"], y["train"].astype(np.float64), C)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(LOGREG_C_GRID))
+    def test_generated_matrices(self, seed, C):
+        rng = np.random.default_rng(seed)
+        X, y = random_instance(rng)
+        X *= rng.choice([0.1, 1.0, 10.0])
+        assert_label_flip_negates(X, y, C)

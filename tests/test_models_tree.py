@@ -11,8 +11,9 @@ from helpers import (DATA, brute_force_gini_split, brute_force_sse_split, monoto
 from medtab import dataset as ds
 from medtab.models import (export_tree, feature_importances_named, train_dtree, train_gbdt,
                            tree_predict)
-from medtab.models.tree import (NodeRows, TreeModel, _paired, _sse_gains, best_gini_split,
-                                best_sse_split, gini_from_counts, train_regression_tree)
+from medtab.models.tree import (NodeRows, TreeModel, _paired, _sse_gains, _sse_totals,
+                                best_gini_split, best_sse_split, gini_from_counts,
+                                train_regression_tree)
 
 
 class TestGini:
@@ -330,14 +331,15 @@ class TestSseSearch:
     @settings(max_examples=150, deadline=None)
     def test_paired_prefix_sums_equal_two_float_cumsums(self, table):
         X, t = table
-        gains_of = partial(_sse_gains, t=t, tc=_paired(t))
+        gains_of = partial(_sse_gains, tc=_paired(t))
         stack = [(NodeRows.root(X), 0)]
         while stack:
             node, depth = stack.pop()
-            found = node.best_split(gains_of, -np.inf)  # lays out the cuts, and any gain wins
+            totals = _sse_totals(t, node.rows)
+            found = node.best_split(gains_of, -np.inf, totals)  # lays out the cuts, and any gain wins
             if found is None:
                 continue
-            assert gains_of(node).tobytes() == two_cumsum_sse_gains(node, t).tobytes()
+            assert gains_of(node, *totals).tobytes() == two_cumsum_sse_gains(node, t).tobytes()
             if depth < 3:
                 stack += [(child, depth + 1) for child in node.split(*found[:3])]
 

@@ -1,12 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-import helpers as oracle  # holds the two correction builders before they shared a frame
+import helpers as oracle  # holds the correction builders and render before the frames
 from helpers import TEMPLATES, bundle_for, small_schema
 
-from medtab.prompts import (DEFAULT_MAX_PROMPT_CHARS, PromptError,
+from medtab.prompts import (DEFAULT_MAX_PROMPT_CHARS, OneShotExample, PromptBundle, PromptError,
                             TRUNCATION_MARKER, build_fewshot_classifier_prompt,
                             build_json_correction_prompt,
                             build_type_correction_prompt, load_templates, truncate_middle)
@@ -220,8 +221,6 @@ class TestBundleHelpers:
         assert '"age"' in prompt
 
     def test_schema_block_placeholder_substituted(self):
-        from dataclasses import replace
-
         schema = small_schema()
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         bundle = replace(bundle, instructions="Fill {{SCHEMA_BLOCK}} here.")
@@ -234,3 +233,35 @@ class TestBundleHelpers:
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         assert "{{REPORT}}" not in bundle.render("the report body")
         assert bundle.render("the report body").count("the report body") == 1
+
+
+# Template and report text around the two placeholders, and pieces of them.
+_TEMPLATE_TEXT = st.lists(st.sampled_from(["{{REPORT}}", "{{SCHEMA_BLOCK}}", "{{", "}}", "{",
+                                           "REPORT", "x", " ", "\n", "{{REPORT}}}"]),
+                          max_size=6).map("".join)
+
+
+class TestRenderAgainstOracle:
+    """``render`` joins the report into the frame the bundle built once; the
+    per-call body and its two replaces (tests/helpers.py) are the oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(instructions=_TEMPLATE_TEXT, schema_block=_TEMPLATE_TEXT, report_text=_TEMPLATE_TEXT,
+           reasoning=_TEMPLATE_TEXT, output=_TEMPLATE_TEXT, guidelines=_TEMPLATE_TEXT,
+           report=_TEMPLATE_TEXT.filter(bool))
+    @example(instructions="{{REPORT}} {{SCHEMA_BLOCK}}", schema_block="{{REPORT}}",
+             report_text="", reasoning="", output="", guidelines="",
+             report="{{SCHEMA_BLOCK}}{{REPORT}}")
+    def test_equals_oracle(self, instructions, schema_block, report_text, reasoning, output,
+                           guidelines, report):
+        bundle = PromptBundle(instructions=instructions, schema_block=schema_block,
+                              example=OneShotExample(report_text, reasoning, output),
+                              reasoning_guidelines=guidelines)
+        for b in (bundle, bundle.without_reasoning(), replace(bundle, instructions="i")):
+            assert b.render(report) == oracle.render(b, report)
+
+    def test_heart_bundle_equals_oracle(self, heart_bundle):
+        for report in ("Patient report goes here.", "{{SCHEMA_BLOCK}} and {{REPORT}}"):
+            assert heart_bundle.render(report) == oracle.render(heart_bundle, report)
+            ablated = heart_bundle.without_reasoning()
+            assert ablated.render(report) == oracle.render(ablated, report)

@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import helpers as oracle  # holds the per-call coercion and key matching
 from helpers import SCHEMAS, cat_feature, int_feature, real_feature
 
-from medtab.schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec,
-                           LabelSpec, SchemaError, canonicalize_value,
+from medtab.schema import (KEY_LOOKUP_LIMIT, KINDS, MISSING, CoercionError, ExtractionSchema,
+                           FeatureSpec, LabelSpec, SchemaError, canonicalize_value,
                            emit_json_schema_block, load_schema, schema_from_dict)
 
 
@@ -180,3 +181,142 @@ class TestCanonicalizeValue:
         except CoercionError:
             return
         assert value is MISSING or value in spec.allowed_values
+
+
+class TestValuesBeyondTheFloatRange:
+    """A JSON integer beyond the float range is not a finite number, as
+    ``1e400`` is not: a type mismatch, not an OverflowError. An infinite
+    float (``1e400`` in JSON) is written as ``str`` writes it for a
+    categorical or text feature, not an OverflowError either."""
+
+    @pytest.mark.parametrize("raw", [10 ** 400, -(10 ** 400), int("9" * 309)])
+    def test_is_a_type_mismatch(self, raw):
+        for spec in (int_feature("Age"), real_feature("Oldpeak")):
+            with pytest.raises(CoercionError) as exc:
+                canonicalize_value(spec, raw)
+            assert exc.value.reason == "type-mismatch"
+            assert str(exc.value) == f"{spec.name}: cannot interpret {raw!r} as a number"
+
+    def test_largest_float_integer_still_coerces(self):
+        raw = int(1.7976931348623157e308)
+        assert canonicalize_value(int_feature("big"), raw) == raw
+        assert canonicalize_value(real_feature("big"), raw) == float(raw)
+
+    @pytest.mark.parametrize("raw", [float("inf"), float("-inf")])
+    def test_infinite_float_for_a_category_or_text(self, raw):
+        with pytest.raises(CoercionError) as exc:
+            canonicalize_value(cat_feature("Sex", ["M", "F"]), raw)
+        assert exc.value.reason == "unknown-category"
+        assert str(exc.value) == f"Sex: {str(raw)!r} is not one of the allowed values: M, F"
+        assert canonicalize_value(FeatureSpec(name="note", kind="text"), raw) == str(raw)
+
+
+def coerced(coerce, spec, raw):
+    """What ``coerce(spec, raw)`` gives: the value's type and repr (so -0.0
+    and 0.0 differ), or the CoercionError's reason and message, or any other
+    exception's type and message."""
+    try:
+        value = coerce(spec, raw)
+    except CoercionError as e:
+        return "coercion-error", e.reason, str(e)
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return "ok", type(value), repr(value)
+
+
+_PADS = st.sampled_from(["", " ", "  ", "\t", "\n", "\x1c", "\u3000"])
+_NUMERALS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e4, 1e4, allow_nan=False).map(lambda x: f"{x:.3f}".replace(".", ",")),
+    st.integers(1, 10 ** 6).map(lambda n: f"{n:_}"),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "63.0", "0x10", "1,5,0",
+                     "1_", "٣", "-0", "+5", "1.", ".5", "1,", "None", "N/A", "n/a", ""]),
+)
+_RAW = st.one_of(
+    st.none(), st.just(MISSING), st.booleans(),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.integers(2 ** 53 - 3, 2 ** 53 + 3), st.integers(-(2 ** 53) - 3, -(2 ** 53) + 3),
+    st.integers(10 ** 300, 10 ** 400), st.integers(-(10 ** 400), -(10 ** 300)),
+    st.floats(), st.sampled_from([0.0, -0.0, 1e16, 5e-324, float("nan"), float("inf")]),
+    st.builds(lambda a, n, b: a + n + b, _PADS, _NUMERALS, _PADS),
+    st.builds(lambda a, v, b: a + v + b, _PADS,
+              st.sampled_from(["M", "m", "F", "Up", "UP", "flat", "0", "1", "yes", " Y", "None"]),
+              _PADS),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def feature_specs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    allowed, numeric_range = (), None
+    if kind == "categorical":
+        allowed = tuple(draw(st.lists(
+            st.sampled_from(["M", "F", "m", " M", "Up", "UP", "Flat", "0", "1", "None", "n/a",
+                             "yes", "Yes", "Y "]), min_size=1, max_size=5, unique=True)))
+    elif kind in ("integer", "real"):
+        numeric_range = draw(st.sampled_from([None, (0.0, 120.0), (60.0, 202.0), (-1.5, 2.5),
+                                              (0.0, 0.0), (-1e300, 1e300)]))
+    return FeatureSpec(name=draw(st.sampled_from(["Age", "x"])), kind=kind,
+                       allowed_values=allowed, numeric_range=numeric_range,
+                       allow_missing=draw(st.booleans()))
+
+
+class TestCompiledCoercerAgainstOracle:
+    """``canonicalize_value`` runs the coercer each spec compiles; the
+    per-call version it replaced (tests/helpers.py) is the oracle: the same
+    value of the same type, or the same error."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(feature_specs(), _RAW)
+    @example(int_feature("Age"), "٣")
+    @example(real_feature("r"), "-0")
+    @example(real_feature("r"), " 1_000 ")
+    @example(int_feature("Age"), 2 ** 53 + 1)
+    @example(int_feature("Age"), "\x1c63\x1c")
+    @example(FeatureSpec(name="t", kind="text"), float("inf"))
+    @example(cat_feature("c", ["M", " m"]), " m")
+    @example(cat_feature("c", ["m", "M"]), " M ")
+    @example(cat_feature("c", ["None", "M"], allow_missing=False), "None")
+    def test_equals_oracle(self, spec, raw):
+        assert coerced(canonicalize_value, spec, raw) == coerced(oracle.canonicalize_value, spec, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_RAW)
+    def test_every_heart_feature_equals_oracle(self, heart_schema, raw):
+        for spec in heart_schema.features:
+            assert coerced(canonicalize_value, spec, raw) == \
+                coerced(oracle.canonicalize_value, spec, raw)
+
+
+_KEYS = st.one_of(
+    st.text(alphabet="AgeSxRstinBPMHRCholrEcgFaOdpkT_ ", max_size=16),
+    st.sampled_from(["Age", "age", "AGE", " age ", "Resting Bp", "resting_bp", "RestingBP",
+                     "restingbp", "Max Hr", "max_hr", "MaxHR", "ST_Slope", "st slope",
+                     "StSlope", "HeartDisease", "heart_disease", "id", "", " "]),
+)
+
+
+class TestKeyLookup:
+    """``match_key`` reads the schema's bounded key lookup; the fold on
+    every call that it replaced (tests/helpers.py) is the oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_KEYS, max_size=20))
+    def test_equals_fold_oracle(self, keys):
+        schema = load_schema(SCHEMAS / "heart.schema.json")
+        for key in keys + keys:  # the second time from the lookup
+            assert schema.match_key(key) is oracle.match_key(schema, key)
+
+    def test_lookup_is_bounded(self):
+        schema = load_schema(SCHEMAS / "heart.schema.json")
+        keys = [f"Age{'_' * (i % 7)}{'x' * (i // 7)}" for i in range(KEY_LOOKUP_LIMIT + 200)]
+        keys += ["a_g_e", "A G E", "Max_Hr"]
+        for key in keys:
+            assert schema.match_key(key) is oracle.match_key(schema, key)
+        assert len(schema._by_key) == KEY_LOOKUP_LIMIT
+        for key in keys[::-1]:
+            assert schema.match_key(key) is oracle.match_key(schema, key)
+        assert len(schema._by_key) == KEY_LOOKUP_LIMIT

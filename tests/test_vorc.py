@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +12,9 @@ from medtab.llm import ReplayEntry, ReplayProvider, configure_provider
 from medtab.schema import MISSING
 from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, Violation,
                          VorcBudget, VorcFailure, _RULES, _STRINGS, _answer_span, _json_spans,
-                         _strict_loads, call_rate, extract_corpus, parse_response,
-                         provenance_entries, repair_json, run_vorc, validate_record)
+                         _parses, _strict_loads, _sub_word, call_rate, extract_corpus,
+                         parse_response, provenance_entries, repair_json, run_vorc,
+                         validate_record)
 
 # (raw, expected object, expected action kinds) - each repair rule alone and in pairs
 REPAIR_CORPUS = [
@@ -304,6 +306,58 @@ def outcome(fn, *args):
         return "unrepairable", str(e)
 
 
+def loaded(load, text):
+    """What ``load(text)`` gives: the value, or the error's type, message and
+    position."""
+    try:
+        return "ok", load(text)
+    except ValueError as e:
+        return type(e).__name__, str(e), getattr(e, "pos", None)
+
+
+_JSONISH = st.one_of(
+    st.text(alphabet=' \t\n\r\x0c{}[]:,"\\aeu0123-.NaInfityl', max_size=20),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=6).map(json.dumps),
+)
+
+
+class TestStrictParse:
+    """``_strict_loads`` decodes with one module-level decoder and
+    ``_parses`` skips text that cannot be an object; ``json.loads`` with a
+    new decoder per call (tests/helpers.py) is the oracle."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(["", " ", "\ufeff", "\x0c", "\n\t "]), _JSONISH,
+           st.sampled_from(["", " ", "\n", "x"]))
+    @example("\ufeff", '{"a": 1}', "").via("a byte-order mark")
+    @example("", '{"a": NaN}', "").via("a non-standard constant")
+    @example(" \r\n", '{"a": [1, 2]}', " ").via("JSON whitespace around an object")
+    def test_equals_json_loads(self, before, text, after):
+        text = before + text + after
+        assert loaded(_strict_loads, text) == loaded(oracle._strict_loads, text)
+        assert _parses(text) == oracle._parses(text)
+
+
+# Texts around the words the literal rules replace: word characters of
+# several scripts, the dash NaN may take, and overlapping spellings.
+_WORDS_TEXT = st.lists(st.sampled_from(["NaN", "aN", "Na", "-", "True", "False", "None", "Tru",
+                                        "e", "_", " ", ":", "x", "9", "é", "٣", "\n"]),
+                       max_size=10).map("".join)
+
+
+class TestWordSubstitution:
+    @settings(max_examples=2000, deadline=None)
+    @given(_WORDS_TEXT)
+    @example("NaNaN -NaN--NaN NaN_ xNaN NaN-NaN")
+    def test_equals_re_sub(self, seg):
+        assert _sub_word(seg, "NaN", "null", dash=True) == re.sub(r"-?\bNaN\b", "null", seg)
+        for word, literal in (("True", "true"), ("False", "false"), ("None", "null")):
+            assert _sub_word(seg, word, literal) == re.sub(rf"\b{word}\b", literal, seg)
+
+
 class TestAgainstCharacterLoopOracle:
     """The tokenizer-based parser and repair against the character-loop
     implementation they replaced (tests/helpers.py): same text, same
@@ -320,7 +374,7 @@ class TestAgainstCharacterLoopOracle:
     def test_each_rule_equals_oracle(self, text):
         pieces = _STRINGS.split(text)
         for kind, rule in _RULES.items():
-            assert rule(text, pieces) == oracle._RULES[kind](text), kind
+            assert rule(text, lambda: pieces) == oracle._RULES[kind](text), kind
 
     @settings(max_examples=300, deadline=None)
     @given(replies)
@@ -422,6 +476,59 @@ class TestValidateRecord:
     def test_bad_label_value_is_violation(self):
         result = validate_record({"age": 1, "outcome": "maybe"}, small_schema())
         assert [v.reason for v in result.violations] == ["unknown-category"]
+
+    def test_integer_too_large_for_a_float_is_a_type_mismatch(self, heart_schema):
+        huge = int("9" * 400)
+        result = validate_record({"Age": huge, "Sex": "M", "MaxHR": -huge}, heart_schema)
+        assert [(v.key, v.reason, v.message, v.received) for v in result.violations] == [
+            ("Age", "type-mismatch", f"Age: cannot interpret {huge!r} as a number", huge),
+            ("MaxHR", "type-mismatch", f"MaxHR: cannot interpret {-huge!r} as a number", -huge)]
+        assert result.values["Sex"] == "M"
+
+    def test_infinite_float_for_a_category_is_an_unknown_category(self):
+        result = validate_record(json.loads('{"age": 40, "sex": 1e400}'), small_schema())
+        assert [(v.key, v.reason) for v in result.violations] == [("sex", "unknown-category")]
+
+
+def validated(obj, schema, validate):
+    """``validate(obj, schema)`` as comparable data: every value's type and
+    repr, the label, and every violation's fields (the received value by
+    repr)."""
+    result = validate(obj, schema)
+    return ([(name, type(v), repr(v)) for name, v in result.values.items()], result.label,
+            [(v.key, v.reason, v.message, type(v.received), repr(v.received))
+             for v in result.violations])
+
+
+_RECORD_KEYS = st.sampled_from(["Age", "age", "AGE", "Sex", "sex", "Chest Pain Type",
+                                "chest_pain_type", "RestingBP", "resting_bp", "Cholesterol",
+                                "FastingBS", "RestingECG", "MaxHR", "Max Hr", "ExerciseAngina",
+                                "Oldpeak", "oldpeak", "ST_Slope", "St Slope", "HeartDisease",
+                                "heart_disease", "Bogus", "", "outcome", "sex "])
+_RECORD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 4, 10 ** 4), st.integers(10 ** 300, 10 ** 400),
+    st.floats(), st.sampled_from(["M", "f", " asy ", "Normal", "up", "0", "1", "yes", "N/A", "",
+                                  "63", " 1,5 ", "1e400", "nan", "x", "Y"]),
+    st.lists(st.integers(0, 2), max_size=2))
+
+
+class TestValidateRecordAgainstOracle:
+    """``validate_record`` reads the schema's key lookup and compiled
+    coercers; the per-call version it replaced (tests/helpers.py) is the
+    oracle: the same values, label and violations, in the same order."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.dictionaries(_RECORD_KEYS, _RECORD_VALUES, max_size=14))
+    def test_heart_records_equal_oracle(self, heart_schema, obj):
+        assert validated(obj, heart_schema, validate_record) == \
+            validated(obj, heart_schema, oracle.validate_record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(_RECORD_KEYS, _RECORD_VALUES, max_size=6) | _RECORD_VALUES)
+    def test_small_schema_records_equal_oracle(self, obj):
+        schema = small_schema()
+        assert validated(obj, schema, validate_record) == \
+            validated(obj, schema, oracle.validate_record)
 
 
 def replay(*responses):
