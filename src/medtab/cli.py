@@ -137,6 +137,14 @@ def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
     return entries
 
 
+def _corpus_problem(doc: dict) -> str | None:
+    if not isinstance(doc["text"], str):
+        return f"'text' must be a string, got {doc['text']!r}"
+    if type(doc["id"]) not in (str, int):  # a bool is not an id
+        return f"'id' must be a string or an integer, got {doc['id']!r}"
+    return None
+
+
 class _Main(click.Group):
     """The command group, and the one place that turns an exception into an
     exit code."""
@@ -199,7 +207,8 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     schema = _schema_from(state, schema_path)
     bundle = _templates_from(state, templates_path, schema)
     provider = _provider_from(state, replay_script)
-    corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)))
+    corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)),
+                          problem=_corpus_problem)
     result = vorc.extract_corpus(provider, [(d["id"], d["text"]) for d in corpus], schema,
                                  bundle, vorc.VorcBudget(state.setting("budget", budget)),
                                  state.setting("parallelism", parallelism))
@@ -358,7 +367,8 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     if schema.label is None:
         _fail("schema has no label; few-shot classification needs one")
     provider = _provider_from(state, replay_script)
-    corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)))
+    corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)),
+                          problem=_corpus_problem)
     shots = [(d["text"], str(d["label"]))
              for d in _read_corpus(Path(shots_path), ("text", "label"), "shots file")]
     golds = [None if d.get("label") is None else schema.label.parse(d["label"]) for d in corpus]

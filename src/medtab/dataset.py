@@ -330,8 +330,9 @@ def save_split(assignment: SplitAssignment, path: str | Path) -> None:
 
 def load_split(path: str | Path) -> SplitAssignment:
     """Read a split file. Raises DatasetError, naming the file, when it is not
-    UTF-8 JSON, lacks the seed or an id list, or an id is not a non-negative integer or is listed twice, in one
-    part or in two. Whether the ids fit a table is for its caller to check."""
+    UTF-8 JSON, lacks the seed or an id list, the seed is not an integer, or
+    an id is not a non-negative integer or is listed twice, in one part or in
+    two. Whether the ids fit a table is for its caller to check."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -339,6 +340,8 @@ def load_split(path: str | Path) -> SplitAssignment:
     if not isinstance(doc, dict) or "seed" not in doc \
             or not all(isinstance(doc.get(part), list) for part in PARTS):
         raise DatasetError(f"{path}: a split needs a 'seed' and 'train', 'val' and 'test' id lists")
+    if type(doc["seed"]) is not int:  # evaluate compares it with the model's seed
+        raise DatasetError(f"{path}: seed {doc['seed']!r} is not an integer")
     seen: dict[int, str] = {}
     for part in PARTS:
         for rid in doc[part]:

@@ -136,9 +136,13 @@ class HttpProvider:
         try:
             body = json.loads(body_text)
             choice = body["choices"][0]
-            return choice["message"]["content"] if self.chat else choice["text"]
+            text = choice["message"]["content"] if self.chat else choice["text"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
             raise ProviderError(f"malformed provider response: {e}") from e
+        if not isinstance(text, str):
+            raise ProviderError("malformed provider response: the completion text is "
+                                f"{type(text).__name__}, not a string")
+        return text
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         headers = {

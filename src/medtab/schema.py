@@ -19,14 +19,13 @@ numerics (inclusive ``[min, max]``), ``allow_missing`` defaults to true.
 
 What every value and every key needs is built once. Each ``FeatureSpec``
 compiles its coercer when it is constructed: the kind, the range, the
-case-folded allowed values and the messages are chosen there, and the exact
-JSON or CSV types a value usually has (an ``int``, a finite ``float``, a
-numeral string, an allowed value's own spelling) take a short path.
-``canonicalize_value(spec, raw)`` calls it and still defines coercion: the
-coercer gives exactly its result. Each ``ExtractionSchema`` keeps an exact
-lookup from the key spellings replies use to their features, filled as keys
-are folded and bounded at ``KEY_LOOKUP_LIMIT`` spellings; ``match_key`` reads
-it, and ``vorc.validate_record`` and ``dataset.load_csv`` read both tables.
+case-folded allowed values and the messages are chosen there, and an allowed
+value's own spelling takes a short path. ``canonicalize_value(spec, raw)``
+calls it and still defines coercion: the coercer gives exactly its result.
+Each ``ExtractionSchema`` maps the spellings a prompt names every feature by
+(its name and its snake-cased title) to what they fold to, so ``match_key``
+folds only other keys; ``vorc.validate_record`` and ``dataset.load_csv`` read
+it and the coercers.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ KINDS = ("integer", "real", "text", "categorical")
 
 # Strings that coerce to Missing (case-insensitive), alongside JSON null.
 MISSING_SENTINELS = frozenset({"none", "", "n/a", "nan"})
-
-# At most this many key spellings are remembered per schema; a spelling seen
-# after that is folded on every call.
-KEY_LOOKUP_LIMIT = 1024
-_UNSEEN = object()
 
 
 class MissingType:
@@ -191,25 +185,21 @@ class ExtractionSchema:
             if self.label.name in seen or fold_name(self.label.name) in folded:
                 raise SchemaError(f"label name {self.label.name!r} collides with a feature")
         object.__setattr__(self, "_by_folded", folded)
-        object.__setattr__(self, "_by_key", {})  # key spelling -> spec or None
+        # A title's spelling may fold onto another feature or onto none.
+        object.__setattr__(self, "_by_key", {
+            spelling: folded.get(fold_name(spelling))
+            for f in self.features for spelling in (f.name, snake_name(f.title or f.name))})
 
     @property
     def m(self) -> int:
         return len(self.features)
 
-    def feature(self, name: str) -> FeatureSpec:
-        """Look up a feature by folded name; KeyError if absent."""
-        return self._by_folded[fold_name(name)]
-
     def match_key(self, key: str) -> FeatureSpec | None:
-        """The feature ``key`` names under ``fold_name``, or None. A spelling
-        is folded once and remembered, up to ``KEY_LOOKUP_LIMIT`` of them."""
-        spec = self._by_key.get(key, _UNSEEN)
-        if spec is _UNSEEN:
-            spec = self._by_folded.get(fold_name(key))
-            if len(self._by_key) < KEY_LOOKUP_LIMIT:
-                self._by_key[key] = spec
-        return spec
+        """The feature ``key`` names under ``fold_name``, or None."""
+        try:
+            return self._by_key[key]
+        except KeyError:
+            return self._by_folded.get(fold_name(key))
 
 
 def load_schema(path: str | Path) -> ExtractionSchema:
@@ -262,34 +252,29 @@ def emit_json_schema_block(schema: ExtractionSchema) -> str:
     return json.dumps({"properties": props})
 
 
-def _coerce_number(raw):
-    """Parse a JSON scalar or numeral string into a finite float; None when
-    not numeric. Infinities are not valid record values, and neither is an
-    integer too large for a float (a 400-digit ``Age``), which is treated as
-    ``1e400`` is."""
-    if isinstance(raw, bool):
-        return None
+def _number(raw) -> float | None:
+    """A JSON number or numeral string as a finite float; None when it is not
+    one. Infinities are not valid record values, and neither is an integer
+    too large for a float (a 400-digit ``Age``), which is treated as ``1e400``
+    is. ``str.strip`` strips more than ``float`` does, so it comes first."""
     if isinstance(raw, (int, float)):
+        if raw.__class__ is bool:  # bool has no subclasses
+            return None
         try:
             value = float(raw)
         except OverflowError:
             return None
-        return value if math.isfinite(value) else None
-    if isinstance(raw, str):
+    elif isinstance(raw, str):
         s = raw.strip()
+        if s.count(",") == 1 and "." not in s:  # float takes no comma
+            s = s.replace(",", ".")  # a comma decimal separator: "1,5" is 1.5
         try:
             value = float(s)
         except ValueError:
-            # tolerate a comma decimal separator ("1,5" -> 1.5)
-            if s.count(",") == 1 and "." not in s:
-                try:
-                    value = float(s.replace(",", "."))
-                except ValueError:
-                    return None
-            else:
-                return None
-        return value if math.isfinite(value) else None
-    return None
+            return None
+    else:
+        return None
+    return value if value - value == 0.0 else None  # neither NaN nor infinite
 
 
 def _is_missing(raw) -> bool:
@@ -299,15 +284,8 @@ def _is_missing(raw) -> bool:
             or (isinstance(raw, float) and raw != raw))
 
 
-# Every int of at most this size is exact as a float, so ``int(float(raw))``
-# is ``raw`` itself.
-_EXACT_INT = 2 ** 53
-
-
 def _compile_coercer(spec: FeatureSpec):
-    """The coercer of ``spec`` (see ``canonicalize_value``). It first tries
-    the short path of the value's exact type, and hands everything else to
-    the rule for any value (``number`` or ``general``)."""
+    """The coercer of ``spec`` (see ``canonicalize_value``)."""
     name = spec.name
     missing_message = f"{name}: value is missing but the feature requires one"
 
@@ -325,38 +303,15 @@ def _compile_coercer(spec: FeatureSpec):
             range_message = (f" outside the expected range between {_fmt_bound(lo)} and "
                              f"{_fmt_bound(hi)}")
 
-        def number(raw):
-            """``raw`` as a finite float, or MISSING; raises CoercionError
-            for anything else."""
-            if raw.__class__ is str:
-                try:
-                    num = float(raw)
-                except ValueError:
-                    num = math.nan
-                if num - num == 0.0:  # a finite numeral, so no sentinel
-                    return num
-            if _is_missing(raw):
-                return missing()
-            num = _coerce_number(raw)
-            if num is None:
-                raise CoercionError("type-mismatch", f"{name}: cannot interpret {raw!r} as a number")
-            return num
-
         def coerce(raw):
-            cls = raw.__class__
-            if ((cls is int and -_EXACT_INT <= raw <= _EXACT_INT)
-                    or (cls is float and raw - raw == 0.0)):
-                num = raw  # a JSON number: an int exact as a float, or a finite float
-            else:
-                num = number(raw)
-                if num is MISSING:
-                    return num
-            if integer:
-                value = int(num)
-                if value != num:
-                    raise CoercionError("type-mismatch", f"{name}: expected an integer, got {raw!r}")
-            else:
-                value = float(num)
+            num = _number(raw)
+            if num is None:  # so is every missing value
+                if _is_missing(raw):
+                    return missing()
+                raise CoercionError("type-mismatch", f"{name}: cannot interpret {raw!r} as a number")
+            value = int(num) if integer else num
+            if value != num:  # a real feature's value never differs
+                raise CoercionError("type-mismatch", f"{name}: expected an integer, got {raw!r}")
             if lo <= value <= hi:
                 return value
             raise CoercionError("out-of-range", f"{name}: {value}{range_message}")
@@ -416,7 +371,7 @@ def canonicalize_value(spec: FeatureSpec, raw):
     ``missing-not-allowed`` for a missing value (JSON null, Missing, a
     string in ``MISSING_SENTINELS`` after stripping and lowercasing, NaN) of
     a feature that requires one; ``type-mismatch`` for a numeric feature's
-    value that is not a finite number (see ``_coerce_number``) or, for an
+    value that is not a finite number (see ``_number``) or, for an
     integer feature, not integral; ``out-of-range`` outside the numeric
     range; ``unknown-category`` for a categorical value that matches no
     allowed value after stripping and lowercasing. Idempotent: feeding the

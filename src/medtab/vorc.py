@@ -18,7 +18,7 @@ the budget or send the matching correction prompt.
 
 What every reply needs is built once, at import or with the schema: one JSON
 decoder for every strict parse, compiled patterns, and the schema's key
-lookup and per-feature coercers, which ``validate_record`` reads (see
+table and per-feature coercers, which ``validate_record`` reads (see
 ``schema``). A reply is not read again where the answer is already known:
 ``_parses`` decodes only text that can be an object, each rule first checks
 on the text that it can change something there, and a text is cut into its
@@ -133,11 +133,8 @@ _FENCE_LINE = re.compile(r"^\s*`{3,}[A-Za-z]*\s*$")
 _TRAILING_COMMA = re.compile(r",(\s*[}\]])")
 _STRUCTURE = re.compile(r"[{}\[\],]")
 _BARE_KEY = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*):")
-# A bare key anywhere, as the rule's prefilter. Each run is matched whole
-# inside a lookahead and then consumed by its backreference, as an atomic
-# group would (Python 3.10 has none): giving back part of a run could never
-# lead to a match, and trying it costs time at every ``{`` and ``,``.
-_BARE_KEY_ANYWHERE = re.compile(r"[{,](?=(\s*))\1(?=([A-Za-z_][A-Za-z0-9_]*))\2(?=(\s*))\3:")
+# A bare key anywhere, as the rule's prefilter.
+_BARE_KEY_ANYWHERE = re.compile("[{,]" + _BARE_KEY.pattern)
 _PY_LITERALS = (("True", "true"), ("False", "false"), ("None", "null"))
 _JSON_WHITESPACE = " \t\n\r"
 
@@ -471,7 +468,7 @@ def _answer_span(text: str) -> tuple[int, int] | None:
 def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
     """Match response keys to features (case/spacing-insensitive), coerce every
     value, and collect all violations instead of stopping at the first. Keys
-    go through the schema's key lookup and values through each feature's
+    go through the schema's key table and values through each feature's
     compiled coercer (see ``schema``)."""
     violations: list[Violation] = []
     values: dict = {}

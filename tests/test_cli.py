@@ -220,7 +220,8 @@ class TestTrainEvaluateCompare:
         (lambda doc: doc["test"].append(doc["test"][0]), "is listed twice under test"),
         (lambda doc: doc["test"].append(doc["train"][0]), "is listed under train and test"),
         (lambda doc: doc["test"].append(589), "split id 589 is outside the table (589 rows)"),
-    ], ids=["negative", "duplicate", "shared", "outside"])
+        (lambda doc: doc.update(seed=7.9), "seed 7.9 is not an integer"),
+    ], ids=["negative", "duplicate", "shared", "outside", "seed-float"])
     def test_evaluate_bad_split_exits_2(self, runner, tmp_path, edit, message):
         out = tmp_path / "out"
         runner.invoke(main, ["--output-dir", str(out), "--seed", "7", "train",
@@ -535,6 +536,30 @@ class TestErrorBoundary:
                                  "--templates", str(templates), "--corpus", str(corpus),
                                  "--replay", str(replay), "--budget", "-1"])
         self.assert_one_error(result, "max_correction_prompts must be >= 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "fewshot"])
+    @pytest.mark.parametrize("line, message", [
+        ({"id": "a", "text": 5}, "'text' must be a string, got 5"),
+        ({"id": "a", "text": None}, "'text' must be a string, got None"),
+        ({"id": ["a"], "text": "report"}, "'id' must be a string or an integer, got ['a']"),
+        ({"id": True, "text": "report"}, "'id' must be a string or an integer, got True"),
+        ({"id": 1.5, "text": "report"}, "'id' must be a string or an integer, got 1.5"),
+    ], ids=["text-number", "text-null", "id-list", "id-bool", "id-float"])
+    def test_corpus_field_of_wrong_type_exits_2_with_its_line(self, runner, tmp_path,
+                                                              command, line, message):
+        _, replay, templates = vorc_fixture_files(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": 7, "text": "an int id is an id"}) + "\n"
+                          + json.dumps(line) + "\n")
+        shots = tmp_path / "shots.jsonl"
+        shots.write_text(json.dumps({"text": "shot", "label": "yes"}) + "\n")
+        extra = (["--templates", str(templates)] if command == "extract"
+                 else ["--shots", str(shots)])
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), command,
+                                 "--schema", str(small_schema_file(tmp_path)),
+                                 "--corpus", str(corpus), "--replay", str(replay)] + extra)
+        self.assert_one_error(result, f"{corpus}:2: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_evaluate_split_not_json_names_the_file(self, runner, tmp_path):

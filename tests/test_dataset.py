@@ -424,7 +424,13 @@ class TestSplit:
         (lambda doc: doc["test"].append(doc["val"][0]), "is listed under val and test"),
         (lambda doc: doc.pop("seed"), "needs a 'seed'"),
         (lambda doc: doc.update(train=None), "'train', 'val' and 'test' id lists"),
-    ], ids=["negative", "float", "bool", "string", "duplicate", "shared", "no-seed", "no-list"])
+        (lambda doc: doc.update(seed=True), "seed True is not an integer"),
+        (lambda doc: doc.update(seed=5.9), "seed 5.9 is not an integer"),
+        (lambda doc: doc.update(seed="7"), "seed '7' is not an integer"),
+        (lambda doc: doc.update(seed=None), "seed None is not an integer"),
+        (lambda doc: doc.update(seed=[5]), "seed [5] is not an integer"),
+    ], ids=["negative", "float", "bool", "string", "duplicate", "shared", "no-seed", "no-list",
+            "seed-bool", "seed-float", "seed-string", "seed-null", "seed-list"])
     def test_malformed_split_file_rejected(self, tmp_path, edit, message):
         doc = split(toy_dataset(n=40), 5).to_dict()
         edit(doc)

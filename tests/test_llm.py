@@ -8,12 +8,13 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ROOT, replay_by_scan
+from helpers import ROOT, bundle_for, replay_by_scan, small_schema
 
 from medtab.llm import (AuthenticationError, CompletionRequest, ExhaustedRetriesError,
                         HttpProvider, ProviderConfigError, ReplayEntry, ReplayExhaustedError,
                         ReplayProvider, RETRY_AFTER_CAP_S, RequestTooLargeError, TransportResponse,
                         configure_provider)
+from medtab.vorc import extract_corpus
 
 
 def completions_body(text):
@@ -141,6 +142,21 @@ class TestHttpProvider:
         assert payload == {"model": "test-model", "max_tokens": 1024, "temperature": 0.0,
                            "prompt": "raw prompt"}
         assert type(payload["temperature"]) is float
+
+    @pytest.mark.parametrize("chat", [False, True], ids=["completions", "chat"])
+    @pytest.mark.parametrize("text", [None, 5, ["a"]], ids=["null", "number", "list"])
+    def test_non_string_completion_text_is_a_provider_error(self, credential, chat, text):
+        wrap = chat_body if chat else completions_body
+        transport = ScriptedTransport([(200, {}, wrap(text)),
+                                       (200, {}, wrap('{"age": 1, "sex": "F"}'))])
+        provider, _ = make_provider(credential, transport, chat=chat)
+        schema = small_schema()
+        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema,
+                                bundle_for(schema, {"age": 40, "sex": "M"}))
+        failure, = result.failures
+        assert (failure.source_id, failure.reason) == ("a", "provider-error")
+        assert failure.detail.startswith("malformed provider response: ")
+        assert [r.source_id for r in result.records] == ["b"]
 
     def test_permit_limit_observed(self, credential):
         barrier = threading.Barrier(8, timeout=5)

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 import helpers as oracle  # holds the per-call coercion and key matching
 from helpers import SCHEMAS, cat_feature, int_feature, real_feature
 
-from medtab.schema import (KEY_LOOKUP_LIMIT, KINDS, MISSING, CoercionError, ExtractionSchema,
-                           FeatureSpec, LabelSpec, SchemaError, canonicalize_value,
-                           emit_json_schema_block, load_schema, schema_from_dict)
+from medtab.schema import (KINDS, MISSING, CoercionError, ExtractionSchema, FeatureSpec,
+                           LabelSpec, SchemaError, canonicalize_value, emit_json_schema_block,
+                           fold_name, load_schema, schema_from_dict, snake_name)
 
 
 class TestLoadSchema:
@@ -17,8 +17,8 @@ class TestLoadSchema:
         assert [f.name for f in heart_schema.features] == [
             "Age", "Sex", "ChestPainType", "RestingBP", "Cholesterol", "FastingBS",
             "RestingECG", "MaxHR", "ExerciseAngina", "Oldpeak", "ST_Slope"]
-        assert heart_schema.feature("max_hr").numeric_range == (60.0, 202.0)
-        assert heart_schema.feature("st_slope").allowed_values == ("Up", "Flat", "Down")
+        assert heart_schema.match_key("max_hr").numeric_range == (60.0, 202.0)
+        assert heart_schema.match_key("st_slope").allowed_values == ("Up", "Flat", "Down")
         assert heart_schema.label.positive_value == "1"
 
     def test_single_feature_schema(self, tmp_path):
@@ -300,8 +300,8 @@ _KEYS = st.one_of(
 
 
 class TestKeyLookup:
-    """``match_key`` reads the schema's bounded key lookup; the fold on
-    every call that it replaced (tests/helpers.py) is the oracle."""
+    """``match_key`` reads the schema's fixed key table; the fold on every
+    call that it replaced (tests/helpers.py) is the oracle."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(_KEYS, max_size=20))
@@ -310,13 +310,26 @@ class TestKeyLookup:
         for key in keys + keys:  # the second time from the lookup
             assert schema.match_key(key) is oracle.match_key(schema, key)
 
-    def test_lookup_is_bounded(self):
-        schema = load_schema(SCHEMAS / "heart.schema.json")
-        keys = [f"Age{'_' * (i % 7)}{'x' * (i // 7)}" for i in range(KEY_LOOKUP_LIMIT + 200)]
-        keys += ["a_g_e", "A G E", "Max_Hr"]
-        for key in keys:
-            assert schema.match_key(key) is oracle.match_key(schema, key)
-        assert len(schema._by_key) == KEY_LOOKUP_LIMIT
-        for key in keys[::-1]:
-            assert schema.match_key(key) is oracle.match_key(schema, key)
-        assert len(schema._by_key) == KEY_LOOKUP_LIMIT
+
+# Feature names and titles over a few letters, so that a title's snake
+# spelling often folds onto another feature's name, or onto none.
+_SPELLING = st.text(alphabet="aAgG _", min_size=1, max_size=5)
+
+
+class TestKeyTableOnGeneratedSchemas:
+    """Each entry of the key table is what its spelling folds to, which need
+    not be the feature the spelling was taken from."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_SPELLING, st.text(alphabet="aAgG _", max_size=5)),
+                    min_size=1, max_size=5, unique_by=lambda pair: fold_name(pair[0])))
+    @example([("Years", "Age"), ("AGE", "AGE")])
+    def test_equals_fold_oracle(self, pairs):
+        schema = ExtractionSchema(features=tuple(FeatureSpec(name=name, title=title)
+                                                 for name, title in pairs))
+        spellings = [name for name, _ in pairs]
+        spellings += [snake_name(title or name) for name, title in pairs]
+        for spelling in spellings:
+            for key in (spelling, spelling.upper(), spelling.title(), f" {spelling} ",
+                        spelling.replace("_", " "), spelling.replace(" ", "_")):
+                assert schema.match_key(key) is oracle.match_key(schema, key)
