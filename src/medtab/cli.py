@@ -8,7 +8,10 @@ provider settings.
 Exit codes are decided in one place, ``_Main.invoke``: 0 on success (possibly
 with per-record extraction failures); 2 for a ``ProviderConfigError``, a
 ``ValueError`` (every medtab error class is one) or an ``OSError``; 3 for any
-other ``ProviderError``. A failure prints one ``error: <message>`` line.
+other ``ProviderError``. A failure prints one ``error: <message>`` line. Every
+JSON input file is read and checked by ``medtab.inputs``, so a bad input
+exits 2 with ``error: <file>[:<line>]: <JSON path> must be <what>, got
+<value>``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 import click
 
 from . import dataset as ds
-from . import evalkit, models, prompts, vorc
+from . import evalkit, inputs, models, prompts, vorc
 from .llm import CompletionRequest, ProviderConfigError, ProviderError, configure_provider
 from .schema import load_schema
 
@@ -33,24 +36,28 @@ EXIT_PROVIDER = 3
 # ``json.dumps(..., sort_keys=True)``, without building an encoder per line.
 _SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
-# config key: (default, test, what the value must be). The tests are on the
-# types JSON gives: "3" is not 3, true is not 1 (its type is bool), and null
-# passes none of them.
-_PATH = (lambda value: isinstance(value, str), "a path string")
-_CONFIG = {
-    "schema": (None, *_PATH), "templates": (None, *_PATH), "corpus": (None, *_PATH),
-    "output_dir": (".", *_PATH),
-    "provider": (None, lambda value: isinstance(value, dict), "a JSON object"),
-    "seed": (7, lambda value: type(value) is int, "an integer"),
-    "budget": (3, lambda value: type(value) is int and value >= 0, "an integer of at least 0"),
-    "parallelism": (1, lambda value: type(value) is int and value >= 1,
-                    "an integer of at least 1"),
-}
+# The config file's keys; a key it leaves out takes its default, if any.
+_PATH = (inputs.TEXT[0], "a path string")
+_CONFIG = inputs.Table(optional={
+    "schema": _PATH, "templates": _PATH, "corpus": _PATH, "output_dir": _PATH,
+    "provider": inputs.OBJECT, "seed": inputs.INT, "budget": inputs.COUNT,
+    "parallelism": inputs.POSITIVE}, closed=True)
+_DEFAULTS = {"output_dir": ".", "seed": 7, "budget": 3, "parallelism": 1}
+# A corpus id is written to CSV as its text, so 1 and "1" name one row.
+_ID = (lambda value: type(value) in (str, int), "a string or an integer")
+_CORPUS_LINE = inputs.Table({"id": _ID, "text": inputs.TEXT})
+_ANY = (lambda value: True, "present")
+_SHOT_LINE = inputs.Table({"text": _ANY, "label": _ANY})
+_PROVENANCE_LINE = inputs.Table({"id": _ID, "vorc_iterations": inputs.COUNT},
+                                {"status": (lambda value: value in ("ok", "failed"),
+                                            "'ok' or 'failed'")})
 
 
 class CliState:
-    def __init__(self, config: dict, seed: int | None, output_dir: str | None, as_json: bool):
-        self.config = config
+    def __init__(self, config_path: str | None, seed: int | None, output_dir: str | None,
+                 as_json: bool):
+        self.config_path = config_path
+        self.config = {} if config_path is None else inputs.load(config_path, _CONFIG, ValueError)
         self.seed = self.setting("seed", seed)
         self.output_dir = Path(self.setting("output_dir", output_dir))
         self.as_json = as_json
@@ -58,7 +65,7 @@ class CliState:
     def setting(self, key: str, override=None, required: bool = False):
         """The flag's value when given, else the config file's, else the
         key's default."""
-        value = override if override is not None else self.config.get(key, _CONFIG[key][0])
+        value = override if override is not None else self.config.get(key, _DEFAULTS.get(key))
         if required and value is None:
             _fail(f"missing required setting {key!r} (flag or config file)")
         return value
@@ -69,35 +76,12 @@ def _fail(message: str, code: int = EXIT_CONFIG):
     sys.exit(code)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        _fail(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        _fail(f"config file {p} is not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        _fail(f"config file {p} must hold a JSON object")
-    unknown = set(doc) - set(_CONFIG)
-    if unknown:
-        _fail(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, value in doc.items():
-        _, valid, expected = _CONFIG[key]
-        if not valid(value):
-            _fail(f"config key {key!r} must be {expected}")
-    return doc
-
-
 def _provider_from(state: CliState, replay_script: str | None):
     if replay_script is not None:
-        settings = {"kind": "replay", "script": replay_script}
-    else:
-        settings = state.setting("provider", required=True)
-    return configure_provider(settings.get("kind"),
-                              {k: v for k, v in settings.items() if k != "kind"})
+        return configure_provider("replay", {"script": replay_script})
+    settings = dict(state.setting("provider", required=True))
+    return configure_provider(settings.pop("kind", None), settings, state.config_path,
+                              "$.provider")
 
 
 def _schema_from(state: CliState, schema_path: str | None):
@@ -109,40 +93,17 @@ def _templates_from(state: CliState, templates_path: str | None, schema):
                                   schema)
 
 
-def _read_corpus(path: Path, keys: tuple[str, ...] = ("id", "text"),
-                 what: str = "corpus", problem=lambda doc: None) -> list[dict]:
-    """The objects of a JSON-lines file, blank lines skipped; exits 2 when the
-    file cannot be read, a line is not JSON, an object lacks one of ``keys``
-    or ``problem(object)`` names what is wrong with it."""
-    entries = []
-    required = set(keys)
-    try:
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                if not isinstance(doc, dict) or not required <= doc.keys():
-                    _fail(f"{path}:{lineno}: {what} lines need "
-                          + " and ".join(repr(k) for k in keys))
-                wrong = problem(doc)
-                if wrong:
-                    _fail(f"{path}:{lineno}: {wrong}")
-                entries.append(doc)
-    except OSError as e:
-        _fail(f"cannot read {what}: {e}")
-    except json.JSONDecodeError as e:
-        _fail(f"{path}: invalid JSON line: {e}")
-    return entries
-
-
-def _corpus_problem(doc: dict) -> str | None:
-    if not isinstance(doc["text"], str):
-        return f"'text' must be a string, got {doc['text']!r}"
-    if type(doc["id"]) not in (str, int):  # a bool is not an id
-        return f"'id' must be a string or an integer, got {doc['id']!r}"
-    return None
+def _read_corpus(path) -> list[dict]:
+    """The corpus lines; ValueError names the line whose id or text is of the
+    wrong type, or whose id is an earlier line's once both are CSV text."""
+    lines = dict(inputs.load_lines(path, _CORPUS_LINE, ValueError))
+    repeat = inputs.first_repeat((str(doc["id"]), lineno) for lineno, doc in lines.items())
+    if repeat:
+        first, lineno, _ = repeat
+        raise ValueError(inputs.message(f"{path}:{lineno}", "$.id", f"other than line {first}'s "
+                                        f"id {lines[first]['id']!r} once written as CSV text",
+                                        lines[lineno]["id"]))
+    return list(lines.values())
 
 
 class _Main(click.Group):
@@ -167,7 +128,7 @@ class _Main(click.Group):
 @click.pass_context
 def main(ctx, config_path, seed, output_dir, as_json):
     """Extract tables from medical reports and model them."""
-    ctx.obj = CliState(_load_config_file(config_path), seed, output_dir, as_json)
+    ctx.obj = CliState(config_path, seed, output_dir, as_json)
 
 
 @main.command("prompt-preview")
@@ -207,8 +168,7 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     schema = _schema_from(state, schema_path)
     bundle = _templates_from(state, templates_path, schema)
     provider = _provider_from(state, replay_script)
-    corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)),
-                          problem=_corpus_problem)
+    corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
     result = vorc.extract_corpus(provider, [(d["id"], d["text"]) for d in corpus], schema,
                                  bundle, vorc.VorcBudget(state.setting("budget", budget)),
                                  state.setting("parallelism", parallelism))
@@ -298,11 +258,26 @@ def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
                                      "json" if state.as_json else "text"), nl=False)
 
 
-def _iterations_problem(entry: dict) -> str | None:
-    n = entry["vorc_iterations"]
-    if type(n) is not int or n < 0:  # bool is not an iteration count
-        return f"'vorc_iterations' must be a non-negative integer, got {n!r}"
-    return None
+def _bind_provenance(path, lines, extracted_path, extracted, truth_path, truth) -> None:
+    """ValueError, naming the first id that differs, unless every provenance
+    id is a truth id and the ids with status 'ok' are the extracted ids.
+    Provenance ids are compared as the CSV text they are written as."""
+    truth_ids, extracted_ids = set(truth.ids), set(extracted.ids)
+    for lineno, entry in lines:
+        rid, status = str(entry["id"]), entry.get("status")
+        if rid not in truth_ids:
+            what = f"an id of {truth_path}"
+        elif (status == "ok") != (rid in extracted_ids):
+            what = (f"an id {'of' if status == 'ok' else 'missing from'} {extracted_path}, "
+                    f"as its status is {status!r}")
+        else:
+            continue
+        raise ValueError(inputs.message(f"{path}:{lineno}", "$.id", what, entry["id"]))
+    ok_ids = {str(entry["id"]) for _, entry in lines if entry.get("status") == "ok"}
+    missing = next((rid for rid in extracted.ids if rid not in ok_ids), None)
+    if missing is not None:
+        raise ValueError(f"{extracted_path}: id {missing!r} has no entry with status 'ok' "
+                         f"in {path}")
 
 
 @main.command("compare")
@@ -316,12 +291,14 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     """Extraction metrics plus fidelity between truth-trained and
     extraction-trained models of one family."""
     schema = _schema_from(state, schema_path)
-    provenance = None
-    if provenance_path:
-        provenance = _read_corpus(Path(provenance_path), ("id", "vorc_iterations"), "provenance",
-                                  _iterations_problem)
+    lines = (inputs.load_lines(provenance_path, _PROVENANCE_LINE, ValueError)
+             if provenance_path else None)
     truth = ds.load_csv(truth_path, schema)
     extracted = ds.load_csv(extracted_path, schema)
+    provenance = None
+    if lines is not None:
+        _bind_provenance(provenance_path, lines, extracted_path, extracted, truth_path, truth)
+        provenance = [entry for _, entry in lines]
     extraction = evalkit.extraction_metrics(extracted, truth, provenance)  # rejects unknown ids
     # both tables hold the extracted ids in truth order with the truth labels,
     # so their splits and test labels are the same
@@ -367,10 +344,9 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     if schema.label is None:
         _fail("schema has no label; few-shot classification needs one")
     provider = _provider_from(state, replay_script)
-    corpus = _read_corpus(Path(state.setting("corpus", corpus_path, required=True)),
-                          problem=_corpus_problem)
+    corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
     shots = [(d["text"], str(d["label"]))
-             for d in _read_corpus(Path(shots_path), ("text", "label"), "shots file")]
+             for _, d in inputs.load_lines(shots_path, _SHOT_LINE, ValueError)]
     golds = [None if d.get("label") is None else schema.label.parse(d["label"]) for d in corpus]
     for doc, gold in zip(corpus, golds):
         if gold is None and doc.get("label") is not None:

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import inputs
 from .schema import (MISSING, CoercionError, ExtractionSchema, FeatureSpec, LabelSpec, MissingType,
                      fold_name)
 
@@ -328,29 +329,23 @@ def save_split(assignment: SplitAssignment, path: str | Path) -> None:
     Path(path).write_text(json.dumps(assignment.to_dict()) + "\n", encoding="utf-8")
 
 
+# evaluate compares the seed with the model's
+_SPLIT = inputs.Table({"seed": inputs.INT, **{part: inputs.Each(inputs.COUNT, "a list of row ids")
+                                              for part in PARTS}})
+
+
 def load_split(path: str | Path) -> SplitAssignment:
     """Read a split file. Raises DatasetError, naming the file, when it is not
     UTF-8 JSON, lacks the seed or an id list, the seed is not an integer, or
     an id is not a non-negative integer or is listed twice, in one part or in
     two. Whether the ids fit a table is for its caller to check."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DatasetError(f"{path}: {e}") from e
-    if not isinstance(doc, dict) or "seed" not in doc \
-            or not all(isinstance(doc.get(part), list) for part in PARTS):
-        raise DatasetError(f"{path}: a split needs a 'seed' and 'train', 'val' and 'test' id lists")
-    if type(doc["seed"]) is not int:  # evaluate compares it with the model's seed
-        raise DatasetError(f"{path}: seed {doc['seed']!r} is not an integer")
-    seen: dict[int, str] = {}
-    for part in PARTS:
-        for rid in doc[part]:
-            if type(rid) is not int or rid < 0:
-                raise DatasetError(f"{path}: {part} id {rid!r} is not a non-negative integer")
-            if rid in seen:
-                where = f"twice under {part}" if seen[rid] == part else f"under {seen[rid]} and {part}"
-                raise DatasetError(f"{path}: id {rid} is listed {where}")
-            seen[rid] = part
+    doc = inputs.load(path, _SPLIT, DatasetError)
+    repeat = inputs.first_repeat((rid, f"$.{part}[{i}]") for part in PARTS
+                                 for i, rid in enumerate(doc[part]))
+    if repeat:
+        first, at, rid = repeat
+        raise DatasetError(inputs.message(path, at, f"an id listed once (it is also at {first})",
+                                          rid))
     return SplitAssignment.from_dict(doc)
 
 
@@ -481,12 +476,8 @@ class EncoderState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EncoderState":
-        columns = []
-        for column in doc["columns"]:
-            if column["kind"] not in _COLUMN_KINDS:
-                raise DatasetError(f"unknown encoder column kind {column['kind']!r}")
-            columns.append(_COLUMN_KINDS[column["kind"]].from_dict(column))
-        return cls(columns=tuple(columns))
+        return cls(columns=tuple(_COLUMN_KINDS[column["kind"]].from_dict(column)
+                                 for column in doc["columns"]))
 
 
 def fit_encoder(dataset: TabularDataset, train_ids) -> EncoderState:

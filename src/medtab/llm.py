@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import inputs
+
 
 class ProviderError(RuntimeError):
     """Base class for completion-provider failures."""
@@ -233,26 +235,8 @@ class ReplayProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayProvider":
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ProviderConfigError(f"cannot read replay script {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ProviderConfigError(f"replay script {path} is not valid JSON: {e}") from e
-        if not isinstance(raw, list):
-            raise ProviderConfigError("replay script must be a JSON list")
-        entries = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, dict) or "response" not in item:
-                raise ProviderConfigError(f"replay entry {i} needs a 'response' field")
-            for key in ("response", "match_substring"):
-                if key in item and not isinstance(item[key], str):
-                    raise ProviderConfigError(f"replay entry {i}: '{key}' must be a string, "
-                                              f"got {item[key]!r}")
-            entries.append(ReplayEntry(response=item["response"],
-                                       match_substring=item.get("match_substring")))
-        return cls(entries)
+        return cls([ReplayEntry(entry["response"], entry.get("match_substring"))
+                    for entry in inputs.load(path, _REPLAY_SCRIPT, ProviderConfigError)])
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         prompt = request.prompt
@@ -273,32 +257,26 @@ class ReplayProvider:
                                 latency_ms=0, attempt_count=1)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _is_timeout(value) -> bool:
-    # NaN fails both comparisons, and infinity the second.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf)
-
-
-_COUNT = (_is_count, "an integer of at least 1")
-_TEXT = (lambda value: isinstance(value, str), "a string")
-# kind: ({required key: check}, {optional key: check}), each check being
-# (test, what the value must be). The checks are on the types JSON gives: "2"
-# is not 2, and true is not 1.
+_REPLAY_ENTRY = inputs.Table({"response": inputs.TEXT}, {"match_substring": inputs.TEXT})
+_REPLAY_SCRIPT = inputs.Each(_REPLAY_ENTRY, "a JSON list of replay entries")
+# NaN fails both comparisons, and infinity the second.
+_TIMEOUT = (lambda value: type(value) in (int, float) and 0 < value < math.inf,
+            "a finite number greater than 0")
+# The settings of each provider kind.
 _PROVIDER_SETTINGS = {
-    "http": ({"endpoint": _TEXT, "model": _TEXT, "credential_env": _TEXT},
-             {"chat": (lambda value: isinstance(value, bool), "true or false"),
-              "max_attempts": _COUNT, "permits": _COUNT,
-              "timeout": (_is_timeout, "a finite number greater than 0")}),
-    "replay": ({"script": (lambda value: isinstance(value, (str, os.PathLike)),
-                           "a file path string")}, {}),
+    "http": inputs.Table({"endpoint": inputs.TEXT, "model": inputs.TEXT,
+                          "credential_env": inputs.TEXT},
+                         {"chat": inputs.BOOL, "max_attempts": inputs.POSITIVE,
+                          "permits": inputs.POSITIVE, "timeout": _TIMEOUT}, closed=True),
+    "replay": inputs.Table({"script": (lambda value: isinstance(value, (str, os.PathLike)),
+                                       "a file path string")}, closed=True),
 }
+_KIND = (lambda kind: type(kind) is str and kind in _PROVIDER_SETTINGS,
+         " or ".join(map(repr, _PROVIDER_SETTINGS)))
 
 
-def configure_provider(kind: str, settings: dict):
+def configure_provider(kind: str, settings: dict, where: str = "provider settings",
+                       root: str = "$"):
     """Build an immutable provider handle from validated settings.
 
     ``http`` needs ``endpoint``, ``model`` and ``credential_env``, each a
@@ -306,22 +284,12 @@ def configure_provider(kind: str, settings: dict):
     ``timeout``, each defaulting as in ``HttpProvider``: ``chat`` a boolean,
     ``max_attempts`` and ``permits`` integers of at least 1, ``timeout`` a
     finite number above 0. ``replay`` needs ``script``, the path of the
-    replay file as a string (or a path object). A missing or unknown key, or
-    a value of the wrong type or range, raises ProviderConfigError naming it.
+    replay file as a string (or a path object). A kind that is neither, or a
+    missing, unknown or bad setting, raises ProviderConfigError naming
+    ``where`` (the settings' file) and the key's path below ``root``.
     """
-    if not isinstance(kind, str) or kind not in _PROVIDER_SETTINGS:
-        raise ProviderConfigError(f"unknown provider kind {kind!r}")
-    required, optional = _PROVIDER_SETTINGS[kind]
-    missing = [k for k in required if k not in settings]
-    if missing:
-        raise ProviderConfigError(f"{kind} provider settings missing: {', '.join(missing)}")
-    unknown = sorted(map(str, set(settings).difference(required, optional)))
-    if unknown:
-        raise ProviderConfigError(f"unknown {kind} provider settings: {', '.join(unknown)}")
-    for key, (valid, expected) in {**required, **optional}.items():
-        if key in settings and not valid(settings[key]):
-            raise ProviderConfigError(f"{kind} provider setting {key} must be {expected}, "
-                                      f"got {settings[key]!r}")
+    inputs.check(kind, _KIND, ProviderConfigError, where, f"{root}.kind")
+    inputs.check(settings, _PROVIDER_SETTINGS[kind], ProviderConfigError, where, root)
     if kind == "replay":
         return ReplayProvider.from_file(settings["script"])
     return HttpProvider(**settings)

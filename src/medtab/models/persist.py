@@ -2,7 +2,10 @@
 
 A saved document embeds the fitted encoder state and its column names, which
 ``load_model`` checks against each other, so a loaded artifact predicts on raw
-datasets without any other context.
+datasets without any other context. Before that, ``load_model`` checks every
+value of the file against ``_MODEL_FILE``, the table of what ``save_model``
+writes, so a damaged file raises PersistError naming the file and the
+field's JSON path.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset import DatasetError, EncoderState, TabularDataset, transform
-from ..schema import LabelSpec
+from .. import inputs
+from ..dataset import EncoderState, TabularDataset, transform
+from ..schema import LABEL, LabelSpec
 from .search import MODEL_TYPES
 
 FORMAT_VERSION = 1
@@ -22,6 +26,47 @@ FORMAT_VERSION = 1
 
 class PersistError(ValueError):
     pass
+
+
+# The model file: what save_model writes, key by key.
+_COUNTS = inputs.Each(inputs.COUNT, "a list of integers of at least 0")
+_NUMBERS = inputs.Each(inputs.NUMBER, "a list of finite numbers")
+# a node with a column is a split, one without a leaf
+_NODE = (lambda doc: (_SPLIT if type(doc) is dict and "column" in doc else _LEAF)(doc),
+         "a tree node")
+_LEAF = inputs.Table({"n": inputs.COUNT, "value": inputs.NUMBER}, {"counts": _COUNTS})
+_SPLIT = inputs.Table({"n": inputs.COUNT, "column": inputs.COUNT, "threshold": inputs.NUMBER,
+                       "left": _NODE, "right": _NODE})
+_MODELS = {
+    "logreg": inputs.Table({"weights": _NUMBERS, "bias": inputs.NUMBER, "C": inputs.NUMBER,
+                            "n_iter": inputs.COUNT, "converged": inputs.BOOL}),
+    "dtree": inputs.Table({"max_depth": inputs.COUNT, "min_samples_split": inputs.COUNT,
+                           "n_columns": inputs.COUNT, "n_training_rows": inputs.COUNT,
+                           "gains": _NUMBERS, "root": _NODE}),
+    "gbdt": inputs.Table({"learning_rate": inputs.NUMBER, "n_estimators": inputs.COUNT,
+                          "initial_log_odds": inputs.NUMBER, "max_tree_depth": inputs.COUNT,
+                          "n_columns": inputs.COUNT, "gains": _NUMBERS,
+                          "trees": inputs.Each(_NODE, "a list of tree nodes")}),
+}
+_ENCODER_COLUMN = inputs.tagged("kind", {
+    "numeric": inputs.Table({"name": inputs.TEXT, "impute_mean": inputs.NUMBER,
+                             "center": inputs.NUMBER,
+                             "scale": (lambda value: inputs.NUMBER[0](value) and value > 0,
+                                       "a finite number greater than 0")}),
+    "categorical": inputs.Table({"name": inputs.TEXT,
+                                 "categories": inputs.Each(inputs.TEXT, "a list of strings"),
+                                 "impute_category": inputs.TEXT}),
+}, "'numeric' or 'categorical'")
+_MODEL_FILE = inputs.tagged("family", {
+    family: inputs.Table(
+        {"format_version": (lambda value: type(value) is int and value == FORMAT_VERSION,
+                            str(FORMAT_VERSION)),
+         "columns": inputs.Each(inputs.TEXT, "a list of column names"),
+         "encoder": inputs.Table({"columns": inputs.Each(_ENCODER_COLUMN, "a list of columns")}),
+         "model": model},
+        {"label": LABEL, "params": inputs.OBJECT,
+         "seed": (lambda value: value is None or type(value) is int, "an integer or null")})
+    for family, model in _MODELS.items()}, f"one of {', '.join(map(repr, MODEL_TYPES))}")
 
 
 @dataclass
@@ -57,26 +102,12 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelArtifact:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise PersistError(f"cannot load model file {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise PersistError(f"model file {path}: expected a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise PersistError(f"unsupported model format version {doc.get('format_version')!r}")
-    if doc.get("family") not in MODEL_TYPES:
-        raise PersistError(f"unknown family {doc.get('family')!r}")
-    try:
-        encoder = EncoderState.from_dict(doc["encoder"])
-        columns = tuple(doc["columns"])
-        model = MODEL_TYPES[doc["family"]].from_doc(doc["model"])
-        label = LabelSpec.from_doc(doc["label"]) if "label" in doc else None
-    except KeyError as e:
-        raise PersistError(f"model file {path}: missing key {e}") from e
-    except (DatasetError, TypeError) as e:
-        raise PersistError(f"model file {path}: {e}") from e
-    if columns != encoder.column_names:
-        raise PersistError(f"model file {path}: its columns do not match its encoder's")
-    return ModelArtifact(family=doc["family"], model=model, encoder=encoder, label=label,
-                         params=doc.get("params") or {}, seed=doc.get("seed"))
+    doc = inputs.load(path, _MODEL_FILE, PersistError)
+    encoder = EncoderState.from_dict(doc["encoder"])
+    if tuple(doc["columns"]) != encoder.column_names:
+        raise PersistError(inputs.message(path, "$.columns", "the encoder's column names",
+                                          doc["columns"]))
+    return ModelArtifact(family=doc["family"], model=MODEL_TYPES[doc["family"]].from_doc(
+                             doc["model"]), encoder=encoder,
+                         label=LabelSpec.from_doc(doc["label"]) if "label" in doc else None,
+                         params=doc.get("params", {}), seed=doc.get("seed"))

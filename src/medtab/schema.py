@@ -16,6 +16,9 @@ A schema file is a JSON document::
 ``kind`` is one of ``integer``, ``real``, ``text``, ``categorical``.
 ``allowed_values`` is required for categoricals, ``range`` is optional for
 numerics (inclusive ``[min, max]``), ``allow_missing`` defaults to true.
+``load_schema`` first checks every field's JSON type against ``_SCHEMA``
+(see ``medtab.inputs``), so a wrong one raises SchemaError naming the file
+and the field's JSON path.
 
 What every value and every key needs is built once. Each ``FeatureSpec``
 compiles its coercer when it is constructed: the kind, the range, the
@@ -35,6 +38,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+
+from . import inputs
 
 KINDS = ("integer", "real", "text", "categorical")
 
@@ -202,30 +207,40 @@ class ExtractionSchema:
             return self._by_folded.get(fold_name(key))
 
 
+LABEL = inputs.Table({"name": inputs.TEXT, "positive": inputs.TEXT, "negative": inputs.TEXT})
+_FEATURE = inputs.Table({"name": inputs.TEXT}, {
+    "title": inputs.TEXT, "description": inputs.TEXT, "kind": inputs.TEXT,
+    "allowed_values": (lambda value: type(value) is list, "a list"),
+    "range": (lambda value: value is None or type(value) is list and len(value) == 2
+              and all(map(inputs.NUMBER[0], value)), "two finite numbers [min, max], or null"),
+    "allow_missing": inputs.BOOL,
+})
+_SCHEMA = inputs.Table(
+    {"features": inputs.Each(_FEATURE, "a non-empty list of features", nonempty=True)},
+    {"label": (lambda value: value is None or LABEL(value), "a JSON object or null")})
+
+
 def load_schema(path: str | Path) -> ExtractionSchema:
     """Load and validate a schema file (format documented in the module docstring)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    return schema_from_dict(doc, name=path.stem.replace(".schema", ""))
+    return schema_from_dict(inputs.load(path, _SCHEMA, SchemaError),
+                            name=path.stem.replace(".schema", ""))
 
 
 def schema_from_dict(doc: dict, name: str = "") -> ExtractionSchema:
-    if not isinstance(doc, dict) or "features" not in doc:
-        raise SchemaError("schema document must be an object with a 'features' list")
+    """The schema a document of the form ``_SCHEMA`` checks describes;
+    SchemaError when the schema is invalid."""
     features = []
     for entry in doc["features"]:
         rng = entry.get("range")
         features.append(FeatureSpec(
-            name=entry.get("name", ""),
-            title=entry.get("title", entry.get("name", "")),
+            name=entry["name"],
+            title=entry.get("title", entry["name"]),
             description=entry.get("description", ""),
             kind=entry.get("kind", "text"),
             allowed_values=tuple(str(v) for v in entry.get("allowed_values", ())),
             numeric_range=(float(rng[0]), float(rng[1])) if rng is not None else None,
-            allow_missing=bool(entry.get("allow_missing", True)),
+            allow_missing=entry.get("allow_missing", True),
         ))
     label = LabelSpec.from_doc(doc["label"]) if doc.get("label") is not None else None
     return ExtractionSchema(features=tuple(features), label=label, name=name)

@@ -215,12 +215,19 @@ class TestTrainEvaluateCompare:
         metrics = doc["sections"]["classification (test)"]
         assert metrics["accuracy"] >= 0.9
 
+    # each message is of the edited document; the last test id is at len(test) - 1
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["test"].append(-1), "test id -1 is not a non-negative integer"),
-        (lambda doc: doc["test"].append(doc["test"][0]), "is listed twice under test"),
-        (lambda doc: doc["test"].append(doc["train"][0]), "is listed under train and test"),
-        (lambda doc: doc["test"].append(589), "split id 589 is outside the table (589 rows)"),
-        (lambda doc: doc.update(seed=7.9), "seed 7.9 is not an integer"),
+        (lambda doc: doc["test"].append(-1),
+         lambda doc: f"$.test[{len(doc['test']) - 1}] must be an integer of at least 0, got -1"),
+        (lambda doc: doc["test"].append(doc["test"][0]),
+         lambda doc: f"$.test[{len(doc['test']) - 1}] must be an id listed once (it is also at "
+                     f"$.test[0]), got {doc['test'][0]}"),
+        (lambda doc: doc["test"].append(doc["train"][0]),
+         lambda doc: f"$.test[{len(doc['test']) - 1}] must be an id listed once (it is also at "
+                     f"$.train[0]), got {doc['train'][0]}"),
+        (lambda doc: doc["test"].append(589),
+         lambda doc: "split id 589 is outside the table (589 rows)"),
+        (lambda doc: doc.update(seed=7.9), lambda doc: "$.seed must be an integer, got 7.9"),
     ], ids=["negative", "duplicate", "shared", "outside", "seed-float"])
     def test_evaluate_bad_split_exits_2(self, runner, tmp_path, edit, message):
         out = tmp_path / "out"
@@ -236,7 +243,7 @@ class TestTrainEvaluateCompare:
                                       "--schema", str(SCHEMAS / "hepatitis.schema.json"),
                                       "--split", str(out / "split.json")])
         assert result.exit_code == 2
-        assert message in result.output
+        assert message(doc) in result.output
 
     def test_evaluate_mismatched_columns_exits_2(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -266,13 +273,14 @@ class TestTrainEvaluateCompare:
         (out / "model_logreg.json").write_text(json.dumps(doc))
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert "columns do not match" in result.output
+        assert (f"{out / 'model_logreg.json'}: $.columns must be the encoder's column names, "
+                f"got {repr(doc['columns'])[:57]}...") in result.output
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda doc: doc.pop("columns"), "missing key 'columns'"),
+        (lambda doc: doc.pop("columns"), "$.columns must be a list of column names, got nothing"),
         (lambda doc: doc["encoder"]["columns"][0].update(kind="ordinal"),
-         "unknown encoder column kind 'ordinal'"),
-        (lambda doc: doc.update(columns=5), "'int' object is not iterable"),
+         "$.encoder.columns[0].kind must be 'numeric' or 'categorical', got 'ordinal'"),
+        (lambda doc: doc.update(columns=5), "$.columns must be a list of column names, got 5"),
     ], ids=["no-columns", "ordinal-kind", "columns-not-a-list"])
     def test_evaluate_damaged_model_file_exits_2_naming_file_and_key(self, runner, tmp_path,
                                                                       corrupt, message):
@@ -290,7 +298,7 @@ class TestTrainEvaluateCompare:
                                       "--schema", str(SCHEMAS / "hepatitis.schema.json"),
                                       "--split", str(out / "split.json")])
         assert result.exit_code == 2, result.output
-        assert f"model file {model}: {message}" in result.output
+        assert f"{model}: {message}" in result.output
 
     def test_compare_identical_tables(self, runner, tmp_path):
         result = runner.invoke(main, ["--json", "--seed", "7", "compare",
@@ -353,9 +361,13 @@ class TestTrainEvaluateCompare:
         assert extraction["vorc_call_rate"] == 0.0
         assert extraction["n_evaluated"] == 24
 
-    @pytest.mark.parametrize("bad_line", [[1], {"id": "r0", "status": "ok"}])
+    @pytest.mark.parametrize("bad_line, message", [
+        ([1], "$ must be a JSON object, got [1]"),
+        ({"id": "r0", "status": "ok"}, "$.vorc_iterations must be an integer of at least 0, "
+                                       "got nothing"),
+    ], ids=["bad_line0", "bad_line1"])
     def test_compare_malformed_provenance_exits_2_with_its_line(self, runner, tmp_path,
-                                                                bad_line):
+                                                                bad_line, message):
         provenance = tmp_path / "provenance.jsonl"
         provenance.write_text(json.dumps({"id": "a", "vorc_iterations": 0}) + "\n"
                               + json.dumps(bad_line) + "\n")
@@ -366,8 +378,7 @@ class TestTrainEvaluateCompare:
                                       "--schema", str(SCHEMAS / "hepatitis.schema.json"),
                                       "--family", "logreg"])
         assert result.exit_code == 2
-        assert f"{provenance}:2: provenance lines need 'id' and 'vorc_iterations'" \
-            in result.output
+        assert f"{provenance}:2: {message}" in result.output
 
     @pytest.mark.parametrize("iterations", ["x", True, -1, 1.5, None])
     def test_compare_bad_iteration_count_exits_2_with_its_line(self, runner, tmp_path,
@@ -382,7 +393,7 @@ class TestTrainEvaluateCompare:
                                       "--schema", str(SCHEMAS / "hepatitis.schema.json"),
                                       "--family", "logreg"])
         assert result.exit_code == 2
-        assert f"{provenance}:2: 'vorc_iterations' must be a non-negative integer, got " \
+        assert f"{provenance}:2: $.vorc_iterations must be an integer of at least 0, got " \
             f"{iterations!r}" in result.output
 
     def test_compare_unlabeled_truth_exits_2(self, runner, tmp_path):
@@ -479,8 +490,12 @@ class TestFewshot:
         assert doc["n abstained"] == 1
         assert doc["n scored"] == 1
 
-    @pytest.mark.parametrize("bad_line", [{"text": "shot 2"}, 7])
-    def test_shot_without_label_exits_2_with_its_line(self, runner, tmp_path, bad_line):
+    @pytest.mark.parametrize("bad_line, message", [
+        ({"text": "shot 2"}, "$.label must be present, got nothing"),
+        (7, "$ must be a JSON object, got 7"),
+    ], ids=["bad_line0", "7"])
+    def test_shot_without_label_exits_2_with_its_line(self, runner, tmp_path, bad_line,
+                                                      message):
         schema, shots, corpus, replay = self.make_files(tmp_path, [("yes", "yes")])
         lines = shots.read_text().splitlines()
         lines[2] = json.dumps(bad_line)
@@ -489,7 +504,7 @@ class TestFewshot:
                                       "--schema", str(schema), "--shots", str(shots),
                                       "--corpus", str(corpus), "--replay", str(replay)])
         assert result.exit_code == 2
-        assert f"{shots}:3: shots file lines need 'text' and 'label'" in result.output
+        assert f"{shots}:3: {message}" in result.output
 
     def test_zero_shots_exits_2(self, runner, tmp_path):
         answers = [("yes", "yes")]
@@ -540,11 +555,11 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("command", ["extract", "fewshot"])
     @pytest.mark.parametrize("line, message", [
-        ({"id": "a", "text": 5}, "'text' must be a string, got 5"),
-        ({"id": "a", "text": None}, "'text' must be a string, got None"),
-        ({"id": ["a"], "text": "report"}, "'id' must be a string or an integer, got ['a']"),
-        ({"id": True, "text": "report"}, "'id' must be a string or an integer, got True"),
-        ({"id": 1.5, "text": "report"}, "'id' must be a string or an integer, got 1.5"),
+        ({"id": "a", "text": 5}, "$.text must be a string, got 5"),
+        ({"id": "a", "text": None}, "$.text must be a string, got None"),
+        ({"id": ["a"], "text": "report"}, "$.id must be a string or an integer, got ['a']"),
+        ({"id": True, "text": "report"}, "$.id must be a string or an integer, got True"),
+        ({"id": 1.5, "text": "report"}, "$.id must be a string or an integer, got 1.5"),
     ], ids=["text-number", "text-null", "id-list", "id-bool", "id-float"])
     def test_corpus_field_of_wrong_type_exits_2_with_its_line(self, runner, tmp_path,
                                                               command, line, message):
@@ -610,39 +625,39 @@ class TestErrorBoundary:
         monkeypatch.setenv("TEST_CLI_TOKEN", "sekrit")
         provider = {"kind": "http", "endpoint": "http://localhost:9/v1", "model": "m",
                     "credential_env": "TEST_CLI_TOKEN", key: value}
-        result, _ = self.extract_with_config(runner, tmp_path, {"provider": provider})
-        self.assert_one_error(result, f"http provider setting {key} must be {expected}, "
+        result, path = self.extract_with_config(runner, tmp_path, {"provider": provider})
+        self.assert_one_error(result, f"{path}: $.provider.{key} must be {expected}, "
                                       f"got {value!r}")
 
     @pytest.mark.parametrize("script", [5, None])
     def test_replay_script_that_is_not_a_path_exits_2(self, runner, tmp_path, script):
-        result, _ = self.extract_with_config(runner, tmp_path,
-                                             {"provider": {"kind": "replay", "script": script}})
-        self.assert_one_error(result, f"replay provider setting script must be a file path "
+        result, path = self.extract_with_config(runner, tmp_path,
+                                                {"provider": {"kind": "replay", "script": script}})
+        self.assert_one_error(result, f"{path}: $.provider.script must be a file path "
                                       f"string, got {script!r}")
 
     def test_config_that_is_not_an_object_exits_2(self, runner, tmp_path):
         result, path = self.extract_with_config(runner, tmp_path, [])
-        self.assert_one_error(result, f"config file {path} must hold a JSON object")
+        self.assert_one_error(result, f"{path}: $ must be a JSON object, got []")
 
     def test_provider_that_is_not_an_object_exits_2(self, runner, tmp_path):
-        result, _ = self.extract_with_config(runner, tmp_path, {"provider": ["http"]})
-        self.assert_one_error(result, "config key 'provider' must be a JSON object")
+        result, path = self.extract_with_config(runner, tmp_path, {"provider": ["http"]})
+        self.assert_one_error(result, f"{path}: $.provider must be a JSON object, got ['http']")
 
     @pytest.mark.parametrize("config, message", [
-        ({"seed": "7"}, "config key 'seed' must be an integer"),
-        ({"budget": "3"}, "config key 'budget' must be an integer of at least 0"),
-        ({"budget": None}, "config key 'budget' must be an integer of at least 0"),
-        ({"budget": True}, "config key 'budget' must be an integer of at least 0"),
-        ({"parallelism": "4"}, "config key 'parallelism' must be an integer of at least 1"),
-        ({"parallelism": 2.5}, "config key 'parallelism' must be an integer of at least 1"),
-        ({"output_dir": 5}, "config key 'output_dir' must be a path string"),
-        ({"corpus": ["c.jsonl"]}, "config key 'corpus' must be a path string"),
+        ({"seed": "7"}, "$.seed must be an integer, got '7'"),
+        ({"budget": "3"}, "$.budget must be an integer of at least 0, got '3'"),
+        ({"budget": None}, "$.budget must be an integer of at least 0, got None"),
+        ({"budget": True}, "$.budget must be an integer of at least 0, got True"),
+        ({"parallelism": "4"}, "$.parallelism must be an integer of at least 1, got '4'"),
+        ({"parallelism": 2.5}, "$.parallelism must be an integer of at least 1, got 2.5"),
+        ({"output_dir": 5}, "$.output_dir must be a path string, got 5"),
+        ({"corpus": ["c.jsonl"]}, "$.corpus must be a path string, got ['c.jsonl']"),
     ], ids=["seed-string", "budget-string", "budget-null", "budget-bool", "parallelism-string",
             "parallelism-float", "output-dir-int", "corpus-list"])
     def test_wrong_typed_config_value_exits_2(self, runner, tmp_path, config, message):
-        result, _ = self.extract_with_config(runner, tmp_path, config)
-        self.assert_one_error(result, message)
+        result, path = self.extract_with_config(runner, tmp_path, config)
+        self.assert_one_error(result, f"{path}: {message}")
 
     def test_evaluate_on_a_table_lacking_an_encoder_column_exits_2(self, runner, tmp_path):
         def table(features):
@@ -665,10 +680,9 @@ class TestErrorBoundary:
         self.assert_one_error(result, "the encoder needs column(s) the table lacks: b")
 
     @pytest.mark.parametrize("entry, message", [
-        ({"match_substring": 5, "response": "{}"},
-         "replay entry 1: 'match_substring' must be a string, got 5"),
-        ({"response": 5}, "replay entry 1: 'response' must be a string, got 5"),
-    ])
+        ({"match_substring": 5, "response": "{}"}, "$[1].match_substring must be a string, got 5"),
+        ({"response": 5}, "$[1].response must be a string, got 5"),
+    ], ids=["entry0-replay entry 1: match_substring", "entry1-replay entry 1: response"])
     def test_replay_entry_of_the_wrong_type_exits_2(self, runner, tmp_path, entry, message):
         corpus, _, templates = vorc_fixture_files(tmp_path)
         script = tmp_path / "typed.json"
@@ -678,7 +692,7 @@ class TestErrorBoundary:
                                  "--schema", str(small_schema_file(tmp_path)),
                                  "--templates", str(templates), "--corpus", str(corpus),
                                  "--replay", str(script)])
-        self.assert_one_error(result, message)
+        self.assert_one_error(result, f"{script}: {message}")
         assert not (tmp_path / "out").exists()
 
     def train_hepatitis_logreg(self, runner, out, seed):
@@ -718,4 +732,89 @@ class TestErrorBoundary:
                                  "--templates", str(templates), "--corpus", str(corpus),
                                  "--replay", str(missing)])
         assert result.exit_code == 2
-        assert result.stderr.startswith(f"error: cannot read replay script {missing}: ")
+        assert result.stderr == f"error: cannot read {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(features=5),
+         "$.features must be a non-empty list of features, got 5"),
+        (lambda doc: doc["features"].__setitem__(0, "x"),
+         "$.features[0] must be a JSON object, got 'x'"),
+        (lambda doc: doc["features"][0].update(name=5),
+         "$.features[0].name must be a string, got 5"),
+        (lambda doc: doc.update(label=[]), "$.label must be a JSON object, got []"),
+        (lambda doc: doc["label"].pop("name"), "$.label.name must be a string, got nothing"),
+        (lambda doc: doc["features"][0].update(range=[1]),
+         "$.features[0].range must be two finite numbers [min, max], or null, got [1]"),
+        (lambda doc: doc["features"][1].update(allowed_values=5),
+         "$.features[1].allowed_values must be a list, got 5"),
+        (lambda doc: doc["features"][0].update(allow_missing="false"),
+         "$.features[0].allow_missing must be true or false, got 'false'"),
+    ], ids=["features-int", "feature-string", "name-int", "label-list", "label-no-name",
+            "range-one-number", "allowed-values-int", "allow-missing-string"])
+    def test_schema_field_of_the_wrong_type_exits_2(self, runner, tmp_path, edit, message):
+        doc = json.loads((SCHEMAS / "heart.schema.json").read_text(encoding="utf-8"))
+        edit(doc)
+        schema = tmp_path / "heart.schema.json"
+        schema.write_text(json.dumps(doc), encoding="utf-8")
+        result = invoke(runner, ["prompt-preview", "--schema", str(schema),
+                                 "--templates", str(TEMPLATES / "heart"), "--report-text", "r"])
+        self.assert_one_error(result, f"{schema}: {message}")
+
+    @pytest.mark.parametrize("family", [["dtree"], {"dtree": 1}], ids=["list", "object"])
+    def test_model_family_of_the_wrong_type_exits_2(self, runner, tmp_path, family):
+        model, split = self.train_hepatitis_logreg(runner, tmp_path, 7)
+        doc = json.loads(model.read_text())
+        doc["family"] = family
+        model.write_text(json.dumps(doc))
+        result = self.evaluate_hepatitis(runner, model, split)
+        self.assert_one_error(result, f"{model}: $.family must be one of 'logreg', 'dtree', "
+                                      f"'gbdt', got {family!r}")
+
+    @pytest.mark.parametrize("ids", [(1, "1"), ("a", "a")], ids=["int-and-string", "equal"])
+    def test_corpus_ids_that_collide_as_csv_text_exit_2(self, runner, tmp_path, ids):
+        _, replay, templates = vorc_fixture_files(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": rid, "text": f"[record-0{i}] report"}) + "\n"
+                                  for i, rid in enumerate((0,) + ids)))
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "extract",
+                                 "--schema", str(small_schema_file(tmp_path)),
+                                 "--templates", str(templates), "--corpus", str(corpus),
+                                 "--replay", str(replay)])
+        self.assert_one_error(result, f"{corpus}:3: $.id must be other than line 2's id "
+                                      f"{ids[0]!r} once written as CSV text, got {ids[1]!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [{"id": f"x{i}", "vorc_iterations": 1, "status": "ok"} for i in range(5)],
+         lambda files: f"{files['provenance']}:1: $.id must be an id of {files['truth']}, "
+                       "got 'x0'"),
+        (lambda lines: lines[:-1],
+         lambda files: f"{files['extracted']}: id 'hep-0588' has no entry with status 'ok' in "
+                       f"{files['provenance']}"),
+        (lambda lines: lines[:3] + [{**lines[3], "status": "failed"}] + lines[4:],
+         lambda files: f"{files['provenance']}:4: $.id must be an id missing from "
+                       f"{files['extracted']}, as its status is 'failed', got 'hep-0003'"),
+        (lambda lines: lines + [{"id": "hep-0589", "vorc_iterations": 0, "status": "ok"}],
+         lambda files: f"{files['provenance']}:590: $.id must be an id of {files['extracted']}, "
+                       "as its status is 'ok', got 'hep-0589'"),
+    ], ids=["ids-not-in-the-tables", "extracted-id-missing", "failed-id-extracted",
+            "ok-id-not-extracted"])
+    def test_compare_provenance_must_match_the_extracted_ids(self, runner, tmp_path, edit,
+                                                             message):
+        rows = (DATA / "hepatitis.csv").read_text(encoding="utf-8").splitlines()
+        files = {name: tmp_path / f"{name}.{ext}" for name, ext in
+                 (("truth", "csv"), ("extracted", "csv"), ("provenance", "jsonl"))}
+        # the truth table has one row more than was extracted
+        files["truth"].write_text("\n".join(rows + [rows[-1].replace("hep-0588", "hep-0589")])
+                                  + "\n", encoding="utf-8")
+        files["extracted"].write_text("\n".join(rows) + "\n", encoding="utf-8")
+        lines = [{"id": row.split(",")[0], "vorc_iterations": 0, "status": "ok"}
+                 for row in rows[1:]]
+        files["provenance"].write_text("".join(json.dumps(entry) + "\n"
+                                               for entry in edit(lines)), encoding="utf-8")
+        result = invoke(runner, ["compare", "--truth", str(files["truth"]),
+                                 "--extracted", str(files["extracted"]),
+                                 "--provenance", str(files["provenance"]),
+                                 "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                 "--family", "logreg"])
+        self.assert_one_error(result, message(files))

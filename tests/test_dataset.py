@@ -415,20 +415,30 @@ class TestSplit:
         save_split(a, path)
         assert load_split(path) == a
 
+    # each message is of the edited document; an appended val id is at len(val) - 1
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["val"].append(-2), "val id -2 is not a non-negative integer"),
-        (lambda doc: doc["val"].append(1.0), "val id 1.0 is not a non-negative integer"),
-        (lambda doc: doc["val"].append(True), "val id True is not a non-negative integer"),
-        (lambda doc: doc["val"].append("3"), "val id '3' is not a non-negative integer"),
-        (lambda doc: doc["val"].append(doc["val"][0]), "is listed twice under val"),
-        (lambda doc: doc["test"].append(doc["val"][0]), "is listed under val and test"),
-        (lambda doc: doc.pop("seed"), "needs a 'seed'"),
-        (lambda doc: doc.update(train=None), "'train', 'val' and 'test' id lists"),
-        (lambda doc: doc.update(seed=True), "seed True is not an integer"),
-        (lambda doc: doc.update(seed=5.9), "seed 5.9 is not an integer"),
-        (lambda doc: doc.update(seed="7"), "seed '7' is not an integer"),
-        (lambda doc: doc.update(seed=None), "seed None is not an integer"),
-        (lambda doc: doc.update(seed=[5]), "seed [5] is not an integer"),
+        (lambda doc: doc["val"].append(-2),
+         lambda doc: f"$.val[{len(doc['val']) - 1}] must be an integer of at least 0, got -2"),
+        (lambda doc: doc["val"].append(1.0),
+         lambda doc: f"$.val[{len(doc['val']) - 1}] must be an integer of at least 0, got 1.0"),
+        (lambda doc: doc["val"].append(True),
+         lambda doc: f"$.val[{len(doc['val']) - 1}] must be an integer of at least 0, got True"),
+        (lambda doc: doc["val"].append("3"),
+         lambda doc: f"$.val[{len(doc['val']) - 1}] must be an integer of at least 0, got '3'"),
+        (lambda doc: doc["val"].append(doc["val"][0]),
+         lambda doc: f"$.val[{len(doc['val']) - 1}] must be an id listed once (it is also at "
+                     f"$.val[0]), got {doc['val'][0]}"),
+        (lambda doc: doc["test"].append(doc["val"][0]),
+         lambda doc: f"$.test[{len(doc['test']) - 1}] must be an id listed once (it is also at "
+                     f"$.val[0]), got {doc['val'][0]}"),
+        (lambda doc: doc.pop("seed"), lambda doc: "$.seed must be an integer, got nothing"),
+        (lambda doc: doc.update(train=None),
+         lambda doc: "$.train must be a list of row ids, got None"),
+        (lambda doc: doc.update(seed=True), lambda doc: "$.seed must be an integer, got True"),
+        (lambda doc: doc.update(seed=5.9), lambda doc: "$.seed must be an integer, got 5.9"),
+        (lambda doc: doc.update(seed="7"), lambda doc: "$.seed must be an integer, got '7'"),
+        (lambda doc: doc.update(seed=None), lambda doc: "$.seed must be an integer, got None"),
+        (lambda doc: doc.update(seed=[5]), lambda doc: "$.seed must be an integer, got [5]"),
     ], ids=["negative", "float", "bool", "string", "duplicate", "shared", "no-seed", "no-list",
             "seed-bool", "seed-float", "seed-string", "seed-null", "seed-list"])
     def test_malformed_split_file_rejected(self, tmp_path, edit, message):
@@ -436,7 +446,7 @@ class TestSplit:
         edit(doc)
         path = tmp_path / "split.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DatasetError, match=re.escape(message)):
+        with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {message(doc)}')}$"):
             load_split(path)
 
     def test_split_file_not_json_names_the_file(self, tmp_path):

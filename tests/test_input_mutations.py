@@ -1,0 +1,118 @@
+"""Every input file the pipeline demo reads fails closed: with one JSON value
+changed, the command that reads it exits 0, 2 or 3, never with a traceback."""
+
+import importlib.util
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from helpers import DATA, ROOT, SCHEMAS, TEMPLATES
+
+from medtab.cli import main
+
+MUTANTS = [None, True, 5, 5.5, -1, "x", [], {}]
+HEART = SCHEMAS / "heart.schema.json"
+
+
+def _demo_module():
+    spec = importlib.util.spec_from_file_location("run_pipeline_demo",
+                                                  ROOT / "scripts" / "run_pipeline_demo.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def demo(tmp_path_factory):
+    """The demo's files, made once: its corpus, replay script and truth
+    table, then the provenance of extracting them, a heart dtree model and
+    its split, a config file, a few shots and the heart schema."""
+    d = tmp_path_factory.mktemp("demo")
+    truth = _demo_module().build_fixture(d)
+    runner = CliRunner()
+    for args in (["--output-dir", d, "extract", "--schema", HEART,
+                  "--templates", TEMPLATES / "heart", "--corpus", d / "corpus.jsonl",
+                  "--replay", d / "replay.json"],
+                 ["--output-dir", d, "--seed", "7", "train", "--data", DATA / "heart.csv",
+                  "--schema", HEART, "--family", "dtree"]):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+    (d / "config.json").write_text(json.dumps({
+        "schema": str(HEART), "templates": str(TEMPLATES / "heart"),
+        "corpus": str(d / "corpus.jsonl"), "output_dir": "out", "seed": 3, "budget": 3,
+        "parallelism": 1, "provider": {"kind": "replay", "script": str(d / "replay.json")}}))
+    texts = [json.loads(line)["text"] for line in (d / "corpus.jsonl").open()]
+    labels = [line.rsplit(",", 1)[1] for line in truth.read_text().splitlines()[1:]]
+    (d / "shots.jsonl").write_text("".join(json.dumps({"text": text, "label": label}) + "\n"
+                                           for text, label in zip(texts[:3], labels)))
+    (d / "heart.schema.json").write_text(HEART.read_text())
+    return d
+
+
+def _commands(d):
+    """Input file: the command that reads it, with ``{}`` for its path."""
+    extract = ["--output-dir", "out", "extract", "--schema", HEART, "--templates",
+               TEMPLATES / "heart"]
+    evaluate = ["evaluate", "--data", DATA / "heart.csv", "--schema", HEART]
+    return {
+        "heart.schema.json": ["prompt-preview", "--schema", "{}", "--templates",
+                              TEMPLATES / "heart", "--report-text", "A 54-year-old man."],
+        "model_dtree.json": evaluate + ["--model", "{}", "--split", d / "split.json"],
+        "split.json": evaluate + ["--model", d / "model_dtree.json", "--split", "{}"],
+        "config.json": ["--config", "{}", "extract"],
+        "corpus.jsonl": extract + ["--corpus", "{}", "--replay", d / "replay.json"],
+        "replay.json": extract + ["--corpus", d / "corpus.jsonl", "--replay", "{}"],
+        "provenance.jsonl": ["--seed", "3", "compare", "--truth", d / "truth.csv",
+                             "--extracted", d / "extracted.csv", "--provenance", "{}",
+                             "--schema", HEART, "--family", "logreg"],
+        "shots.jsonl": ["--output-dir", "out", "fewshot", "--schema", HEART, "--shots", "{}",
+                        "--corpus", d / "corpus.jsonl", "--replay", d / "replay.json"],
+    }
+
+
+def _places(value, path=()):
+    """The path of every value in a JSON document, containers included."""
+    yield path
+    items = value.items() if type(value) is dict else enumerate(value) \
+        if type(value) is list else ()
+    for key, child in items:
+        yield from _places(child, path + (key,))
+
+
+def _replaced(doc, path, new):
+    if not path:
+        return new
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return copy
+
+
+@pytest.mark.parametrize("name", ["heart.schema.json", "model_dtree.json", "split.json",
+                                  "config.json", "corpus.jsonl", "replay.json",
+                                  "provenance.jsonl", "shots.jsonl"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_changed_value_exits_0_2_or_3_without_a_traceback(demo, name, data):
+    text = (demo / name).read_text(encoding="utf-8")
+    lines = name.endswith(".jsonl")
+    doc = [json.loads(line) for line in text.splitlines()] if lines else json.loads(text)
+    # a JSON-lines file is a list of documents, not one: its lines change, not the list
+    path = data.draw(st.sampled_from([p for p in _places(doc) if p or not lines]), label="path")
+    new = data.draw(st.sampled_from(MUTANTS), label="value")
+    changed = _replaced(doc, path, new)
+    runner = CliRunner()
+    with runner.isolated_filesystem():  # outputs, a changed output_dir too, go here
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write("".join(json.dumps(line) + "\n" for line in changed) if lines
+                     else json.dumps(changed))
+        args = [name if a == "{}" else str(a) for a in _commands(demo)[name]]
+        result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2, 3), result.exc_info
+    if result.exit_code:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, \
+            result.stderr

@@ -358,7 +358,8 @@ class TestConfigureProvider:
         assert provider.provider_id == "text-davinci-003"
 
     def test_missing_setting(self):
-        with pytest.raises(ProviderConfigError, match="missing"):
+        with pytest.raises(ProviderConfigError,
+                           match=r"^provider settings: \$\.model must be a string, got nothing$"):
             configure_provider("http", {"endpoint": "https://e"})
 
     def test_missing_credential_env(self, monkeypatch):
@@ -374,7 +375,8 @@ class TestConfigureProvider:
     def test_replay_entry_missing_response_field(self, tmp_path):
         script = tmp_path / "bad.json"
         script.write_text(json.dumps([{"match_substring": "x"}]))
-        with pytest.raises(ProviderConfigError, match="entry 0"):
+        with pytest.raises(ProviderConfigError,
+                           match=r"\$\[0\]\.response must be a string, got nothing$"):
             configure_provider("replay", {"script": script})
 
     @pytest.mark.parametrize("entry, key, value", [
@@ -387,8 +389,8 @@ class TestConfigureProvider:
     def test_replay_entry_of_the_wrong_type_names_it(self, tmp_path, entry, key, value):
         script = tmp_path / "bad.json"
         script.write_text(json.dumps([{"response": "ok"}, entry]))
-        with pytest.raises(ProviderConfigError,
-                           match=f"^replay entry 1: '{key}' must be a string, got {value}$"):
+        with pytest.raises(ProviderConfigError, match=f"^{re.escape(str(script))}: "
+                           f"\\$\\[1\\]\\.{key} must be a string, got {value}$"):
             configure_provider("replay", {"script": script})
 
     @pytest.mark.parametrize("kind, extra", [
@@ -403,7 +405,11 @@ class TestConfigureProvider:
         configure_provider(kind, settings)
         with pytest.raises(ProviderConfigError) as err:
             configure_provider(kind, {**settings, **extra})
-        assert str(err.value) == f"unknown {kind} provider settings: {', '.join(sorted(extra))}"
+        known = {"http": "chat, credential_env, endpoint, max_attempts, model, permits, timeout",
+                 "replay": "script"}[kind]
+        key = next(iter(extra))  # the first unknown key, in the settings' order
+        assert str(err.value) == (f"provider settings: $.{key} must be absent (the keys are "
+                                  f"{known}), got {extra[key]!r}")
 
     @pytest.mark.parametrize("kind, key, value, expected", [
         ("replay", "script", 5, "a file path string"),
@@ -418,7 +424,7 @@ class TestConfigureProvider:
                     "replay": {}}[kind]
         with pytest.raises(ProviderConfigError) as err:
             configure_provider(kind, {**settings, key: value})
-        assert str(err.value) == f"{kind} provider setting {key} must be {expected}, got {value!r}"
+        assert str(err.value) == f"provider settings: $.{key} must be {expected}, got {value!r}"
 
     def test_readme_http_settings_load_and_absent_ones_take_the_defaults(self, credential):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -451,7 +457,7 @@ class TestConfigureProvider:
         with pytest.raises(ProviderConfigError) as err:
             configure_provider("http", {"endpoint": "e", "model": "m",
                                         "credential_env": credential, key: value})
-        assert str(err.value) == (f"http provider setting {key} must be an integer of "
+        assert str(err.value) == (f"provider settings: $.{key} must be an integer of "
                                   f"at least 1, got {value!r}")
 
     @pytest.mark.parametrize("value", [None, "2", True, 0, -1, -0.5, float("nan"),
@@ -460,7 +466,7 @@ class TestConfigureProvider:
         with pytest.raises(ProviderConfigError) as err:
             configure_provider("http", {"endpoint": "e", "model": "m",
                                         "credential_env": credential, "timeout": value})
-        assert str(err.value) == ("http provider setting timeout must be a finite number "
+        assert str(err.value) == ("provider settings: $.timeout must be a finite number "
                                   f"greater than 0, got {value!r}")
 
     def test_smallest_valid_settings_accepted(self, credential):
@@ -476,7 +482,8 @@ class TestConfigureProvider:
     def test_unknown_kind(self):
         with pytest.raises(ProviderConfigError):
             configure_provider("grpc", {})
-        with pytest.raises(ProviderConfigError, match="unknown provider kind"):
+        with pytest.raises(ProviderConfigError, match=r"^provider settings: \$\.kind must be "
+                           r"'http' or 'replay', got \['http'\]$"):
             configure_provider(["http"], {})  # a JSON list is not a kind
 
 

@@ -169,7 +169,8 @@ class TestPersistence:
         doc = json.loads((tmp_path / "m.json").read_text())
         doc["family"] = "mlp"
         (tmp_path / "m.json").write_text(json.dumps(doc))
-        with pytest.raises(PersistError, match="unknown family 'mlp'"):
+        with pytest.raises(PersistError, match=r"m\.json: \$\.family must be one of "
+                           r"'logreg', 'dtree', 'gbdt', got 'mlp'$"):
             load_model(tmp_path / "m.json")
 
     def test_columns_disagreeing_with_encoder_rejected_on_load(self, tmp_path):
@@ -187,7 +188,9 @@ class TestPersistence:
         assert load_model(tmp_path / "m.json").column_names == enc.column_names
         doc["columns"][2:4] = doc["columns"][3:1:-1]  # two one-hot columns swapped
         (tmp_path / "m.json").write_text(json.dumps(doc))
-        with pytest.raises(PersistError, match="columns do not match"):
+        with pytest.raises(PersistError,
+                           match=r"m\.json: \$\.columns must be the encoder's column names, "
+                                 r"got \['"):
             load_model(tmp_path / "m.json")
 
     def test_importances_survive_round_trip(self, tmp_path):

@@ -50,6 +50,18 @@ class TestLoadSchema:
             schema_from_dict({"features": [{"name": "x", "kind": "categorical",
                                             "allowed_values": []}]})
 
+    def test_numeric_allowed_values_load_as_strings(self):
+        schema = schema_from_dict({"features": [{"name": "x", "kind": "categorical",
+                                                 "allowed_values": [0, 1.5, "2"]}]})
+        assert schema.features[0].allowed_values == ("0", "1.5", "2")
+
+    def test_a_file_of_the_wrong_shape_names_the_field(self, tmp_path):
+        path = tmp_path / "bad.schema.json"
+        path.write_text(json.dumps({"features": [{"name": "x", "kind": 5}]}))
+        with pytest.raises(SchemaError, match=r"bad\.schema\.json: \$\.features\[0\]\.kind "
+                                              r"must be a string, got 5$"):
+            load_schema(path)
+
     def test_all_shipped_schemas_load(self):
         for name in ("heart", "hepatitis", "patient_treatment", "stroke", "psych_notes"):
             schema = load_schema(SCHEMAS / f"{name}.schema.json")
