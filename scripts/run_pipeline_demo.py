@@ -4,8 +4,8 @@
 Builds a 40-report corpus whose ground truth comes from data/heart.csv,
 scripts a replay provider that answers with those rows as JSON (including a
 few malformed responses that exercise rule repairs and one correction
-prompt), then drives the CLI: extract -> compare -> train -> evaluate.
-Everything runs without network access.
+prompt), then drives the CLI: extract -> compare, then train -> evaluate for
+each model family. Everything runs without network access.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+from medtab.models import FAMILIES  # noqa: E402
 
 N_REPORTS = 40
 
@@ -80,11 +82,12 @@ def main():
          "--truth", truth_path, "--extracted", workdir / "extracted.csv",
          "--provenance", workdir / "provenance.jsonl",
          "--schema", schema, "--family", "dtree"])
-    cli(["--output-dir", workdir, "--seed", "7", "train",
-         "--data", ROOT / "data/heart.csv", "--schema", schema, "--family", "dtree"])
-    cli(["evaluate", "--model", workdir / "model_dtree.json",
-         "--data", ROOT / "data/heart.csv", "--schema", schema,
-         "--split", workdir / "split.json"])
+    for family in FAMILIES:  # each model file is saved, then loaded by a fresh process
+        cli(["--output-dir", workdir, "--seed", "7", "train",
+             "--data", ROOT / "data/heart.csv", "--schema", schema, "--family", family])
+        cli(["evaluate", "--model", workdir / f"model_{family}.json",
+             "--data", ROOT / "data/heart.csv", "--schema", schema,
+             "--split", workdir / "split.json"])
     print(f"\nDemo artifacts under {workdir}/")
 
 

@@ -43,11 +43,11 @@ _CONFIG = inputs.Table(optional={
     "provider": inputs.OBJECT, "seed": inputs.INT, "budget": inputs.COUNT,
     "parallelism": inputs.POSITIVE}, closed=True)
 _DEFAULTS = {"output_dir": ".", "seed": 7, "budget": 3, "parallelism": 1}
-# A corpus id is written to CSV as its text, so 1 and "1" name one row.
+# A corpus id is written to CSV as its text, so 1 and "1" name one row; a
+# shot's label is put into the prompt as its text.
 _ID = (lambda value: type(value) in (str, int), "a string or an integer")
 _CORPUS_LINE = inputs.Table({"id": _ID, "text": inputs.TEXT})
-_ANY = (lambda value: True, "present")
-_SHOT_LINE = inputs.Table({"text": _ANY, "label": _ANY})
+_SHOT_LINE = inputs.Table({"text": inputs.TEXT, "label": _ID})
 _PROVENANCE_LINE = inputs.Table({"id": _ID, "vorc_iterations": inputs.COUNT},
                                 {"status": (lambda value: value in ("ok", "failed"),
                                             "'ok' or 'failed'")})
@@ -60,7 +60,7 @@ class CliState:
         self.config = {} if config_path is None else inputs.load(config_path, _CONFIG, ValueError)
         self.seed = self.setting("seed", seed)
         self.output_dir = Path(self.setting("output_dir", output_dir))
-        self.as_json = as_json
+        self.report_format = "json" if as_json else "text"
 
     def setting(self, key: str, override=None, required: bool = False):
         """The flag's value when given, else the config file's, else the
@@ -255,7 +255,7 @@ def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
     scores = artifact.predict_proba_dataset(dataset, ids)
     report = evalkit.classification_metrics(dataset.label_array()[list(ids)], scores)
     click.echo(evalkit.render_report({f"classification ({part})": report},
-                                     "json" if state.as_json else "text"), nl=False)
+                                     state.report_format), nl=False)
 
 
 def _bind_provenance(path, lines, extracted_path, extracted, truth_path, truth) -> None:
@@ -315,8 +315,8 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     (model_gt, X_gt, iv_gt), (model_ext, X_ext, iv_ext) = fits
     fidelity = evalkit.fidelity(model_gt, model_ext, X_gt, X_ext, y["test"], iv_gt, iv_ext)
     click.echo(evalkit.render_report(
-        {"extraction": extraction, f"fidelity ({family})": fidelity},
-        "json" if state.as_json else "text"), nl=False)
+        {"extraction": extraction, f"fidelity ({family})": fidelity}, state.report_format),
+        nl=False)
 
 
 def _parse_answer(text: str, label_spec):
@@ -380,8 +380,7 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
         # the few-shot baseline emits labels, not scores, so AUC is not reported
         report.update({"accuracy": metrics.accuracy, "precision": metrics.precision,
                        "recall": metrics.recall, "f1": metrics.f1})
-    click.echo(evalkit.render_report({"fewshot": report},
-                                     "json" if state.as_json else "text"), nl=False)
+    click.echo(evalkit.render_report({"fewshot": report}, state.report_format), nl=False)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ an id list per name in ``PARTS``. ``prepare`` (split, fit the encoder on train
 rows only, encode every part) is the one modeling front end.
 
 ``EncoderState`` owns the encoded columns: each column state fits itself on
-train cells, names, saves and encodes its columns. Models hold no names.
+train cells, names, saves, checks and encodes its columns. Models hold no names.
 """
 
 from __future__ import annotations
@@ -363,6 +363,10 @@ class NumericState:
     impute_mean: float
     center: float
     scale: float
+    DOC_CHECK = inputs.Table({"name": inputs.TEXT, "impute_mean": inputs.NUMBER,
+                              "center": inputs.NUMBER,
+                              "scale": (lambda value: inputs.NUMBER[0](value) and value > 0,
+                                        "a finite number greater than 0")})
 
     @classmethod
     def fit(cls, spec, cells) -> "NumericState":
@@ -401,6 +405,9 @@ class CategoricalState:
     name: str
     categories: tuple[str, ...]
     impute_category: str
+    DOC_CHECK = inputs.Table({"name": inputs.TEXT,
+                              "categories": inputs.Each(inputs.TEXT, "a list of strings"),
+                              "impute_category": inputs.TEXT})
 
     @classmethod
     def fit(cls, spec, cells) -> "CategoricalState":
@@ -466,6 +473,9 @@ _FEATURE_COLUMNS = {"integer": NumericState, "real": NumericState,
 @dataclass(frozen=True)
 class EncoderState:
     columns: tuple  # NumericState | CategoricalState, in schema feature order
+    DOC_CHECK = inputs.Table({"columns": inputs.Each(inputs.tagged(
+        "kind", {kind: cls.DOC_CHECK for kind, cls in _COLUMN_KINDS.items()},
+        " or ".join(map(repr, _COLUMN_KINDS))), "a list of columns")})
 
     @property
     def column_names(self) -> tuple[str, ...]:

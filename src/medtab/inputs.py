@@ -9,7 +9,7 @@ it. A check is one of:
 - a ``Table``: an object whose keys map to checks;
 - an ``Each``: a list whose items pass one check;
 - ``tagged(key, tables, what)``: an object checked by the table that the
-  string at ``key`` picks.
+  string at ``key`` picks, or ``given(key, table)``: by the table built from it.
 
 The tests see the types JSON gives: "3" is not 3, true is not 1 (its type is
 bool), and null passes only a test that says so. The first failure raises the
@@ -110,6 +110,12 @@ def tagged(key: str, tables: dict, what: str) -> tuple:
     return (lambda doc: tag(doc) and tables[doc[key]](doc)), Table.what
 
 
+def given(key: str, table) -> tuple:
+    """A check of an object by the table ``table(doc.get(key))``, which must
+    check ``key`` before the checks built from its value."""
+    return (lambda doc: table(doc.get(key) if type(doc) is dict else None)(doc)), Table.what
+
+
 def check(doc, spec, error: type[Exception], where: str, root: str = "$"):
     """``doc`` when it passes ``spec``; else ``error`` naming ``where`` and the
     failing value's JSON path, which starts at ``root``."""
@@ -173,3 +179,4 @@ OBJECT = (lambda value: type(value) is dict, "a JSON object")
 # A number that a float holds finitely (a huge int is not one); true is not a number.
 NUMBER = (lambda value: type(value) is int and abs(value) <= sys.float_info.max
           or type(value) is float and math.isfinite(value), "a finite number")
+NUMBERS = Each(NUMBER, "a list of finite numbers")

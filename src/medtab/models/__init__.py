@@ -3,11 +3,12 @@ regression, a Gini CART tree, and gradient-boosted trees, plus grid search,
 feature importances and JSON persistence.
 
 Each family's model class (``LogRegModel``, ``TreeModel``, ``GbdtModel``)
-owns its behaviour: ``predict_proba(X)``, ``importances()``, ``to_doc()`` and
-the ``from_doc(doc)`` classmethod. ``search.MODEL_TYPES`` is the one table
-from family name to class, which ``load_model`` reads; the search module,
-which also holds each family's grid and trainer call, is the only place that
-knows family names. Adding a family touches its own module and ``search.py``.
+owns its behaviour: ``predict_proba(X)``, ``importances()``, ``to_doc()``,
+``DOC_CHECK`` (the check of what ``to_doc`` writes) and ``from_doc(doc)``.
+``search.MODEL_TYPES``, the one table from family name to class, is what
+``load_model`` reads; the search module, which also holds each family's grid
+and trainer call, is the only place that knows family names. Adding a family
+touches its own module and ``search.py``.
 
 Models hold no column names: callers pass ``EncoderState.column_names`` to
 ``feature_importances_named`` and ``export_tree``.

@@ -30,6 +30,7 @@ from itertools import islice
 
 import numpy as np
 
+from .. import inputs
 from .logreg import sigmoid
 from .tree import NodeRows, TreeNode, normalized_gains, train_regression_tree, tree_predict
 
@@ -45,6 +46,11 @@ class GbdtModel:
     max_tree_depth: int
     n_columns: int
     _gains: np.ndarray = field(default=None, repr=False)
+    DOC_CHECK = inputs.given("n_columns", lambda width: inputs.Table({
+        "learning_rate": inputs.NUMBER, "n_estimators": inputs.COUNT,
+        "initial_log_odds": inputs.NUMBER, "max_tree_depth": inputs.COUNT,
+        "n_columns": inputs.COUNT, "gains": inputs.NUMBERS,
+        "trees": inputs.Each(TreeNode.doc_check(width), "a list of tree nodes")}))
 
     def importances(self) -> np.ndarray:
         return normalized_gains(self._gains)

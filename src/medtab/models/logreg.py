@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import inputs
+
 MAX_ITER = 100
 GRAD_TOL = 1e-6
 
@@ -22,6 +24,9 @@ class LogRegModel:
     C: float
     n_iter: int = 0
     converged: bool = False
+    DOC_CHECK = inputs.Table({"weights": inputs.NUMBERS, "bias": inputs.NUMBER,
+                              "C": inputs.NUMBER, "n_iter": inputs.COUNT,
+                              "converged": inputs.BOOL})
 
     def importances(self) -> np.ndarray:
         return self.weights.copy()

@@ -3,9 +3,9 @@
 A saved document embeds the fitted encoder state and its column names, which
 ``load_model`` checks against each other, so a loaded artifact predicts on raw
 datasets without any other context. Before that, ``load_model`` checks every
-value of the file against ``_MODEL_FILE``, the table of what ``save_model``
-writes, so a damaged file raises PersistError naming the file and the
-field's JSON path.
+value of the file against ``_MODEL_FILE``, so a damaged file raises
+PersistError naming the file and the field's JSON path. Its model and encoder
+parts are checked by the ``DOC_CHECK`` of the class that writes them.
 """
 
 from __future__ import annotations
@@ -28,45 +28,16 @@ class PersistError(ValueError):
     pass
 
 
-# The model file: what save_model writes, key by key.
-_COUNTS = inputs.Each(inputs.COUNT, "a list of integers of at least 0")
-_NUMBERS = inputs.Each(inputs.NUMBER, "a list of finite numbers")
-# a node with a column is a split, one without a leaf
-_NODE = (lambda doc: (_SPLIT if type(doc) is dict and "column" in doc else _LEAF)(doc),
-         "a tree node")
-_LEAF = inputs.Table({"n": inputs.COUNT, "value": inputs.NUMBER}, {"counts": _COUNTS})
-_SPLIT = inputs.Table({"n": inputs.COUNT, "column": inputs.COUNT, "threshold": inputs.NUMBER,
-                       "left": _NODE, "right": _NODE})
-_MODELS = {
-    "logreg": inputs.Table({"weights": _NUMBERS, "bias": inputs.NUMBER, "C": inputs.NUMBER,
-                            "n_iter": inputs.COUNT, "converged": inputs.BOOL}),
-    "dtree": inputs.Table({"max_depth": inputs.COUNT, "min_samples_split": inputs.COUNT,
-                           "n_columns": inputs.COUNT, "n_training_rows": inputs.COUNT,
-                           "gains": _NUMBERS, "root": _NODE}),
-    "gbdt": inputs.Table({"learning_rate": inputs.NUMBER, "n_estimators": inputs.COUNT,
-                          "initial_log_odds": inputs.NUMBER, "max_tree_depth": inputs.COUNT,
-                          "n_columns": inputs.COUNT, "gains": _NUMBERS,
-                          "trees": inputs.Each(_NODE, "a list of tree nodes")}),
-}
-_ENCODER_COLUMN = inputs.tagged("kind", {
-    "numeric": inputs.Table({"name": inputs.TEXT, "impute_mean": inputs.NUMBER,
-                             "center": inputs.NUMBER,
-                             "scale": (lambda value: inputs.NUMBER[0](value) and value > 0,
-                                       "a finite number greater than 0")}),
-    "categorical": inputs.Table({"name": inputs.TEXT,
-                                 "categories": inputs.Each(inputs.TEXT, "a list of strings"),
-                                 "impute_category": inputs.TEXT}),
-}, "'numeric' or 'categorical'")
+# The model file: what save_model writes, each part checked by the class that writes it.
 _MODEL_FILE = inputs.tagged("family", {
     family: inputs.Table(
         {"format_version": (lambda value: type(value) is int and value == FORMAT_VERSION,
                             str(FORMAT_VERSION)),
          "columns": inputs.Each(inputs.TEXT, "a list of column names"),
-         "encoder": inputs.Table({"columns": inputs.Each(_ENCODER_COLUMN, "a list of columns")}),
-         "model": model},
+         "encoder": EncoderState.DOC_CHECK, "model": model.DOC_CHECK},
         {"label": LABEL, "params": inputs.OBJECT,
          "seed": (lambda value: value is None or type(value) is int, "an integer or null")})
-    for family, model in _MODELS.items()}, f"one of {', '.join(map(repr, MODEL_TYPES))}")
+    for family, model in MODEL_TYPES.items()}, f"one of {', '.join(map(repr, MODEL_TYPES))}")
 
 
 @dataclass

@@ -48,6 +48,8 @@ from functools import partial
 
 import numpy as np
 
+from .. import inputs
+
 LEAF_EPS = 1e-12  # keeps a regression leaf finite when its weights sum to 0
 SSE_MIN_GAIN = 1e-12  # a regression split must decrease the squared error by more
 
@@ -77,6 +79,20 @@ class TreeNode:
             return doc
         return {"n": self.n_samples, "column": self.column, "threshold": self.threshold,
                 "left": self.left.to_doc(), "right": self.right.to_doc()}
+
+    @staticmethod
+    def doc_check(width: int) -> tuple:
+        """The check of what ``to_doc`` writes in a model of ``width`` columns:
+        a split (a node with a column, which must be below ``width``; ``below``
+        runs only to report one that is not) or a leaf."""
+        node = (lambda doc: split(doc) and (doc["column"] < width or below(doc))
+                if type(doc) is dict and "column" in doc else leaf(doc)), "a tree node"
+        leaf = inputs.Table({"n": inputs.COUNT, "value": inputs.NUMBER}, {
+            "counts": inputs.Each(inputs.COUNT, "a list of integers of at least 0")})
+        split = inputs.Table({"n": inputs.COUNT, "column": inputs.COUNT,
+                              "threshold": inputs.NUMBER, "left": node, "right": node})
+        below = inputs.Table({"column": (lambda c: c < width, f"less than n_columns ({width})")})
+        return node
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TreeNode":
@@ -266,6 +282,10 @@ class TreeModel:
     n_columns: int
     n_training_rows: int
     _gains: np.ndarray = field(default=None, repr=False)
+    DOC_CHECK = inputs.given("n_columns", lambda width: inputs.Table({
+        "max_depth": inputs.COUNT, "min_samples_split": inputs.COUNT, "n_columns": inputs.COUNT,
+        "n_training_rows": inputs.COUNT, "gains": inputs.NUMBERS,
+        "root": TreeNode.doc_check(width)}))
 
     def importances(self) -> np.ndarray:
         return normalized_gains(self._gains)

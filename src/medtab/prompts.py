@@ -97,29 +97,11 @@ class PromptBundle:
         return "Reasoning:\n" + "\n".join(parts) + "\n\n"
 
     def __post_init__(self):
-        body = (
-            f"{self.instructions}\n"
-            f"\n"
-            f"{SCHEMA_HEADING}\n"
-            f"```\n"
-            f"{self.schema_block}\n"
-            f"```\n"
-            f"\n"
-            f"{FORMAT_SECTION}\n"
-            f"\n"
-            f"{EXAMPLE_HEADING}\n"
-            f"\n"
-            f"Medical report:\n"
-            f"{self.example.report_text}\n"
-            f"\n"
-            f"{self.reasoning_block()}"
-            f"Output JSON:\n"
-            f"{self.example.output_json_text}\n"
-            f"\n"
-            f"{SEPARATOR}\n"
-            f"\n"
-            f"{REPORT_SLOT}"
-        )
+        body = "\n".join([
+            self.instructions, "", SCHEMA_HEADING, "```", self.schema_block, "```", "",
+            FORMAT_SECTION, "", EXAMPLE_HEADING, "", "Medical report:", self.example.report_text,
+            "", f"{self.reasoning_block()}Output JSON:", self.example.output_json_text, "",
+            SEPARATOR, "", REPORT_SLOT])
         frame = body.replace("{{SCHEMA_BLOCK}}", self.schema_block).split("{{REPORT}}")
         object.__setattr__(self, "_frame", tuple(frame))
 
@@ -269,9 +251,6 @@ def build_fewshot_classifier_prompt(shots: list[tuple[str, str]], report: str,
     for shot_report, shot_label in shots:
         if shot_label not in valid:
             raise PromptError(f"shot label {shot_label!r} is not one of {sorted(valid)}")
-        parts.append(f"Medical report: {shot_report}")
-        parts.append(f"Answer: {shot_label}")
-        parts.append("")
-    parts.append(f"Medical report: {report}")
-    parts.append("Answer:")
+        parts += [f"Medical report: {shot_report}", f"Answer: {shot_label}", ""]
+    parts += [f"Medical report: {report}", "Answer:"]
     return "\n".join(parts)

@@ -29,6 +29,30 @@ DATA = ROOT / "data"
 TEMPLATES = ROOT / "templates"
 
 
+def json_places(value, path=()):
+    """The path of every value in a JSON document, containers included."""
+    yield path
+    items = value.items() if type(value) is dict else enumerate(value) \
+        if type(value) is list else ()
+    for key, child in items:
+        yield from json_places(child, path + (key,))
+
+
+def json_replaced(doc, path, new):
+    """``doc`` with the value at ``path`` replaced by ``new``: the containers
+    on the path are copies, the rest is shared with ``doc``."""
+    if not path:
+        return new
+    copy = doc.copy()
+    copy[path[0]] = json_replaced(doc[path[0]], path[1:], new)
+    return copy
+
+
+def json_path(path) -> str:
+    """``path`` as ``medtab.inputs`` names it in an error, such as ``$.a[0].b``."""
+    return "$" + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+
+
 def table_from_rows(schema, rows, ids, labels=None) -> TabularDataset:
     """A table of the given row mappings, its columns in the first row's key
     order (the schema's when there are no rows)."""

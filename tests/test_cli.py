@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from helpers import DATA, SCHEMAS, TEMPLATES, small_schema_file, vorc_fixture_files
+from helpers import DATA, SCHEMAS, TEMPLATES, json_path, small_schema_file, vorc_fixture_files
 
 from medtab.cli import main
 
@@ -491,7 +491,7 @@ class TestFewshot:
         assert doc["n scored"] == 1
 
     @pytest.mark.parametrize("bad_line, message", [
-        ({"text": "shot 2"}, "$.label must be present, got nothing"),
+        ({"text": "shot 2"}, "$.label must be a string or an integer, got nothing"),
         (7, "$ must be a JSON object, got 7"),
     ], ids=["bad_line0", "7"])
     def test_shot_without_label_exits_2_with_its_line(self, runner, tmp_path, bad_line,
@@ -505,6 +505,39 @@ class TestFewshot:
                                       "--corpus", str(corpus), "--replay", str(replay)])
         assert result.exit_code == 2
         assert f"{shots}:3: {message}" in result.output
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ({"text": [], "label": "yes"}, "$.text must be a string, got []"),
+        ({"text": "shot 2", "label": True}, "$.label must be a string or an integer, got True"),
+        ({"text": "shot 2", "label": {}}, "$.label must be a string or an integer, got {}"),
+    ], ids=["text-list", "label-bool", "label-object"])
+    def test_shot_of_the_wrong_type_exits_2_with_its_line(self, runner, tmp_path, bad_line,
+                                                          message):
+        schema, shots, corpus, replay = self.make_files(tmp_path, [("yes", "yes")])
+        lines = shots.read_text().splitlines()
+        lines[2] = json.dumps(bad_line)
+        shots.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                      "--schema", str(schema), "--shots", str(shots),
+                                      "--corpus", str(corpus), "--replay", str(replay)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {shots}:3: {message}\n"
+
+    def test_integer_shot_labels_are_read_as_their_text(self, runner, tmp_path):
+        shots = tmp_path / "shots.jsonl"
+        shots.write_text("".join(json.dumps({"text": f"shot {i}", "label": i % 2}) + "\n"
+                                 for i in range(4)))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": 1, "text": "[q-1] report", "label": 1}) + "\n")
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps([{"match_substring": "Answer: 1\n\nMedical report: "
+                                                          "[q-1]", "response": "1"}]))
+        result = runner.invoke(main, ["--output-dir", str(tmp_path / "out"), "--json",
+                                      "fewshot", "--schema", str(SCHEMAS / "heart.schema.json"),
+                                      "--shots", str(shots), "--corpus", str(corpus),
+                                      "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["sections"]["fewshot"]["accuracy"] == 1.0
 
     def test_zero_shots_exits_2(self, runner, tmp_path):
         answers = [("yes", "yes")]
@@ -769,6 +802,35 @@ class TestErrorBoundary:
         result = self.evaluate_hepatitis(runner, model, split)
         self.assert_one_error(result, f"{model}: $.family must be one of 'logreg', 'dtree', "
                                       f"'gbdt', got {family!r}")
+
+    @pytest.fixture(scope="class")
+    def hepatitis_trees(self, tmp_path_factory):
+        """The hepatitis dtree and GBDT model files of split seed 7, and the split."""
+        out = tmp_path_factory.mktemp("trees")
+        for family in ("dtree", "gbdt"):
+            result = invoke(CliRunner(), ["--output-dir", str(out), "--seed", "7", "train",
+                                          "--data", str(DATA / "hepatitis.csv"),
+                                          "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                          "--family", family])
+            assert result.exit_code == 0, result.output
+        return out
+
+    @pytest.mark.parametrize("family, tree", [("dtree", ("root",)), ("gbdt", ("trees", 2))],
+                             ids=["dtree", "gbdt"])
+    @pytest.mark.parametrize("column", [1000, 10 ** 400], ids=["1000", "10**400"])
+    def test_split_column_outside_the_model_exits_2(self, runner, tmp_path, hepatitis_trees,
+                                                    family, tree, column):
+        doc = json.loads((hepatitis_trees / f"model_{family}.json").read_text())
+        path, node = ("model",) + tree + ("right",), doc
+        for key in path:
+            node = node[key]
+        node["column"] = column  # the tree root's right child is a split
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        result = self.evaluate_hepatitis(runner, model, hepatitis_trees / "split.json")
+        shown = repr(column) if column < 10 ** 50 else repr(column)[:57] + "..."
+        self.assert_one_error(result, f"{model}: {json_path(path + ('column',))} must be less "
+                                      f"than n_columns ({doc['model']['n_columns']}), got {shown}")
 
     @pytest.mark.parametrize("ids", [(1, "1"), ("a", "a")], ids=["int-and-string", "equal"])
     def test_corpus_ids_that_collide_as_csv_text_exit_2(self, runner, tmp_path, ids):

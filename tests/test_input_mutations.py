@@ -1,6 +1,7 @@
 """Every input file the pipeline demo reads fails closed: with one JSON value
 changed, the command that reads it exits 0, 2 or 3, never with a traceback."""
 
+import functools
 import importlib.util
 import json
 
@@ -8,11 +9,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from helpers import DATA, ROOT, SCHEMAS, TEMPLATES
+from helpers import DATA, ROOT, SCHEMAS, TEMPLATES, json_places, json_replaced
 
 from medtab.cli import main
 
-MUTANTS = [None, True, 5, 5.5, -1, "x", [], {}]
+MUTANTS = [None, True, 5, 5.5, -1, 1000, 10 ** 400, "x", [], {}]
+FAMILIES = ("logreg", "dtree", "gbdt")
 HEART = SCHEMAS / "heart.schema.json"
 
 
@@ -27,16 +29,16 @@ def _demo_module():
 @pytest.fixture(scope="session")
 def demo(tmp_path_factory):
     """The demo's files, made once: its corpus, replay script and truth
-    table, then the provenance of extracting them, a heart dtree model and
-    its split, a config file, a few shots and the heart schema."""
+    table, then the provenance of extracting them, a heart model of each
+    family and their split, a config file, a few shots and the heart schema."""
     d = tmp_path_factory.mktemp("demo")
     truth = _demo_module().build_fixture(d)
     runner = CliRunner()
-    for args in (["--output-dir", d, "extract", "--schema", HEART,
+    for args in [["--output-dir", d, "extract", "--schema", HEART,
                   "--templates", TEMPLATES / "heart", "--corpus", d / "corpus.jsonl",
-                  "--replay", d / "replay.json"],
+                  "--replay", d / "replay.json"]] + [
                  ["--output-dir", d, "--seed", "7", "train", "--data", DATA / "heart.csv",
-                  "--schema", HEART, "--family", "dtree"]):
+                  "--schema", HEART, "--family", family] for family in FAMILIES]:
         result = runner.invoke(main, [str(a) for a in args])
         assert result.exit_code == 0, result.output
     (d / "config.json").write_text(json.dumps({
@@ -59,7 +61,8 @@ def _commands(d):
     return {
         "heart.schema.json": ["prompt-preview", "--schema", "{}", "--templates",
                               TEMPLATES / "heart", "--report-text", "A 54-year-old man."],
-        "model_dtree.json": evaluate + ["--model", "{}", "--split", d / "split.json"],
+        **{f"model_{family}.json": evaluate + ["--model", "{}", "--split", d / "split.json"]
+           for family in FAMILIES},
         "split.json": evaluate + ["--model", d / "model_dtree.json", "--split", "{}"],
         "config.json": ["--config", "{}", "extract"],
         "corpus.jsonl": extract + ["--corpus", "{}", "--replay", d / "replay.json"],
@@ -72,39 +75,30 @@ def _commands(d):
     }
 
 
-def _places(value, path=()):
-    """The path of every value in a JSON document, containers included."""
-    yield path
-    items = value.items() if type(value) is dict else enumerate(value) \
-        if type(value) is list else ()
-    for key, child in items:
-        yield from _places(child, path + (key,))
+@functools.cache
+def _document(path):
+    """The file's JSON document (for JSON lines, the list of its lines'
+    documents) and the paths of the values a mutation may change: a JSON-lines
+    file is a list of documents, not one, so its lines change, not the list."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        doc = [json.loads(line) for line in text.splitlines()]
+        return doc, [p for p in json_places(doc) if p]
+    doc = json.loads(text)
+    return doc, list(json_places(doc))
 
 
-def _replaced(doc, path, new):
-    if not path:
-        return new
-    copy = json.loads(json.dumps(doc))
-    parent = copy
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = new
-    return copy
-
-
-@pytest.mark.parametrize("name", ["heart.schema.json", "model_dtree.json", "split.json",
-                                  "config.json", "corpus.jsonl", "replay.json",
-                                  "provenance.jsonl", "shots.jsonl"])
+@pytest.mark.parametrize("name", ["heart.schema.json", "model_logreg.json", "model_dtree.json",
+                                  "model_gbdt.json", "split.json", "config.json", "corpus.jsonl",
+                                  "replay.json", "provenance.jsonl", "shots.jsonl"])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_one_changed_value_exits_0_2_or_3_without_a_traceback(demo, name, data):
-    text = (demo / name).read_text(encoding="utf-8")
+    doc, paths = _document(demo / name)
     lines = name.endswith(".jsonl")
-    doc = [json.loads(line) for line in text.splitlines()] if lines else json.loads(text)
-    # a JSON-lines file is a list of documents, not one: its lines change, not the list
-    path = data.draw(st.sampled_from([p for p in _places(doc) if p or not lines]), label="path")
+    path = data.draw(st.sampled_from(paths), label="path")
     new = data.draw(st.sampled_from(MUTANTS), label="value")
-    changed = _replaced(doc, path, new)
+    changed = json_replaced(doc, path, new)
     runner = CliRunner()
     with runner.isolated_filesystem():  # outputs, a changed output_dir too, go here
         with open(name, "w", encoding="utf-8") as fh:

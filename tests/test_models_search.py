@@ -1,12 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medtab.dataset import fit_encoder, transform
-from medtab.models import (ModelArtifact, feature_importances_named, grid_search, load_model,
-                           predict_proba, save_model)
+from helpers import json_path, json_places, json_replaced
+
+from medtab import inputs
+from medtab.dataset import EncoderState, fit_encoder, transform
+from medtab.models import (MODEL_TYPES, ModelArtifact, PersistError, feature_importances_named,
+                           grid_search, load_model, predict_proba, save_model, train_gbdt,
+                           train_logreg)
 from medtab.models.tree import TreeModel, train_dtree, tree_predict
 
 
@@ -130,7 +135,56 @@ class TestHepatitisImportances:
         assert abs(by_name["AST"] - 0.607) <= 0.15
 
 
+def toy_models():
+    """The encoder fitted on a toy table, and a small model of each family
+    trained on the table it encodes."""
+    from test_dataset import toy_dataset
+
+    table = toy_dataset(n=40)
+    enc = fit_encoder(table, range(40))
+    X, y = transform(table, enc), table.label_array()
+    return enc, {"logreg": train_logreg(X, y, C=1.0), "dtree": train_dtree(X, y, 3, 2),
+                 "gbdt": train_gbdt(X, y, n_estimators=2, learning_rate=0.3)}
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt", "encoder"])
+    def test_doc_check_names_every_key_that_its_class_writes(self, family):
+        """A class's check passes the document its class writes, and fails,
+        naming the value's path, once any one value in it is replaced by one
+        that no check accepts: so a key written without a check entry fails."""
+        enc, models = toy_models()
+        cls, doc = ((EncoderState, enc.to_dict()) if family == "encoder"
+                    else (MODEL_TYPES[family], models[family].to_doc()))
+        doc = json.loads(json.dumps(doc))  # as a model file holds it: numpy floats as floats
+        assert inputs.check(doc, cls.DOC_CHECK, ValueError, "doc") is doc
+        for path in list(json_places(doc))[1:]:
+            with pytest.raises(ValueError, match=re.escape(f"doc: {json_path(path)} must be ")):
+                inputs.check(json_replaced(doc, path, object()), cls.DOC_CHECK, ValueError,
+                             "doc")
+
+    @pytest.mark.parametrize("family, tree", [("dtree", ("root",)), ("gbdt", ("trees", 1))],
+                             ids=["dtree", "gbdt"])
+    @pytest.mark.parametrize("column", [1000, 10 ** 400], ids=["1000", "10**400"])
+    def test_split_column_outside_the_model_rejected_on_load(self, tmp_path, family, tree,
+                                                               column):
+        enc, models = toy_models()
+        save_model(ModelArtifact(family, models[family], enc), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        path, node = ("model",) + tree, doc
+        for key in path:
+            node = node[key]
+        while "column" in node["left"]:  # the deepest split on the left edge
+            path, node = path + ("left",), node["left"]
+        assert load_model(tmp_path / "m.json").family == family
+        node["column"] = column
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        width = doc["model"]["n_columns"]
+        with pytest.raises(PersistError, match=re.escape(
+                f"m.json: {json_path(path + ('column',))} must be less than n_columns "
+                f"({width}), got {repr(column)[:20]}")):
+            load_model(tmp_path / "m.json")
+
     @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
     def test_round_trip_predictions(self, family, tmp_path):
         from test_dataset import toy_dataset
