@@ -4,8 +4,10 @@
 Builds a 40-report corpus whose ground truth comes from data/heart.csv,
 scripts a replay provider that answers with those rows as JSON (including a
 few malformed responses that exercise rule repairs and one correction
-prompt), then drives the CLI: extract -> compare, then train -> evaluate for
-each model family. Everything runs without network access.
+prompt), then drives the CLI: prompt-preview (with and without reasoning),
+extract -> compare, train -> evaluate for each model family, and the
+few-shot baseline on a labeled copy of the corpus. Everything runs without
+network access.
 """
 
 from __future__ import annotations
@@ -69,12 +71,42 @@ def build_fixture(workdir: Path):
     return truth_path
 
 
+def write_fewshot_files(workdir: Path, truth_path: Path) -> None:
+    """Shots from the heart rows after the corpus's, the corpus with each
+    report's gold label, and a replay script of label answers: most name the
+    gold label, one by its first line, one wrongly, and one abstains. The
+    shots carry no ``[case-NN]`` marker, so each answer matches one report."""
+    with (ROOT / "data/heart.csv").open(newline="", encoding="utf-8") as fh:
+        later = list(csv.DictReader(fh))[N_REPORTS:N_REPORTS + 4]
+    (workdir / "shots.jsonl").write_text("".join(
+        json.dumps({"text": f"{row['Age']}-year-old patient, narrative report.",
+                    "label": row["HeartDisease"]}) + "\n" for row in later), encoding="utf-8")
+    with truth_path.open(newline="", encoding="utf-8") as fh:
+        gold = {row["id"]: row["HeartDisease"] for row in csv.DictReader(fh)}
+    corpus = [json.loads(line) for line in
+              (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+    replay = []
+    for i, doc in enumerate(corpus):
+        doc["label"] = gold[doc["id"]]
+        answer = {1: f"{doc['label']}\nbecause of the narrative", 2: "unsure",
+                  3: "1" if doc["label"] == "0" else "0"}.get(i, doc["label"])
+        replay.append({"match_substring": f"[case-{i:02d}]", "response": answer})
+    (workdir / "labeled_corpus.jsonl").write_text(
+        "".join(json.dumps(doc) + "\n" for doc in corpus), encoding="utf-8")
+    (workdir / "fewshot_replay.json").write_text(json.dumps(replay, indent=1), encoding="utf-8")
+
+
 def main():
     workdir = ROOT / "demo_output"
     truth_path = build_fixture(workdir)
     schema = ROOT / "schemas/heart.schema.json"
     templates = ROOT / "templates/heart"
 
+    report = json.loads((workdir / "corpus.jsonl").read_text(encoding="utf-8").split("\n")[0])
+    (workdir / "report.txt").write_text(report["text"] + "\n", encoding="utf-8")
+    for ablation in ([], ["--no-reasoning"]):
+        cli(["prompt-preview", "--schema", schema, "--templates", templates,
+             "--report", workdir / "report.txt", *ablation])
     cli(["--output-dir", workdir, "extract",
          "--schema", schema, "--templates", templates,
          "--corpus", workdir / "corpus.jsonl", "--replay", workdir / "replay.json"])
@@ -88,6 +120,14 @@ def main():
         cli(["evaluate", "--model", workdir / f"model_{family}.json",
              "--data", ROOT / "data/heart.csv", "--schema", schema,
              "--split", workdir / "split.json"])
+
+    write_fewshot_files(workdir, truth_path)
+    cli(["--output-dir", workdir, "fewshot", "--schema", schema,
+         "--shots", workdir / "shots.jsonl", "--corpus", workdir / "labeled_corpus.jsonl",
+         "--replay", workdir / "fewshot_replay.json"])
+    with (workdir / "fewshot_labels.csv").open(newline="", encoding="utf-8") as fh:
+        if not any(row["predicted"] and row["gold"] for row in csv.DictReader(fh)):
+            sys.exit("fewshot scored no report")
     print(f"\nDemo artifacts under {workdir}/")
 
 

@@ -319,16 +319,13 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
         nl=False)
 
 
-def _parse_answer(text: str, label_spec):
-    candidates = [text.strip()]
-    if candidates[0]:
-        candidates.append(candidates[0].splitlines()[0].strip())
-    for c in candidates:
-        if c == label_spec.positive_value:
-            return 1
-        if c == label_spec.negative_value:
-            return 0
-    return None
+def _read_answer(text: str, label_spec) -> str | None:
+    """The label value an answer names: the whole stripped answer, else its
+    first line, each compared exactly; None when it names neither value."""
+    answer = text.strip()
+    first_line = answer.splitlines()[0].strip() if answer else answer
+    values = (label_spec.positive_value, label_spec.negative_value)
+    return next((c for c in (answer, first_line) if c in values), None)
 
 
 @main.command("fewshot")
@@ -340,43 +337,38 @@ def _parse_answer(text: str, label_spec):
 @click.pass_obj
 def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     """Few-shot label classification baseline over a report corpus."""
-    schema = _schema_from(state, schema_path)
-    if schema.label is None:
+    label = _schema_from(state, schema_path).label
+    if label is None:
         _fail("schema has no label; few-shot classification needs one")
     provider = _provider_from(state, replay_script)
     corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
     shots = [(d["text"], str(d["label"]))
              for _, d in inputs.load_lines(shots_path, _SHOT_LINE, ValueError)]
-    golds = [None if d.get("label") is None else schema.label.parse(d["label"]) for d in corpus]
-    for doc, gold in zip(corpus, golds):
-        if gold is None and doc.get("label") is not None:
+    golds = []  # the label value each report's gold names, or None when it has no gold
+    for doc in corpus:
+        gold = doc.get("label")
+        if gold is not None and (gold := label.parse(gold)) is None:
             _fail(f"report {doc['id']!r}: gold label {doc['label']!r} is neither "
-                  f"{schema.label.positive_value!r} nor {schema.label.negative_value!r}")
-
-    rows = []
-    for doc, gold in zip(corpus, golds):
-        prompt = prompts.build_fewshot_classifier_prompt(shots, doc["text"], schema.label)
-        text = provider.complete(CompletionRequest(prompt=prompt)).text
-        rows.append({"id": doc["id"], "predicted": _parse_answer(text, schema.label),
-                     "gold": gold})
+                  f"{label.positive_value!r} nor {label.negative_value!r}")
+        golds.append(gold)
+    answers = [_read_answer(provider.complete(CompletionRequest(prompt=prompt)).text, label)
+               for prompt in (prompts.build_fewshot_classifier_prompt(shots, doc["text"], label)
+                              for doc in corpus)]
 
     out = state.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with (out / "fewshot_labels.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # writes None as an empty cell
         writer.writerow(["id", "predicted", "gold"])
-        for r in rows:
-            pred = "" if r["predicted"] is None else (
-                schema.label.positive_value if r["predicted"] else schema.label.negative_value)
-            writer.writerow([r["id"], pred, r["gold"] if r["gold"] is not None else ""])
+        writer.writerows(zip((doc["id"] for doc in corpus), answers, golds))
 
-    scored = [r for r in rows if r["predicted"] is not None and r["gold"] is not None]
-    report = {"n reports": len(rows), "n scored": len(scored),
-              "n abstained": sum(r["predicted"] is None for r in rows)}
+    # the one step from label values to classes: (gold is positive, answer is positive)
+    scored = [(gold == label.positive_value, answer == label.positive_value)
+              for gold, answer in zip(golds, answers) if gold is not None and answer is not None]
+    report = {"n reports": len(corpus), "n scored": len(scored),
+              "n abstained": answers.count(None)}
     if scored:
-        y = [int(r["gold"] == schema.label.positive_value) for r in scored]
-        pred = [r["predicted"] for r in scored]
-        metrics = evalkit.classification_metrics(y, pred)
+        metrics = evalkit.classification_metrics(*zip(*scored))
         # the few-shot baseline emits labels, not scores, so AUC is not reported
         report.update({"accuracy": metrics.accuracy, "precision": metrics.precision,
                        "recall": metrics.recall, "f1": metrics.f1})

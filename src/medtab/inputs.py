@@ -8,7 +8,7 @@ it. A check is one of:
   says what the value must be;
 - a ``Table``: an object whose keys map to checks;
 - an ``Each``: a list whose items pass one check;
-- ``tagged(key, tables, what)``: an object checked by the table that the
+- ``tagged(key, checks, what)``: an object checked by the check that the
   string at ``key`` picks, or ``given(key, table)``: by the table built from it.
 
 The tests see the types JSON gives: "3" is not 3, true is not 1 (its type is
@@ -103,11 +103,12 @@ class Each:
         return True
 
 
-def tagged(key: str, tables: dict, what: str) -> tuple:
-    """A check of an object whose table is ``tables[doc[key]]``; ``what``
+def tagged(key: str, checks: dict, what: str) -> tuple:
+    """A check of an object by the check ``checks[doc[key]]``; ``what``
     says which strings ``key`` may hold."""
-    tag = Table({key: (lambda value: type(value) is str and value in tables, what)})
-    return (lambda doc: tag(doc) and tables[doc[key]](doc)), Table.what
+    tag = Table({key: (lambda value: type(value) is str and value in checks, what)})
+    tests = {value: _pair(check)[0] for value, check in checks.items()}
+    return (lambda doc: tag(doc) and tests[doc[key]](doc)), Table.what
 
 
 def given(key: str, table) -> tuple:
@@ -118,12 +119,15 @@ def given(key: str, table) -> tuple:
 
 def check(doc, spec, error: type[Exception], where: str, root: str = "$"):
     """``doc`` when it passes ``spec``; else ``error`` naming ``where`` and the
-    failing value's JSON path, which starts at ``root``."""
+    failing value's JSON path, which starts at ``root``. A document that
+    nests deeper than the checks can recurse is an ``error`` too."""
     try:
         _step(*_pair(spec), doc, None)
     except _Bad as bad:  # its last step is the root's None
         path = "".join(f"[{s}]" if type(s) is int else f".{s}" for s in reversed(bad.steps[:-1]))
         raise error(message(where, root + path, bad.what, bad.value)) from None
+    except RecursionError:
+        raise error(f"{where}: {root} nests too deep to check") from None
     return doc
 
 
@@ -136,13 +140,19 @@ def _text(path, error: type[Exception]) -> str:
         raise error(f"{path}: {e}") from None
 
 
+def _decode(text: str, error: type[Exception], where: str):
+    """``json.loads(text)``; ``error`` naming ``where`` when the text is not
+    JSON, nests too deep to decode or holds an integer of too many digits
+    (json raises RecursionError and a plain ValueError for those two)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{where}: {e}") from None
+
+
 def load(path, spec, error: type[Exception]):
     """The JSON document in the file at ``path``, checked against ``spec``."""
-    try:
-        doc = json.loads(_text(path, error))
-    except json.JSONDecodeError as e:
-        raise error(f"{path}: {e}") from None
-    return check(doc, spec, error, str(path))
+    return check(_decode(_text(path, error), error, str(path)), spec, error, str(path))
 
 
 def load_lines(path, spec, error: type[Exception]) -> list[tuple[int, object]]:
@@ -151,11 +161,8 @@ def load_lines(path, spec, error: type[Exception]) -> list[tuple[int, object]]:
     entries, name = [], str(path)
     for n, line in enumerate(_text(path, error).split("\n"), start=1):
         if line := line.strip():
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise error(f"{name}:{n}: {e}") from None
-            entries.append((n, check(doc, spec, error, f"{name}:{n}")))
+            where = f"{name}:{n}"
+            entries.append((n, check(_decode(line, error, where), spec, error, where)))
     return entries
 
 
@@ -180,3 +187,15 @@ OBJECT = (lambda value: type(value) is dict, "a JSON object")
 NUMBER = (lambda value: type(value) is int and abs(value) <= sys.float_info.max
           or type(value) is float and math.isfinite(value), "a finite number")
 NUMBERS = Each(NUMBER, "a list of finite numbers")
+
+
+def per_column(width: int) -> tuple:
+    """A list of finite numbers, one per column of a model ``width`` columns wide."""
+    return (lambda value: NUMBERS(value) and len(value) == width,
+            f"a list of finite numbers, one per encoder column ({width})")
+
+
+def column_count(width: int) -> tuple:
+    """A model's column count, which must be ``width``."""
+    return (lambda value: type(value) is int and value == width,
+            f"the encoder's column count ({width})")

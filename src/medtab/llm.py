@@ -139,7 +139,9 @@ class HttpProvider:
             body = json.loads(body_text)
             choice = body["choices"][0]
             text = choice["message"]["content"] if self.chat else choice["text"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as e:
+            # json also raises ValueError for an integer of too many digits and
+            # RecursionError for nesting too deep
             raise ProviderError(f"malformed provider response: {e}") from e
         if not isinstance(text, str):
             raise ProviderError("malformed provider response: the completion text is "

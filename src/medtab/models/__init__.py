@@ -4,7 +4,8 @@ feature importances and JSON persistence.
 
 Each family's model class (``LogRegModel``, ``TreeModel``, ``GbdtModel``)
 owns its behaviour: ``predict_proba(X)``, ``importances()``, ``to_doc()``,
-``DOC_CHECK`` (the check of what ``to_doc`` writes) and ``from_doc(doc)``.
+``doc_check(width)`` (the check of what ``to_doc`` writes for ``width``
+columns) and ``from_doc(doc)``.
 ``search.MODEL_TYPES``, the one table from family name to class, is what
 ``load_model`` reads; the search module, which also holds each family's grid
 and trainer call, is the only place that knows family names. Adding a family

@@ -46,11 +46,15 @@ class GbdtModel:
     max_tree_depth: int
     n_columns: int
     _gains: np.ndarray = field(default=None, repr=False)
-    DOC_CHECK = inputs.given("n_columns", lambda width: inputs.Table({
-        "learning_rate": inputs.NUMBER, "n_estimators": inputs.COUNT,
-        "initial_log_odds": inputs.NUMBER, "max_tree_depth": inputs.COUNT,
-        "n_columns": inputs.COUNT, "gains": inputs.NUMBERS,
-        "trees": inputs.Each(TreeNode.doc_check(width), "a list of tree nodes")}))
+
+    @staticmethod
+    def doc_check(width: int) -> inputs.Table:
+        """The check of what ``to_doc`` writes for a model of ``width`` columns."""
+        return inputs.Table({
+            "learning_rate": inputs.NUMBER, "n_estimators": inputs.COUNT,
+            "initial_log_odds": inputs.NUMBER, "max_tree_depth": inputs.COUNT,
+            "n_columns": inputs.column_count(width), "gains": inputs.per_column(width),
+            "trees": inputs.Each(TreeNode.doc_check(width), "a list of tree nodes")})
 
     def importances(self) -> np.ndarray:
         return normalized_gains(self._gains)

@@ -24,9 +24,13 @@ class LogRegModel:
     C: float
     n_iter: int = 0
     converged: bool = False
-    DOC_CHECK = inputs.Table({"weights": inputs.NUMBERS, "bias": inputs.NUMBER,
-                              "C": inputs.NUMBER, "n_iter": inputs.COUNT,
-                              "converged": inputs.BOOL})
+
+    @staticmethod
+    def doc_check(width: int) -> inputs.Table:
+        """The check of what ``to_doc`` writes for a model of ``width`` columns."""
+        return inputs.Table({"weights": inputs.per_column(width), "bias": inputs.NUMBER,
+                             "C": inputs.NUMBER, "n_iter": inputs.COUNT,
+                             "converged": inputs.BOOL})
 
     def importances(self) -> np.ndarray:
         return self.weights.copy()

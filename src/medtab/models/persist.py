@@ -4,8 +4,10 @@ A saved document embeds the fitted encoder state and its column names, which
 ``load_model`` checks against each other, so a loaded artifact predicts on raw
 datasets without any other context. Before that, ``load_model`` checks every
 value of the file against ``_MODEL_FILE``, so a damaged file raises
-PersistError naming the file and the field's JSON path. Its model and encoder
-parts are checked by the ``DOC_CHECK`` of the class that writes them.
+PersistError naming the file and the field's JSON path. Its encoder part is
+checked by ``EncoderState.DOC_CHECK`` and its model part by the
+``doc_check(width)`` of the model's class, ``width`` being the number of
+column names, so a model as wide as its encoder is all that loads.
 """
 
 from __future__ import annotations
@@ -28,16 +30,24 @@ class PersistError(ValueError):
     pass
 
 
-# The model file: what save_model writes, each part checked by the class that writes it.
-_MODEL_FILE = inputs.tagged("family", {
-    family: inputs.Table(
+def _model_file(model) -> tuple:
+    """The check of a file whose model part is of class ``model``: what
+    save_model writes, each part checked by the class that writes it, the
+    model part as wide as the file's column list. That list is checked before
+    the model part, so the width of 0 taken when it is no list is never used."""
+    return inputs.given("columns", lambda columns: inputs.Table(
         {"format_version": (lambda value: type(value) is int and value == FORMAT_VERSION,
                             str(FORMAT_VERSION)),
          "columns": inputs.Each(inputs.TEXT, "a list of column names"),
-         "encoder": EncoderState.DOC_CHECK, "model": model.DOC_CHECK},
+         "encoder": EncoderState.DOC_CHECK,
+         "model": model.doc_check(len(columns) if type(columns) is list else 0)},
         {"label": LABEL, "params": inputs.OBJECT,
-         "seed": (lambda value: value is None or type(value) is int, "an integer or null")})
-    for family, model in MODEL_TYPES.items()}, f"one of {', '.join(map(repr, MODEL_TYPES))}")
+         "seed": (lambda value: value is None or type(value) is int, "an integer or null")}))
+
+
+_MODEL_FILE = inputs.tagged("family", {family: _model_file(model)
+                                       for family, model in MODEL_TYPES.items()},
+                            f"one of {', '.join(map(repr, MODEL_TYPES))}")
 
 
 @dataclass

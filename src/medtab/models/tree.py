@@ -4,7 +4,12 @@ squared-error regression tree (the boosting base learner).
 Split search is exact: candidate thresholds are midpoints between consecutive
 distinct sorted values per column, the chosen split maximizes the weighted
 impurity decrease, and ties break toward the lower column index then the
-lower threshold. Training is deterministic.
+lower threshold. Training is deterministic. A tie is between computed gains:
+two splits of equal gain in exact arithmetic can compute one rounding apart,
+and the larger computed gain wins. So GBDT trained on flipped labels can
+choose the other of two mirror-image splits (``ExerciseAngina_Y`` for
+``ExerciseAngina_N`` on heart) and is then no mirror image of the original
+model; see docs/metrics.md.
 
 Both trees share one engine and one grower. A ``NodeRows`` holds one node's
 training rows, in row order and per column in value order. The root argsorts
@@ -282,10 +287,14 @@ class TreeModel:
     n_columns: int
     n_training_rows: int
     _gains: np.ndarray = field(default=None, repr=False)
-    DOC_CHECK = inputs.given("n_columns", lambda width: inputs.Table({
-        "max_depth": inputs.COUNT, "min_samples_split": inputs.COUNT, "n_columns": inputs.COUNT,
-        "n_training_rows": inputs.COUNT, "gains": inputs.NUMBERS,
-        "root": TreeNode.doc_check(width)}))
+
+    @staticmethod
+    def doc_check(width: int) -> inputs.Table:
+        """The check of what ``to_doc`` writes for a model of ``width`` columns."""
+        return inputs.Table({
+            "max_depth": inputs.COUNT, "min_samples_split": inputs.COUNT,
+            "n_columns": inputs.column_count(width), "n_training_rows": inputs.COUNT,
+            "gains": inputs.per_column(width), "root": TreeNode.doc_check(width)})
 
     def importances(self) -> np.ndarray:
         return normalized_gains(self._gains)

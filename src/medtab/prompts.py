@@ -118,17 +118,21 @@ class PromptBundle:
         return replace(self, reasoning_guidelines="", example=self.example.without_reasoning())
 
 
-def _check_example(example: OneShotExample, schema: ExtractionSchema) -> None:
+def _check_example(example: OneShotExample, schema: ExtractionSchema, path: Path) -> None:
+    """PromptError, naming ``path``, unless the example output decodes as JSON
+    and validates; text nested too deep, or holding an integer of too many
+    digits, does not decode."""
     try:
         obj = json.loads(example.output_json_text)
-    except json.JSONDecodeError as e:
-        raise PromptError(f"example output is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:
+        raise PromptError(f"{path}: example output is not valid JSON: {e}") from e
     from .vorc import validate_record  # local import, vorc depends on this module
 
     result = validate_record(obj, schema)
     if result.violations:
         details = "; ".join(v.message for v in result.violations)
-        raise PromptError(f"example output does not validate against the schema: {details}")
+        raise PromptError(f"{path}: example output does not validate against the schema: "
+                          f"{details}")
 
 
 def load_templates(template_dir: str | Path, schema: ExtractionSchema) -> PromptBundle:
@@ -152,7 +156,7 @@ def load_templates(template_dir: str | Path, schema: ExtractionSchema) -> Prompt
         reasoning_text=read_required("example_reasoning.txt"),
         output_json_text=read_required("example_output.json"),
     )
-    _check_example(example, schema)
+    _check_example(example, schema, template_dir / "example_output.json")
     return PromptBundle(
         instructions=read_optional("instructions.txt", DEFAULT_INSTRUCTIONS),
         schema_block=emit_json_schema_block(schema),

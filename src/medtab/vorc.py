@@ -110,10 +110,14 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def _strict_loads(text: str):
     """``json.loads(text)`` that rejects NaN and the infinities, with
-    ``json.loads``' error for a leading byte-order mark."""
+    ``json.loads``' error for a leading byte-order mark. Text nested too deep
+    to decode raises ValueError too, as an integer of too many digits does."""
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _DECODER.decode(text)
+    try:
+        return _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deep to decode") from None
 
 
 _STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*(?:"|\\?\Z)'  # see the module docstring

@@ -45,6 +45,22 @@ class TestPromptPreview:
         assert 'therefore "Age": 63' not in ablated
 
 
+    @pytest.mark.parametrize("value", ["9" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["5000-digit-integer", "nested-too-deep"])
+    def test_example_output_that_cannot_decode_exits_2_naming_the_file(self, runner, tmp_path,
+                                                                       value):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        for name in ("example_report.txt", "example_reasoning.txt"):
+            (templates / name).write_text((TEMPLATES / "heart" / name).read_text())
+        (templates / "example_output.json").write_text('{"Age": %s}' % value)
+        result = invoke(runner, ["prompt-preview", "--schema", str(SCHEMAS / "heart.schema.json"),
+                                 "--templates", str(templates), "--report-text", "x"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {templates / 'example_output.json'}: ")
+        assert result.stderr.count("\n") == 1
+
+
 class TestExtract:
     def run_extract(self, runner, tmp_path, parallelism=1):
         corpus, replay, templates = vorc_fixture_files(tmp_path)
@@ -132,6 +148,28 @@ class TestExtract:
         assert provenance[0] == {"id": "r00", "vorc_iterations": 1, "repairs": [],
                                  "status": "ok"}
         assert (out / "extracted.csv").read_text().splitlines()[1].startswith("r00,30,M")
+
+    @pytest.mark.parametrize("depth", [990, 100_000])
+    def test_reply_nested_too_deep_gets_a_correction(self, runner, tmp_path, depth):
+        """A reply too deep for json to decode is an unparseable reply: one
+        JSON correction prompt, and the corpus goes on."""
+        corpus, replay, templates = vorc_fixture_files(tmp_path)
+        entries = json.loads(replay.read_text())
+        deep = '{"age": ' * depth + "1" + "}" * depth
+        entries.insert(0, {"match_substring": "[record-00]", "response": deep})
+        replay.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--output-dir", str(out), "extract",
+                                      "--schema", str(small_schema_file(tmp_path)),
+                                      "--templates", str(templates), "--corpus", str(corpus),
+                                      "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        assert "extracted 9/10 records" in result.output
+        provenance = [json.loads(l) for l in (out / "provenance.jsonl").read_text().splitlines()]
+        assert provenance[0] == {"id": "r00", "vorc_iterations": 1, "repairs": [],
+                                 "status": "ok"}
+        assert (out / "extracted.csv").read_text().splitlines()[1].startswith("r00,30,M")
+        assert json.loads((out / "extract_stats.json").read_text())["n_records"] == 9
 
     def test_all_provider_failures_exit_3(self, runner, tmp_path):
         corpus, _, templates = vorc_fixture_files(tmp_path)
@@ -424,15 +462,19 @@ class TestTrainEvaluateCompare:
         assert result.exit_code == 2
 
 
+ABSENT = object()  # as a gold label: the corpus line has no "label" key
+
+
 class TestFewshot:
-    def make_files(self, tmp_path, answers):
-        schema = small_schema_file(tmp_path)
+    def make_files(self, tmp_path, answers, schema=None, shot_labels=("no", "yes") * 5):
+        schema = schema or small_schema_file(tmp_path)
         shots = tmp_path / "shots.jsonl"
-        shots.write_text("\n".join(json.dumps({"text": f"shot {i}", "label": "yes" if i % 2 else "no"})
-                                   for i in range(10)) + "\n")
+        shots.write_text("\n".join(json.dumps({"text": f"shot {i}", "label": label})
+                                   for i, label in enumerate(shot_labels)) + "\n")
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("\n".join(json.dumps(
-            {"id": f"q{i}", "text": f"[q-{i}] report", "label": label})
+            {"id": f"q{i}", "text": f"[q-{i}] report",
+             **({} if label is ABSENT else {"label": label})})
             for i, (label, _) in enumerate(answers)) + "\n")
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps([
@@ -539,6 +581,49 @@ class TestFewshot:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["sections"]["fewshot"]["accuracy"] == 1.0
 
+    # (gold, answer) per report; the heart schema's values are "1" and "0"
+    HEART_CASES = [("1", "1"), (" 0 ", "0\nbecause the ST slope is up"), (1, "  1  "),
+                   (ABSENT, "maybe"), (None, ""), ("0", "Answer: 1"), ("1", "0"), ("0", "1\n0")]
+
+    @pytest.mark.parametrize("as_json, report", [
+        (True, '{\n  "report_version": 1,\n  "sections": {\n    "fewshot": {\n'
+               '      "n reports": 8,\n      "n scored": 5,\n      "n abstained": 3,\n'
+               '      "accuracy": 0.6,\n      "precision": 0.6666666666666666,\n'
+               '      "recall": 0.6666666666666666,\n      "f1": 0.6666666666666666\n'
+               '    }\n  }\n}\n'),
+        (False, "[fewshot]\n  n reports = 8\n  n scored = 5\n  n abstained = 3\n"
+                "  accuracy = 0.600000\n  precision = 0.666667\n  recall = 0.666667\n"
+                "  f1 = 0.666667\n"),
+    ], ids=["json", "text"])
+    def test_outputs_pinned(self, runner, tmp_path, as_json, report):
+        """An answer names a value as a whole (stripped) or by its first line,
+        else it abstains; a gold is matched case-insensitively, stripped, from
+        a string or an integer, and an absent or null gold is not scored."""
+        schema, shots, corpus, replay = self.make_files(
+            tmp_path, self.HEART_CASES, SCHEMAS / "heart.schema.json", ("1", 0))
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out")]
+                        + ["--json"] * as_json
+                        + ["fewshot", "--schema", str(SCHEMAS / "heart.schema.json"),
+                           "--shots", str(shots), "--corpus", str(corpus),
+                           "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == report
+        assert (tmp_path / "out" / "fewshot_labels.csv").read_bytes() == (
+            b"id,predicted,gold\r\nq0,1,1\r\nq1,0,0\r\nq2,1,1\r\nq3,,\r\nq4,,\r\n"
+            b"q5,,0\r\nq6,0,1\r\nq7,1,0\r\n")
+
+    def test_nothing_scored_reports_counts_only(self, runner, tmp_path):
+        answers = [(ABSENT, "yes"), ("no", "  "), (None, "no")]
+        schema, shots, corpus, replay = self.make_files(tmp_path, answers)
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "--json", "fewshot",
+                                 "--schema", str(schema), "--shots", str(shots),
+                                 "--corpus", str(corpus), "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["sections"]["fewshot"] == {
+            "n reports": 3, "n scored": 0, "n abstained": 1}
+        assert (tmp_path / "out" / "fewshot_labels.csv").read_bytes() == (
+            b"id,predicted,gold\r\nq0,yes,\r\nq1,,no\r\nq2,no,\r\n")
+
     def test_zero_shots_exits_2(self, runner, tmp_path):
         answers = [("yes", "yes")]
         schema, _, corpus, replay = self.make_files(tmp_path, answers)
@@ -609,6 +694,27 @@ class TestErrorBoundary:
                                  "--corpus", str(corpus), "--replay", str(replay)] + extra)
         self.assert_one_error(result, f"{corpus}:2: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": ' + "7" * 5000 + ', "train": [], "val": [], "test": []}',
+        "[" * 100_000,
+    ], ids=["5000-digit-seed", "nested-too-deep"])
+    def test_evaluate_split_json_cannot_decode_names_the_file(self, runner, tmp_path, text):
+        out = tmp_path / "out"
+        invoke(runner, ["--output-dir", str(out), "--seed", "7", "train",
+                        "--data", str(DATA / "hepatitis.csv"),
+                        "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                        "--family", "logreg"])
+        split_path = out / "split.json"
+        split_path.write_text(text)
+        result = invoke(runner, ["evaluate", "--model", str(out / "model_logreg.json"),
+                                 "--data", str(DATA / "hepatitis.csv"),
+                                 "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                 "--split", str(split_path)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert result.stderr.startswith(f"error: {split_path}: ")
+        assert result.stderr.count("\n") == 1
 
     def test_evaluate_split_not_json_names_the_file(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -449,6 +449,17 @@ class TestSplit:
         with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {message(doc)}')}$"):
             load_split(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"seed": ' + "5" * 5000 + ', "train": [], "val": [], "test": []}',
+        "[" * 100_000,
+    ], ids=["5000-digit-seed", "nested-too-deep"])
+    def test_split_file_json_cannot_decode_names_the_file(self, tmp_path, text):
+        """json raises a plain ValueError and RecursionError for these."""
+        path = tmp_path / "split.json"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: "):
+            load_split(path)
+
     def test_split_file_not_json_names_the_file(self, tmp_path):
         path = tmp_path / "split.json"
         path.write_text('{seed: 5}')

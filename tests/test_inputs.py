@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -81,6 +82,28 @@ class TestRead:
         path.write_bytes(b'{"x": "\xe9"}')
         with pytest.raises(KeyError, match="can't decode byte 0xe9"):
             inputs.load(path, POINT, KeyError)
+
+    @pytest.mark.parametrize("text", [
+        '{"x": ' + "9" * 5000 + "}",
+        '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["5000-digit-integer", "nested-too-deep"])
+    def test_json_that_cannot_decode_raises_the_callers_class(self, tmp_path, text):
+        """json raises a plain ValueError and RecursionError for these."""
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(KeyError, match=f"^'{re.escape(str(path))}: "):
+            inputs.load(path, POINT, KeyError)
+        path.write_text('{"x": 1}\n' + text + "\n")
+        with pytest.raises(KeyError, match=f"^'{re.escape(str(path))}:2: "):
+            inputs.load_lines(path, POINT, KeyError)
+
+    def test_document_too_deep_to_check_raises_the_callers_class(self):
+        nested = inputs.Table(optional={"inner": (lambda value: nested(value), "an object")})
+        doc = {}
+        for _ in range(5000):
+            doc = {"inner": doc}
+        with pytest.raises(KeyError, match=r"^'where: \$ nests too deep to check'$"):
+            inputs.check(doc, nested, KeyError, "where")
 
     def test_first_repeat_names_both_places(self):
         assert inputs.first_repeat([("a", 1), ("b", 2), ("a", 3), ("b", 4)]) == (1, 3, "a")

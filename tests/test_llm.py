@@ -158,6 +158,24 @@ class TestHttpProvider:
         assert failure.detail.startswith("malformed provider response: ")
         assert [r.source_id for r in result.records] == ["b"]
 
+    @pytest.mark.parametrize("body", [
+        '{"choices": [{"text": "x"}], "usage": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"choices": [{"text": "x"}], "usage": ' + "9" * 5000 + "}",
+    ], ids=["nested-too-deep", "5000-digit-integer"])
+    def test_body_json_cannot_decode_is_a_provider_error(self, credential, body):
+        """json raises RecursionError and a plain ValueError for these bodies;
+        each is a malformed response, so the corpus goes on."""
+        transport = ScriptedTransport([(200, {}, body),
+                                       (200, {}, completions_body('{"age": 1, "sex": "F"}'))])
+        provider, _ = make_provider(credential, transport)
+        schema = small_schema()
+        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema,
+                                bundle_for(schema, {"age": 40, "sex": "M"}))
+        failure, = result.failures
+        assert (failure.source_id, failure.reason) == ("a", "provider-error")
+        assert failure.detail.startswith("malformed provider response: ")
+        assert [r.source_id for r in result.records] == ["b"]
+
     def test_permit_limit_observed(self, credential):
         barrier = threading.Barrier(8, timeout=5)
         lock = threading.Lock()

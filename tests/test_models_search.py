@@ -147,6 +147,12 @@ def toy_models():
                  "gbdt": train_gbdt(X, y, n_estimators=2, learning_rate=0.3)}
 
 
+# A left edge of 600 splits: json decodes it, and it nests deeper than the
+# model file's checks can recurse.
+DEEP_TREE = ('{"n": 2, "column": 0, "threshold": 0.5, "right": {"n": 1, "value": 0.5}, "left": '
+             * 600 + '{"n": 1, "value": 0.5}' + "}" * 600)
+
+
 class TestPersistence:
     @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt", "encoder"])
     def test_doc_check_names_every_key_that_its_class_writes(self, family):
@@ -154,14 +160,14 @@ class TestPersistence:
         naming the value's path, once any one value in it is replaced by one
         that no check accepts: so a key written without a check entry fails."""
         enc, models = toy_models()
-        cls, doc = ((EncoderState, enc.to_dict()) if family == "encoder"
-                    else (MODEL_TYPES[family], models[family].to_doc()))
+        spec, doc = ((EncoderState.DOC_CHECK, enc.to_dict()) if family == "encoder"
+                     else (MODEL_TYPES[family].doc_check(len(enc.column_names)),
+                           models[family].to_doc()))
         doc = json.loads(json.dumps(doc))  # as a model file holds it: numpy floats as floats
-        assert inputs.check(doc, cls.DOC_CHECK, ValueError, "doc") is doc
+        assert inputs.check(doc, spec, ValueError, "doc") is doc
         for path in list(json_places(doc))[1:]:
             with pytest.raises(ValueError, match=re.escape(f"doc: {json_path(path)} must be ")):
-                inputs.check(json_replaced(doc, path, object()), cls.DOC_CHECK, ValueError,
-                             "doc")
+                inputs.check(json_replaced(doc, path, object()), spec, ValueError, "doc")
 
     @pytest.mark.parametrize("family, tree", [("dtree", ("root",)), ("gbdt", ("trees", 1))],
                              ids=["dtree", "gbdt"])
@@ -184,6 +190,49 @@ class TestPersistence:
                 f"m.json: {json_path(path + ('column',))} must be less than n_columns "
                 f"({width}), got {repr(column)[:20]}")):
             load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("family, edit, field, what", [
+        ("logreg", lambda doc: doc["weights"].pop(), "weights", "a list of finite numbers, "
+         "one per encoder column"),
+        ("dtree", lambda doc: doc.update(n_columns=1000), "n_columns",
+         "the encoder's column count"),
+        ("gbdt", lambda doc: doc.update(n_columns=1000), "n_columns",
+         "the encoder's column count"),
+        ("dtree", lambda doc: doc["gains"].pop(), "gains", "a list of finite numbers, "
+         "one per encoder column"),
+        ("gbdt", lambda doc: doc["gains"].append(0.0), "gains", "a list of finite numbers, "
+         "one per encoder column"),
+    ], ids=["logreg-weights", "dtree-n_columns", "gbdt-n_columns", "dtree-gains",
+            "gbdt-gains"])
+    def test_model_width_other_than_the_encoders_rejected_on_load(self, tmp_path, family,
+                                                                  edit, field, what):
+        enc, models = toy_models()
+        save_model(ModelArtifact(family, models[family], enc), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        edit(doc["model"])
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(PersistError, match=re.escape(
+                f"m.json: $.model.{field} must be {what} ({len(enc.column_names)}), got ")):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("family, place, value, message", [
+        ("logreg", ("seed",), "7" * 5000, "Exceeds the limit"),
+        ("dtree", ("seed",), "[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+        ("dtree", ("model", "root"), DEEP_TREE, "$ nests too deep to check"),
+        ("gbdt", ("model", "trees", 0), DEEP_TREE, "$ nests too deep to check"),
+    ], ids=["5000-digit-integer", "nested-too-deep", "dtree-too-deep", "gbdt-too-deep"])
+    def test_model_file_that_cannot_decode_or_check_rejected_on_load(self, tmp_path, family,
+                                                                       place, value, message):
+        """json raises a plain ValueError for an integer of over 4,300 digits
+        and RecursionError past its nesting limit; a tree that decodes but
+        nests deeper than the checks recurse is rejected too."""
+        enc, models = toy_models()
+        path = tmp_path / "m.json"
+        save_model(ModelArtifact(family, models[family], enc), path)
+        doc = json_replaced(json.loads(path.read_text()), place, "PLACE")
+        path.write_text(json.dumps(doc).replace('"PLACE"', value))
+        with pytest.raises(PersistError, match=f"^{re.escape(f'{path}: ')}.*{re.escape(message)}"):
+            load_model(path)
 
     @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
     def test_round_trip_predictions(self, family, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -61,6 +62,22 @@ class TestRextractPrompt:
             (tmp_path / name).write_text((TEMPLATES / "heart" / name).read_text())
         (tmp_path / "example_output.json").write_text(json.dumps({"Age": "not a number"}))
         with pytest.raises(PromptError, match="does not validate against the schema"):
+            load_templates(tmp_path, heart_schema)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"Age": ' + "9" * 5000 + "}", "Exceeds the limit"),
+        ('{"Age": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
+        ('{"Age": 1', "Expecting"),
+    ], ids=["5000-digit-integer", "nested-too-deep", "not-json"])
+    def test_example_output_that_cannot_decode_names_the_file(self, tmp_path, heart_schema,
+                                                               text, message):
+        """json raises a plain ValueError and RecursionError for the first two."""
+        for name in ("example_report.txt", "example_reasoning.txt"):
+            (tmp_path / name).write_text((TEMPLATES / "heart" / name).read_text())
+        (tmp_path / "example_output.json").write_text(text)
+        with pytest.raises(PromptError, match=re.escape(
+                f"{tmp_path / 'example_output.json'}: example output is not valid JSON: "
+                f"{message}")):
             load_templates(tmp_path, heart_schema)
 
     def test_empty_report_rejected(self, heart_bundle):

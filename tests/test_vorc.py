@@ -340,6 +340,20 @@ class TestStrictParse:
         assert loaded(_strict_loads, text) == loaded(oracle._strict_loads, text)
         assert _parses(text) == oracle._parses(text)
 
+    def test_text_nested_too_deep_is_not_json(self):
+        """json raises RecursionError past its nesting limit; the reply is then
+        an unparseable one, which gets a JSON correction prompt."""
+        deep = '{"age": ' * 100_000 + "1" + "}" * 100_000
+        with pytest.raises(ValueError, match="nested too deep"):
+            _strict_loads(deep)
+        assert not _parses(deep)
+        with pytest.raises(ParseFailure, match="nested too deep") as err:
+            parse_response(deep)
+        assert err.value.kind == "strict-parse-error"
+        outcome = TestRunVorc().run(replay(deep, '{"age": 31, "sex": "M"}'))
+        assert isinstance(outcome, ExtractionRecord)
+        assert (outcome.vorc_iterations, outcome.repairs) == (1, [])
+
 
 # Texts around the words the literal rules replace: word characters of
 # several scripts, the dash NaN may take, and overlapping spellings.
