@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from medtab import dataset as ds, models  # noqa: E402
+from medtab import dataset as ds, encoding, models  # noqa: E402
 from medtab.models.search import _candidates  # noqa: E402
 from medtab.schema import load_schema  # noqa: E402
 
@@ -62,9 +62,9 @@ def main() -> None:
         y = table.label_array()
         for seed in seeds:
             assignment = ds.split(table, seed)
-            encoder = ds.fit_encoder(table, assignment.train_ids)
-            X_train = ds.transform(table, encoder, assignment.train_ids)
-            X_val = ds.transform(table, encoder, assignment.val_ids)
+            encoder = encoding.fit_encoder(table, assignment.train_ids)
+            X_train = encoding.transform(table, encoder, assignment.train_ids)
+            X_val = encoding.transform(table, encoder, assignment.val_ids)
             y_train, y_val = y[list(assignment.train_ids)], y[list(assignment.val_ids)]
             for family in TRAINERS:
                 points, search = group_digests(family, X_train, y_train, X_val, y_val)

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from medtab import dataset as ds
-from medtab import evalkit, models
+from medtab import encoding, evalkit, models
 from medtab.schema import load_schema
 
 DATASETS = {
@@ -31,7 +31,7 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
     schema_path, csv_path = DATASETS[name]
     schema = load_schema(schema_path)
     table = ds.load_csv(csv_path, schema)
-    assignment, encoder, X, y = ds.prepare(table, seed)
+    assignment, encoder, X, y = encoding.prepare(table, seed)
 
     print(f"\n=== {name} (n={table.n}, seed={seed}, "
           f"split {len(assignment.train_ids)}/{len(assignment.val_ids)}/"

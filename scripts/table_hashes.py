@@ -42,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from medtab import dataset as ds, evalkit, models  # noqa: E402
+from medtab import dataset as ds, encoding, evalkit, models  # noqa: E402
 from medtab.cli import main as cli_main  # noqa: E402
 from medtab.schema import load_schema  # noqa: E402
 
@@ -125,7 +125,7 @@ def load_digest(path: Path, schema, scratch: Path):
 def prepare_digest(table) -> str:
     parts = []
     for seed in SPLIT_SEEDS:
-        assignment, encoder, X, y = ds.prepare(table, seed)
+        assignment, encoder, X, y = encoding.prepare(table, seed)
         parts += [assignment.to_dict(), encoder.to_dict()]
         parts += [X[part].tobytes() + y[part].tobytes() for part in ds.PARTS]
     return digest(*parts)

@@ -12,6 +12,11 @@ other ``ProviderError``. A failure prints one ``error: <message>`` line. Every
 JSON input file is read and checked by ``medtab.inputs``, so a bad input
 exits 2 with ``error: <file>[:<line>]: <JSON path> must be <what>, got
 <value>``.
+
+Loading this module imports neither numpy nor the modeling code:
+``prompt-preview`` and ``extract`` run without them, and ``train``,
+``evaluate``, ``compare`` and ``fewshot`` import ``encoding``, ``models`` and
+``evalkit`` when they run.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 import click
 
 from . import dataset as ds
-from . import evalkit, inputs, models, prompts, vorc
+from . import inputs, prompts, vorc
 from .llm import CompletionRequest, ProviderConfigError, ProviderError, configure_provider
 from .schema import load_schema
 
@@ -104,6 +109,21 @@ def _read_corpus(path) -> list[dict]:
                                         f"id {lines[first]['id']!r} once written as CSV text",
                                         lines[lineno]["id"]))
     return list(lines.values())
+
+
+class _Families(click.Choice):
+    """The ``--family`` choice: the names in ``search.MODEL_TYPES``, read when
+    click first needs them (to check a value or print help), so that loading
+    the CLI does not import the models."""
+
+    def __init__(self):
+        self.case_sensitive = True
+
+    @property
+    def choices(self):
+        from .models.search import FAMILIES
+
+        return FAMILIES
 
 
 class _Main(click.Group):
@@ -210,13 +230,15 @@ def _grid_report_csv(result) -> str:
 @main.command("train")
 @click.option("--data", "data_path", type=str, required=True, help="Dataset CSV with labels.")
 @click.option("--schema", "schema_path", type=str, default=None)
-@click.option("--family", type=click.Choice(models.FAMILIES), required=True)
+@click.option("--family", type=_Families(), required=True)
 @click.pass_obj
 def cmd_train(state, data_path, schema_path, family):
     """Grid-search a model family on a 70/10/20 split and save the best model."""
+    from . import encoding, models
+
     schema = _schema_from(state, schema_path)
     dataset = ds.load_csv(data_path, schema)
-    assignment, encoder, X, y = ds.prepare(dataset, state.seed)
+    assignment, encoder, X, y = encoding.prepare(dataset, state.seed)
     result = models.grid_search(family, X["train"], y["train"], X["val"], y["val"])
 
     out = state.output_dir
@@ -240,6 +262,8 @@ def cmd_train(state, data_path, schema_path, family):
 @click.pass_obj
 def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
     """Score a saved model on one split of a dataset."""
+    from . import evalkit, models
+
     schema = _schema_from(state, schema_path)
     artifact = models.load_model(model_path)
     dataset = ds.load_csv(data_path, schema)
@@ -285,11 +309,13 @@ def _bind_provenance(path, lines, extracted_path, extracted, truth_path, truth) 
 @click.option("--extracted", "extracted_path", type=str, required=True)
 @click.option("--provenance", "provenance_path", type=str, default=None)
 @click.option("--schema", "schema_path", type=str, default=None)
-@click.option("--family", type=click.Choice(models.FAMILIES), required=True)
+@click.option("--family", type=_Families(), required=True)
 @click.pass_obj
 def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path, family):
     """Extraction metrics plus fidelity between truth-trained and
     extraction-trained models of one family."""
+    from . import encoding, evalkit, models
+
     schema = _schema_from(state, schema_path)
     lines = (inputs.load_lines(provenance_path, _PROVENANCE_LINE, ValueError)
              if provenance_path else None)
@@ -300,6 +326,9 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
         _bind_provenance(provenance_path, lines, extracted_path, extracted, truth_path, truth)
         provenance = [entry for _, entry in lines]
     extraction = evalkit.extraction_metrics(extracted, truth, provenance)  # rejects unknown ids
+    if provenance is not None:
+        extraction = {**asdict(extraction), "n_reports": len(provenance),
+                      "n_failed": sum(entry.get("status") == "failed" for entry in provenance)}
     # both tables hold the extracted ids in truth order with the truth labels,
     # so their splits and test labels are the same
     position = {rid: k for k, rid in enumerate(truth.ids)}
@@ -308,7 +337,7 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     ext = replace(extracted.subset(order), labels=gt.labels)
     fits = []
     for table in (gt, ext):
-        _, encoder, X, y = ds.prepare(table, state.seed)
+        _, encoder, X, y = encoding.prepare(table, state.seed)
         model = models.grid_search(family, X["train"], y["train"], X["val"], y["val"]).model
         fits.append((model, X["test"],
                      models.feature_importances_named(model, encoder.column_names)))
@@ -344,6 +373,7 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
     shots = [(d["text"], str(d["label"]))
              for _, d in inputs.load_lines(shots_path, _SHOT_LINE, ValueError)]
+    prompts.check_shots(shots, label)
     golds = []  # the label value each report's gold names, or None when it has no gold
     for doc in corpus:
         gold = doc.get("label")
@@ -361,6 +391,8 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
         writer = csv.writer(fh)  # writes None as an empty cell
         writer.writerow(["id", "predicted", "gold"])
         writer.writerows(zip((doc["id"] for doc in corpus), answers, golds))
+
+    from . import evalkit
 
     # the one step from label values to classes: (gold is positive, answer is positive)
     scored = [(gold == label.positive_value, answer == label.positive_value)

@@ -10,7 +10,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import TabularDataset, float_column, object_column
+from .dataset import TabularDataset
+from .encoding import float_column, object_column
 from .models import THRESHOLD, ImportanceVector
 from .vorc import call_rate
 

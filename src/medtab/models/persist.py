@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import inputs
-from ..dataset import EncoderState, TabularDataset, transform
+from ..dataset import TabularDataset
+from ..encoding import EncoderState, transform
 from ..schema import LABEL, LabelSpec
 from .search import MODEL_TYPES
 

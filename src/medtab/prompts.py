@@ -241,20 +241,28 @@ def build_type_correction_prompt(original_prompt: str, response_json: str,
         "instance and nothing else.", max_chars)
 
 
-def build_fewshot_classifier_prompt(shots: list[tuple[str, str]], report: str,
-                                    label_spec: LabelSpec) -> str:
-    """K labeled report/answer pairs followed by the query and an empty answer slot."""
+def check_shots(shots: list[tuple[str, str]], label_spec: LabelSpec) -> None:
+    """PromptError unless there are 1 to ``MAX_SHOTS`` shots, each labeled with
+    one of the label's two values."""
     if not 1 <= len(shots) <= MAX_SHOTS:
         raise PromptError(f"need between 1 and {MAX_SHOTS} shots, got {len(shots)}")
     valid = {label_spec.positive_value, label_spec.negative_value}
+    for _, shot_label in shots:
+        if shot_label not in valid:
+            raise PromptError(f"shot label {shot_label!r} is not one of {sorted(valid)}")
+
+
+def build_fewshot_classifier_prompt(shots: list[tuple[str, str]], report: str,
+                                    label_spec: LabelSpec) -> str:
+    """K labeled report/answer pairs followed by the query and an empty answer
+    slot; the shots are checked by ``check_shots``."""
+    check_shots(shots, label_spec)
     parts = [
         f"Classify each medical report. Answer with exactly one of: "
         f"{label_spec.positive_value} or {label_spec.negative_value}.",
         "",
     ]
     for shot_report, shot_label in shots:
-        if shot_label not in valid:
-            raise PromptError(f"shot label {shot_label!r} is not one of {sorted(valid)}")
         parts += [f"Medical report: {shot_report}", f"Answer: {shot_label}", ""]
     parts += [f"Medical report: {report}", "Answer:"]
     return "\n".join(parts)

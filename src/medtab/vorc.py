@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .llm import CompletionRequest, ProviderError
@@ -614,6 +613,8 @@ def extract_corpus(provider, reports: list[tuple[str, str]], schema: ExtractionS
     if parallelism == 1:
         outcomes = [work(item) for item in reports]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # ~10 ms of imports, pools only
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(work, reports))
 

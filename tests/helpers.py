@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from medtab.dataset import (CategoricalState, DatasetError, NumericState, TabularDataset,
-                            _map_header, format_cell, load_csv)
+from medtab.dataset import DatasetError, TabularDataset, _map_header, format_cell, load_csv
+from medtab.encoding import CategoricalState, NumericState
 from medtab.evalkit import EvalError, ExtractionReport
 from medtab.llm import ReplayExhaustedError
 from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, EXAMPLE_HEADING,
@@ -934,8 +934,8 @@ def _fmt_bound(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # Reference table layer: the cell-by-cell loader, column encoders and
-# extraction metrics that the column-wise versions in medtab.dataset and
-# medtab.evalkit replaced, kept verbatim as an oracle (the loader under a new
+# extraction metrics that the column-wise versions in medtab.dataset,
+# medtab.encoding and medtab.evalkit replaced, kept verbatim as an oracle (the loader under a new
 # name, the column methods as functions of the state).
 # ---------------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from helpers import (DATA, brute_force_auc, brute_force_gini_split, corrupt_cell
 from test_vorc import ALREADY_VALID, REPAIR_CORPUS
 
 from medtab import dataset as ds
-from medtab import evalkit, models, vorc
+from medtab import encoding, evalkit, models, vorc
 from medtab.llm import configure_provider
 from medtab.models.logreg import GRAD_TOL, loss_and_grad
 from medtab.models.search import _train
@@ -181,9 +181,9 @@ def test_criterion_5_auc_oracle_equivalence():
 
 def _pipeline(table, seed):
     assignment = ds.split(table, seed)
-    encoder = ds.fit_encoder(table, assignment.train_ids)
+    encoder = encoding.fit_encoder(table, assignment.train_ids)
     y = table.label_array()
-    parts = {name: ds.transform(table, encoder, ids)
+    parts = {name: encoding.transform(table, encoder, ids)
              for name, ids in (("train", assignment.train_ids),
                                ("val", assignment.val_ids),
                                ("test", assignment.test_ids))}

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from helpers import DATA, SCHEMAS, TEMPLATES, json_path, small_schema_file, vorc_fixture_files
 
 from medtab.cli import main
+from medtab.prompts import MAX_SHOTS
 
 
 @pytest.fixture
@@ -399,6 +400,55 @@ class TestTrainEvaluateCompare:
         assert extraction["vorc_call_rate"] == 0.0
         assert extraction["n_evaluated"] == 24
 
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_compare_counts_provenance_reports_and_failures(self, runner, tmp_path, as_json):
+        """Two reports of the truth table failed extraction: the provenance
+        has one line per report, two of them with status 'failed'."""
+        rows = (DATA / "hepatitis.csv").read_text(encoding="utf-8").splitlines()
+        extracted, provenance = tmp_path / "extracted.csv", tmp_path / "provenance.jsonl"
+        extracted.write_text("\n".join(rows[:1] + rows[3:]) + "\n", encoding="utf-8")
+        provenance.write_text("".join(json.dumps(
+            {"id": row.split(",")[0], "vorc_iterations": 1 if i < 2 else 0,
+             "status": "failed" if i < 2 else "ok"}) + "\n"
+            for i, row in enumerate(rows[1:])), encoding="utf-8")
+        args = ["--seed", "7", "compare", "--truth", str(DATA / "hepatitis.csv"),
+                "--extracted", str(extracted), "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                "--family", "logreg"]
+        without = invoke(runner, (["--json"] if as_json else []) + args)
+        result = invoke(runner, (["--json"] if as_json else [])
+                        + args + ["--provenance", str(provenance)])
+        assert without.exit_code == 0 and result.exit_code == 0, result.output
+        n_reports = len(rows) - 1
+        if as_json:
+            extraction = json.loads(result.stdout)["sections"]["extraction"]
+            assert extraction["n_reports"] == n_reports
+            assert extraction["n_failed"] == 2
+            assert extraction["vorc_call_rate"] == pytest.approx(2 / n_reports)
+            assert extraction["n_evaluated"] == n_reports - 2
+            shown = json.loads(without.stdout)["sections"]["extraction"]
+            assert "n_reports" not in shown and "n_failed" not in shown
+        else:
+            assert f"  n_evaluated = {n_reports - 2}\n  n_reports = {n_reports}\n" \
+                   f"  n_failed = 2\n[fidelity (logreg)]\n" in result.stdout
+            assert "n_reports" not in without.stdout
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_unknown_family_exits_2_naming_the_families(self, runner, tmp_path, command):
+        data = ["--data", str(DATA / "hepatitis.csv")] if command == "train" else [
+            "--truth", str(DATA / "hepatitis.csv"), "--extracted", str(DATA / "hepatitis.csv")]
+        result = runner.invoke(main, ["--output-dir", str(tmp_path / "out"), command, *data,
+                                      "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                      "--family", "forest"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--family': 'forest' is not one of 'logreg', 'dtree', " \
+               "'gbdt'." in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_train_help_lists_the_families(self, runner):
+        result = invoke(runner, ["train", "--help"])
+        assert result.exit_code == 0
+        assert "--family [logreg|dtree|gbdt]" in result.stdout
+
     @pytest.mark.parametrize("bad_line, message", [
         ([1], "$ must be a JSON object, got [1]"),
         ({"id": "r0", "status": "ok"}, "$.vorc_iterations must be an integer of at least 0, "
@@ -633,6 +683,26 @@ class TestFewshot:
                                       "--schema", str(schema), "--shots", str(empty_shots),
                                       "--corpus", str(corpus), "--replay", str(replay)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("shot_labels, message", [
+        (["7"], "shot label '7' is not one of ['0', '1']"),
+        ([], f"need between 1 and {MAX_SHOTS} shots, got 0"),
+        (["1"] * (MAX_SHOTS + 1), f"need between 1 and {MAX_SHOTS} shots, got {MAX_SHOTS + 1}"),
+    ], ids=["label-of-neither-value", "no-shots", "too-many-shots"])
+    def test_shots_are_checked_before_any_report(self, runner, tmp_path, shot_labels, message):
+        shots, corpus, replay = (tmp_path / name for name in
+                                 ("shots.jsonl", "corpus.jsonl", "replay.json"))
+        shots.write_text("".join(json.dumps({"text": "s", "label": label}) + "\n"
+                                 for label in shot_labels))
+        corpus.write_text("")
+        replay.write_text("[]")
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                 "--schema", str(SCHEMAS / "heart.schema.json"),
+                                 "--shots", str(shots), "--corpus", str(corpus),
+                                 "--replay", str(replay)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestErrorBoundary:

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import helpers as oracle  # holds the cell-by-cell loader and column encoders
 from helpers import DATA, cat_feature, int_feature, real_feature, table_from_rows, table_rows
 
-from medtab.dataset import (PARTS, CategoricalState, DatasetError, EncoderState, NumericState,
-                            TabularDataset, fit_encoder, load_csv, load_split, prepare, save_csv,
-                            save_split, split, transform)
+from medtab.dataset import (PARTS, DatasetError, TabularDataset, load_csv, load_split, save_csv,
+                            save_split, split)
+from medtab.encoding import CategoricalState, EncoderState, NumericState, fit_encoder, prepare, transform
 from medtab.schema import MISSING, ExtractionSchema, FeatureSpec, LabelSpec
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import DATA, SCHEMAS
 
-from medtab import dataset as ds
+from medtab import dataset as ds, encoding
 from medtab.models import LOGREG_C_GRID, train_logreg
 from medtab.models.logreg import GRAD_TOL, loss_and_grad, sigmoid
 from medtab.schema import load_schema
@@ -148,7 +148,7 @@ class TestLabelFlip:
     @pytest.mark.parametrize("C", [0.001, 1.0, 100.0])
     def test_bundled_tables(self, name, C):
         table = ds.load_csv(DATA / f"{name}.csv", load_schema(SCHEMAS / f"{name}.schema.json"))
-        _, _, X, y = ds.prepare(table, 7)
+        _, _, X, y = encoding.prepare(table, 7)
         assert_label_flip_negates(X["train"], y["train"].astype(np.float64), C)
 
     @settings(max_examples=60, deadline=None)

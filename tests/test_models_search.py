@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import json_path, json_places, json_replaced
 
 from medtab import inputs
-from medtab.dataset import EncoderState, fit_encoder, transform
+from medtab.encoding import EncoderState, fit_encoder, transform
 from medtab.models import (MODEL_TYPES, ModelArtifact, PersistError, feature_importances_named,
                            grid_search, load_model, predict_proba, save_model, train_gbdt,
                            train_logreg)
@@ -98,7 +98,7 @@ class TestGridMatchesSeparateFits:
 class TestEmptyPart:
     def test_empty_val_part_rejected_for_each_family(self, hepatitis_schema):
         from helpers import eleven_hepatitis_rows
-        from medtab.dataset import prepare
+        from medtab.encoding import prepare
         from medtab.models import FAMILIES
 
         assignment, _, X, y = prepare(eleven_hepatitis_rows(hepatitis_schema), 3)

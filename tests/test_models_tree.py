@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (DATA, brute_force_gini_split, brute_force_sse_split, monotone_mapped,
                      thresholds_dropped, two_cumsum_sse_gains)
 
-from medtab import dataset as ds
+from medtab import dataset as ds, encoding
 from medtab.models import (export_tree, feature_importances_named, train_dtree, train_gbdt,
                            tree_predict)
 from medtab.models.tree import (NodeRows, TreeModel, _paired, _sse_gains, _sse_totals,
@@ -491,7 +491,7 @@ class TestDtreeMetamorphic:
     @pytest.mark.parametrize("name", ["hepatitis", "heart"])
     def test_bundled_tables(self, request, name):
         schema = request.getfixturevalue(f"{name}_schema")
-        _, _, X, y = ds.prepare(ds.load_csv(DATA / f"{name}.csv", schema), 7)
+        _, _, X, y = encoding.prepare(ds.load_csv(DATA / f"{name}.csv", schema), 7)
         model = train_dtree(X["train"], y["train"], 5, 2)
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -534,7 +534,7 @@ class TestMonotoneColumnMap:
     @pytest.mark.parametrize("name", ["hepatitis", "heart"])
     def test_bundled_tables(self, request, name):
         schema = request.getfixturevalue(f"{name}_schema")
-        _, _, X, y = ds.prepare(ds.load_csv(DATA / f"{name}.csv", schema), 7)
+        _, _, X, y = encoding.prepare(ds.load_csv(DATA / f"{name}.csv", schema), 7)
         self.check(lambda X, y: train_dtree(X, y, 5, 2), X["train"], y["train"])
         self.check(lambda X, y: train_gbdt(X, y, 100, 0.3), X["train"], y["train"])
 
