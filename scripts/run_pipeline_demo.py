@@ -6,8 +6,10 @@ scripts a replay provider that answers with those rows as JSON (including a
 few malformed responses that exercise rule repairs and one correction
 prompt), then drives the CLI: prompt-preview (with and without reasoning),
 extract -> compare, train -> evaluate for each model family, and the
-few-shot baseline on a labeled copy of the corpus. Everything runs without
-network access.
+few-shot baseline on a labeled copy of the corpus, then three commands on
+damaged inputs (a CSV cell over csv's size limit, a report that is not UTF-8,
+a model file whose column list lost an entry), each of which must exit 2 with
+one error line naming the file. Everything runs without network access.
 """
 
 from __future__ import annotations
@@ -27,12 +29,25 @@ from medtab.models import FAMILIES  # noqa: E402
 N_REPORTS = 40
 
 
-def cli(args):
-    """Run one ``python -m medtab.cli`` command with ``src/`` first on its path."""
+def cli(args, check: bool = True):
+    """Run one ``python -m medtab.cli`` command with ``src/`` first on its path;
+    with ``check``, one that must exit 0, else one whose output is captured."""
     cmd = [sys.executable, "-m", "medtab.cli", *args]
     print("+", " ".join(str(a) for a in cmd))
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    subprocess.run([str(a) for a in cmd], check=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([str(a) for a in cmd], check=check, capture_output=not check,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def cli_fails(args, damaged: Path):
+    """Run one command that must exit 2 with exactly one stderr line, an
+    ``error: `` line naming ``damaged``."""
+    result = cli(args, check=False)
+    print(result.stderr, end="")
+    if (result.returncode != 2 or result.stderr.count("\n") != 1
+            or not result.stderr.startswith("error: ") or str(damaged) not in result.stderr):
+        sys.exit(f"expected exit 2 and one error line naming {damaged}, got exit "
+                 f"{result.returncode}:\n{result.stdout}{result.stderr}")
 
 
 def build_fixture(workdir: Path):
@@ -128,6 +143,24 @@ def main():
     with (workdir / "fewshot_labels.csv").open(newline="", encoding="utf-8") as fh:
         if not any(row["predicted"] and row["gold"] for row in csv.DictReader(fh)):
             sys.exit("fewshot scored no report")
+
+    # Damaged inputs: each command exits 2 with one error line naming the file.
+    lines = (ROOT / "data/heart.csv").read_text(encoding="utf-8").split("\n")
+    lines[1] = lines[1].replace(",M,", ',"' + "M" * 200_000 + '",', 1)
+    long_cell = workdir / "heart_long_cell.csv"
+    long_cell.write_text("\n".join(lines), encoding="utf-8")
+    cli_fails(["evaluate", "--model", workdir / "model_dtree.json", "--data", long_cell,
+               "--schema", schema, "--split", workdir / "split.json"], long_cell)
+    latin1 = workdir / "report_latin1.txt"
+    latin1.write_bytes(report["text"].encode("utf-8") + " caf\xe9.\n".encode("latin-1"))
+    cli_fails(["prompt-preview", "--schema", schema, "--templates", templates,
+               "--report", latin1], latin1)
+    model = json.loads((workdir / "model_logreg.json").read_text(encoding="utf-8"))
+    model["columns"].pop()
+    short_columns = workdir / "model_short_columns.json"
+    short_columns.write_text(json.dumps(model), encoding="utf-8")
+    cli_fails(["evaluate", "--model", short_columns, "--data", ROOT / "data/heart.csv",
+               "--schema", schema, "--split", workdir / "split.json"], short_columns)
     print(f"\nDemo artifacts under {workdir}/")
 
 

@@ -72,13 +72,8 @@ class CliState:
         key's default."""
         value = override if override is not None else self.config.get(key, _DEFAULTS.get(key))
         if required and value is None:
-            _fail(f"missing required setting {key!r} (flag or config file)")
+            raise ValueError(f"missing required setting {key!r} (flag or config file)")
         return value
-
-
-def _fail(message: str, code: int = EXIT_CONFIG):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _provider_from(state: CliState, replay_script: str | None):
@@ -134,9 +129,11 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except (ProviderConfigError, ValueError, OSError) as e:
-            _fail(str(e))
+            message, code = str(e), EXIT_CONFIG
         except ProviderError as e:
-            _fail(str(e), EXIT_PROVIDER)
+            message, code = str(e), EXIT_PROVIDER
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
 @click.group(cls=_Main)
@@ -164,11 +161,8 @@ def cmd_prompt_preview(state, schema_path, templates_path, report_path, report_t
     bundle = _templates_from(state, templates_path, schema)
     if report_text is None:
         if report_path is None:
-            _fail("provide --report or --report-text")
-        try:
-            report_text = Path(report_path).read_text(encoding="utf-8").strip("\n")
-        except OSError as e:
-            _fail(f"cannot read report: {e}")
+            raise ValueError("provide --report or --report-text")
+        report_text = inputs.read_text(report_path, ValueError).strip("\n")
     if no_reasoning:
         bundle = bundle.without_reasoning()
     click.echo(bundle.render(report_text))
@@ -214,7 +208,7 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     failures = result.failures
     if failures and all(f.reason == "provider-error" for f in failures) \
             and not records and result.stats.n_reports > 0:
-        _fail("provider failed on every record", EXIT_PROVIDER)
+        raise ProviderError("provider failed on every record")
 
 
 def _grid_report_csv(result) -> str:
@@ -269,12 +263,12 @@ def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
     dataset = ds.load_csv(data_path, schema)
     assignment = ds.load_split(split_path)
     if artifact.seed is not None and artifact.seed != assignment.seed:
-        _fail(f"model {model_path} was trained on split seed {artifact.seed}, "
-              f"but {split_path} holds split seed {assignment.seed}")
+        raise ValueError(f"model {model_path} was trained on split seed {artifact.seed}, "
+                         f"but {split_path} holds split seed {assignment.seed}")
     parts = assignment.parts()
     last = max((rid for ids in parts.values() for rid in ids), default=-1)
     if last >= dataset.n:
-        _fail(f"split id {last} is outside the table ({dataset.n} rows)")
+        raise ValueError(f"split id {last} is outside the table ({dataset.n} rows)")
     ids = parts[part]
     scores = artifact.predict_proba_dataset(dataset, ids)
     report = evalkit.classification_metrics(dataset.label_array()[list(ids)], scores)
@@ -368,7 +362,7 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     """Few-shot label classification baseline over a report corpus."""
     label = _schema_from(state, schema_path).label
     if label is None:
-        _fail("schema has no label; few-shot classification needs one")
+        raise ValueError("schema has no label; few-shot classification needs one")
     provider = _provider_from(state, replay_script)
     corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
     shots = [(d["text"], str(d["label"]))
@@ -378,8 +372,8 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     for doc in corpus:
         gold = doc.get("label")
         if gold is not None and (gold := label.parse(gold)) is None:
-            _fail(f"report {doc['id']!r}: gold label {doc['label']!r} is neither "
-                  f"{label.positive_value!r} nor {label.negative_value!r}")
+            raise ValueError(f"report {doc['id']!r}: gold label {doc['label']!r} is neither "
+                             f"{label.positive_value!r} nor {label.negative_value!r}")
         golds.append(gold)
     answers = [_read_answer(provider.complete(CompletionRequest(prompt=prompt)).text, label)
                for prompt in (prompts.build_fewshot_classifier_prompt(shots, doc["text"], label)

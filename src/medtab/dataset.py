@@ -12,8 +12,8 @@ column carries row identifiers (row indices are used when absent); the label
 column is matched by the schema's label name. ``load_csv`` reads whole columns
 and coerces each distinct raw string of a column once; the error it reports is
 the first bad cell in file order (by line, then header position), else the
-first line with the wrong number of cells, and it names the physical line on
-which that record starts.
+first line with the wrong number of cells or that csv or UTF-8 cannot read,
+naming the physical line the record starts on (a bad byte, its own line).
 
 Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``,
 an id list per name in ``PARTS``.
@@ -27,6 +27,7 @@ so the extraction commands load tables without it. Encoding for modeling
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,17 +94,38 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
 
     The error raised is the one a line-by-line read meets first: the first bad
     cell in file order (by line, then header position), else the first line
-    without one cell per header column. Lines from that one on are not coerced.
+    without one cell per header column or that csv or UTF-8 cannot read (a
+    bad byte is named by its own line). Lines from that one on are not coerced.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, expected a header row") from None
-        roles = _map_header(header, schema, path)
-        records, lines, stop = _read_records(reader, len(roles), path)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            return _read_table(fh, schema, path)
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+    # The text reader decodes ahead of csv: an error before the bad byte's line wins.
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        start = data.rfind(b"\n", 0, bad.start) + 1
+        if start:
+            _read_table(io.StringIO(data[:start].decode("utf-8-sig"), newline=""), schema, path)
+        line = data.count(b"\n", 0, start) + 1
+        raise DatasetError(f"{path}:{line}: not UTF-8: byte 0x{data[bad.start]:02x} "
+                           f"({bad.reason})") from None
+    return load_csv(path, schema)  # the file changed since it was read
+
+
+def _read_table(fh, schema: ExtractionSchema, path: Path) -> TabularDataset:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError(f"{path}: empty file, expected a header row") from None
+    except csv.Error as e:
+        raise DatasetError(f"{path}:1: {e}") from None
+    roles = _map_header(header, schema, path)
+    records, lines, stop = _read_records(reader, len(roles), path)
     raw = list(zip(*records)) or [()] * len(roles)
     values, failures = {}, []  # failures: (record, header position, error)
     for j, (role, column) in enumerate(zip(roles, raw)):
@@ -128,9 +150,8 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
 def _read_records(reader, width: int, path: Path):
     """``(records, lines, stop)``: the records before the first one without
     ``width`` cells, the physical line each of them starts on (a quoted cell
-    may span lines), and the error that ends the read there. A record the
-    reader cannot read or decode ends it too, with its own error; ``stop`` is
-    None at the end of the file."""
+    may span lines), and the error that ends the read there. A record csv
+    cannot read ends it too; ``stop`` is None at the end of the file."""
     records, lines = [], []
     try:
         start = reader.line_num + 1
@@ -141,8 +162,8 @@ def _read_records(reader, width: int, path: Path):
             records.append(cells)
             lines.append(start)
             start = reader.line_num + 1
-    except (csv.Error, UnicodeDecodeError) as e:
-        return records, lines, e
+    except csv.Error as e:
+        return records, lines, DatasetError(f"{path}:{start}: {e}")
     return records, lines, None
 
 

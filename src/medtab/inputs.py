@@ -1,4 +1,4 @@
-"""Every JSON input file is read and checked here.
+"""Every JSON input file is read and checked here, and every text input read.
 
 A loader describes what its file must hold, and ``load`` (one JSON document)
 or ``load_lines`` (JSON lines, blank lines skipped) reads the file and checks
@@ -9,7 +9,7 @@ it. A check is one of:
 - a ``Table``: an object whose keys map to checks;
 - an ``Each``: a list whose items pass one check;
 - ``tagged(key, checks, what)``: an object checked by the check that the
-  string at ``key`` picks, or ``given(key, table)``: by the table built from it.
+  string at ``key`` picks.
 
 The tests see the types JSON gives: "3" is not 3, true is not 1 (its type is
 bool), and null passes only a test that says so. The first failure raises the
@@ -18,7 +18,7 @@ loader's own error class in one message form::
     <file>[:<line>]: <JSON path> must be <what>, got <value>
 
 A missing key got ``nothing``. A file that cannot be read or decoded raises
-the same class, naming the file (and the line).
+the same class, naming the file (and the line), as ``read_text`` does.
 """
 
 from __future__ import annotations
@@ -111,12 +111,6 @@ def tagged(key: str, checks: dict, what: str) -> tuple:
     return (lambda doc: tag(doc) and tests[doc[key]](doc)), Table.what
 
 
-def given(key: str, table) -> tuple:
-    """A check of an object by the table ``table(doc.get(key))``, which must
-    check ``key`` before the checks built from its value."""
-    return (lambda doc: table(doc.get(key) if type(doc) is dict else None)(doc)), Table.what
-
-
 def check(doc, spec, error: type[Exception], where: str, root: str = "$"):
     """``doc`` when it passes ``spec``; else ``error`` naming ``where`` and the
     failing value's JSON path, which starts at ``root``. A document that
@@ -131,7 +125,8 @@ def check(doc, spec, error: type[Exception], where: str, root: str = "$"):
     return doc
 
 
-def _text(path, error: type[Exception]) -> str:
+def read_text(path, error: type[Exception]) -> str:
+    """The file's UTF-8 text; ``error`` naming the file when it cannot be read."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -152,14 +147,14 @@ def _decode(text: str, error: type[Exception], where: str):
 
 def load(path, spec, error: type[Exception]):
     """The JSON document in the file at ``path``, checked against ``spec``."""
-    return check(_decode(_text(path, error), error, str(path)), spec, error, str(path))
+    return check(_decode(read_text(path, error), error, str(path)), spec, error, str(path))
 
 
 def load_lines(path, spec, error: type[Exception]) -> list[tuple[int, object]]:
     """``(line number, document)`` for each non-blank line of a JSON-lines
     file, each document checked against ``spec``."""
     entries, name = [], str(path)
-    for n, line in enumerate(_text(path, error).split("\n"), start=1):
+    for n, line in enumerate(read_text(path, error).split("\n"), start=1):
         if line := line.strip():
             where = f"{name}:{n}"
             entries.append((n, check(_decode(line, error, where), spec, error, where)))

@@ -1,13 +1,13 @@
 """Versioned JSON persistence for trained models.
 
-A saved document embeds the fitted encoder state and its column names, which
-``load_model`` checks against each other, so a loaded artifact predicts on raw
-datasets without any other context. Before that, ``load_model`` checks every
-value of the file against ``_MODEL_FILE``, so a damaged file raises
-PersistError naming the file and the field's JSON path. Its encoder part is
-checked by ``EncoderState.DOC_CHECK`` and its model part by the
-``doc_check(width)`` of the model's class, ``width`` being the number of
-column names, so a model as wide as its encoder is all that loads.
+A saved document embeds the fitted encoder state and its column names, so a
+loaded artifact predicts on raw datasets without any other context.
+``load_model`` checks a file in the order it reads it: each value but the
+model against ``_MODEL_FILE`` (the encoder by ``EncoderState.DOC_CHECK``), the
+column names against the encoder's, then the model by its class's
+``doc_check(width)``, ``width`` being the encoder's column count. A damaged
+file raises PersistError naming the file and the JSON path of the first fault
+in that order, the one reported when a file has several.
 """
 
 from __future__ import annotations
@@ -31,24 +31,16 @@ class PersistError(ValueError):
     pass
 
 
-def _model_file(model) -> tuple:
-    """The check of a file whose model part is of class ``model``: what
-    save_model writes, each part checked by the class that writes it, the
-    model part as wide as the file's column list. That list is checked before
-    the model part, so the width of 0 taken when it is no list is never used."""
-    return inputs.given("columns", lambda columns: inputs.Table(
-        {"format_version": (lambda value: type(value) is int and value == FORMAT_VERSION,
-                            str(FORMAT_VERSION)),
-         "columns": inputs.Each(inputs.TEXT, "a list of column names"),
-         "encoder": EncoderState.DOC_CHECK,
-         "model": model.doc_check(len(columns) if type(columns) is list else 0)},
-        {"label": LABEL, "params": inputs.OBJECT,
-         "seed": (lambda value: value is None or type(value) is int, "an integer or null")}))
-
-
-_MODEL_FILE = inputs.tagged("family", {family: _model_file(model)
-                                       for family, model in MODEL_TYPES.items()},
-                            f"one of {', '.join(map(repr, MODEL_TYPES))}")
+_MODEL_FILE = inputs.Table(
+    {"family": (lambda value: type(value) is str and value in MODEL_TYPES,
+                f"one of {', '.join(map(repr, MODEL_TYPES))}"),
+     "format_version": (lambda value: type(value) is int and value == FORMAT_VERSION,
+                        str(FORMAT_VERSION)),
+     "columns": inputs.Each(inputs.TEXT, "a list of column names"),
+     "encoder": EncoderState.DOC_CHECK,
+     "model": inputs.OBJECT},
+    {"label": LABEL, "params": inputs.OBJECT,
+     "seed": (lambda value: value is None or type(value) is int, "an integer or null")})
 
 
 @dataclass
@@ -89,7 +81,10 @@ def load_model(path: str | Path) -> ModelArtifact:
     if tuple(doc["columns"]) != encoder.column_names:
         raise PersistError(inputs.message(path, "$.columns", "the encoder's column names",
                                           doc["columns"]))
-    return ModelArtifact(family=doc["family"], model=MODEL_TYPES[doc["family"]].from_doc(
-                             doc["model"]), encoder=encoder,
+    model_type = MODEL_TYPES[doc["family"]]
+    inputs.check(doc["model"], model_type.doc_check(len(encoder.column_names)), PersistError,
+                 str(path), "$.model")
+    return ModelArtifact(family=doc["family"], model=model_type.from_doc(doc["model"]),
+                         encoder=encoder,
                          label=LabelSpec.from_doc(doc["label"]) if "label" in doc else None,
                          params=doc.get("params", {}), seed=doc.get("seed"))

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import inputs
 from .schema import ExtractionSchema, LabelSpec, emit_json_schema_block
 
 DEFAULT_INSTRUCTIONS = (
@@ -141,27 +142,25 @@ def load_templates(template_dir: str | Path, schema: ExtractionSchema) -> Prompt
     if not template_dir.is_dir():
         raise PromptError(f"template directory not found: {template_dir}")
 
-    def read_required(name: str) -> str:
+    def read(name: str, default: str | None = None) -> str:
         p = template_dir / name
-        if not p.is_file():
+        if p.is_file():
+            return inputs.read_text(p, PromptError).strip("\n")
+        if default is None:
             raise PromptError(f"missing template file: {p}")
-        return p.read_text(encoding="utf-8").strip("\n")
-
-    def read_optional(name: str, default: str = "") -> str:
-        p = template_dir / name
-        return p.read_text(encoding="utf-8").strip("\n") if p.is_file() else default
+        return default
 
     example = OneShotExample(
-        report_text=read_required("example_report.txt"),
-        reasoning_text=read_required("example_reasoning.txt"),
-        output_json_text=read_required("example_output.json"),
+        report_text=read("example_report.txt"),
+        reasoning_text=read("example_reasoning.txt"),
+        output_json_text=read("example_output.json"),
     )
     _check_example(example, schema, template_dir / "example_output.json")
     return PromptBundle(
-        instructions=read_optional("instructions.txt", DEFAULT_INSTRUCTIONS),
+        instructions=read("instructions.txt", DEFAULT_INSTRUCTIONS),
         schema_block=emit_json_schema_block(schema),
         example=example,
-        reasoning_guidelines=read_optional("guidelines.txt"),
+        reasoning_guidelines=read("guidelines.txt", ""),
     )
 
 

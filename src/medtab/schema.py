@@ -168,7 +168,6 @@ class ExtractionSchema:
 
     features: tuple[FeatureSpec, ...]
     label: LabelSpec | None = None
-    name: str = ""
     _by_folded: dict = field(init=False, repr=False, compare=False, default=None)
     _by_key: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -222,12 +221,10 @@ _SCHEMA = inputs.Table(
 
 def load_schema(path: str | Path) -> ExtractionSchema:
     """Load and validate a schema file (format documented in the module docstring)."""
-    path = Path(path)
-    return schema_from_dict(inputs.load(path, _SCHEMA, SchemaError),
-                            name=path.stem.replace(".schema", ""))
+    return schema_from_dict(inputs.load(path, _SCHEMA, SchemaError))
 
 
-def schema_from_dict(doc: dict, name: str = "") -> ExtractionSchema:
+def schema_from_dict(doc: dict) -> ExtractionSchema:
     """The schema a document of the form ``_SCHEMA`` checks describes;
     SchemaError when the schema is invalid."""
     features = []
@@ -243,7 +240,7 @@ def schema_from_dict(doc: dict, name: str = "") -> ExtractionSchema:
             allow_missing=entry.get("allow_missing", True),
         ))
     label = LabelSpec.from_doc(doc["label"]) if doc.get("label") is not None else None
-    return ExtractionSchema(features=tuple(features), label=label, name=name)
+    return ExtractionSchema(features=tuple(features), label=label)
 
 
 _JSON_TYPE = {"integer": "integer", "real": "number", "text": "string", "categorical": "string"}

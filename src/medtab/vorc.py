@@ -85,7 +85,6 @@ class ExtractionRecord:
     vorc_iterations: int = 0
     repairs: list[RepairAction] = field(default_factory=list)
     source_id: str = ""
-    label: str | None = None
 
 
 @dataclass
@@ -546,7 +545,7 @@ def run_vorc(provider, prompt: str, schema: ExtractionSchema,
             result = validate_record(obj, schema)
             if not result.violations:
                 return ExtractionRecord(values=result.values, vorc_iterations=iterations,
-                                        repairs=repairs, source_id=source_id, label=result.label)
+                                        repairs=repairs, source_id=source_id)
             violations = result.violations
             detail = "validation failed: " + "; ".join(v.message for v in violations)
         if iterations >= budget.max_correction_prompts:

@@ -88,7 +88,6 @@ def small_schema():
     return ExtractionSchema(
         features=(int_feature("age"), cat_feature("sex", ["M", "F"])),
         label=LabelSpec(name="outcome", positive_value="yes", negative_value="no"),
-        name="small",
     )
 
 

@@ -36,6 +36,32 @@ class TestPromptPreview:
                                       "--report-text", "x"])
         assert result.exit_code == 2
 
+    def test_report_that_cannot_be_read_or_decoded_exits_2_naming_the_file(self, runner,
+                                                                           tmp_path):
+        report = tmp_path / "report.txt"
+        base = ["prompt-preview", "--schema", str(SCHEMAS / "heart.schema.json"),
+                "--templates", str(TEMPLATES / "heart"), "--report", str(report)]
+        result = invoke(runner, base)
+        assert (result.exit_code, result.stderr) == (
+            2, f"error: cannot read {report}: No such file or directory\n")
+        report.write_bytes(b"A 70\xff-year-old woman.")
+        result = invoke(runner, base)
+        assert (result.exit_code, result.stderr) == (
+            2, f"error: {report}: 'utf-8' codec can't decode byte 0xff in position 4: "
+               "invalid start byte\n")
+
+    def test_guidelines_that_are_not_utf8_exit_2_naming_the_file(self, runner, tmp_path):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        for name in ("example_report.txt", "example_reasoning.txt", "example_output.json"):
+            (templates / name).write_bytes((TEMPLATES / "heart" / name).read_bytes())
+        (templates / "guidelines.txt").write_bytes(b"Look\xff at the numbers.")
+        result = invoke(runner, ["prompt-preview", "--schema", str(SCHEMAS / "heart.schema.json"),
+                                 "--templates", str(templates), "--report-text", "x"])
+        assert (result.exit_code, result.stderr) == (
+            2, f"error: {templates / 'guidelines.txt'}: 'utf-8' codec can't decode byte 0xff "
+               "in position 4: invalid start byte\n")
+
     def test_no_reasoning_flag_gives_extract_only(self, runner):
         base = ["prompt-preview", "--schema", str(SCHEMAS / "heart.schema.json"),
                 "--templates", str(TEMPLATES / "heart"), "--report-text", "x"]

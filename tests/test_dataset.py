@@ -24,7 +24,6 @@ def toy_schema():
         features=(int_feature("age"), real_feature("score"),
                   cat_feature("color", ["red", "green", "blue"])),
         label=LabelSpec("target", "pos", "neg"),
-        name="toy",
     )
 
 
@@ -182,7 +181,6 @@ def loader_schema():
                   cat_feature("color", ["red", "green", "blue"]),
                   FeatureSpec(name="note", kind="text")),
         label=LabelSpec("target", "pos", "neg"),
-        name="loader",
     )
 
 
@@ -267,6 +265,33 @@ class TestLoadCsvByColumn:
         for tail in (("x" * 200_000).encode(), b"\xff\n"):
             got = self.both(tmp_path, head.encode() + tail)
             assert got[0] == "error" and ":2: column 'dose'" in got[1]
+
+    @pytest.mark.parametrize("head, body, line, error", [
+        ('"' + "x" * 200_000 + '",dose,color,note,target\n', "", 1, "field larger than field "
+         "limit (131072)"),
+        ("age,dose,color,note,target\n", '40,1.5,red,"a\nb",pos\n' * 3 + '40,"' + "x" * 200_000
+         + '",red,,pos\n', 8, "field larger than field limit (131072)"),
+        ("age,dose,\xffcolor,note,target\n", "40,1.5,red,,pos\n", 1, "not UTF-8: byte 0xff "
+         "(invalid start byte)"),
+        ("age,dose,color,note,target\n", "40,1.5,red,,pos\n" * 800 + "40,1.5,red,\xff,pos\n", 802,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+    ], ids=["oversized-header", "oversized-body", "bad-byte-header", "bad-byte-body"])
+    def test_unreadable_record_names_its_line(self, tmp_path, head, body, line, error):
+        """A record past csv's field size limit fails at the line it starts on;
+        a byte that is not UTF-8 at its own line, wherever the text reader's
+        chunk ended."""
+        path = tmp_path / "t.csv"
+        path.write_bytes((head + body).encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
+        with pytest.raises(DatasetError) as raised:
+            load_csv(path, loader_schema())
+        assert str(raised.value) == f"{path}:{line}: {error}"
+
+    def test_bad_cell_in_the_chunk_before_a_bad_byte_wins(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"age,dose,color,note,target\n40,1.5,red,,pos\n40,abc,red,,pos\n"
+                         b"40,1.5,red,,pos\n\xfe\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:3: column 'dose'")):
+            load_csv(path, loader_schema())
 
     def test_byte_order_mark_is_accepted(self, tmp_path, hepatitis_schema):
         plain = load_csv(DATA / "hepatitis.csv", hepatitis_schema)

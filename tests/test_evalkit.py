@@ -20,7 +20,6 @@ def metrics_schema():
     return ExtractionSchema(
         features=(int_feature("a"), real_feature("b"), cat_feature("c", ["x", "y"]),
                   int_feature("d")),
-        name="metrics",
     )
 
 

@@ -1,5 +1,6 @@
 """Every input file the pipeline demo reads fails closed: with one JSON value
-changed, the command that reads it exits 0, 2 or 3, never with a traceback."""
+changed, the command that reads it exits 0, 2 or 3, never with a traceback;
+so does ``evaluate`` on a heart table with one cell, line or byte changed."""
 
 import functools
 import importlib.util
@@ -107,6 +108,48 @@ def test_one_changed_value_exits_0_2_or_3_without_a_traceback(demo, name, data):
         args = [name if a == "{}" else str(a) for a in _commands(demo)[name]]
         result = runner.invoke(main, args)
     assert result.exit_code in (0, 2, 3), result.exc_info
+    if result.exit_code:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, \
+            result.stderr
+
+
+CELL_MUTANTS = ["", "x", "-1", "1e400", "\x00", '"', "x" * 200_000]
+
+
+@st.composite
+def _changed_heart_csv(draw):
+    """heart.csv with one cell set to a mutant, one line with a cell dropped
+    or added, or one byte replaced by 0xff."""
+    data = (DATA / "heart.csv").read_bytes()
+    kind = draw(st.sampled_from(["cell", "width", "byte"]), label="kind")
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1), label="byte")
+        return data[:at] + b"\xff" + data[at + 1:]
+    lines = data.split(b"\r\n")
+    i = draw(st.integers(0, len(lines) - 2), label="line")
+    cells = lines[i].split(b",")
+    j = draw(st.integers(0, len(cells) - 1), label="column")
+    if kind == "cell":
+        cells[j] = draw(st.sampled_from(CELL_MUTANTS), label="value").encode()
+    elif draw(st.booleans(), label="drop"):
+        del cells[j]
+    else:
+        cells.insert(j, b"x")
+    lines[i] = b",".join(cells)
+    return b"\r\n".join(lines)
+
+
+@given(changed=_changed_heart_csv())
+@settings(max_examples=30, deadline=None)
+def test_one_changed_csv_cell_line_or_byte_exits_0_or_2(demo, changed):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("heart.csv", "wb") as fh:
+            fh.write(changed)
+        result = runner.invoke(main, ["evaluate", "--data", "heart.csv", "--schema", str(HEART),
+                                      "--model", str(demo / "model_dtree.json"),
+                                      "--split", str(demo / "split.json")])
+    assert result.exit_code in (0, 2), result.exc_info
     if result.exit_code:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, \
             result.stderr

@@ -218,8 +218,8 @@ class TestPersistence:
     @pytest.mark.parametrize("family, place, value, message", [
         ("logreg", ("seed",), "7" * 5000, "Exceeds the limit"),
         ("dtree", ("seed",), "[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
-        ("dtree", ("model", "root"), DEEP_TREE, "$ nests too deep to check"),
-        ("gbdt", ("model", "trees", 0), DEEP_TREE, "$ nests too deep to check"),
+        ("dtree", ("model", "root"), DEEP_TREE, "$.model nests too deep to check"),
+        ("gbdt", ("model", "trees", 0), DEEP_TREE, "$.model nests too deep to check"),
     ], ids=["5000-digit-integer", "nested-too-deep", "dtree-too-deep", "gbdt-too-deep"])
     def test_model_file_that_cannot_decode_or_check_rejected_on_load(self, tmp_path, family,
                                                                        place, value, message):
@@ -295,6 +295,20 @@ class TestPersistence:
                            match=r"m\.json: \$\.columns must be the encoder's column names, "
                                  r"got \['"):
             load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
+    def test_columns_that_lost_an_entry_rejected_on_load(self, tmp_path, family):
+        """The model's width is the encoder's, so a short column list is a
+        column-name fault, not a model-width one."""
+        enc, models = toy_models()
+        save_model(ModelArtifact(family, models[family], enc), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["columns"].pop()
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(PersistError) as raised:
+            load_model(tmp_path / "m.json")
+        assert str(raised.value) == inputs.message(
+            str(tmp_path / "m.json"), "$.columns", "the encoder's column names", doc["columns"])
 
     def test_importances_survive_round_trip(self, tmp_path):
         from test_dataset import toy_dataset

@@ -88,6 +88,18 @@ class TestRextractPrompt:
         with pytest.raises(PromptError, match="missing template file"):
             load_templates(tmp_path, heart_schema)
 
+    @pytest.mark.parametrize("name", ["example_report.txt", "example_reasoning.txt",
+                                      "example_output.json", "instructions.txt",
+                                      "guidelines.txt"])
+    def test_template_file_that_is_not_utf8_names_the_file(self, tmp_path, heart_schema, name):
+        for each in ("example_report.txt", "example_reasoning.txt", "example_output.json"):
+            (tmp_path / each).write_bytes((TEMPLATES / "heart" / each).read_bytes())
+        (tmp_path / name).write_bytes(b"text\xff")
+        with pytest.raises(PromptError) as raised:
+            load_templates(tmp_path, heart_schema)
+        assert str(raised.value) == (f"{tmp_path / name}: 'utf-8' codec can't decode byte 0xff "
+                                     "in position 4: invalid start byte")
+
 
 class TestTruncation:
     def test_untouched_below_limit(self):
