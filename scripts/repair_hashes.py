@@ -11,8 +11,8 @@ prompt it sends. Prints one line per seed with four sha256 digests:
   text and its ``RepairAction`` list (or ``UnrepairableError``), the
   ``_answer_span`` result, and the ``validate_record`` result against the
   heart schema of the object the loop reads from the reply (parsed, else
-  repaired): every value with its repr, the label, and every violation's
-  key, reason and message;
+  repaired): every value with its repr, and every violation's key, reason
+  and message;
 * ``extract``: ``provenance.jsonl``, ``extracted.csv`` and
   ``extract_stats.json`` of one ``extract`` run (replay provider,
   ``--budget 3``, ``--parallelism 1``);
@@ -69,7 +69,7 @@ def reply_bytes(raw: str) -> bytes:
     validated = None
     if obj is not None:
         result = vorc.validate_record(obj, SCHEMA)
-        validated = [[[name, repr(value)] for name, value in result.values.items()], result.label,
+        validated = [[[name, repr(value)] for name, value in result.values.items()],
                      [[v.key, v.reason, v.message] for v in result.violations]]
     return json.dumps([parsed, repaired, span, validated], sort_keys=True).encode()
 

@@ -9,11 +9,13 @@ reads whole columns: ``load_csv`` hands over the columns it coerced,
 CSV layout: UTF-8 (a leading byte-order mark is allowed), RFC-4180 quoting,
 header row required, empty cell means a missing value. An optional ``id``
 column carries row identifiers (row indices are used when absent); the label
-column is matched by the schema's label name. ``load_csv`` reads whole columns
-and coerces each distinct raw string of a column once; the error it reports is
-the first bad cell in file order (by line, then header position), else the
-first line with the wrong number of cells or that csv or UTF-8 cannot read,
-naming the physical line the record starts on (a bad byte, its own line).
+column is matched by the schema's label name. ``load_csv`` reads and decodes
+a file once, reads whole columns and coerces each distinct raw string of a
+column once; the error it reports is the first bad cell in file order (by
+line, then header position), else the first line with the wrong number of
+cells or that csv or UTF-8 cannot read, naming the physical line the record
+starts on (a bad byte, its own line), else the first repeated id, naming its
+line and the first one's.
 
 Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``,
 an id list per name in ``PARTS``.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,37 +98,36 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
     The error raised is the one a line-by-line read meets first: the first bad
     cell in file order (by line, then header position), else the first line
     without one cell per header column or that csv or UTF-8 cannot read (a
-    bad byte is named by its own line). Lines from that one on are not coerced.
+    bad byte is named by its own line), else the first id that an earlier
+    line holds. Lines from that one on are not coerced.
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            return _read_table(fh, schema, path)
-    except UnicodeDecodeError:
-        data = path.read_bytes()
-    # The text reader decodes ahead of csv: an error before the bad byte's line wins.
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as bad:
-        start = data.rfind(b"\n", 0, bad.start) + 1
-        if start:
-            _read_table(io.StringIO(data[:start].decode("utf-8-sig"), newline=""), schema, path)
-        line = data.count(b"\n", 0, start) + 1
-        raise DatasetError(f"{path}:{line}: not UTF-8: byte 0x{data[bad.start]:02x} "
-                           f"({bad.reason})") from None
-    return load_csv(path, schema)  # the file changed since it was read
+        text, bad = data.decode("utf-8-sig"), (math.inf, None)
+    except UnicodeDecodeError as e:
+        text = data.decode("utf-8-sig", "surrogateescape")
+        line = e.object.count(b"\n", 0, e.start) + 1  # e.object lacks the BOM
+        bad = (line, DatasetError(f"{path}:{line}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                                  f"({e.reason})"))
+    return _read_table(text, schema, path, bad)
 
 
-def _read_table(fh, schema: ExtractionSchema, path: Path) -> TabularDataset:
-    reader = csv.reader(fh)
+def _read_table(text: str, schema: ExtractionSchema, path: Path, bad: tuple) -> TabularDataset:
+    """The table ``text`` holds. ``bad`` is ``(line, error)``: the header or
+    record whose last physical line reaches ``line`` (infinite when every
+    byte was UTF-8) stops the read with ``error``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
         raise DatasetError(f"{path}: empty file, expected a header row") from None
     except csv.Error as e:
-        raise DatasetError(f"{path}:1: {e}") from None
+        raise (bad[1] if reader.line_num >= bad[0] else DatasetError(f"{path}:1: {e}")) from None
+    if reader.line_num >= bad[0]:
+        raise bad[1]
     roles = _map_header(header, schema, path)
-    records, lines, stop = _read_records(reader, len(roles), path)
+    records, lines, stop = _read_records(reader, len(roles), path, bad)
     raw = list(zip(*records)) or [()] * len(roles)
     values, failures = {}, []  # failures: (record, header position, error)
     for j, (role, column) in enumerate(zip(roles, raw)):
@@ -139,23 +141,30 @@ def _read_table(fh, schema: ExtractionSchema, path: Path) -> TabularDataset:
         raise DatasetError(f"{path}:{lines[record]}: {error}") from error.__cause__
     if stop is not None:
         raise stop
-    columns = {role.name: values[j] for j, role in enumerate(roles)
-               if isinstance(role, FeatureSpec)}
     ids = (list(raw[roles.index("id")]) if "id" in roles
            else [str(i) for i in range(len(records))])
+    if len(set(ids)) < len(ids):
+        first, line, rid = inputs.first_repeat(zip(ids, lines))
+        raise DatasetError(f"{path}:{line}: id {rid!r} repeats the id of line {first}")
+    columns = {role.name: values[j] for j, role in enumerate(roles)
+               if isinstance(role, FeatureSpec)}
     labels = values[roles.index("label")] if "label" in roles else None
     return TabularDataset(schema=schema, columns=columns, ids=ids, labels=labels)
 
 
-def _read_records(reader, width: int, path: Path):
+def _read_records(reader, width: int, path: Path, bad: tuple):
     """``(records, lines, stop)``: the records before the first one without
     ``width`` cells, the physical line each of them starts on (a quoted cell
     may span lines), and the error that ends the read there. A record csv
-    cannot read ends it too; ``stop`` is None at the end of the file."""
+    cannot read ends it too, and so does one that reaches line ``bad[0]``,
+    with the error ``bad[1]``; ``stop`` is None at the end of the file."""
+    bad_line, bad_error = bad
     records, lines = [], []
     try:
         start = reader.line_num + 1
         for cells in reader:
+            if reader.line_num >= bad_line:
+                return records, lines, bad_error
             if len(cells) != width:
                 return records, lines, DatasetError(f"{path}:{start}: expected {width} "
                                                     f"cells, got {len(cells)}")
@@ -163,7 +172,8 @@ def _read_records(reader, width: int, path: Path):
             lines.append(start)
             start = reader.line_num + 1
     except csv.Error as e:
-        return records, lines, DatasetError(f"{path}:{start}: {e}")
+        error = DatasetError(f"{path}:{start}: {e}")
+        return records, lines, bad_error if reader.line_num >= bad_line else error
     return records, lines, None
 
 

@@ -23,8 +23,8 @@ and the field's JSON path.
 What every value and every key needs is built once. Each ``FeatureSpec``
 compiles its coercer when it is constructed: the kind, the range, the
 case-folded allowed values and the messages are chosen there, and an allowed
-value's own spelling takes a short path. ``canonicalize_value(spec, raw)``
-calls it and still defines coercion: the coercer gives exactly its result.
+value's own spelling takes a short path. ``FeatureSpec.coerce`` is that
+coercer, and ``_compile_coercer`` says what coercion is.
 Each ``ExtractionSchema`` maps the spellings a prompt names every feature by
 (its name and its snake-cased title) to what they fold to, so ``match_key``
 folds only other keys; ``vorc.validate_record`` and ``dataset.load_csv`` read
@@ -106,7 +106,7 @@ class FeatureSpec:
     numeric_range: tuple[float, float] | None = None
     allow_missing: bool = True
     # raw value -> canonical value, built from the fields above; see
-    # ``canonicalize_value``.
+    # ``_compile_coercer``.
     coerce: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -297,7 +297,19 @@ def _is_missing(raw) -> bool:
 
 
 def _compile_coercer(spec: FeatureSpec):
-    """The coercer of ``spec`` (see ``canonicalize_value``)."""
+    """The coercer of ``spec``: ``coerce(raw)`` turns a raw JSON scalar into
+    the feature's canonical typed value.
+
+    It returns the typed value or MISSING; raises CoercionError otherwise:
+    ``missing-not-allowed`` for a missing value (JSON null, Missing, a
+    string in ``MISSING_SENTINELS`` after stripping and lowercasing, NaN) of
+    a feature that requires one; ``type-mismatch`` for a numeric feature's
+    value that is not a finite number (see ``_number``) or, for an
+    integer feature, not integral; ``out-of-range`` outside the numeric
+    range; ``unknown-category`` for a categorical value that matches no
+    allowed value after stripping and lowercasing. Idempotent: feeding the
+    result back returns it unchanged.
+    """
     name = spec.name
     missing_message = f"{name}: value is missing but the feature requires one"
 
@@ -374,23 +386,6 @@ def _compile_coercer(spec: FeatureSpec):
         return general(raw)
 
     return coerce
-
-
-def canonicalize_value(spec: FeatureSpec, raw):
-    """Coerce a raw JSON scalar into the feature's canonical typed value.
-
-    Returns the typed value or MISSING; raises CoercionError otherwise:
-    ``missing-not-allowed`` for a missing value (JSON null, Missing, a
-    string in ``MISSING_SENTINELS`` after stripping and lowercasing, NaN) of
-    a feature that requires one; ``type-mismatch`` for a numeric feature's
-    value that is not a finite number (see ``_number``) or, for an
-    integer feature, not integral; ``out-of-range`` outside the numeric
-    range; ``unknown-category`` for a categorical value that matches no
-    allowed value after stripping and lowercasing. Idempotent: feeding the
-    result back returns it unchanged. This runs ``spec.coerce``, the coercer
-    compiled from the spec.
-    """
-    return spec.coerce(raw)
 
 
 def _stringify(raw) -> str:

@@ -13,8 +13,9 @@ work on the pieces ``_STRINGS.split`` cuts, and the block scanner behind
 
 ``_RULES`` is the one ordered table of repair rules; ``repair_json`` runs them
 in that order. ``run_vorc`` takes one step per provider call: read the reply
-(strict parse, else rule repair), validate it, and on failure either stop at
-the budget or send the matching correction prompt.
+(strict parse, else rule repair), validate what the extracted table holds
+(a key naming the label is skipped), and on failure either stop at the
+budget or send the matching correction prompt.
 
 What every reply needs is built once, at import or with the schema: one JSON
 decoder for every strict parse, compiled patterns, and the schema's key
@@ -73,7 +74,6 @@ class Violation:
 @dataclass
 class ValidationResult:
     values: dict
-    label: str | None
     violations: list[Violation]
 
 
@@ -471,15 +471,16 @@ def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
     """Match response keys to features (case/spacing-insensitive), coerce every
     value, and collect all violations instead of stopping at the first. Keys
     go through the schema's key table and values through each feature's
-    compiled coercer (see ``schema``)."""
+    compiled coercer (see ``schema``). A key that folds to the label's name is
+    skipped, value and all: the extracted table has no label column."""
     violations: list[Violation] = []
     values: dict = {}
-    label_value: str | None = None
     if not isinstance(obj, dict):
-        return ValidationResult({}, None, [Violation("", "type-mismatch", "response is not a JSON object", obj)])
+        return ValidationResult({}, [Violation("", "type-mismatch", "response is not a JSON object", obj)])
 
     matched: dict[str, object] = {}
     match_key = schema.match_key
+    label_fold = fold_name(schema.label.name) if schema.label is not None else None
     for key, raw in obj.items():
         spec = match_key(key)
         if spec is not None:
@@ -488,20 +489,9 @@ def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
                                             f"key {key!r} duplicates feature {spec.name!r}", raw))
             else:
                 matched[spec.name] = raw
-            continue
-        label = schema.label
-        if label is not None and fold_name(key) == fold_name(label.name):
-            parsed = label.parse(raw)
-            if parsed is not None:
-                label_value = parsed
-            else:
-                violations.append(Violation(
-                    key, "unknown-category",
-                    f"{label.name}: expected {label.positive_value!r} or "
-                    f"{label.negative_value!r}", raw))
-            continue
-        violations.append(Violation(key, "unknown-extra-key",
-                                    f"key {key!r} is not part of the schema", raw))
+        elif fold_name(key) != label_fold:
+            violations.append(Violation(key, "unknown-extra-key",
+                                        f"key {key!r} is not part of the schema", raw))
 
     for spec in schema.features:
         if spec.name in matched:
@@ -515,7 +505,7 @@ def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
         else:
             violations.append(Violation(spec.name, "missing-required-key",
                                         f"required key {spec.name!r} is absent"))
-    return ValidationResult(values, label_value, violations)
+    return ValidationResult(values, violations)
 
 
 def run_vorc(provider, prompt: str, schema: ExtractionSchema,

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,14 @@ import numpy as np
 from medtab.dataset import DatasetError, TabularDataset, _map_header, format_cell, load_csv
 from medtab.encoding import CategoricalState, NumericState
 from medtab.evalkit import EvalError, ExtractionReport
-from medtab.llm import ReplayExhaustedError
+from medtab.llm import CompletionRequest, ProviderError, ReplayExhaustedError
 from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, EXAMPLE_HEADING,
                             FORMAT_SECTION, REPORT_SLOT, SCHEMA_HEADING, SEPARATOR,
                             OneShotExample, PromptBundle, PromptError, _fit_sections)
 from medtab.schema import (MISSING, MISSING_SENTINELS, CoercionError, ExtractionSchema, FeatureSpec,
                            LabelSpec, emit_json_schema_block, fold_name)
-from medtab.vorc import (ParseFailure, RepairAction, UnrepairableError, ValidationResult,
-                         Violation, call_rate)
+from medtab.vorc import (ExtractionRecord, ParseFailure, RepairAction, UnrepairableError,
+                         Violation, VorcFailure, call_rate)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -736,6 +737,60 @@ def build_type_correction_prompt(original_prompt: str, response_json: str,
 
 
 # ---------------------------------------------------------------------------
+# Reference extraction loop: report -> prompt -> provider -> strict parse, else
+# rule repair -> validate -> correction prompt, built from the oracles above
+# only, one report after another.
+# ---------------------------------------------------------------------------
+
+def vorc_by_reference(provider, prompt: str, schema: ExtractionSchema, max_corrections: int,
+                      source_id: str):
+    """One report's outcome: an ExtractionRecord once a reply validates, else
+    a VorcFailure when a reply fails with ``max_corrections`` correction
+    prompts sent. Provider errors propagate."""
+    iterations, repairs, current = 0, [], prompt
+    while True:
+        raw = provider.complete(CompletionRequest(prompt=current)).text
+        try:
+            obj = parse_response(raw)
+        except ParseFailure as e:
+            try:
+                text, actions = repair_json(raw)
+            except UnrepairableError:
+                if iterations == max_corrections:
+                    return VorcFailure(source_id, iterations, repairs, "budget-exhausted",
+                                       f"unparseable response: {e}")
+                iterations += 1
+                current = build_json_correction_prompt(prompt, raw, str(e))
+                continue
+            repairs += actions
+            obj = _strict_loads(text)
+        result = validate_record(obj, schema)
+        violations = result.violations
+        if not violations:
+            return ExtractionRecord(result.values, iterations, repairs, source_id)
+        if iterations == max_corrections:
+            detail = "validation failed: " + "; ".join(v.message for v in violations)
+            return VorcFailure(source_id, iterations, repairs, "budget-exhausted", detail,
+                               violations)
+        iterations += 1
+        current = build_type_correction_prompt(prompt, json.dumps(obj), violations)
+
+
+def extract_by_reference(provider, reports, schema: ExtractionSchema, templates: PromptBundle,
+                         max_corrections: int) -> list:
+    """The outcome of each ``(id, text)`` report, in order; a provider error
+    fails its report with no iterations or repairs counted."""
+    outcomes = []
+    for rid, text in reports:
+        try:
+            outcomes.append(vorc_by_reference(provider, render(templates, text), schema,
+                                              max_corrections, rid))
+        except ProviderError as e:
+            outcomes.append(VorcFailure(rid, 0, [], "provider-error", str(e)))
+    return outcomes
+
+
+# ---------------------------------------------------------------------------
 # Reference coercion, key matching, record validation and prompt rendering:
 # the per-call code that the compiled coercers and key lookup of
 # medtab.schema, the prompt frame of medtab.prompts and the column writer of
@@ -745,6 +800,16 @@ def build_type_correction_prompt(original_prompt: str, response_json: str,
 # not a number, as ``1e400`` is not, and ``_stringify`` writes an infinite
 # float as ``str`` does; the originals raised OverflowError for both.
 # ---------------------------------------------------------------------------
+
+@dataclass
+class ValidationResult:
+    """What ``validate_record`` below returns: ``vorc.ValidationResult`` as it
+    was when a reply's label value was read and kept."""
+
+    values: dict
+    label: str | None
+    violations: list[Violation]
+
 
 def match_key(self: ExtractionSchema, key: str) -> FeatureSpec | None:
     return self._by_folded.get(fold_name(key))
@@ -974,6 +1039,12 @@ def load_csv_by_cell(path: str | Path, schema: ExtractionSchema) -> TabularDatas
             ids.append(row_id if row_id is not None else str(len(ids)))
             if has_label:
                 labels.append(int(label == schema.label.positive_value))
+    seen = {}  # the rule added since: a repeated id names its line and the first one's
+    for lineno, row_id in enumerate(ids, start=2):
+        if row_id in seen:
+            raise DatasetError(f"{path}:{lineno}: id {row_id!r} repeats the id of line "
+                               f"{seen[row_id]}")
+        seen[row_id] = lineno
     return table_from_rows(schema, rows, ids, labels if has_label else None)
 
 

@@ -198,6 +198,31 @@ class TestExtract:
         assert (out / "extracted.csv").read_text().splitlines()[1].startswith("r00,30,M")
         assert json.loads((out / "extract_stats.json").read_text())["n_records"] == 9
 
+    @pytest.mark.parametrize("budget", ["3", "0"])
+    def test_reply_label_key_is_ignored(self, runner, tmp_path, budget):
+        """A reply's label key, even with a value the label cannot take,
+        costs no correction prompt: the record is extracted on the one call
+        the replay script answers (a second call would fail the record)."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "h1", "text": "A 63-year-old man."}) + "\n")
+        reply = {"Age": 63, "Sex": "M", "ChestPainType": "ASY", "RestingBP": 145,
+                 "Cholesterol": 220, "FastingBS": 1, "RestingECG": "Normal", "MaxHR": 150,
+                 "ExerciseAngina": "N", "Oldpeak": 1.5, "ST_Slope": "Down",
+                 "HeartDisease": "maybe"}
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps([{"response": json.dumps(reply)}]))
+        out = tmp_path / "out"
+        result = invoke(runner, ["--output-dir", str(out), "extract",
+                                 "--schema", str(SCHEMAS / "heart.schema.json"),
+                                 "--templates", str(TEMPLATES / "heart"), "--corpus", str(corpus),
+                                 "--replay", str(replay), "--budget", budget])
+        assert result.exit_code == 0, result.output
+        assert "extracted 1/1 records, 0 failures" in result.output
+        provenance = [json.loads(l) for l in (out / "provenance.jsonl").read_text().splitlines()]
+        assert provenance == [{"id": "h1", "vorc_iterations": 0, "repairs": [], "status": "ok"}]
+        assert (out / "extracted.csv").read_text().splitlines()[1] == \
+            "h1,63,M,ASY,145,220,1,Normal,150,N,1.5,Down"
+
     def test_all_provider_failures_exit_3(self, runner, tmp_path):
         corpus, _, templates = vorc_fixture_files(tmp_path)
         schema = small_schema_file(tmp_path)
@@ -749,6 +774,20 @@ class TestErrorBoundary:
                                  "--family", "logreg"])
         self.assert_one_error(result, f"[Errno 2] No such file or directory: '{missing}'")
         assert not (tmp_path / "out").exists()
+
+    def test_evaluate_repeated_id_exits_2_naming_both_lines(self, runner, tmp_path):
+        out = tmp_path / "out"
+        schema = ["--schema", str(SCHEMAS / "heart.schema.json")]
+        invoke(runner, ["--output-dir", str(out), "train", "--data", str(DATA / "heart.csv"),
+                        *schema, "--family", "logreg"])
+        lines = (DATA / "heart.csv").read_text().splitlines(keepends=True)
+        rid = lines[4].split(",")[0]
+        lines[5] = rid + lines[5][lines[5].index(","):]  # line 6 takes line 5's id
+        data = tmp_path / "heart.csv"
+        data.write_text("".join(lines))
+        result = invoke(runner, ["evaluate", "--model", str(out / "model_logreg.json"),
+                                 "--data", str(data), *schema, "--split", str(out / "split.json")])
+        self.assert_one_error(result, f"{data}:6: id {rid!r} repeats the id of line 5")
 
     def test_compare_missing_truth_exits_2(self, runner, tmp_path):
         missing = tmp_path / "missing.csv"

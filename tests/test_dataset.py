@@ -153,6 +153,17 @@ class TestLoadCsv:
             load_csv(path, loader_schema())
         assert str(e.value) == f"{path}:4: expected 5 cells, got 4"
 
+    # Lines 2 and 4 share an id; line 3's cell note spans two lines.
+    REPEATED_ID = ('id,age,dose,color,note,target\nr0,40,1.5,red,,pos\n'
+                   'r1,41,1.5,red,"a\nb",neg\nr0,42,1.5,red,,pos\n')
+
+    def test_repeated_id_names_its_line_and_the_first(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(self.REPEATED_ID)
+        with pytest.raises(DatasetError) as e:
+            load_csv(path, loader_schema())
+        assert str(e.value) == f"{path}:5: id 'r0' repeats the id of line 2"
+
 
 
 # Cells the generated CSV files draw from, by header column: good ones (missing
@@ -275,11 +286,25 @@ class TestLoadCsvByColumn:
          "(invalid start byte)"),
         ("age,dose,color,note,target\n", "40,1.5,red,,pos\n" * 800 + "40,1.5,red,\xff,pos\n", 802,
          "not UTF-8: byte 0xff (invalid start byte)"),
-    ], ids=["oversized-header", "oversized-body", "bad-byte-header", "bad-byte-body"])
+        ("age,dose,color,note,target\n", '40,1.5,red,"two\nli\xffnes",pos\n', 3,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ("age,dose,color,note,target\n", '40,1.5,"two\nli\xffnes",pos\n', 3,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ("age,dose,color,note,target\n", '40,1.5,red,"two\nli\xff' + "x" * 200_000 + '",pos\n', 3,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ('age,dose,color,"no\nt\xff' + "x" * 200_000 + '",target\n', "", 2,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ("id,age,dose,color,note,target\n", "r0,40,1.5,red,,pos\n" * 2 + "r1,40,1.5,red,\xff,pos\n",
+         4, "not UTF-8: byte 0xff (invalid start byte)"),
+    ], ids=["oversized-header", "oversized-body", "bad-byte-header", "bad-byte-body",
+            "bad-byte-multi-line", "bad-byte-multi-line-short", "bad-byte-multi-line-oversized",
+            "bad-byte-multi-line-header", "bad-byte-after-repeated-id"])
     def test_unreadable_record_names_its_line(self, tmp_path, head, body, line, error):
         """A record past csv's field size limit fails at the line it starts on;
         a byte that is not UTF-8 at its own line, wherever the text reader's
-        chunk ended."""
+        chunk ended, and even inside a header or record that spans lines,
+        whatever its cell count or csv's error there. A repeated id before it
+        does not win."""
         path = tmp_path / "t.csv"
         path.write_bytes((head + body).encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
         with pytest.raises(DatasetError) as raised:

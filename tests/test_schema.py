@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,8 +8,8 @@ import helpers as oracle  # holds the per-call coercion and key matching
 from helpers import SCHEMAS, cat_feature, int_feature, real_feature
 
 from medtab.schema import (KINDS, MISSING, CoercionError, ExtractionSchema, FeatureSpec,
-                           LabelSpec, SchemaError, canonicalize_value, emit_json_schema_block,
-                           fold_name, load_schema, schema_from_dict, snake_name)
+                           LabelSpec, SchemaError, emit_json_schema_block, fold_name,
+                           load_schema, schema_from_dict, snake_name)
 
 
 class TestLoadSchema:
@@ -114,62 +115,64 @@ class TestEmitJsonSchemaBlock:
 
 
 class TestCanonicalizeValue:
+    """``FeatureSpec.coerce``: the canonical value of a raw one, or the error."""
+
     def test_numeral_string_to_int(self):
-        assert canonicalize_value(int_feature("Age"), "63") == 63
+        assert int_feature("Age").coerce("63") == 63
 
     def test_case_fold_to_canonical_category(self):
-        assert canonicalize_value(cat_feature("Sex", ["M", "F"]), "m") == "M"
+        assert cat_feature("Sex", ["M", "F"]).coerce("m") == "M"
 
     def test_out_of_range_rejected(self):
         spec = int_feature("MaxHR", 60, 202)
         with pytest.raises(CoercionError) as exc:
-            canonicalize_value(spec, 250)
+            spec.coerce(250)
         assert exc.value.reason == "out-of-range"
         assert "between 60 and 202" in str(exc.value)
 
     def test_null_becomes_missing_when_allowed(self):
-        assert canonicalize_value(real_feature("Oldpeak"), None) is MISSING
+        assert real_feature("Oldpeak").coerce(None) is MISSING
 
     @pytest.mark.parametrize("sentinel", [None, "None", "none", "", "N/A", "n/a", "NaN", "nan"])
     def test_missing_sentinels(self, sentinel):
-        assert canonicalize_value(int_feature("age"), sentinel) is MISSING
+        assert int_feature("age").coerce(sentinel) is MISSING
 
     def test_missing_rejected_when_not_allowed(self):
         spec = int_feature("age", allow_missing=False)
         with pytest.raises(CoercionError) as exc:
-            canonicalize_value(spec, None)
+            spec.coerce(None)
         assert exc.value.reason == "missing-not-allowed"
 
     def test_integral_real_accepted_for_integer(self):
-        assert canonicalize_value(int_feature("age"), 63.0) == 63
+        assert int_feature("age").coerce(63.0) == 63
 
     def test_fractional_real_rejected_for_integer(self):
         with pytest.raises(CoercionError):
-            canonicalize_value(int_feature("age"), 63.5)
+            int_feature("age").coerce(63.5)
 
     def test_comma_decimal_accepted_for_real(self):
-        assert canonicalize_value(real_feature("x"), "1,5") == 1.5
+        assert real_feature("x").coerce("1,5") == 1.5
 
     @pytest.mark.parametrize("raw", ["inf", "INF", "-Infinity", float("inf")])
     def test_non_finite_numbers_rejected(self, raw):
         for spec in (int_feature("i"), real_feature("r")):
             with pytest.raises(CoercionError) as exc:
-                canonicalize_value(spec, raw)
+                spec.coerce(raw)
             assert exc.value.reason == "type-mismatch"
 
     def test_unknown_category_lists_allowed_values(self):
         with pytest.raises(CoercionError) as exc:
-            canonicalize_value(cat_feature("Sex", ["M", "F"]), "unknown")
+            cat_feature("Sex", ["M", "F"]).coerce("unknown")
         assert exc.value.reason == "unknown-category"
         assert "M, F" in str(exc.value)
 
     def test_numeric_scalar_matches_category(self):
-        assert canonicalize_value(cat_feature("FastingBS", ["0", "1"]), 1) == "1"
+        assert cat_feature("FastingBS", ["0", "1"]).coerce(1) == "1"
 
     def test_text_stringifies_scalars(self):
         spec = FeatureSpec(name="note", kind="text")
-        assert canonicalize_value(spec, 12) == "12"
-        assert canonicalize_value(spec, True) == "true"
+        assert spec.coerce(12) == "12"
+        assert spec.coerce(True) == "true"
 
     @given(st.one_of(st.integers(-10**6, 10**6),
                      st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -179,17 +182,17 @@ class TestCanonicalizeValue:
                  FeatureSpec(name="t", kind="text")]
         for spec in specs:
             try:
-                once = canonicalize_value(spec, raw)
+                once = spec.coerce(raw)
             except CoercionError:
                 continue
-            assert canonicalize_value(spec, once) == once or (
-                once is MISSING and canonicalize_value(spec, once) is MISSING)
+            assert spec.coerce(once) == once or (
+                once is MISSING and spec.coerce(once) is MISSING)
 
     @given(st.one_of(st.text(max_size=8), st.integers(-5, 5), st.none()))
     def test_categorical_closure(self, raw):
         spec = cat_feature("c", ["Up", "Flat", "Down"])
         try:
-            value = canonicalize_value(spec, raw)
+            value = spec.coerce(raw)
         except CoercionError:
             return
         assert value is MISSING or value in spec.allowed_values
@@ -205,30 +208,30 @@ class TestValuesBeyondTheFloatRange:
     def test_is_a_type_mismatch(self, raw):
         for spec in (int_feature("Age"), real_feature("Oldpeak")):
             with pytest.raises(CoercionError) as exc:
-                canonicalize_value(spec, raw)
+                spec.coerce(raw)
             assert exc.value.reason == "type-mismatch"
             assert str(exc.value) == f"{spec.name}: cannot interpret {raw!r} as a number"
 
     def test_largest_float_integer_still_coerces(self):
         raw = int(1.7976931348623157e308)
-        assert canonicalize_value(int_feature("big"), raw) == raw
-        assert canonicalize_value(real_feature("big"), raw) == float(raw)
+        assert int_feature("big").coerce(raw) == raw
+        assert real_feature("big").coerce(raw) == float(raw)
 
     @pytest.mark.parametrize("raw", [float("inf"), float("-inf")])
     def test_infinite_float_for_a_category_or_text(self, raw):
         with pytest.raises(CoercionError) as exc:
-            canonicalize_value(cat_feature("Sex", ["M", "F"]), raw)
+            cat_feature("Sex", ["M", "F"]).coerce(raw)
         assert exc.value.reason == "unknown-category"
         assert str(exc.value) == f"Sex: {str(raw)!r} is not one of the allowed values: M, F"
-        assert canonicalize_value(FeatureSpec(name="note", kind="text"), raw) == str(raw)
+        assert FeatureSpec(name="note", kind="text").coerce(raw) == str(raw)
 
 
-def coerced(coerce, spec, raw):
-    """What ``coerce(spec, raw)`` gives: the value's type and repr (so -0.0
-    and 0.0 differ), or the CoercionError's reason and message, or any other
+def coerced(coerce, raw):
+    """What ``coerce(raw)`` gives: the value's type and repr (so -0.0 and 0.0
+    differ), or the CoercionError's reason and message, or any other
     exception's type and message."""
     try:
-        value = coerce(spec, raw)
+        value = coerce(raw)
     except CoercionError as e:
         return "coercion-error", e.reason, str(e)
     except (OverflowError, ValueError) as e:
@@ -277,7 +280,7 @@ def feature_specs(draw):
 
 
 class TestCompiledCoercerAgainstOracle:
-    """``canonicalize_value`` runs the coercer each spec compiles; the
+    """``FeatureSpec.coerce`` is the coercer each spec compiles; the
     per-call version it replaced (tests/helpers.py) is the oracle: the same
     value of the same type, or the same error."""
 
@@ -293,14 +296,14 @@ class TestCompiledCoercerAgainstOracle:
     @example(cat_feature("c", ["m", "M"]), " M ")
     @example(cat_feature("c", ["None", "M"], allow_missing=False), "None")
     def test_equals_oracle(self, spec, raw):
-        assert coerced(canonicalize_value, spec, raw) == coerced(oracle.canonicalize_value, spec, raw)
+        assert coerced(spec.coerce, raw) == coerced(partial(oracle.canonicalize_value, spec), raw)
 
     @settings(max_examples=300, deadline=None)
     @given(_RAW)
     def test_every_heart_feature_equals_oracle(self, heart_schema, raw):
         for spec in heart_schema.features:
-            assert coerced(canonicalize_value, spec, raw) == \
-                coerced(oracle.canonicalize_value, spec, raw)
+            assert coerced(spec.coerce, raw) == \
+                coerced(partial(oracle.canonicalize_value, spec), raw)
 
 
 _KEYS = st.one_of(

@@ -8,8 +8,9 @@ import helpers as oracle  # holds the character-loop parser and repair
 from helpers import bundle_for, small_schema, vorc_fixture_files
 
 from medtab import vorc
-from medtab.llm import ReplayEntry, ReplayProvider, configure_provider
-from medtab.schema import MISSING
+from medtab.llm import (CompletionResult, ProviderError, ReplayEntry, ReplayProvider,
+                        configure_provider)
+from medtab.schema import MISSING, fold_name
 from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, Violation,
                          VorcBudget, VorcFailure, _RULES, _STRINGS, _answer_span, _json_spans,
                          _parses, _strict_loads, _sub_word, call_rate, extract_corpus,
@@ -481,15 +482,14 @@ class TestValidateRecord:
         assert ("Age", "type-mismatch") in reasons
         assert ("MaxHR", "out-of-range") in reasons
 
-    def test_label_key_accepted_and_stored_separately(self):
+    def test_label_key_is_ignored(self):
         result = validate_record({"age": 1, "sex": "F", "outcome": "yes"}, small_schema())
         assert result.violations == []
-        assert result.label == "yes"
         assert "outcome" not in result.values
 
-    def test_bad_label_value_is_violation(self):
-        result = validate_record({"age": 1, "outcome": "maybe"}, small_schema())
-        assert [v.reason for v in result.violations] == ["unknown-category"]
+    def test_bad_label_value_is_no_violation(self):
+        result = validate_record({"age": 1, "Outcome": "maybe"}, small_schema())
+        assert result.violations == []
 
     def test_integer_too_large_for_a_float_is_a_type_mismatch(self, heart_schema):
         huge = int("9" * 400)
@@ -506,12 +506,20 @@ class TestValidateRecord:
 
 def validated(obj, schema, validate):
     """``validate(obj, schema)`` as comparable data: every value's type and
-    repr, the label, and every violation's fields (the received value by
-    repr)."""
+    repr, and every violation's fields (the received value by repr)."""
     result = validate(obj, schema)
-    return ([(name, type(v), repr(v)) for name, v in result.values.items()], result.label,
+    return ([(name, type(v), repr(v)) for name, v in result.values.items()],
             [(v.key, v.reason, v.message, type(v.received), repr(v.received))
              for v in result.violations])
+
+
+def without_label_keys(obj, schema):
+    """``obj`` less the keys that fold to the label's name, which
+    ``validate_record`` skips and the oracle still reads."""
+    if not isinstance(obj, dict):
+        return obj
+    label = fold_name(schema.label.name)
+    return {key: raw for key, raw in obj.items() if fold_name(key) != label}
 
 
 _RECORD_KEYS = st.sampled_from(["Age", "age", "AGE", "Sex", "sex", "Chest Pain Type",
@@ -529,20 +537,22 @@ _RECORD_VALUES = st.one_of(
 class TestValidateRecordAgainstOracle:
     """``validate_record`` reads the schema's key lookup and compiled
     coercers; the per-call version it replaced (tests/helpers.py) is the
-    oracle: the same values, label and violations, in the same order."""
+    oracle: the same values and violations, in the same order, once the keys
+    naming the label, which the oracle still reads, are taken out."""
 
     @settings(max_examples=600, deadline=None)
     @given(st.dictionaries(_RECORD_KEYS, _RECORD_VALUES, max_size=14))
     def test_heart_records_equal_oracle(self, heart_schema, obj):
         assert validated(obj, heart_schema, validate_record) == \
-            validated(obj, heart_schema, oracle.validate_record)
+            validated(without_label_keys(obj, heart_schema), heart_schema,
+                      oracle.validate_record)
 
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(_RECORD_KEYS, _RECORD_VALUES, max_size=6) | _RECORD_VALUES)
     def test_small_schema_records_equal_oracle(self, obj):
         schema = small_schema()
         assert validated(obj, schema, validate_record) == \
-            validated(obj, schema, oracle.validate_record)
+            validated(without_label_keys(obj, schema), schema, oracle.validate_record)
 
 
 def replay(*responses):
@@ -763,3 +773,98 @@ class TestExtractCorpus:
         assert entries[9]["status"] == "failed"
         assert entries[6]["repairs"][0]["kind"] == "single_to_double_quotes"
         assert all(set(e) == {"id", "vorc_iterations", "repairs", "status"} for e in entries)
+
+
+# Scripted reply kinds for the whole-loop property: each takes the report's
+# values and gives the reply text, or the ProviderError the call raises.
+_REPLY_KINDS = {
+    "clean": json.dumps,
+    "fenced": lambda values: f"```json\n{json.dumps(values)}\n```",
+    "single-quoted": lambda values: json.dumps(values).replace('"', "'"),
+    "trailing-comma": lambda values: json.dumps(values)[:-1] + ",}",
+    "prose": lambda values: f"Reasoning: the note gives both.\nOutput JSON:\n{json.dumps(values)}",
+    "bad-value": lambda values: json.dumps({**values, "age": "old"}),
+    "repaired-bad-value": lambda values: json.dumps({**values, "sex": "X"}).replace('"', "'"),
+    "unrepairable": lambda values: "I cannot find structured data.",
+    "provider-error": lambda values: ProviderError("scripted provider failure"),
+}
+
+
+class ScriptedProvider:
+    """Replies by report: a prompt holds one report's marker, and gets that
+    report's next scripted reply, so the order in which reports run does not
+    matter. Every prompt is kept with its marker, in the order sent."""
+
+    def __init__(self, scripts: dict):
+        self.pending = {marker: list(replies) for marker, replies in scripts.items()}
+        self.sent = []
+
+    def complete(self, request):
+        marker = next(m for m in self.pending if m in request.prompt)
+        self.sent.append((marker, request.prompt))
+        reply = self.pending[marker].pop(0)
+        if isinstance(reply, ProviderError):
+            raise reply
+        return CompletionResult(text=reply, provider_id="scripted", latency_ms=0, attempt_count=1)
+
+    def prompts_by_report(self) -> dict:
+        return {m: [p for marker, p in self.sent if marker == m] for m in self.pending}
+
+
+def outcome_fields(outcome) -> tuple:
+    """An outcome as comparable data: its type, id, iterations and repairs,
+    then its values by repr, or its reason, detail and violations."""
+    head = (type(outcome).__name__, outcome.source_id, outcome.vorc_iterations,
+            [(a.kind, a.span) for a in outcome.repairs])
+    if isinstance(outcome, ExtractionRecord):
+        return head + ([(name, repr(v)) for name, v in outcome.values.items()],)
+    return head + (outcome.reason, outcome.detail, None if outcome.violations is None else
+                   [(v.key, v.reason, v.message, repr(v.received)) for v in outcome.violations])
+
+
+@st.composite
+def scripted_corpora(draw):
+    """``(budget, reports, scripts)``: up to four reports, each with values
+    for the small schema and one scripted reply kind per call the loop can
+    make at that budget."""
+    budget = draw(st.integers(0, 3))
+    reports, scripts = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        marker = f"<report {i}>"
+        values = {"age": draw(st.integers(0, 120) | st.none()), "sex": draw(st.sampled_from("MF"))}
+        kinds = draw(st.lists(st.sampled_from(sorted(_REPLY_KINDS)), min_size=budget + 1,
+                              max_size=budget + 1))
+        reports.append((f"r{i}", f"{marker} Patient note."))
+        scripts[marker] = [_REPLY_KINDS[kind](values) for kind in kinds]
+    return budget, reports, scripts
+
+
+class TestWholeLoopAgainstReference:
+    """``extract_corpus`` against the reference loop of tests/helpers.py,
+    which calls only the parse, repair, validate and correction-prompt
+    oracles: the same outcomes, provenance, stats and prompts, report by
+    report, at parallelism 1 and 3."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scripted_corpora(), st.sampled_from([1, 3]))
+    @example((2, [("r0", "<report 0> Patient note.")],
+              {"<report 0>": ['{"age": "old", "sex": "M"}', "I cannot find structured data.",
+                              ProviderError("scripted provider failure")]}), 1)
+    def test_equals_reference_loop(self, corpus, parallelism):
+        budget, reports, scripts = corpus
+        schema = small_schema()
+        bundle = bundle_for(schema, {"age": 40, "sex": "M"})
+        provider, reference = ScriptedProvider(scripts), ScriptedProvider(scripts)
+        result = extract_corpus(provider, reports, schema, bundle, VorcBudget(budget), parallelism)
+        want = oracle.extract_by_reference(reference, reports, schema, bundle, budget)
+        assert list(map(outcome_fields, result.outcomes)) == list(map(outcome_fields, want))
+        assert provenance_entries(result) == [{
+            "id": o.source_id, "vorc_iterations": o.vorc_iterations,
+            "repairs": [{"kind": a.kind, "span": list(a.span)} for a in o.repairs],
+            "status": "ok" if isinstance(o, ExtractionRecord) else "failed"} for o in want]
+        n_failed = sum(isinstance(o, VorcFailure) for o in want)
+        assert (result.stats.n_records, result.stats.n_failures) == (len(want) - n_failed,
+                                                                     n_failed)
+        assert provider.prompts_by_report() == reference.prompts_by_report()
+        if parallelism == 1:
+            assert provider.sent == reference.sent
