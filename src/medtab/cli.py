@@ -13,10 +13,14 @@ JSON input file is read and checked by ``medtab.inputs``, so a bad input
 exits 2 with ``error: <file>[:<line>]: <JSON path> must be <what>, got
 <value>``.
 
-Loading this module imports neither numpy nor the modeling code:
-``prompt-preview`` and ``extract`` run without them, and ``train``,
-``evaluate``, ``compare`` and ``fewshot`` import ``encoding``, ``models`` and
-``evalkit`` when they run.
+Loading this module imports only ``dataset``, ``schema`` and ``inputs`` of
+medtab; each command imports the rest when it runs. ``prompt-preview`` and
+``extract`` import the extraction code (``prompts``, ``vorc`` and ``llm``)
+and never numpy or the modeling code. ``train``, ``evaluate`` and
+``compare`` import the modeling code (``encoding``, ``models`` and
+``evalkit``) and never the extraction code, except that ``compare
+--provenance`` imports ``vorc`` for the call rate. ``fewshot`` imports
+``prompts``, ``llm`` and ``evalkit``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from pathlib import Path
 import click
 
 from . import dataset as ds
-from . import inputs, prompts, vorc
-from .llm import CompletionRequest, ProviderConfigError, ProviderError, configure_provider
+from . import inputs
 from .schema import load_schema
 
 EXIT_CONFIG = 2
@@ -77,6 +80,8 @@ class CliState:
 
 
 def _provider_from(state: CliState, replay_script: str | None):
+    from .llm import configure_provider
+
     if replay_script is not None:
         return configure_provider("replay", {"script": replay_script})
     settings = dict(state.setting("provider", required=True))
@@ -89,8 +94,9 @@ def _schema_from(state: CliState, schema_path: str | None):
 
 
 def _templates_from(state: CliState, templates_path: str | None, schema):
-    return prompts.load_templates(state.setting("templates", templates_path, required=True),
-                                  schema)
+    from .prompts import load_templates
+
+    return load_templates(state.setting("templates", templates_path, required=True), schema)
 
 
 def _read_corpus(path) -> list[dict]:
@@ -128,10 +134,16 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ProviderConfigError, ValueError, OSError) as e:
+        except (ValueError, OSError) as e:
             message, code = str(e), EXIT_CONFIG
-        except ProviderError as e:
-            message, code = str(e), EXIT_PROVIDER
+        except RuntimeError as e:
+            # A ProviderError exists only once a command has loaded ``llm``;
+            # the modeling commands never load it.
+            llm = sys.modules.get(f"{__package__}.llm")
+            if llm is None or not isinstance(e, llm.ProviderError):
+                raise
+            message = str(e)
+            code = EXIT_CONFIG if isinstance(e, llm.ProviderConfigError) else EXIT_PROVIDER
         click.echo(f"error: {message}", err=True)
         sys.exit(code)
 
@@ -179,6 +191,9 @@ def cmd_prompt_preview(state, schema_path, templates_path, report_path, report_t
 @click.pass_obj
 def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, budget, parallelism):
     """Convert a report corpus into a table CSV plus provenance."""
+    from . import vorc
+    from .llm import ProviderError
+
     schema = _schema_from(state, schema_path)
     bundle = _templates_from(state, templates_path, schema)
     provider = _provider_from(state, replay_script)
@@ -360,6 +375,9 @@ def _read_answer(text: str, label_spec) -> str | None:
 @click.pass_obj
 def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     """Few-shot label classification baseline over a report corpus."""
+    from .llm import CompletionRequest
+    from .prompts import build_fewshot_classifier_prompt, check_shots
+
     label = _schema_from(state, schema_path).label
     if label is None:
         raise ValueError("schema has no label; few-shot classification needs one")
@@ -367,7 +385,7 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
     shots = [(d["text"], str(d["label"]))
              for _, d in inputs.load_lines(shots_path, _SHOT_LINE, ValueError)]
-    prompts.check_shots(shots, label)
+    check_shots(shots, label)
     golds = []  # the label value each report's gold names, or None when it has no gold
     for doc in corpus:
         gold = doc.get("label")
@@ -376,7 +394,7 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
                              f"{label.positive_value!r} nor {label.negative_value!r}")
         golds.append(gold)
     answers = [_read_answer(provider.complete(CompletionRequest(prompt=prompt)).text, label)
-               for prompt in (prompts.build_fewshot_classifier_prompt(shots, doc["text"], label)
+               for prompt in (build_fewshot_classifier_prompt(shots, doc["text"], label)
                               for doc in corpus)]
 
     out = state.output_dir

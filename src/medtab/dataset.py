@@ -107,7 +107,9 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
         text, bad = data.decode("utf-8-sig"), (math.inf, None)
     except UnicodeDecodeError as e:
         text = data.decode("utf-8-sig", "surrogateescape")
-        line = e.object.count(b"\n", 0, e.start) + 1  # e.object lacks the BOM
+        before = e.object[:e.start]  # e.object lacks the BOM
+        # csv's lines end at "\r\n", "\r" or "\n"
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         bad = (line, DatasetError(f"{path}:{line}: not UTF-8: byte 0x{e.object[e.start]:02x} "
                                   f"({e.reason})"))
     return _read_table(text, schema, path, bad)

@@ -13,7 +13,6 @@ import numpy as np
 from .dataset import TabularDataset
 from .encoding import float_column, object_column
 from .models import THRESHOLD, ImportanceVector
-from .vorc import call_rate
 
 REAL_MATCH_RTOL = 1e-9
 
@@ -95,12 +94,17 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
     exact_rows = int(row_exact.sum())
 
     total_cells = n_rows * len(features)
+    rate = None  # ``call_rate`` of no reports, without loading the extraction code
+    if provenance:
+        from .vorc import call_rate
+
+        rate = call_rate([e.get("vorc_iterations", 0) for e in provenance])
     return ExtractionReport(
         record_accuracy=exact_rows / n_rows if n_rows else None,
         cell_accuracy=matched_cells / total_cells if total_cells else None,
         missing_precision=both_missing / extracted_missing if extracted_missing else None,
         missing_recall=both_missing / truth_missing if truth_missing else None,
-        vorc_call_rate=call_rate([e.get("vorc_iterations", 0) for e in provenance or ()]),
+        vorc_call_rate=rate,
         n_evaluated=n_rows,
     )
 

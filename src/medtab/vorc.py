@@ -513,13 +513,18 @@ def run_vorc(provider, prompt: str, schema: ExtractionSchema,
     """Complete -> parse -> repair -> validate, with correction prompts on
     failure, until a valid record emerges or the budget is spent.
 
-    Returns an ExtractionRecord or a VorcFailure. Provider errors propagate.
+    Returns an ExtractionRecord or a VorcFailure. A provider error ends the
+    record as a ``provider-error`` failure that keeps the correction prompts
+    sent and the repairs made before it.
     """
     iterations = 0
     repairs: list[RepairAction] = []
     current_prompt = prompt
     while True:
-        raw = provider.complete(CompletionRequest(prompt=current_prompt)).text
+        try:
+            raw = provider.complete(CompletionRequest(prompt=current_prompt)).text
+        except ProviderError as e:
+            return VorcFailure(source_id, iterations, repairs, "provider-error", str(e))
         obj = violations = None
         try:
             obj = parse_response(raw)
@@ -593,11 +598,7 @@ def extract_corpus(provider, reports: list[tuple[str, str]], schema: ExtractionS
 
     def work(item):
         rid, text = item
-        prompt = templates.render(text)
-        try:
-            return run_vorc(provider, prompt, schema, budget, source_id=rid)
-        except ProviderError as e:
-            return VorcFailure(rid, 0, [], "provider-error", str(e))
+        return run_vorc(provider, templates.render(text), schema, budget, source_id=rid)
 
     if parallelism == 1:
         outcomes = [work(item) for item in reports]

@@ -746,10 +746,14 @@ def vorc_by_reference(provider, prompt: str, schema: ExtractionSchema, max_corre
                       source_id: str):
     """One report's outcome: an ExtractionRecord once a reply validates, else
     a VorcFailure when a reply fails with ``max_corrections`` correction
-    prompts sent. Provider errors propagate."""
+    prompts sent, or when a provider call fails (with the iterations and
+    repairs counted up to it)."""
     iterations, repairs, current = 0, [], prompt
     while True:
-        raw = provider.complete(CompletionRequest(prompt=current)).text
+        try:
+            raw = provider.complete(CompletionRequest(prompt=current)).text
+        except ProviderError as e:
+            return VorcFailure(source_id, iterations, repairs, "provider-error", str(e))
         try:
             obj = parse_response(raw)
         except ParseFailure as e:
@@ -778,16 +782,9 @@ def vorc_by_reference(provider, prompt: str, schema: ExtractionSchema, max_corre
 
 def extract_by_reference(provider, reports, schema: ExtractionSchema, templates: PromptBundle,
                          max_corrections: int) -> list:
-    """The outcome of each ``(id, text)`` report, in order; a provider error
-    fails its report with no iterations or repairs counted."""
-    outcomes = []
-    for rid, text in reports:
-        try:
-            outcomes.append(vorc_by_reference(provider, render(templates, text), schema,
-                                              max_corrections, rid))
-        except ProviderError as e:
-            outcomes.append(VorcFailure(rid, 0, [], "provider-error", str(e)))
-    return outcomes
+    """The outcome of each ``(id, text)`` report, in order."""
+    return [vorc_by_reference(provider, render(templates, text), schema, max_corrections, rid)
+            for rid, text in reports]
 
 
 # ---------------------------------------------------------------------------

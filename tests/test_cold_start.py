@@ -1,7 +1,8 @@
-"""The extraction side loads without the modeling side: a fresh interpreter
-imports the CLI and the table layer without numpy or the model code, and
+"""Each side loads without the other. A fresh interpreter imports the CLI
+and the table layer without numpy, the model code or the extraction code.
 ``prompt-preview`` and ``extract`` run, and write the same bytes, with numpy
-made unimportable."""
+made unimportable; ``train``, ``evaluate`` and ``compare`` do so with
+``vorc``, ``llm`` and ``prompts`` made unimportable."""
 
 import json
 import os
@@ -13,13 +14,15 @@ import pytest
 from helpers import ROOT, SCHEMAS, TEMPLATES
 from test_input_mutations import _demo_module
 
-# Run the CLI in a fresh interpreter; with "blocked", ``import numpy`` raises.
+# Run the CLI in a fresh interpreter; importing a module named in the
+# comma-separated first argument raises.
 RUN_CLI = """import sys
-if sys.argv[1] == "blocked":
-    sys.modules["numpy"] = None
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
 from medtab.cli import main
 main(sys.argv[2:], prog_name="medtab")
 """
+EXTRACTION = ("medtab.vorc", "medtab.llm", "medtab.prompts")
 
 
 def python(*args) -> subprocess.CompletedProcess:
@@ -36,6 +39,29 @@ def test_cli_and_tables_import_without_numpy_or_the_models():
     assert done.stdout == "[]\n"
 
 
+def test_cli_imports_without_the_extraction_code():
+    done = python("-c", f"import sys, medtab.cli; print(sorted(name for name in {EXTRACTION!r} "
+                        "if name in sys.modules))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def outputs_with_and_without(blocked, out_dir, args) -> dict:
+    """``{mode: (stdout, {file name: bytes})}`` of one command run with the
+    ``blocked`` modules unimportable and run normally, each writing under
+    its own directory, which stdout names as ``<out>``."""
+    outputs = {}
+    for mode in ("blocked", "normal"):
+        out = out_dir / mode
+        done = python("-c", RUN_CLI, ",".join(blocked) if mode == "blocked" else "",
+                      "--output-dir", str(out), *map(str, args))
+        assert done.returncode == 0, done.stderr
+        files = sorted(out.iterdir()) if out.exists() else []
+        outputs[mode] = (done.stdout.replace(str(out), "<out>"),
+                         {path.name: path.read_bytes() for path in files})
+    return outputs
+
+
 @pytest.fixture(scope="module")
 def heart_fixture(tmp_path_factory):
     """The pipeline demo's heart corpus and replay script."""
@@ -49,18 +75,45 @@ def test_extraction_commands_run_without_numpy(heart_fixture, tmp_path, command)
     args = {"prompt-preview": ["prompt-preview", "--report-text", "A 54-year-old man."],
             "extract": ["extract", "--corpus", heart_fixture / "corpus.jsonl",
                         "--replay", heart_fixture / "replay.json"]}[command]
-    outputs = {}
-    for mode in ("blocked", "normal"):
-        out = tmp_path / mode
-        done = python("-c", RUN_CLI, mode, "--output-dir", str(out), *map(str, args),
-                      "--schema", str(SCHEMAS / "heart.schema.json"),
-                      "--templates", str(TEMPLATES / "heart"))
-        assert done.returncode == 0, done.stderr
-        files = sorted(out.iterdir()) if out.exists() else []
-        outputs[mode] = done.stdout, {path.name: path.read_bytes() for path in files}
+    outputs = outputs_with_and_without(["numpy"], tmp_path, [
+        *args, "--schema", SCHEMAS / "heart.schema.json", "--templates", TEMPLATES / "heart"])
     assert outputs["blocked"] == outputs["normal"]
     if command == "extract":
         stdout, files = outputs["blocked"]
         assert stdout.startswith("extracted 40/40 records")
         assert set(files) == {"extracted.csv", "provenance.jsonl", "extract_stats.json"}
         assert json.loads(files["extract_stats.json"])["n_records"] == 40
+
+
+@pytest.fixture(scope="module")
+def modeling_fixture(heart_fixture):
+    """The demo corpus extracted, and a model with its split trained on the
+    demo's truth table, by normal runs."""
+    d = heart_fixture / "modeling"
+    for args in (["extract", "--corpus", heart_fixture / "corpus.jsonl",
+                  "--replay", heart_fixture / "replay.json", "--templates", TEMPLATES / "heart"],
+                 ["train", "--data", heart_fixture / "truth.csv", "--family", "dtree"]):
+        done = python("-c", RUN_CLI, "", "--output-dir", str(d), *map(str, args),
+                      "--schema", str(SCHEMAS / "heart.schema.json"))
+        assert done.returncode == 0, done.stderr
+    return d
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "compare"])
+def test_modeling_commands_run_without_the_extraction_code(heart_fixture, modeling_fixture,
+                                                             tmp_path, command):
+    truth = heart_fixture / "truth.csv"
+    args = {"train": ["train", "--data", truth, "--family", "logreg"],
+            "evaluate": ["evaluate", "--model", modeling_fixture / "model_dtree.json",
+                         "--data", truth, "--split", modeling_fixture / "split.json"],
+            "compare": ["compare", "--truth", truth,
+                        "--extracted", modeling_fixture / "extracted.csv", "--family", "dtree"],
+            }[command]
+    outputs = outputs_with_and_without(EXTRACTION, tmp_path, [
+        "--json", *args, "--schema", SCHEMAS / "heart.schema.json"])
+    assert outputs["blocked"] == outputs["normal"]
+    stdout, files = outputs["blocked"]
+    if command == "train":
+        assert set(files) == {"model_logreg.json", "grid_report.csv", "split.json"}
+    else:
+        assert not files and json.loads(stdout)["report_version"] == 1

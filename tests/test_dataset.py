@@ -296,9 +296,16 @@ class TestLoadCsvByColumn:
          "not UTF-8: byte 0xff (invalid start byte)"),
         ("id,age,dose,color,note,target\n", "r0,40,1.5,red,,pos\n" * 2 + "r1,40,1.5,red,\xff,pos\n",
          4, "not UTF-8: byte 0xff (invalid start byte)"),
+        ("age,dose,color,note,target\r", "40,1.5,red,,pos\r40,1.5,red,\xff,pos\r", 3,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ("age,dose,color,note,target\r\n", "40,1.5,red,,pos\r\n40,1.5,red,\xff,pos\r\n", 3,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ("age,dose,color,note,target\n", '40,1.5,red,,pos\r\n40,1.5,red,"two\rli\xffnes",pos\r', 4,
+         "not UTF-8: byte 0xff (invalid start byte)"),
     ], ids=["oversized-header", "oversized-body", "bad-byte-header", "bad-byte-body",
             "bad-byte-multi-line", "bad-byte-multi-line-short", "bad-byte-multi-line-oversized",
-            "bad-byte-multi-line-header", "bad-byte-after-repeated-id"])
+            "bad-byte-multi-line-header", "bad-byte-after-repeated-id", "bad-byte-cr-line-ends",
+            "bad-byte-crlf-line-ends", "bad-byte-mixed-line-ends"])
     def test_unreadable_record_names_its_line(self, tmp_path, head, body, line, error):
         """A record past csv's field size limit fails at the line it starts on;
         a byte that is not UTF-8 at its own line, wherever the text reader's
@@ -316,6 +323,17 @@ class TestLoadCsvByColumn:
         path.write_bytes(b"age,dose,color,note,target\n40,1.5,red,,pos\n40,abc,red,,pos\n"
                          b"40,1.5,red,,pos\n\xfe\n")
         with pytest.raises(DatasetError, match=re.escape(f"{path}:3: column 'dose'")):
+            load_csv(path, loader_schema())
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_bad_cell_on_a_line_before_a_bad_byte_wins(self, tmp_path, end):
+        """csv's line ends, a bare carriage return among them, are the ones
+        that place the bad byte."""
+        path = tmp_path / "t.csv"
+        lines = ["age,dose,color,note,target", "40,abc,red,,pos", "40,1.5,red,,pos",
+                 "40,1.5,red,\xff,pos"]
+        path.write_bytes((end.join(lines) + end).encode("latin-1"))
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:2: column 'dose'")):
             load_csv(path, loader_schema())
 
     def test_byte_order_mark_is_accepted(self, tmp_path, hepatitis_schema):

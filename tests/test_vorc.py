@@ -766,6 +766,23 @@ class TestExtractCorpus:
         assert result.stats.n_records == 1
         assert result.failures[0].reason == "provider-error"
 
+    def test_provider_error_mid_chain_keeps_the_record_cost(self):
+        # a repaired reply with a bad value, a correction prompt, then a failed call
+        schema = small_schema()
+        bundle = bundle_for(schema, {"age": 40, "sex": "M"})
+        provider = ScriptedProvider({"<report 0>": [
+            _REPLY_KINDS["repaired-bad-value"]({"age": 40, "sex": "M"}),
+            ProviderError("scripted provider failure")]})
+        result = extract_corpus(provider, [("r0", "<report 0> Patient note.")], schema, bundle,
+                                VorcBudget(2))
+        failure, = result.failures
+        assert (failure.reason, failure.detail) == ("provider-error", "scripted provider failure")
+        assert len(provider.sent) == 2
+        entry, = provenance_entries(result)
+        assert (entry["vorc_iterations"], entry["status"]) == (1, "failed")
+        assert [r["kind"] for r in entry["repairs"]] == ["single_to_double_quotes"]
+        assert result.stats.vorc_call_rate == 1.0
+
     def test_provenance_entries_in_order(self, tmp_path):
         result = self.fixture(tmp_path, 1)
         entries = provenance_entries(result)
