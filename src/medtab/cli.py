@@ -14,9 +14,9 @@ exits 2 with ``error: <file>[:<line>]: <JSON path> must be <what>, got
 <value>``.
 
 Loading this module imports only ``dataset``, ``schema`` and ``inputs`` of
-medtab; each command imports the rest when it runs. ``prompt-preview`` and
-``extract`` import the extraction code (``prompts``, ``vorc`` and ``llm``)
-and never numpy or the modeling code. ``train``, ``evaluate`` and
+medtab; each command imports the rest when it runs. ``extract`` imports the
+extraction code (``prompts``, ``vorc`` and ``llm``), ``prompt-preview`` only
+``prompts``, and neither imports numpy or the modeling code. ``train``, ``evaluate`` and
 ``compare`` import the modeling code (``encoding``, ``models`` and
 ``evalkit``) and never the extraction code, except that ``compare
 --provenance`` imports ``vorc`` for the call rate. ``fewshot`` imports

@@ -229,10 +229,9 @@ def _map_header(header, schema, path):
             role = "label"
         else:
             raise DatasetError(f"{path}: header column {name!r} does not match the schema")
-        key = folded
-        if key in seen:
+        if role in seen:  # a feature's name and its prompt key name one column
             raise DatasetError(f"{path}: duplicate header column {name!r}")
-        seen.add(key)
+        seen.add(role)
         columns.append(role)
     missing = [f.name for f in schema.features if f not in columns]
     if missing:

@@ -19,7 +19,10 @@ Template files may reference {{SCHEMA_BLOCK}}; the rendered prompt ends with
 text (``FORMAT_SECTION``) and the report slot are the same for every bundle,
 and the few-shot prompt takes 1 to ``MAX_SHOTS`` examples. A bundle builds
 its prompt frame once, when it is made, with {{SCHEMA_BLOCK}} substituted;
-``render`` only joins the report into the frame's {{REPORT}} slots.
+``render`` only joins the report into the frame's {{REPORT}} slots. The
+worked example's output is checked with ``schema.validate_record``, the
+validator the extraction loop uses, so loading templates needs no provider
+or loop code.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import inputs
-from .schema import ExtractionSchema, LabelSpec, emit_json_schema_block
+from .schema import ExtractionSchema, LabelSpec, emit_json_schema_block, validate_record
 
 DEFAULT_INSTRUCTIONS = (
     "The output JSON should be formatted as a JSON instance that conforms to the "
@@ -127,8 +130,6 @@ def _check_example(example: OneShotExample, schema: ExtractionSchema, path: Path
         obj = json.loads(example.output_json_text)
     except (ValueError, RecursionError) as e:
         raise PromptError(f"{path}: example output is not valid JSON: {e}") from e
-    from .vorc import validate_record  # local import, vorc depends on this module
-
     result = validate_record(obj, schema)
     if result.violations:
         details = "; ".join(v.message for v in result.violations)

@@ -25,10 +25,12 @@ compiles its coercer when it is constructed: the kind, the range, the
 case-folded allowed values and the messages are chosen there, and an allowed
 value's own spelling takes a short path. ``FeatureSpec.coerce`` is that
 coercer, and ``_compile_coercer`` says what coercion is.
-Each ``ExtractionSchema`` maps the spellings a prompt names every feature by
-(its name and its snake-cased title) to what they fold to, so ``match_key``
-folds only other keys; ``vorc.validate_record`` and ``dataset.load_csv`` read
-it and the coercers.
+Each ``ExtractionSchema`` computes every feature's prompt key (its
+snake-cased title) once; the schema block asks for each feature under it, and
+the key table maps a feature's name and prompt key, exact or folded, to that
+feature, so ``match_key`` folds only other keys. A prompt key that names
+another feature or the label is a SchemaError. ``validate_record``, here
+beside them, and ``dataset.load_csv`` read the key table and the coercers.
 """
 
 from __future__ import annotations
@@ -141,8 +143,9 @@ class LabelSpec:
     def __post_init__(self):
         if not self.name:
             raise SchemaError("label name must be nonempty")
-        if self.positive_value == self.negative_value:
-            raise SchemaError("label positive_value must differ from negative_value")
+        if self.positive_value.strip().lower() == self.negative_value.strip().lower():
+            raise SchemaError(f"label values {self.positive_value!r} and {self.negative_value!r} "
+                              "must differ stripped and lowercased")
 
     def parse(self, raw) -> str | None:
         """The value ``raw`` names, compared stripped and lowercased (positive
@@ -168,6 +171,8 @@ class ExtractionSchema:
 
     features: tuple[FeatureSpec, ...]
     label: LabelSpec | None = None
+    # the key the schema block asks for each feature under, in feature order
+    prompt_keys: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
     _by_folded: dict = field(init=False, repr=False, compare=False, default=None)
     _by_key: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -185,21 +190,30 @@ class ExtractionSchema:
             if key in folded:
                 raise SchemaError(f"feature names {folded[key].name!r} and {f.name!r} collide after folding")
             folded[key] = f
-        if self.label is not None:
-            if self.label.name in seen or fold_name(self.label.name) in folded:
-                raise SchemaError(f"label name {self.label.name!r} collides with a feature")
+        label = fold_name(self.label.name) if self.label is not None else None
+        if label in folded:
+            raise SchemaError(f"label name {self.label.name!r} collides with feature {folded[label].name!r}")
+        prompt_keys = tuple(snake_name(f.title or f.name) for f in self.features)
+        for f, key in zip(self.features, prompt_keys):
+            owner = folded.setdefault(fold_name(key), f)
+            if owner is not f:
+                raise SchemaError(f"feature {f.name!r} is asked for as {key!r}, which names "
+                                  f"feature {owner.name!r}")
+            if fold_name(key) == label:
+                raise SchemaError(f"feature {f.name!r} is asked for as {key!r}, which names "
+                                  f"the label {self.label.name!r}")
+        object.__setattr__(self, "prompt_keys", prompt_keys)
         object.__setattr__(self, "_by_folded", folded)
-        # A title's spelling may fold onto another feature or onto none.
         object.__setattr__(self, "_by_key", {
-            spelling: folded.get(fold_name(spelling))
-            for f in self.features for spelling in (f.name, snake_name(f.title or f.name))})
+            spelling: f for f, key in zip(self.features, prompt_keys) for spelling in (f.name, key)})
 
     @property
     def m(self) -> int:
         return len(self.features)
 
     def match_key(self, key: str) -> FeatureSpec | None:
-        """The feature ``key`` names under ``fold_name``, or None."""
+        """The feature whose name or prompt key ``key`` names under
+        ``fold_name``, or None."""
         try:
             return self._by_key[key]
         except KeyError:
@@ -249,19 +263,74 @@ _JSON_TYPE = {"integer": "integer", "real": "number", "text": "string", "categor
 def emit_json_schema_block(schema: ExtractionSchema) -> str:
     """Render the single-line ``{"properties": {...}}`` block embedded in prompts.
 
-    Property keys are the snake-cased titles (``"Max Hr"`` becomes ``max_hr``),
-    matching the prompt convention; response keys match back through the
+    Property keys are the schema's prompt keys, the snake-cased titles
+    (``"Max Hr"`` becomes ``max_hr``); response keys match back through the
     fold rule regardless of casing or separators. The label, when present,
     is not part of the block.
     """
     props = {}
-    for f in schema.features:
-        props[snake_name(f.title or f.name)] = {
+    for key, f in zip(schema.prompt_keys, schema.features):
+        props[key] = {
             "title": f.title,
             "description": f.description,
             "type": _JSON_TYPE[f.kind],
         }
     return json.dumps({"properties": props})
+
+
+@dataclass
+class Violation:
+    key: str
+    reason: str  # missing-required-key | unknown-extra-key | type-mismatch | out-of-range | unknown-category
+    message: str
+    received: object = None
+
+
+@dataclass
+class ValidationResult:
+    values: dict
+    violations: list[Violation]
+
+
+def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
+    """Match response keys to features (case/spacing-insensitive), coerce every
+    value, and collect all violations instead of stopping at the first. Keys
+    go through the schema's key table and values through each feature's
+    compiled coercer. A key that folds to the label's name is skipped, value
+    and all: the extracted table has no label column."""
+    violations: list[Violation] = []
+    values: dict = {}
+    if not isinstance(obj, dict):
+        return ValidationResult({}, [Violation("", "type-mismatch", "response is not a JSON object", obj)])
+
+    matched: dict[str, object] = {}
+    match_key = schema.match_key
+    label_fold = fold_name(schema.label.name) if schema.label is not None else None
+    for key, raw in obj.items():
+        spec = match_key(key)
+        if spec is not None:
+            if spec.name in matched:
+                violations.append(Violation(key, "unknown-extra-key",
+                                            f"key {key!r} duplicates feature {spec.name!r}", raw))
+            else:
+                matched[spec.name] = raw
+        elif fold_name(key) != label_fold:
+            violations.append(Violation(key, "unknown-extra-key",
+                                        f"key {key!r} is not part of the schema", raw))
+
+    for spec in schema.features:
+        if spec.name in matched:
+            raw = matched[spec.name]
+            try:
+                values[spec.name] = spec.coerce(raw)
+            except CoercionError as e:
+                violations.append(Violation(spec.name, e.reason, str(e), raw))
+        elif spec.allow_missing:
+            values[spec.name] = MISSING
+        else:
+            violations.append(Violation(spec.name, "missing-required-key",
+                                        f"required key {spec.name!r} is absent"))
+    return ValidationResult(values, violations)
 
 
 def _number(raw) -> float | None:

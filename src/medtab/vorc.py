@@ -19,11 +19,12 @@ budget or send the matching correction prompt.
 
 What every reply needs is built once, at import or with the schema: one JSON
 decoder for every strict parse, compiled patterns, and the schema's key
-table and per-feature coercers, which ``validate_record`` reads (see
-``schema``). A reply is not read again where the answer is already known:
-``_parses`` decodes only text that can be an object, each rule first checks
-on the text that it can change something there, and a text is cut into its
-string pieces only when a rule that reads them runs.
+table and per-feature coercers, which ``validate_record`` reads; it lives in
+``schema``, and ``run_vorc`` calls it by this module's name. A reply is not
+read again where the answer is already known: ``_parses`` decodes only text
+that can be an object, each rule first checks on the text that it can change
+something there, and a text is cut into its string pieces only when a rule
+that reads them runs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .llm import CompletionRequest, ProviderError
 from .prompts import PromptBundle, build_json_correction_prompt, build_type_correction_prompt
-from .schema import MISSING, CoercionError, ExtractionSchema, fold_name
+from .schema import ExtractionSchema, Violation, validate_record
 
 class ParseFailure(ValueError):
     """Strict parsing failed; ``kind`` is ``no-json-found`` or ``strict-parse-error``."""
@@ -61,20 +62,6 @@ class VorcBudget:
     def __post_init__(self):
         if self.max_correction_prompts < 0:
             raise ValueError("max_correction_prompts must be >= 0")
-
-
-@dataclass
-class Violation:
-    key: str
-    reason: str  # missing-required-key | unknown-extra-key | type-mismatch | out-of-range | unknown-category
-    message: str
-    received: object = None
-
-
-@dataclass
-class ValidationResult:
-    values: dict
-    violations: list[Violation]
 
 
 @dataclass
@@ -465,47 +452,6 @@ def _answer_span(text: str) -> tuple[int, int] | None:
             continue
         return start, end
     return spans[-1]
-
-
-def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:
-    """Match response keys to features (case/spacing-insensitive), coerce every
-    value, and collect all violations instead of stopping at the first. Keys
-    go through the schema's key table and values through each feature's
-    compiled coercer (see ``schema``). A key that folds to the label's name is
-    skipped, value and all: the extracted table has no label column."""
-    violations: list[Violation] = []
-    values: dict = {}
-    if not isinstance(obj, dict):
-        return ValidationResult({}, [Violation("", "type-mismatch", "response is not a JSON object", obj)])
-
-    matched: dict[str, object] = {}
-    match_key = schema.match_key
-    label_fold = fold_name(schema.label.name) if schema.label is not None else None
-    for key, raw in obj.items():
-        spec = match_key(key)
-        if spec is not None:
-            if spec.name in matched:
-                violations.append(Violation(key, "unknown-extra-key",
-                                            f"key {key!r} duplicates feature {spec.name!r}", raw))
-            else:
-                matched[spec.name] = raw
-        elif fold_name(key) != label_fold:
-            violations.append(Violation(key, "unknown-extra-key",
-                                        f"key {key!r} is not part of the schema", raw))
-
-    for spec in schema.features:
-        if spec.name in matched:
-            raw = matched[spec.name]
-            try:
-                values[spec.name] = spec.coerce(raw)
-            except CoercionError as e:
-                violations.append(Violation(spec.name, e.reason, str(e), raw))
-        elif spec.allow_missing:
-            values[spec.name] = MISSING
-        else:
-            violations.append(Violation(spec.name, "missing-required-key",
-                                        f"required key {spec.name!r} is absent"))
-    return ValidationResult(values, violations)
 
 
 def run_vorc(provider, prompt: str, schema: ExtractionSchema,

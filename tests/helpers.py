@@ -20,7 +20,7 @@ from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, EXAM
                             FORMAT_SECTION, REPORT_SLOT, SCHEMA_HEADING, SEPARATOR,
                             OneShotExample, PromptBundle, PromptError, _fit_sections)
 from medtab.schema import (MISSING, MISSING_SENTINELS, CoercionError, ExtractionSchema, FeatureSpec,
-                           LabelSpec, emit_json_schema_block, fold_name)
+                           LabelSpec, emit_json_schema_block, fold_name, snake_name)
 from medtab.vorc import (ExtractionRecord, ParseFailure, RepairAction, UnrepairableError,
                          Violation, VorcFailure, call_rate)
 
@@ -792,16 +792,18 @@ def extract_by_reference(provider, reports, schema: ExtractionSchema, templates:
 # the per-call code that the compiled coercers and key lookup of
 # medtab.schema, the prompt frame of medtab.prompts and the column writer of
 # medtab.dataset replaced, kept verbatim as oracles (methods as functions of
-# their object; ``validate_record`` calls the ``match_key`` here). Two
+# their object; ``validate_record`` calls the ``match_key`` here). Three
 # changes are marked: in ``_coerce_number`` an int too large for a float is
 # not a number, as ``1e400`` is not, and ``_stringify`` writes an infinite
 # float as ``str`` does; the originals raised OverflowError for both.
+# ``match_key`` also accepts the key the prompt asks for; the original folded
+# the name only.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ValidationResult:
-    """What ``validate_record`` below returns: ``vorc.ValidationResult`` as it
-    was when a reply's label value was read and kept."""
+    """What ``validate_record`` below returns: ``schema.ValidationResult`` as
+    it was when a reply's label value was read and kept."""
 
     values: dict
     label: str | None
@@ -809,7 +811,9 @@ class ValidationResult:
 
 
 def match_key(self: ExtractionSchema, key: str) -> FeatureSpec | None:
-    return self._by_folded.get(fold_name(key))
+    # Changed: a feature's prompt key (its snake-cased title) names it too.
+    return next((f for f in self.features if fold_name(key) in (
+        fold_name(f.name), fold_name(snake_name(f.title or f.name)))), None)
 
 
 def validate_record(obj, schema: ExtractionSchema) -> ValidationResult:

@@ -1,8 +1,9 @@
 """Each side loads without the other. A fresh interpreter imports the CLI
 and the table layer without numpy, the model code or the extraction code.
 ``prompt-preview`` and ``extract`` run, and write the same bytes, with numpy
-made unimportable; ``train``, ``evaluate`` and ``compare`` do so with
-``vorc``, ``llm`` and ``prompts`` made unimportable."""
+made unimportable, and ``prompt-preview`` with ``vorc`` and ``llm`` made
+unimportable; ``train``, ``evaluate`` and ``compare`` do so with ``vorc``,
+``llm`` and ``prompts`` made unimportable."""
 
 import json
 import os
@@ -83,6 +84,14 @@ def test_extraction_commands_run_without_numpy(heart_fixture, tmp_path, command)
         assert stdout.startswith("extracted 40/40 records")
         assert set(files) == {"extracted.csv", "provenance.jsonl", "extract_stats.json"}
         assert json.loads(files["extract_stats.json"])["n_records"] == 40
+
+
+def test_prompt_preview_runs_without_vorc_or_llm(tmp_path):
+    outputs = outputs_with_and_without(["medtab.vorc", "medtab.llm"], tmp_path, [
+        "prompt-preview", "--report-text", "A 54-year-old man.",
+        "--schema", SCHEMAS / "heart.schema.json", "--templates", TEMPLATES / "heart"])
+    assert outputs["blocked"] == outputs["normal"]
+    assert outputs["normal"][0].endswith("Medical report: A 54-year-old man.\n")
 
 
 @pytest.fixture(scope="module")

@@ -108,6 +108,13 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="color"):
             load_csv(path, toy_schema())
 
+    def test_header_with_a_feature_name_and_its_prompt_key_rejected(self, tmp_path):
+        schema = ExtractionSchema(features=(FeatureSpec("Chol", "Serum cholesterol"),))
+        path = tmp_path / "bad.csv"
+        path.write_text("Chol,serum_cholesterol\n1,2\n")
+        with pytest.raises(DatasetError, match="duplicate header column 'serum_cholesterol'"):
+            load_csv(path, schema)
+
     def test_cell_error_has_coordinates(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("age,score,color,target\nforty,1.5,red,pos\n")

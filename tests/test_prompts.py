@@ -12,8 +12,7 @@ from medtab.prompts import (DEFAULT_MAX_PROMPT_CHARS, OneShotExample, PromptBund
                             TRUNCATION_MARKER, build_fewshot_classifier_prompt,
                             build_json_correction_prompt,
                             build_type_correction_prompt, load_templates, truncate_middle)
-from medtab.schema import LabelSpec, snake_name
-from medtab.vorc import Violation
+from medtab.schema import LabelSpec, Violation, snake_name
 
 
 @pytest.fixture(scope="module")

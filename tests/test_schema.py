@@ -9,7 +9,7 @@ from helpers import SCHEMAS, cat_feature, int_feature, real_feature
 
 from medtab.schema import (KINDS, MISSING, CoercionError, ExtractionSchema, FeatureSpec,
                            LabelSpec, SchemaError, emit_json_schema_block, fold_name,
-                           load_schema, schema_from_dict, snake_name)
+                           load_schema, schema_from_dict, snake_name, validate_record)
 
 
 class TestLoadSchema:
@@ -82,6 +82,52 @@ class TestLoadSchema:
         with pytest.raises(SchemaError, match="collides"):
             ExtractionSchema(features=(int_feature("age"),),
                              label=LabelSpec("age", "1", "0"))
+
+
+class TestPromptKeys:
+    """The key the schema block asks a feature for names that feature, and
+    no other feature or the label."""
+
+    @staticmethod
+    def schema(*features, label=None):
+        return schema_from_dict({"features": list(features), "label": label})
+
+    def test_prompt_key_validates(self):
+        schema = self.schema({"name": "Cholesterol", "title": "Serum cholesterol",
+                              "kind": "integer"})
+        assert list(json.loads(emit_json_schema_block(schema))["properties"]) == \
+            ["serum_cholesterol"]
+        for key in ("serum_cholesterol", "Serum Cholesterol", "Cholesterol"):
+            result = validate_record({key: 200}, schema)
+            assert (result.values, result.violations) == ({"Cholesterol": 200}, [])
+
+    def test_name_and_prompt_key_in_one_reply_duplicate(self):
+        schema = self.schema({"name": "Cholesterol", "title": "Serum cholesterol"})
+        result = validate_record({"Cholesterol": "a", "serum_cholesterol": "b"}, schema)
+        assert [(v.key, v.reason, v.message) for v in result.violations] == [(
+            "serum_cholesterol", "unknown-extra-key",
+            "key 'serum_cholesterol' duplicates feature 'Cholesterol'")]
+
+    @pytest.mark.parametrize("features, label, message", [
+        ([{"name": "Pressure", "title": "Resting BP"}, {"name": "RestingBP", "title": "Resting Bp"}],
+         None, "feature 'Pressure' is asked for as 'resting_bp', which names feature 'RestingBP'"),
+        ([{"name": "RestingBP", "title": "Resting Bp"}, {"name": "Pressure", "title": "Resting BP"}],
+         None, "feature 'Pressure' is asked for as 'resting_bp', which names feature 'RestingBP'"),
+        ([{"name": "Age", "title": "Chol"}, {"name": "Chol", "title": "Age"}],
+         None, "feature 'Age' is asked for as 'chol', which names feature 'Chol'"),
+        ([{"name": "Outcome", "title": "Heart Disease"}],
+         {"name": "HeartDisease", "positive": "1", "negative": "0"},
+         "feature 'Outcome' is asked for as 'heart_disease', which names the label 'HeartDisease'"),
+    ])
+    def test_prompt_key_collision_rejected(self, features, label, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            self.schema(*features, label=label)
+
+    @pytest.mark.parametrize("positive, negative", [("Yes", "yes"), (" no", "NO "), ("1", "1")])
+    def test_label_values_equal_when_folded_rejected(self, positive, negative):
+        with pytest.raises(SchemaError, match="must differ stripped and lowercased"):
+            self.schema({"name": "x"}, label={"name": "y", "positive": positive,
+                                              "negative": negative})
 
 
 class TestEmitJsonSchemaBlock:
@@ -326,25 +372,42 @@ class TestKeyLookup:
             assert schema.match_key(key) is oracle.match_key(schema, key)
 
 
-# Feature names and titles over a few letters, so that a title's snake
-# spelling often folds onto another feature's name, or onto none.
+# Feature names, titles and label names over a few letters, so that a
+# title's snake spelling often folds onto another feature's name, onto the
+# label's, or onto none.
 _SPELLING = st.text(alphabet="aAgG _", min_size=1, max_size=5)
 
 
 class TestKeyTableOnGeneratedSchemas:
-    """Each entry of the key table is what its spelling folds to, which need
-    not be the feature the spelling was taken from."""
+    """A generated schema either loads, and then each feature's name and
+    prompt key name that feature in every spelling, or two parties (two
+    features, or a feature and the label) claim one folded key and loading
+    raises SchemaError."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_SPELLING, st.text(alphabet="aAgG _", max_size=5)),
-                    min_size=1, max_size=5, unique_by=lambda pair: fold_name(pair[0])))
-    @example([("Years", "Age"), ("AGE", "AGE")])
-    def test_equals_fold_oracle(self, pairs):
-        schema = ExtractionSchema(features=tuple(FeatureSpec(name=name, title=title)
-                                                 for name, title in pairs))
-        spellings = [name for name, _ in pairs]
-        spellings += [snake_name(title or name) for name, title in pairs]
-        for spelling in spellings:
-            for key in (spelling, spelling.upper(), spelling.title(), f" {spelling} ",
-                        spelling.replace("_", " "), spelling.replace(" ", "_")):
-                assert schema.match_key(key) is oracle.match_key(schema, key)
+                    min_size=1, max_size=5, unique_by=lambda pair: fold_name(pair[0])),
+           st.none() | _SPELLING)
+    @example([("Years", "Age"), ("AGE", "AGE")], None)
+    @example([("Age", "Chol"), ("Chol", "Age")], None)
+    @example([("Outcome", "G a")], "GA")
+    def test_loads_with_own_keys_or_raises(self, pairs, label):
+        features = tuple(FeatureSpec(name=name, title=title) for name, title in pairs)
+        claims: dict[str, set] = {}
+        for name, title in pairs:
+            for spelling in (name, snake_name(title or name)):
+                claims.setdefault(fold_name(spelling), set()).add(name)
+        if label is not None:
+            claims.setdefault(fold_name(label), set()).add(None)
+        label_spec = LabelSpec(label, "1", "0") if label is not None else None
+        if any(len(parties) > 1 for parties in claims.values()):
+            with pytest.raises(SchemaError):
+                ExtractionSchema(features=features, label=label_spec)
+            return
+        schema = ExtractionSchema(features=features, label=label_spec)
+        assert schema.prompt_keys == tuple(snake_name(title or name) for name, title in pairs)
+        for spec, key in zip(schema.features, schema.prompt_keys):
+            for spelling in (spec.name, key):
+                for variant in (spelling, spelling.upper(), spelling.title(), f" {spelling} ",
+                                spelling.replace("_", " "), spelling.replace(" ", "_")):
+                    assert schema.match_key(variant) is oracle.match_key(schema, variant) is spec
