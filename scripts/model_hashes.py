@@ -29,7 +29,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from medtab import dataset as ds, encoding, models  # noqa: E402
-from medtab.models.search import _candidates  # noqa: E402
 from medtab.schema import load_schema  # noqa: E402
 
 TABLES = (("hepatitis", (1, 2, 3)), ("heart", (1,)))
@@ -43,7 +42,7 @@ def model_bytes(model, X_val) -> bytes:
 
 def group_digests(family, X_train, y_train, X_val, y_val) -> tuple[str, str]:
     points = hashlib.sha256()
-    for params in _candidates(family):
+    for params in models.MODEL_TYPES[family].GRID:
         model = TRAINERS[family](X_train, y_train, **params)
         points.update(hashlib.sha256(model_bytes(model, X_val)).digest())
     result = models.grid_search(family, X_train, y_train, X_val, y_val)

@@ -37,7 +37,7 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
           f"split {len(assignment.train_ids)}/{len(assignment.val_ids)}/"
           f"{len(assignment.test_ids)}) ===")
     print(f"{'model':8s} {'acc':>6s} {'prec':>6s} {'rec':>6s} {'F1':>6s} {'AUC':>6s}  params")
-    for family in ("logreg", "dtree", "gbdt"):
+    for family in models.FAMILIES:
         started = time.monotonic()
         search = models.grid_search(family, X["train"], y["train"], X["val"], y["val"])
         scores = models.predict_proba(search.model, X["test"])
@@ -49,7 +49,7 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
         ranked = sorted(zip(iv.names, iv.scores), key=lambda t: -abs(t[1]))[:5]
         print("         top importances: "
               + ", ".join(f"{n}={s:+.3f}" for n, s in ranked))
-        if family == "dtree" and show_tree:
+        if isinstance(search.model, models.TreeModel) and show_tree:
             print(models.export_tree(search.model, encoder.column_names))
 
 

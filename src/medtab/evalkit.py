@@ -29,6 +29,8 @@ class ExtractionReport:
     missing_recall: float | None
     vorc_call_rate: float | None
     n_evaluated: int
+    n_truth: int
+    n_missing: int  # truth rows with no extracted row, which no rate above counts
 
 
 @dataclass
@@ -53,12 +55,13 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
     """Compare an extracted table against ground truth, one feature column at
     a time.
 
-    Extracted ids must all exist in the truth table (rows that failed
-    extraction may be absent from the extracted table; they simply are not
-    evaluated). Missing only matches missing; reals match within a relative
-    tolerance, everything else exactly. Missing-value precision/recall treat
-    "cell is missing" as the positive class. Every rate comes back as None when
-    its denominator is zero, so with no compared rows both accuracies are None.
+    Extracted ids must all exist in the truth table. Rows that failed
+    extraction may be absent from the extracted table: they are not
+    evaluated, and ``n_missing`` counts them. Missing only matches missing;
+    reals match within a relative tolerance, everything else exactly.
+    Missing-value precision/recall treat "cell is missing" as the positive
+    class. Every rate comes back as None when its denominator is zero, so with
+    no compared rows both accuracies are None.
     """
     names = [spec.name for spec in extracted.schema.features]
     truth_names = [spec.name for spec in truth.schema.features]
@@ -106,6 +109,8 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
         missing_recall=both_missing / truth_missing if truth_missing else None,
         vorc_call_rate=rate,
         n_evaluated=n_rows,
+        n_truth=truth.n,
+        n_missing=truth.n - n_rows,
     )
 
 

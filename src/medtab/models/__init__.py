@@ -3,13 +3,13 @@ regression, a Gini CART tree, and gradient-boosted trees, plus grid search,
 feature importances and JSON persistence.
 
 Each family's model class (``LogRegModel``, ``TreeModel``, ``GbdtModel``)
-owns its behaviour: ``predict_proba(X)``, ``importances()``, ``to_doc()``,
-``doc_check(width)`` (the check of what ``to_doc`` writes for ``width``
-columns) and ``from_doc(doc)``.
+owns its behaviour: ``GRID`` (its grid points in rank order),
+``fit_grid(X, y, X_val)``, ``predict_proba(X)``, ``importances()``,
+``to_doc()``, ``doc_check(width)`` (the check of what ``to_doc`` writes for
+``width`` columns) and ``from_doc(doc)``.
 ``search.MODEL_TYPES``, the one table from family name to class, is what
-``load_model`` reads; the search module, which also holds each family's grid
-and trainer call, is the only place that knows family names. Adding a family
-touches its own module and ``search.py``.
+``grid_search`` and ``load_model`` read. Adding a family touches its own
+module and one ``MODEL_TYPES`` entry.
 
 Models hold no column names: callers pass ``EncoderState.column_names`` to
 ``feature_importances_named`` and ``export_tree``.
@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbdt import GbdtModel, log_loss, train_gbdt
-from .logreg import LogRegModel, sigmoid, train_logreg
+from .gbdt import GBDT_LR_GRID, GBDT_N_GRID, GbdtModel, log_loss, train_gbdt
+from .logreg import LOGREG_C_GRID, LogRegModel, sigmoid, train_logreg
 from .persist import ModelArtifact, PersistError, load_model, save_model
-from .search import (FAMILIES, MODEL_TYPES, THRESHOLD, GridSearchResult, grid_search,
-                     LOGREG_C_GRID, DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, GBDT_N_GRID,
-                     GBDT_LR_GRID)
-from .tree import TreeModel, TreeNode, best_gini_split, export_tree, train_dtree, tree_predict
+from .search import FAMILIES, MODEL_TYPES, THRESHOLD, GridSearchResult, grid_search
+from .tree import (DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, TreeModel, TreeNode, best_gini_split,
+                   export_tree, train_dtree, tree_predict)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,13 @@ those trees, are exactly the model ``train_gbdt`` fits with
 and the training scores take each tree's values from the leaves its grower
 put the rows in.
 
+So ``GbdtModel.fit_grid`` fits the grid stagewise: per learning rate, one run
+boosts to ``max(GBDT_N_GRID)`` trees and every smaller ``n_estimators`` is
+scored on its prefix. The validation raw scores are carried from stage to
+stage, each tree added in ``gbdt_raw_scores``' order, so each tree predicts
+the validation rows once. A learning rate's run starts from a fresh root, and
+only the current run and the incumbent best model are kept.
+
 All trees of a run grow from one ``tree.NodeRows`` root, so the training
 matrix is presorted once. Each node of it keeps its sorted layout and the
 two children of its last split; when a round cuts a node where the round
@@ -35,6 +42,8 @@ from .logreg import sigmoid
 from .tree import NodeRows, TreeNode, normalized_gains, train_regression_tree, tree_predict
 
 DEFAULT_TREE_DEPTH = 6
+GBDT_N_GRID = (50, 100, 200)
+GBDT_LR_GRID = (0.01, 0.1, 0.3)
 
 
 @dataclass
@@ -46,6 +55,22 @@ class GbdtModel:
     max_tree_depth: int
     n_columns: int
     _gains: np.ndarray = field(default=None, repr=False)
+
+    GRID = tuple({"n_estimators": n, "learning_rate": lr}
+                 for n in GBDT_N_GRID for lr in GBDT_LR_GRID)
+
+    @staticmethod
+    def fit_grid(X, y, X_val):
+        """(params, model, validation probabilities) for each ``GRID`` point,
+        stagewise in learning-rate-major order (see the module docstring)."""
+        for lr in GBDT_LR_GRID:
+            stages, raw = gbdt_stages(X, y, lr), None
+            for model in islice(stages, max(GBDT_N_GRID) + 1):
+                raw = (np.full(len(X_val), model.initial_log_odds) if raw is None
+                       else raw + model.learning_rate * tree_predict(model.trees[-1], X_val))
+                if model.n_estimators in GBDT_N_GRID:
+                    yield ({"n_estimators": model.n_estimators, "learning_rate": lr}, model,
+                           sigmoid(raw))
 
     @staticmethod
     def doc_check(width: int) -> inputs.Table:

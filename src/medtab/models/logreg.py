@@ -15,6 +15,7 @@ from .. import inputs
 
 MAX_ITER = 100
 GRAD_TOL = 1e-6
+LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 @dataclass
@@ -24,6 +25,16 @@ class LogRegModel:
     C: float
     n_iter: int = 0
     converged: bool = False
+
+    GRID = tuple({"C": c} for c in LOGREG_C_GRID)  # smallest C, most regularized, first
+
+    @classmethod
+    def fit_grid(cls, X, y, X_val):
+        """(params, model, validation probabilities) for each ``GRID`` point,
+        each fitted on its own."""
+        for params in cls.GRID:
+            model = train_logreg(X, y, **params)
+            yield params, model, model.predict_proba(X_val)
 
     @staticmethod
     def doc_check(width: int) -> inputs.Table:

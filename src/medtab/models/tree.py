@@ -57,6 +57,8 @@ from .. import inputs
 
 LEAF_EPS = 1e-12  # keeps a regression leaf finite when its weights sum to 0
 SSE_MIN_GAIN = 1e-12  # a regression split must decrease the squared error by more
+DTREE_DEPTH_GRID = (3, 4, 5)
+DTREE_MIN_SPLIT_GRID = (2, 3, 4, 5, 7, 10)
 
 
 @dataclass
@@ -287,6 +289,24 @@ class TreeModel:
     n_columns: int
     n_training_rows: int
     _gains: np.ndarray = field(default=None, repr=False)
+
+    GRID = tuple({"max_depth": depth, "min_samples_split": ms} for depth in DTREE_DEPTH_GRID
+                 for ms in sorted(DTREE_MIN_SPLIT_GRID, reverse=True))
+
+    @classmethod
+    def fit_grid(cls, X, y, X_val):
+        """(params, model, validation probabilities) for each ``GRID`` point,
+        by pruning: one tree is grown at the largest depth and the smallest
+        min split, from a fresh root, and every point is a cut of it
+        (``pruned``), which is exactly the tree ``train_dtree`` would grow
+        there. The validation rows are routed through it once
+        (``pruned_proba``), so the grid predicts with no pruned tree, and a
+        point's model is the ``partial`` that prunes it, so only the winning
+        point is cut."""
+        full = train_dtree(X, y, max(DTREE_DEPTH_GRID), min(DTREE_MIN_SPLIT_GRID))
+        proba = full.pruned_proba(X_val)
+        for params in cls.GRID:
+            yield params, partial(full.pruned, **params), proba(**params)
 
     @staticmethod
     def doc_check(width: int) -> inputs.Table:

@@ -24,7 +24,10 @@ What every value and every key needs is built once. Each ``FeatureSpec``
 compiles its coercer when it is constructed: the kind, the range, the
 case-folded allowed values and the messages are chosen there, and an allowed
 value's own spelling takes a short path. ``FeatureSpec.coerce`` is that
-coercer, and ``_compile_coercer`` says what coercion is.
+coercer, and ``_compile_coercer`` says what coercion is. A value the schema
+names must read as itself: an allowed value that its own coercer maps to
+another value, to Missing or to an error, and a label value that
+``LabelSpec.parse`` does not return, are SchemaErrors.
 Each ``ExtractionSchema`` computes every feature's prompt key (its
 snake-cased title) once; the schema block asks for each feature under it, and
 the key table maps a feature's name and prompt key, exact or folded, to that
@@ -143,9 +146,13 @@ class LabelSpec:
     def __post_init__(self):
         if not self.name:
             raise SchemaError("label name must be nonempty")
-        if self.positive_value.strip().lower() == self.negative_value.strip().lower():
-            raise SchemaError(f"label values {self.positive_value!r} and {self.negative_value!r} "
-                              "must differ stripped and lowercased")
+        for value in (self.positive_value, self.negative_value):
+            if self.parse(value) != value:
+                raise SchemaError(f"label {self.name!r}: value {value!r} reads as "
+                                  f"{self.parse(value)!r}, not as itself")
+        if self.positive_value == self.negative_value:
+            raise SchemaError(f"label {self.name!r}: positive and negative are both "
+                              f"{self.positive_value!r}")
 
     def parse(self, raw) -> str | None:
         """The value ``raw`` names, compared stripped and lowercased (positive
@@ -427,21 +434,21 @@ def _compile_coercer(spec: FeatureSpec):
                                     f"{name}: {text!r} is not one of the allowed values: {choices}")
             return value
 
-        # the allowed values' own spellings, as ``general`` maps them
-        exact = {}
+        # each allowed value must read as itself, so its own spelling is exact
         for allowed in spec.allowed_values:
             try:
                 value = general(allowed)
-            except CoercionError:  # " M" strips to "M", which may not be allowed
-                continue
-            if value is not MISSING:
-                exact[allowed] = value
+            except CoercionError as e:
+                raise SchemaError(f"feature {name!r}: allowed value {allowed!r} cannot be "
+                                  f"read: {e}") from None
+            if value != allowed:
+                raise SchemaError(f"feature {name!r}: allowed value {allowed!r} reads as "
+                                  f"{value!r}, not as itself")
+        exact = frozenset(spec.allowed_values)
 
         def coerce(raw):
-            if raw.__class__ is str:
-                value = exact.get(raw)
-                if value is not None:
-                    return value
+            if raw.__class__ is str and raw in exact:
+                return raw
             return general(raw)
 
         return coerce

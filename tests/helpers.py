@@ -16,6 +16,7 @@ from medtab.dataset import DatasetError, TabularDataset, _map_header, format_cel
 from medtab.encoding import CategoricalState, NumericState
 from medtab.evalkit import EvalError, ExtractionReport
 from medtab.llm import CompletionRequest, ProviderError, ReplayExhaustedError
+from medtab.models import train_dtree, train_gbdt, train_logreg
 from medtab.prompts import (DEFAULT_INSTRUCTIONS, DEFAULT_MAX_PROMPT_CHARS, EXAMPLE_HEADING,
                             FORMAT_SECTION, REPORT_SLOT, SCHEMA_HEADING, SEPARATOR,
                             OneShotExample, PromptBundle, PromptError, _fit_sections)
@@ -28,6 +29,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
 DATA = ROOT / "data"
 TEMPLATES = ROOT / "templates"
+
+# Each family's trainer, which fits one grid point: ``TRAINERS[family](X, y,
+# **params)`` is the model that point stands for.
+TRAINERS = {"logreg": train_logreg, "dtree": train_dtree, "gbdt": train_gbdt}
 
 
 def json_places(value, path=()):
@@ -1151,6 +1156,9 @@ def extraction_metrics(extracted: TabularDataset, truth: TabularDataset,
         missing_recall=both_missing / truth_missing if truth_missing else None,
         vorc_call_rate=call_rate([e.get("vorc_iterations", 0) for e in provenance or ()]),
         n_evaluated=n_rows,
+        # Added with the fields: the truth rows, and those no extracted row names.
+        n_truth=len(truth.ids),
+        n_missing=len(set(truth.ids) - set(extracted.ids)),
     )
 
 

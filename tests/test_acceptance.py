@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (DATA, brute_force_auc, brute_force_gini_split, corrupt_cells,
+from helpers import (DATA, TRAINERS, brute_force_auc, brute_force_gini_split, corrupt_cells,
                      small_schema, table_from_rows, table_rows, vorc_fixture_files)
 from test_vorc import ALREADY_VALID, REPAIR_CORPUS
 
@@ -21,7 +21,6 @@ from medtab import dataset as ds
 from medtab import encoding, evalkit, models, vorc
 from medtab.llm import configure_provider
 from medtab.models.logreg import GRAD_TOL, loss_and_grad
-from medtab.models.search import _train
 from medtab.prompts import load_templates
 from medtab.schema import MISSING
 from medtab.vorc import repair_json
@@ -250,7 +249,7 @@ def test_criterion_8_fidelity_under_corruption(hepatitis_schema):
         search = models.grid_search(family, X_gt["train"], y["train"],
                                     X_gt["val"], y["val"])
         model_gt = search.model
-        model_bad = _train(family, search.params, X_bad["train"], y["train"])
+        model_bad = TRAINERS[family](X_bad["train"], y["train"], **search.params)
         iv_gt = models.feature_importances_named(model_gt, enc_gt.column_names)
         iv_bad = models.feature_importances_named(model_bad, enc_bad.column_names)
         fid = evalkit.fidelity(model_gt, model_bad, X_gt["test"], X_bad["test"],

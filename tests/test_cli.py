@@ -451,6 +451,23 @@ class TestTrainEvaluateCompare:
         assert extraction["vorc_call_rate"] == 0.0
         assert extraction["n_evaluated"] == 24
 
+    def test_compare_without_provenance_shows_the_rows_never_extracted(self, runner,
+                                                                       tmp_path):
+        """Half the truth rows have no extracted row: the rates cover the
+        other half only, and the coverage fields say so."""
+        rows = (DATA / "hepatitis.csv").read_text(encoding="utf-8").splitlines()
+        n_truth, half = len(rows) - 1, (len(rows) - 1) // 2
+        extracted = tmp_path / "extracted.csv"
+        extracted.write_text("\n".join(rows[:1 + half]) + "\n", encoding="utf-8")
+        result = invoke(runner, ["--seed", "7", "compare", "--truth", str(DATA / "hepatitis.csv"),
+                                 "--extracted", str(extracted),
+                                 "--schema", str(SCHEMAS / "hepatitis.schema.json"),
+                                 "--family", "logreg"])
+        assert result.exit_code == 0, result.output
+        assert "  record_accuracy = 1.000000\n" in result.stdout
+        assert f"  n_evaluated = {half}\n  n_truth = {n_truth}\n" \
+               f"  n_missing = {n_truth - half}\n[fidelity (logreg)]\n" in result.stdout
+
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
     def test_compare_counts_provenance_reports_and_failures(self, runner, tmp_path, as_json):
         """Two reports of the truth table failed extraction: the provenance
@@ -476,10 +493,12 @@ class TestTrainEvaluateCompare:
             assert extraction["n_failed"] == 2
             assert extraction["vorc_call_rate"] == pytest.approx(2 / n_reports)
             assert extraction["n_evaluated"] == n_reports - 2
+            assert (extraction["n_truth"], extraction["n_missing"]) == (n_reports, 2)
             shown = json.loads(without.stdout)["sections"]["extraction"]
             assert "n_reports" not in shown and "n_failed" not in shown
         else:
-            assert f"  n_evaluated = {n_reports - 2}\n  n_reports = {n_reports}\n" \
+            assert f"  n_evaluated = {n_reports - 2}\n  n_truth = {n_reports}\n" \
+                   f"  n_missing = 2\n  n_reports = {n_reports}\n" \
                    f"  n_failed = 2\n[fidelity (logreg)]\n" in result.stdout
             assert "n_reports" not in without.stdout
 

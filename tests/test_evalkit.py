@@ -102,7 +102,8 @@ class TestExtractionMetrics:
         truth = table(self.truth_rows())
         extr = table(self.truth_rows()[:3])
         report = extraction_metrics(extr, truth)
-        assert report.n_evaluated == 3
+        assert (report.n_evaluated, report.n_truth, report.n_missing) == (3, 5, 2)
+        assert report.record_accuracy == 1.0  # the two rows without an extraction are not rated
 
     def test_vorc_call_rate_from_provenance(self):
         t = table(self.truth_rows())
@@ -341,10 +342,11 @@ class TestRenderReport:
         from medtab.evalkit import ExtractionReport
         report = ExtractionReport(record_accuracy=0.98, cell_accuracy=0.99,
                                   missing_precision=0.97, missing_recall=0.99,
-                                  vorc_call_rate=0.12, n_evaluated=100)
+                                  vorc_call_rate=0.12, n_evaluated=100, n_truth=104,
+                                  n_missing=4)
         text = render_report({"extraction": report}, "text")
         for field in ("record_accuracy", "cell_accuracy", "missing_precision",
-                      "missing_recall", "vorc_call_rate", "n_evaluated"):
+                      "missing_recall", "vorc_call_rate", "n_evaluated", "n_truth", "n_missing"):
             assert field in text
 
     def test_unknown_format_rejected(self):

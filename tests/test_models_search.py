@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import json_path, json_places, json_replaced
+from helpers import TRAINERS, json_path, json_places, json_replaced
 
 from medtab import inputs
 from medtab.encoding import EncoderState, fit_encoder, transform
 from medtab.models import (MODEL_TYPES, ModelArtifact, PersistError, feature_importances_named,
                            grid_search, load_model, predict_proba, save_model, train_gbdt,
                            train_logreg)
-from medtab.models.tree import TreeModel, train_dtree, tree_predict
+from medtab.models.gbdt import GbdtModel
+from medtab.models.tree import DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, TreeModel, train_dtree, \
+    tree_predict
 
 
 def separable_data(rng, n=60, d=3):
@@ -64,13 +66,12 @@ class TestGridSearch:
 
 
 def reference_grid_search(family, X_train, y_train, X_val, y_val):
-    """Every candidate fitted on its own, in report order; only a strictly
-    better validation accuracy displaces the incumbent."""
-    from medtab.models.search import _candidates, _train
-
+    """Every candidate fitted on its own by its family's trainer, in report
+    order; only a strictly better validation accuracy displaces the
+    incumbent."""
     best, report = None, []
-    for params in _candidates(family):
-        model = _train(family, params, X_train, y_train)
+    for params in MODEL_TYPES[family].GRID:
+        model = TRAINERS[family](X_train, y_train, **params)
         acc = float(np.mean((predict_proba(model, X_val) >= 0.5) == y_val))
         report.append((params, acc))
         if best is None or acc > best[0]:
@@ -79,7 +80,7 @@ def reference_grid_search(family, X_train, y_train, X_val, y_val):
 
 
 class TestGridMatchesSeparateFits:
-    @pytest.mark.parametrize("family", ["dtree", "gbdt"])
+    @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
     @pytest.mark.parametrize("seed", [4, 5])
     def test_same_report_choice_and_model(self, family, seed):
         rng = np.random.default_rng(seed)
@@ -93,6 +94,14 @@ class TestGridMatchesSeparateFits:
         assert (result.params, result.val_accuracy) == (params, acc)
         assert (json.dumps(result.model.to_doc(), sort_keys=True)
                 == json.dumps(model.to_doc(), sort_keys=True))
+
+    @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
+    def test_fit_grid_yields_every_grid_point_once(self, family):
+        rng = np.random.default_rng(9)
+        X, y = separable_data(rng, n=40)
+        model_type = MODEL_TYPES[family]
+        yielded = [params for params, _, _ in model_type.fit_grid(X[:30], y[:30], X[30:])]
+        assert sorted(map(model_type.GRID.index, yielded)) == list(range(len(model_type.GRID)))
 
 
 class TestEmptyPart:
@@ -346,7 +355,7 @@ class TestPersistence:
 
 class TestGbdtValidationScores:
     def test_carried_scores_equal_predictions_with_600_tree_calls(self, monkeypatch):
-        from medtab.models import search
+        from medtab.models import gbdt
 
         rng = np.random.default_rng(6)
         X, y = separable_data(rng, n=40)
@@ -356,14 +365,14 @@ class TestGbdtValidationScores:
             calls.append(len(X))
             return tree_predict(root, X)
 
-        monkeypatch.setattr(search, "tree_predict", counted)
-        points = 0
-        for params, model, scores in search._fits("gbdt", X[:30], y[:30], X[30:]):
-            assert scores.tobytes() == model.predict_proba(X[30:]).tobytes(), params
-            points += 1
-        assert points == 9
+        monkeypatch.setattr(gbdt, "tree_predict", counted)
+        points = list(GbdtModel.fit_grid(X[:30], y[:30], X[30:]))
+        monkeypatch.undo()  # predict_proba below calls gbdt.tree_predict too
         # 200 trees per learning rate, each predicting the validation rows once
         assert calls == [10] * 600
+        assert len(points) == 9
+        for params, model, scores in points:
+            assert scores.tobytes() == model.predict_proba(X[30:]).tobytes(), params
 
     def test_val_columns_must_match_train(self):
         X = np.zeros((6, 3))
@@ -393,12 +402,10 @@ class TestDtreeGridScores:
     @given(dtree_tables())
     @settings(max_examples=150, deadline=None)
     def test_one_pass_probabilities_equal_each_pruned_tree(self, table):
-        from medtab.models import search
-
         X, y, X_val = table
-        full = train_dtree(X, y, max(search.DTREE_DEPTH_GRID), min(search.DTREE_MIN_SPLIT_GRID))
+        full = train_dtree(X, y, max(DTREE_DEPTH_GRID), min(DTREE_MIN_SPLIT_GRID))
         points = 0
-        for params, model, scores in search._fits("dtree", X, y, X_val):
+        for params, model, scores in TreeModel.fit_grid(X, y, X_val):
             want = full.pruned(**params).predict_proba(X_val)
             assert scores.dtype == want.dtype and scores.tobytes() == want.tobytes(), params
             assert model().to_doc() == full.pruned(**params).to_doc(), params
