@@ -45,8 +45,8 @@ def run_dataset(name: str, seed: int, show_tree: bool) -> None:
         print(f"{family:8s} {m.accuracy:6.3f} {m.precision:6.3f} {m.recall:6.3f} "
               f"{m.f1:6.3f} {m.auc:6.3f}  {search.params} "
               f"[{time.monotonic() - started:.1f}s]")
-        iv = models.feature_importances_named(search.model, encoder.column_names)
-        ranked = sorted(zip(iv.names, iv.scores), key=lambda t: -abs(t[1]))[:5]
+        ranked = sorted(zip(encoder.column_names, search.model.importances()),
+                        key=lambda t: -abs(t[1]))[:5]
         print("         top importances: "
               + ", ".join(f"{n}={s:+.3f}" for n, s in ranked))
         if isinstance(search.model, models.TreeModel) and show_tree:

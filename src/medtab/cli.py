@@ -199,7 +199,7 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
     provider = _provider_from(state, replay_script)
     corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
     result = vorc.extract_corpus(provider, [(d["id"], d["text"]) for d in corpus], schema,
-                                 bundle, vorc.VorcBudget(state.setting("budget", budget)),
+                                 bundle, state.setting("budget", budget),
                                  state.setting("parallelism", parallelism))
 
     out = state.output_dir
@@ -226,12 +226,12 @@ def cmd_extract(state, schema_path, templates_path, corpus_path, replay_script, 
         raise ProviderError("provider failed on every record")
 
 
-def _grid_report_csv(result) -> str:
+def _grid_report_csv(family: str, result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["family", "params", "val_accuracy"])
     for point in result.report:
-        writer.writerow([result.family, json.dumps(point.params, sort_keys=True),
+        writer.writerow([family, json.dumps(point.params, sort_keys=True),
                          f"{point.val_accuracy:.6f}"])
     return buf.getvalue()
 
@@ -256,7 +256,7 @@ def cmd_train(state, data_path, schema_path, family):
                                     label=schema.label, params=result.params, seed=state.seed)
     model_path = out / f"model_{family}.json"
     models.save_model(artifact, model_path)
-    (out / "grid_report.csv").write_text(_grid_report_csv(result), encoding="utf-8")
+    (out / "grid_report.csv").write_text(_grid_report_csv(family, result), encoding="utf-8")
     ds.save_split(assignment, out / "split.json")
     click.echo(f"saved {model_path} (params={json.dumps(result.params, sort_keys=True)}, "
                f"val_accuracy={result.val_accuracy:.4f})")
@@ -346,12 +346,11 @@ def cmd_compare(state, truth_path, extracted_path, provenance_path, schema_path,
     ext = replace(extracted.subset(order), labels=gt.labels)
     fits = []
     for table in (gt, ext):
-        _, encoder, X, y = encoding.prepare(table, state.seed)
+        _, _, X, y = encoding.prepare(table, state.seed)
         model = models.grid_search(family, X["train"], y["train"], X["val"], y["val"]).model
-        fits.append((model, X["test"],
-                     models.feature_importances_named(model, encoder.column_names)))
-    (model_gt, X_gt, iv_gt), (model_ext, X_ext, iv_ext) = fits
-    fidelity = evalkit.fidelity(model_gt, model_ext, X_gt, X_ext, y["test"], iv_gt, iv_ext)
+        fits.append((model, X["test"]))
+    (model_gt, X_gt), (model_ext, X_ext) = fits
+    fidelity = evalkit.fidelity(model_gt, model_ext, X_gt, X_ext, y["test"])
     click.echo(evalkit.render_report(
         {"extraction": extraction, f"fidelity ({family})": fidelity}, state.report_format),
         nl=False)

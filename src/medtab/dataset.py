@@ -348,8 +348,8 @@ def split(dataset: TabularDataset, seed: int) -> SplitAssignment:
         if len(members) < 3:
             raise DatasetError(f"class {cls} has {len(members)} members; cannot stratify")
         shuffled, state = _shuffled(members, state)
-        n_tr = int(0.7 * len(members))
-        n_val = int(0.1 * len(members))
+        n_tr = len(members) * 7 // 10
+        n_val = len(members) // 10
         train += shuffled[:n_tr]
         val += shuffled[n_tr:n_tr + n_val]
         test += shuffled[n_tr + n_val:]

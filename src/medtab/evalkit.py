@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import TabularDataset
 from .encoding import float_column, object_column
-from .models import THRESHOLD, ImportanceVector
+from .models import THRESHOLD
 
 REAL_MATCH_RTOL = 1e-9
 
@@ -161,14 +161,14 @@ def classification_metrics(y_true, scores) -> ClassificationReport:
                                 f1=f1, auc=auc, auc_note=note)
 
 
-def importance_r2(reference: ImportanceVector, other: ImportanceVector) -> float | None:
-    """Coefficient of determination of ``other`` against the reference vector
-    (the ground-truth model's importances); None when the reference has zero
-    variance."""
-    if reference.names != other.names:
-        raise EvalError("importance vectors are not aligned on the same columns")
-    ref = np.asarray(reference.scores, dtype=np.float64)
-    oth = np.asarray(other.scores, dtype=np.float64)
+def importance_r2(reference, other) -> float | None:
+    """Coefficient of determination of the ``other`` importances against the
+    ``reference`` ones (the ground-truth model's), one score per encoded
+    column in both; None when the reference has zero variance."""
+    ref = np.asarray(reference, dtype=np.float64)
+    oth = np.asarray(other, dtype=np.float64)
+    if len(ref) != len(oth):
+        raise EvalError(f"importance vectors differ in length: {len(ref)} vs {len(oth)}")
     ss_tot = float(np.sum((ref - ref.mean()) ** 2))
     if ss_tot == 0.0:
         return None
@@ -176,12 +176,12 @@ def importance_r2(reference: ImportanceVector, other: ImportanceVector) -> float
     return 1.0 - ss_res / ss_tot
 
 
-def fidelity(model_gt, model_ext, X_test_gt, X_test_ext, y_test,
-             importances_gt: ImportanceVector, importances_ext: ImportanceVector) -> FidelityReport:
+def fidelity(model_gt, model_ext, X_test_gt, X_test_ext, y_test) -> FidelityReport:
     """Compare a ground-truth-trained and an extraction-trained model of the
     same family: each predicts on its own pipeline's test matrix over the same
-    rows, and importances are compared by R^2 against the ground-truth vector.
-    ``auc_d`` is None when either AUC is undefined (a single-class test set)."""
+    rows, and the models' importances are compared by R^2 against the
+    ground-truth model's. ``auc_d`` is None when either AUC is undefined (a
+    single-class test set)."""
     if type(model_gt) is not type(model_ext):
         raise EvalError("fidelity compares two models of the same family")
     y = np.asarray(y_test, dtype=np.int64)
@@ -193,7 +193,7 @@ def fidelity(model_gt, model_ext, X_test_gt, X_test_ext, y_test,
     return FidelityReport(
         acc_d=abs(m_gt.accuracy - m_ext.accuracy),
         auc_d=auc_d,
-        r2=importance_r2(importances_gt, importances_ext),
+        r2=importance_r2(model_gt.importances(), model_ext.importances()),
     )
 
 

@@ -11,13 +11,12 @@ owns its behaviour: ``GRID`` (its grid points in rank order),
 ``grid_search`` and ``load_model`` read. Adding a family touches its own
 module and one ``MODEL_TYPES`` entry.
 
-Models hold no column names: callers pass ``EncoderState.column_names`` to
-``feature_importances_named`` and ``export_tree``.
+Models hold no column names: ``importances()`` gives one score per encoded
+column, in ``EncoderState.column_names`` order, and callers pass those names
+to ``export_tree``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,36 +28,14 @@ from .tree import (DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, TreeModel, TreeNode, 
                    export_tree, train_dtree, tree_predict)
 
 
-@dataclass(frozen=True)
-class ImportanceVector:
-    """Per-column importance scores aligned with encoded column names.
-
-    Tree and boosted models report accumulated impurity decrease per column,
-    normalized to sum to one; logistic regression reports its signed weights.
-    """
-
-    names: tuple[str, ...]
-    scores: np.ndarray
-
-
 def predict_proba(model, X: np.ndarray) -> np.ndarray:
     return model.predict_proba(X)
 
 
-def feature_importances_named(model, names) -> ImportanceVector:
-    """The model's importances under its column names, one per column."""
-    scores = model.importances()
-    names = tuple(names)
-    if len(names) != len(scores):
-        raise ValueError("column names do not match the importance vector length")
-    return ImportanceVector(names=names, scores=scores)
-
-
 __all__ = [
-    "FAMILIES", "GbdtModel", "GridSearchResult", "ImportanceVector", "LogRegModel",
-    "MODEL_TYPES", "ModelArtifact", "PersistError", "THRESHOLD", "TreeModel", "TreeNode",
-    "best_gini_split", "export_tree", "feature_importances_named", "grid_search", "load_model",
-    "log_loss", "predict_proba", "save_model", "sigmoid", "train_dtree", "train_gbdt",
-    "train_logreg", "tree_predict",
+    "FAMILIES", "GbdtModel", "GridSearchResult", "LogRegModel", "MODEL_TYPES", "ModelArtifact",
+    "PersistError", "THRESHOLD", "TreeModel", "TreeNode", "best_gini_split", "export_tree",
+    "grid_search", "load_model", "log_loss", "predict_proba", "save_model", "sigmoid",
+    "train_dtree", "train_gbdt", "train_logreg", "tree_predict",
     "LOGREG_C_GRID", "DTREE_DEPTH_GRID", "DTREE_MIN_SPLIT_GRID", "GBDT_N_GRID", "GBDT_LR_GRID",
 ]

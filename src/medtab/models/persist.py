@@ -52,10 +52,6 @@ class ModelArtifact:
     params: dict | None = None
     seed: int | None = None
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return self.encoder.column_names
-
     def predict_proba_dataset(self, dataset: TabularDataset, ids=None) -> np.ndarray:
         return self.model.predict_proba(transform(dataset, self.encoder, ids))
 
@@ -64,7 +60,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "family": artifact.family,
-        "columns": list(artifact.column_names),
+        "columns": list(artifact.encoder.column_names),
         "encoder": artifact.encoder.to_dict(),
         "params": artifact.params or {},
         "seed": artifact.seed,

@@ -34,7 +34,6 @@ class GridPoint:
 
 @dataclass
 class GridSearchResult:
-    family: str
     model: object
     params: dict
     val_accuracy: float
@@ -74,5 +73,4 @@ def grid_search(family: str, X_train, y_train, X_val, y_val) -> GridSearchResult
         model = model()
     report = [GridPoint(params=dict(p), val_accuracy=accuracy[i])
               for i, p in enumerate(grid)]
-    return GridSearchResult(family=family, model=model, params=dict(grid[rank]),
-                            val_accuracy=acc, report=report)
+    return GridSearchResult(model=model, params=dict(grid[rank]), val_accuracy=acc, report=report)

@@ -214,10 +214,6 @@ class ExtractionSchema:
         object.__setattr__(self, "_by_key", {
             spelling: f for f, key in zip(self.features, prompt_keys) for spelling in (f.name, key)})
 
-    @property
-    def m(self) -> int:
-        return len(self.features)
-
     def match_key(self, key: str) -> FeatureSpec | None:
         """The feature whose name or prompt key ``key`` names under
         ``fold_name``, or None."""
@@ -344,7 +340,8 @@ def _number(raw) -> float | None:
     """A JSON number or numeral string as a finite float; None when it is not
     one. Infinities are not valid record values, and neither is an integer
     too large for a float (a 400-digit ``Age``), which is treated as ``1e400``
-    is. ``str.strip`` strips more than ``float`` does, so it comes first."""
+    is. ``str.strip`` strips more than ``float`` does, so it comes first. A
+    single comma is a decimal point, unless exactly three digits follow it."""
     if isinstance(raw, (int, float)):
         if raw.__class__ is bool:  # bool has no subclasses
             return None
@@ -355,6 +352,9 @@ def _number(raw) -> float | None:
     elif isinstance(raw, str):
         s = raw.strip()
         if s.count(",") == 1 and "." not in s:  # float takes no comma
+            digits = s.partition(",")[2]
+            if len(digits) == 3 and digits.isdecimal():
+                return None  # "1,079" may group thousands or be 1.079: read neither
             s = s.replace(",", ".")  # a comma decimal separator: "1,5" is 1.5
         try:
             value = float(s)

@@ -55,15 +55,6 @@ class RepairAction:
     span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class VorcBudget:
-    max_correction_prompts: int = 3
-
-    def __post_init__(self):
-        if self.max_correction_prompts < 0:
-            raise ValueError("max_correction_prompts must be >= 0")
-
-
 @dataclass
 class ExtractionRecord:
     """One validated row plus its provenance."""
@@ -454,10 +445,10 @@ def _answer_span(text: str) -> tuple[int, int] | None:
     return spans[-1]
 
 
-def run_vorc(provider, prompt: str, schema: ExtractionSchema,
-             budget: VorcBudget = VorcBudget(), source_id: str = ""):
+def run_vorc(provider, prompt: str, schema: ExtractionSchema, budget: int, source_id: str = ""):
     """Complete -> parse -> repair -> validate, with correction prompts on
-    failure, until a valid record emerges or the budget is spent.
+    failure, until a valid record emerges or ``budget`` correction prompts
+    have been sent.
 
     Returns an ExtractionRecord or a VorcFailure. A provider error ends the
     record as a ``provider-error`` failure that keeps the correction prompts
@@ -489,7 +480,7 @@ def run_vorc(provider, prompt: str, schema: ExtractionSchema,
                                         repairs=repairs, source_id=source_id)
             violations = result.violations
             detail = "validation failed: " + "; ".join(v.message for v in violations)
-        if iterations >= budget.max_correction_prompts:
+        if iterations >= budget:
             return VorcFailure(source_id, iterations, repairs, "budget-exhausted", detail, violations)
         iterations += 1
         if obj is None:
@@ -529,9 +520,9 @@ class CorpusResult:
 
 
 def extract_corpus(provider, reports: list[tuple[str, str]], schema: ExtractionSchema,
-                   templates: PromptBundle, budget: VorcBudget = VorcBudget(),
-                   parallelism: int = 1) -> CorpusResult:
-    """Run the loop over a corpus with a bounded worker pool.
+                   templates: PromptBundle, budget: int, parallelism: int = 1) -> CorpusResult:
+    """Run the loop over a corpus with a bounded worker pool, each record
+    allowed at most ``budget`` correction prompts.
 
     Output order always matches input order; per-record failures (budget or
     provider) are collected and never abort the corpus.
@@ -539,6 +530,8 @@ def extract_corpus(provider, reports: list[tuple[str, str]], schema: ExtractionS
     ids = [rid for rid, _ in reports]
     if len(set(ids)) != len(ids):
         raise ValueError("report ids must be unique")
+    if budget < 0:
+        raise ValueError("max_correction_prompts must be >= 0")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 

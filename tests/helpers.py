@@ -797,10 +797,12 @@ def extract_by_reference(provider, reports, schema: ExtractionSchema, templates:
 # the per-call code that the compiled coercers and key lookup of
 # medtab.schema, the prompt frame of medtab.prompts and the column writer of
 # medtab.dataset replaced, kept verbatim as oracles (methods as functions of
-# their object; ``validate_record`` calls the ``match_key`` here). Three
+# their object; ``validate_record`` calls the ``match_key`` here). Four
 # changes are marked: in ``_coerce_number`` an int too large for a float is
 # not a number, as ``1e400`` is not, and ``_stringify`` writes an infinite
-# float as ``str`` does; the originals raised OverflowError for both.
+# float as ``str`` does; the originals raised OverflowError for both. A
+# single comma before exactly three digits is no decimal point in
+# ``_coerce_number``; the original read "1,079" as 1.079.
 # ``match_key`` also accepts the key the prompt asks for; the original folded
 # the name only.
 # ---------------------------------------------------------------------------
@@ -931,8 +933,11 @@ def _coerce_number(raw):
         try:
             value = float(s)
         except ValueError:
-            # tolerate a comma decimal separator ("1,5" -> 1.5)
-            if s.count(",") == 1 and "." not in s:
+            # tolerate a comma decimal separator ("1,5" -> 1.5); the fourth
+            # change: not one that may group thousands ("1,079")
+            digits = s.split(",")[-1]
+            if s.count(",") == 1 and "." not in s and not (
+                    len(digits) == 3 and digits.isdecimal()):
                 try:
                     value = float(s.replace(",", "."))
                 except ValueError:

@@ -121,6 +121,12 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r"bad.csv:2.*age"):
             load_csv(path, toy_schema())
 
+    def test_thousands_grouped_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('age,score,color,target\n40,"1,5",red,pos\n41,"1,079",red,pos\n')
+        with pytest.raises(DatasetError, match=r"bad.csv:3.*score.*'1,079'"):
+            load_csv(path, toy_schema())
+
     def test_empty_cell_is_missing(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("age,score,color,target\n40,,red,pos\n")
@@ -454,7 +460,16 @@ class TestSplit:
         table.labels[:] = [1] * 20 + [0] * 60
         a = split(table, 11)
         train_pos = sum(table.labels[i] for i in a.train_ids)
-        assert train_pos == int(0.7 * 20)
+        assert train_pos == 20 * 7 // 10
+
+    def test_class_of_ninety_cut_at_the_floor(self):
+        """0.7 * 90 is 62.99999999999999 in floats; the floor of 0.7 * 90 is 63."""
+        table = toy_dataset(n=100)
+        table.labels[:] = [1] * 10 + [0] * 90
+        a = split(table, 5)
+        negatives = [sum(table.labels[i] == 0 for i in ids)
+                     for ids in (a.train_ids, a.val_ids, a.test_ids)]
+        assert negatives == [63, 9, 18]
 
     def test_hepatitis_sizes_match_floor_oracle(self, hepatitis_schema):
         table = load_csv(DATA / "hepatitis.csv", hepatitis_schema)
@@ -462,8 +477,8 @@ class TestSplit:
         # oracle: per-class floor arithmetic
         n_pos = sum(table.labels)
         n_neg = table.n - n_pos
-        exp_train = int(0.7 * n_pos) + int(0.7 * n_neg)
-        exp_val = int(0.1 * n_pos) + int(0.1 * n_neg)
+        exp_train = n_pos * 7 // 10 + n_neg * 7 // 10
+        exp_val = n_pos // 10 + n_neg // 10
         exp_test = table.n - exp_train - exp_val
         assert len(a.train_ids) == exp_train
         assert len(a.val_ids) == exp_val

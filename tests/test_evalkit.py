@@ -12,7 +12,7 @@ from helpers import (brute_force_auc, cat_feature, int_feature, loop_midrank_auc
 from medtab.evalkit import (ClassificationReport, EvalError, auc_score,
                             classification_metrics, extraction_metrics, fidelity,
                             importance_r2, render_report)
-from medtab.models import ImportanceVector, train_logreg
+from medtab.models import train_dtree, train_logreg
 from medtab.schema import MISSING, ExtractionSchema
 
 
@@ -287,48 +287,42 @@ class TestFidelity:
 
     def test_self_comparison(self):
         model, X_test, y_test = self.setup_models()
-        from medtab.models import feature_importances_named
-        iv = feature_importances_named(model, ("a", "b", "c", "d"))
-        report = fidelity(model, model, X_test, X_test, y_test, iv, iv)
+        report = fidelity(model, model, X_test, X_test, y_test)
         assert report.acc_d == 0.0
         assert report.auc_d == 0.0
         assert report.r2 == 1.0
 
     def test_single_class_test_set_gives_null_auc_d(self):
         model, X_test, _ = self.setup_models()
-        from medtab.models import feature_importances_named
-        iv = feature_importances_named(model, ("a", "b", "c", "d"))
         y_one_class = np.ones(len(X_test), dtype=np.int64)
-        report = fidelity(model, model, X_test, X_test, y_one_class, iv, iv)
+        report = fidelity(model, model, X_test, X_test, y_one_class)
         assert report.auc_d is None
         assert report.acc_d == 0.0
         assert json.loads(render_report({"fidelity": report}, "json"))[
             "sections"]["fidelity"]["auc_d"] is None
 
     def test_constant_reference_importances_give_null_r2(self):
-        ones = ImportanceVector(names=("a", "b"), scores=np.array([0.5, 0.5]))
-        other = ImportanceVector(names=("a", "b"), scores=np.array([0.2, 0.8]))
-        assert importance_r2(ones, other) is None
+        assert importance_r2(np.array([0.5, 0.5]), np.array([0.2, 0.8])) is None
 
     def test_r2_self_is_one(self):
-        v = ImportanceVector(names=("a", "b", "c"), scores=np.array([0.5, -1.0, 2.0]))
+        v = np.array([0.5, -1.0, 2.0])
         assert importance_r2(v, v) == 1.0
 
-    def test_misaligned_importances_rejected(self):
-        a = ImportanceVector(names=("a", "b"), scores=np.zeros(2))
-        b = ImportanceVector(names=("b", "a"), scores=np.zeros(2))
-        with pytest.raises(EvalError):
-            importance_r2(a, b)
+    def test_misaligned_lengths_rejected(self):
+        with pytest.raises(EvalError, match="differ in length: 2 vs 3"):
+            importance_r2(np.array([0.5, 1.0]), np.array([0.5, 1.0, 2.0]))
+
+    def test_models_of_different_widths_rejected(self):
+        model, X_test, y_test = self.setup_models()
+        narrow = train_logreg(X_test[:, :3], y_test.astype(float), C=1.0)
+        with pytest.raises(EvalError, match="differ in length: 4 vs 3"):
+            fidelity(model, narrow, X_test, X_test[:, :3], y_test)
 
     def test_different_families_rejected(self):
         model, X_test, y_test = self.setup_models()
-        from medtab.models import feature_importances_named, train_dtree
         tree = train_dtree(X_test, y_test, 3, 2)
-        names = ("a", "b", "c", "d")
         with pytest.raises(EvalError, match="same family"):
-            fidelity(model, tree, X_test, X_test, y_test,
-                     feature_importances_named(model, names),
-                     feature_importances_named(tree, names))
+            fidelity(model, tree, X_test, X_test, y_test)
 
 
 class TestRenderReport:

@@ -152,7 +152,7 @@ class TestHttpProvider:
         provider, _ = make_provider(credential, transport, chat=chat)
         schema = small_schema()
         result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema,
-                                bundle_for(schema, {"age": 40, "sex": "M"}))
+                                bundle_for(schema, {"age": 40, "sex": "M"}), 3)
         failure, = result.failures
         assert (failure.source_id, failure.reason) == ("a", "provider-error")
         assert failure.detail.startswith("malformed provider response: ")
@@ -170,7 +170,7 @@ class TestHttpProvider:
         provider, _ = make_provider(credential, transport)
         schema = small_schema()
         result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema,
-                                bundle_for(schema, {"age": 40, "sex": "M"}))
+                                bundle_for(schema, {"age": 40, "sex": "M"}), 3)
         failure, = result.failures
         assert (failure.source_id, failure.reason) == ("a", "provider-error")
         assert failure.detail.startswith("malformed provider response: ")

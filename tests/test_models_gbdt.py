@@ -130,10 +130,10 @@ class TestGbdt:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(60, 4))
         y = (X[:, 2] > 0).astype(np.float64)
-        from medtab.models import feature_importances_named
-        iv = feature_importances_named(train_gbdt(X, y, 10, 0.1), ("a", "b", "c", "d"))
-        assert iv.scores.sum() == pytest.approx(1.0, abs=1e-12)
-        assert iv.scores[2] > 0.5
+        scores = train_gbdt(X, y, 10, 0.1).importances()
+        assert scores.shape == (4,)
+        assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+        assert scores[2] > 0.5
 
 
 def reference_boost(X, y, n_estimators, lr, max_tree_depth):

@@ -9,9 +9,8 @@ from helpers import TRAINERS, json_path, json_places, json_replaced
 
 from medtab import inputs
 from medtab.encoding import EncoderState, fit_encoder, transform
-from medtab.models import (MODEL_TYPES, ModelArtifact, PersistError, feature_importances_named,
-                           grid_search, load_model, predict_proba, save_model, train_gbdt,
-                           train_logreg)
+from medtab.models import (MODEL_TYPES, ModelArtifact, PersistError, grid_search, load_model,
+                           predict_proba, save_model, train_gbdt, train_logreg)
 from medtab.models.gbdt import GbdtModel
 from medtab.models.tree import DTREE_DEPTH_GRID, DTREE_MIN_SPLIT_GRID, TreeModel, train_dtree, \
     tree_predict
@@ -137,8 +136,7 @@ class TestHepatitisImportances:
             y[list(assignment.train_ids)],
             transform(table, enc, assignment.val_ids),
             y[list(assignment.val_ids)])
-        iv = feature_importances_named(result.model, enc.column_names)
-        by_name = dict(zip(iv.names, iv.scores))
+        by_name = dict(zip(enc.column_names, result.model.importances()))
         assert max(by_name, key=by_name.get) == "AST"
         # reference ground-truth value is ~0.607; allow 0.15 for split differences
         assert abs(by_name["AST"] - 0.607) <= 0.15
@@ -154,6 +152,12 @@ def toy_models():
     X, y = transform(table, enc), table.label_array()
     return enc, {"logreg": train_logreg(X, y, C=1.0), "dtree": train_dtree(X, y, 3, 2),
                  "gbdt": train_gbdt(X, y, n_estimators=2, learning_rate=0.3)}
+
+
+@pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
+def test_one_importance_per_column(family):
+    enc, models = toy_models()
+    assert models[family].importances().shape == (len(enc.column_names),)
 
 
 # A left edge of 600 splits: json decodes it, and it nests deeper than the
@@ -260,7 +264,7 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.family == family
         assert loaded.params == result.params
-        assert loaded.column_names == enc.column_names
+        assert loaded.encoder.column_names == enc.column_names
         assert loaded.label == table.schema.label
         original = predict_proba(result.model, X_val)
         restored = predict_proba(loaded.model, X_val)
@@ -297,7 +301,7 @@ class TestPersistence:
         save_model(ModelArtifact("logreg", result.model, enc), tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
         assert tuple(doc["columns"]) == enc.column_names
-        assert load_model(tmp_path / "m.json").column_names == enc.column_names
+        assert load_model(tmp_path / "m.json").encoder.column_names == enc.column_names
         doc["columns"][2:4] = doc["columns"][3:1:-1]  # two one-hot columns swapped
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(PersistError,
@@ -330,10 +334,8 @@ class TestPersistence:
         artifact = ModelArtifact("dtree", result.model, enc)
         save_model(artifact, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
-        a = feature_importances_named(result.model, enc.column_names)
-        b = feature_importances_named(loaded.model, loaded.column_names)
-        assert a.names == b.names
-        assert np.allclose(a.scores, b.scores)
+        assert loaded.encoder.column_names == enc.column_names
+        assert np.allclose(result.model.importances(), loaded.model.importances())
 
     @pytest.mark.parametrize("family", ["logreg", "dtree", "gbdt"])
     def test_identical_bytes_on_rewrite(self, family, tmp_path):

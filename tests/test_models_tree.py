@@ -9,8 +9,7 @@ from helpers import (DATA, brute_force_gini_split, brute_force_sse_split, monoto
                      thresholds_dropped, two_cumsum_sse_gains)
 
 from medtab import dataset as ds, encoding
-from medtab.models import (export_tree, feature_importances_named, train_dtree, train_gbdt,
-                           tree_predict)
+from medtab.models import export_tree, train_dtree, train_gbdt, tree_predict
 from medtab.models.tree import (NodeRows, TreeModel, _paired, _sse_gains, _sse_totals,
                                 best_gini_split, best_sse_split, gini_from_counts,
                                 train_regression_tree)
@@ -544,18 +543,20 @@ class TestImportances:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
         y = np.array([0, 1, 0, 1] * 3)
         model = train_dtree(X, y, max_depth=1, min_samples_split=2)
-        iv = feature_importances_named(model, ("a", "b"))
-        assert iv.scores[1] == pytest.approx(1.0)
-        assert iv.scores[0] == 0.0
+        scores = model.importances()
+        assert scores.shape == (2,)
+        assert scores[1] == pytest.approx(1.0)
+        assert scores[0] == 0.0
 
     def test_importances_sum_to_one(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(80, 5))
         y = ((X[:, 0] + X[:, 3]) > 0).astype(np.int64)
         model = train_dtree(X, y, max_depth=5, min_samples_split=2)
-        iv = feature_importances_named(model, ("a", "b", "c", "d", "e"))
-        assert iv.scores.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(iv.scores >= 0)
+        scores = model.importances()
+        assert scores.shape == (5,)
+        assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(scores >= 0)
 
 
 class TestExportTree:

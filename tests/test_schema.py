@@ -16,7 +16,7 @@ from medtab.schema import (KINDS, MISSING, CoercionError, ExtractionSchema, Feat
 
 class TestLoadSchema:
     def test_heart_schema_loads_with_eleven_features(self, heart_schema):
-        assert heart_schema.m == 11
+        assert len(heart_schema.features) == 11
         assert [f.name for f in heart_schema.features] == [
             "Age", "Sex", "ChestPainType", "RestingBP", "Cholesterol", "FastingBS",
             "RestingECG", "MaxHR", "ExerciseAngina", "Oldpeak", "ST_Slope"]
@@ -28,7 +28,7 @@ class TestLoadSchema:
         path = tmp_path / "one.schema.json"
         path.write_text(json.dumps({"features": [{"name": "age", "kind": "integer"}]}))
         schema = load_schema(path)
-        assert schema.m == 1
+        assert len(schema.features) == 1
         assert schema.label is None
 
     def test_duplicate_names_rejected(self, tmp_path):
@@ -68,7 +68,7 @@ class TestLoadSchema:
     def test_all_shipped_schemas_load(self):
         for name in ("heart", "hepatitis", "patient_treatment", "stroke", "psych_notes"):
             schema = load_schema(SCHEMAS / f"{name}.schema.json")
-            assert schema.m >= 10
+            assert len(schema.features) >= 10
 
     @pytest.mark.parametrize("raw, value", [
         ("yes", "Yes"), (" YES\n", "Yes"), ("no", "No"), ("No", "No"), (True, None),
@@ -173,7 +173,7 @@ class TestEmitJsonSchemaBlock:
 
     def test_block_parses_and_round_trips_names(self, heart_schema):
         props = json.loads(emit_json_schema_block(heart_schema))["properties"]
-        assert len(props) == heart_schema.m
+        assert len(props) == len(heart_schema.features)
         for key in props:
             assert heart_schema.match_key(key) is not None
         assert "max_hr" in props and "chest_pain_type" in props
@@ -219,8 +219,28 @@ class TestCanonicalizeValue:
         with pytest.raises(CoercionError):
             int_feature("age").coerce(63.5)
 
-    def test_comma_decimal_accepted_for_real(self):
-        assert real_feature("x").coerce("1,5") == 1.5
+    @pytest.mark.parametrize("raw, value", [("1,5", 1.5), ("12,50", 12.5), (" -0,25 ", -0.25)])
+    def test_comma_decimal_accepted_for_real(self, raw, value):
+        assert real_feature("x").coerce(raw) == value
+
+    @pytest.mark.parametrize("raw", ["150,000", "1,079", " 240,000 ", "-1,200", ",500"])
+    def test_comma_before_three_digits_is_a_type_mismatch(self, raw):
+        """It may group thousands ("150,000") or be a decimal point (1.079),
+        so it is read as neither."""
+        for spec in (int_feature("i"), real_feature("r")):
+            with pytest.raises(CoercionError) as exc:
+                spec.coerce(raw)
+            assert exc.value.reason == "type-mismatch"
+            assert str(exc.value) == f"{spec.name}: cannot interpret {raw!r} as a number"
+
+    @pytest.mark.parametrize("schema_file, key, raw", [
+        ("heart", "Cholesterol", "240,000"), ("heart", "Cholesterol", "1,200"),
+        ("hepatitis", "CREA", "1,079")])
+    def test_thousands_grouped_reply_value_gets_a_violation(self, schema_file, key, raw):
+        schema = load_schema(SCHEMAS / f"{schema_file}.schema.json")
+        result = validate_record({key: raw}, schema)
+        assert [(v.key, v.reason) for v in result.violations] == [(key, "type-mismatch")]
+        assert key not in result.values
 
     @pytest.mark.parametrize("raw", ["inf", "INF", "-Infinity", float("inf")])
     def test_non_finite_numbers_rejected(self, raw):

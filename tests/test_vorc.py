@@ -12,10 +12,9 @@ from medtab.llm import (CompletionResult, ProviderError, ReplayEntry, ReplayProv
                         configure_provider)
 from medtab.schema import MISSING, fold_name
 from medtab.vorc import (ExtractionRecord, ParseFailure, UnrepairableError, Violation,
-                         VorcBudget, VorcFailure, _RULES, _STRINGS, _answer_span, _json_spans,
-                         _parses, _strict_loads, _sub_word, call_rate, extract_corpus,
-                         parse_response, provenance_entries, repair_json, run_vorc,
-                         validate_record)
+                         VorcFailure, _RULES, _STRINGS, _answer_span, _json_spans, _parses,
+                         _strict_loads, _sub_word, call_rate, extract_corpus, parse_response,
+                         provenance_entries, repair_json, run_vorc, validate_record)
 
 # (raw, expected object, expected action kinds) - each repair rule alone and in pairs
 REPAIR_CORPUS = [
@@ -560,7 +559,7 @@ def replay(*responses):
 
 
 class TestRunVorc:
-    def run(self, provider, budget=VorcBudget(3)):
+    def run(self, provider, budget=3):
         schema = small_schema()
         prompt = bundle_for(schema, {"age": 40, "sex": "M"}).render("Patient, 31, male.")
         return run_vorc(provider, prompt, schema, budget, source_id="r1")
@@ -624,18 +623,18 @@ class TestRunVorc:
         assert outcome.vorc_iterations == 1
 
     def test_budget_exhaustion(self):
-        outcome = self.run(replay(*(["garbage"] * 4)), budget=VorcBudget(3))
+        outcome = self.run(replay(*(["garbage"] * 4)), budget=3)
         assert isinstance(outcome, VorcFailure)
         assert outcome.reason == "budget-exhausted"
         assert outcome.vorc_iterations == 3
 
     def test_zero_budget_fails_immediately(self):
-        outcome = self.run(replay("garbage"), budget=VorcBudget(0))
+        outcome = self.run(replay("garbage"), budget=0)
         assert isinstance(outcome, VorcFailure)
         assert outcome.vorc_iterations == 0
 
     def test_unparseable_failure_detail(self):
-        outcome = self.run(replay("garbage", "{age: 31, sex: M}"), budget=VorcBudget(1))
+        outcome = self.run(replay("garbage", "{age: 31, sex: M}"), budget=1)
         assert isinstance(outcome, VorcFailure)
         assert outcome.vorc_iterations == 1
         assert outcome.detail == ("unparseable response: invalid JSON at position 1: "
@@ -645,7 +644,7 @@ class TestRunVorc:
 
     def test_validation_failure_detail(self):
         outcome = self.run(replay("garbage", '{"age": "old", "sex": "X", "bp": 1}'),
-                           budget=VorcBudget(1))
+                           budget=1)
         assert isinstance(outcome, VorcFailure)
         assert outcome.vorc_iterations == 1
         assert outcome.detail == ("validation failed: key 'bp' is not part of the schema; "
@@ -699,8 +698,7 @@ class TestExtractCorpus:
         provider = configure_provider("replay", {"script": replay_path})
         reports = [(d["id"], d["text"]) for d in
                    map(json.loads, corpus_path.read_text().splitlines())]
-        return extract_corpus(provider, reports, schema, bundle,
-                              VorcBudget(3), parallelism)
+        return extract_corpus(provider, reports, schema, bundle, 3, parallelism)
 
     def test_call_rate_and_counts(self, tmp_path):
         result = self.fixture(tmp_path, 1)
@@ -731,7 +729,7 @@ class TestExtractCorpus:
     def test_empty_corpus(self):
         schema = small_schema()
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
-        result = extract_corpus(replay(), [], schema, bundle)
+        result = extract_corpus(replay(), [], schema, bundle, 3)
         assert result.stats.n_reports == 0
         assert result.stats.vorc_call_rate is None
 
@@ -739,8 +737,7 @@ class TestExtractCorpus:
         schema = small_schema()
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         provider = replay(*(["nope"] * 8))
-        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema, bundle,
-                                VorcBudget(3))
+        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema, bundle, 3)
         assert result.stats.n_records == 0
         assert result.stats.n_failures == 2
 
@@ -748,13 +745,24 @@ class TestExtractCorpus:
         schema = small_schema()
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         with pytest.raises(ValueError, match="unique"):
-            extract_corpus(replay(), [("a", "r"), ("a", "r")], schema, bundle)
+            extract_corpus(replay(), [("a", "r"), ("a", "r")], schema, bundle, 3)
+
+    @pytest.mark.parametrize("budget, parallelism, message", [
+        (-1, 1, "max_correction_prompts must be >= 0"), (3, 0, "parallelism must be >= 1")])
+    def test_bad_budget_or_parallelism_rejected_before_any_call(self, budget, parallelism,
+                                                                message):
+        schema = small_schema()
+        bundle = bundle_for(schema, {"age": 40, "sex": "M"})
+        provider = ScriptedProvider({"<report 0>": ['{"age": 1, "sex": "F"}']})
+        with pytest.raises(ValueError, match=message):
+            extract_corpus(provider, [("r0", "<report 0>")], schema, bundle, budget, parallelism)
+        assert provider.sent == []
 
     def test_empty_reply_does_not_abort_the_corpus(self):
         schema = small_schema()
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         provider = replay("", '{"age": 1, "sex": "F"}', '{"age": 2, "sex": "M"}')
-        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema, bundle)
+        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema, bundle, 3)
         assert [o.vorc_iterations for o in result.records] == [1, 0]
         assert result.stats.n_failures == 0
 
@@ -762,7 +770,7 @@ class TestExtractCorpus:
         schema = small_schema()
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         provider = replay('{"age": 1, "sex": "F"}')  # second record exhausts the script
-        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema, bundle)
+        result = extract_corpus(provider, [("a", "r1"), ("b", "r2")], schema, bundle, 3)
         assert result.stats.n_records == 1
         assert result.failures[0].reason == "provider-error"
 
@@ -773,8 +781,7 @@ class TestExtractCorpus:
         provider = ScriptedProvider({"<report 0>": [
             _REPLY_KINDS["repaired-bad-value"]({"age": 40, "sex": "M"}),
             ProviderError("scripted provider failure")]})
-        result = extract_corpus(provider, [("r0", "<report 0> Patient note.")], schema, bundle,
-                                VorcBudget(2))
+        result = extract_corpus(provider, [("r0", "<report 0> Patient note.")], schema, bundle, 2)
         failure, = result.failures
         assert (failure.reason, failure.detail) == ("provider-error", "scripted provider failure")
         assert len(provider.sent) == 2
@@ -872,7 +879,7 @@ class TestWholeLoopAgainstReference:
         schema = small_schema()
         bundle = bundle_for(schema, {"age": 40, "sex": "M"})
         provider, reference = ScriptedProvider(scripts), ScriptedProvider(scripts)
-        result = extract_corpus(provider, reports, schema, bundle, VorcBudget(budget), parallelism)
+        result = extract_corpus(provider, reports, schema, bundle, budget, parallelism)
         want = oracle.extract_by_reference(reference, reports, schema, bundle, budget)
         assert list(map(outcome_fields, result.outcomes)) == list(map(outcome_fields, want))
         assert provenance_entries(result) == [{
