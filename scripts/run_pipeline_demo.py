@@ -6,10 +6,11 @@ scripts a replay provider that answers with those rows as JSON (including a
 few malformed responses that exercise rule repairs and one correction
 prompt), then drives the CLI: prompt-preview (with and without reasoning),
 extract -> compare, train -> evaluate for each model family, and the
-few-shot baseline on a labeled copy of the corpus, then three commands on
-damaged inputs (a CSV cell over csv's size limit, a report that is not UTF-8,
-a model file whose column list lost an entry), each of which must exit 2 with
-one error line naming the file. Everything runs without network access.
+few-shot baseline on a labeled copy of the corpus, then five commands on
+damaged inputs (a CSV cell over csv's size limit, a CSV byte that is not
+UTF-8, a report that is not UTF-8, a corpus with an empty report, a model
+file whose column list lost an entry), each of which must exit 2 with one
+error line naming the file. Everything runs without network access.
 """
 
 from __future__ import annotations
@@ -151,10 +152,22 @@ def main():
     long_cell.write_text("\n".join(lines), encoding="utf-8")
     cli_fails(["evaluate", "--model", workdir / "model_dtree.json", "--data", long_cell,
                "--schema", schema, "--split", workdir / "split.json"], long_cell)
+    data = (ROOT / "data/heart.csv").read_bytes()
+    bad_byte = workdir / "heart_bad_byte.csv"
+    bad_byte.write_bytes(data.replace(b",M,", b",\xff,", 1))
+    cli_fails(["evaluate", "--model", workdir / "model_dtree.json", "--data", bad_byte,
+               "--schema", schema, "--split", workdir / "split.json"], bad_byte)
     latin1 = workdir / "report_latin1.txt"
     latin1.write_bytes(report["text"].encode("utf-8") + " caf\xe9.\n".encode("latin-1"))
     cli_fails(["prompt-preview", "--schema", schema, "--templates", templates,
                "--report", latin1], latin1)
+    corpus = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus[2] = json.dumps({**json.loads(corpus[2]), "text": ""}) + "\n"
+    empty_report = workdir / "corpus_empty_report.jsonl"
+    empty_report.write_text("".join(corpus), encoding="utf-8")
+    cli_fails(["--output-dir", workdir / "empty_report_out", "extract", "--schema", schema,
+               "--templates", templates, "--corpus", empty_report,
+               "--replay", workdir / "replay.json"], empty_report)
     model = json.loads((workdir / "model_logreg.json").read_text(encoding="utf-8"))
     model["columns"].pop()
     short_columns = workdir / "model_short_columns.json"

@@ -52,9 +52,10 @@ _CONFIG = inputs.Table(optional={
     "parallelism": inputs.POSITIVE}, closed=True)
 _DEFAULTS = {"output_dir": ".", "seed": 7, "budget": 3, "parallelism": 1}
 # A corpus id is written to CSV as its text, so 1 and "1" name one row; a
-# shot's label is put into the prompt as its text.
+# shot's label is put into the prompt as its text. A report is never empty.
 _ID = (lambda value: type(value) in (str, int), "a string or an integer")
-_CORPUS_LINE = inputs.Table({"id": _ID, "text": inputs.TEXT})
+_REPORT = (lambda value: type(value) is str and value != "", "a non-empty string")
+_CORPUS_LINE = inputs.Table({"id": _ID, "text": _REPORT})
 _SHOT_LINE = inputs.Table({"text": inputs.TEXT, "label": _ID})
 _PROVENANCE_LINE = inputs.Table({"id": _ID, "vorc_iterations": inputs.COUNT},
                                 {"status": (lambda value: value in ("ok", "failed"),
@@ -71,8 +72,11 @@ class CliState:
         self.report_format = "json" if as_json else "text"
 
     def setting(self, key: str, override=None, required: bool = False):
-        """The flag's value when given, else the config file's, else the
-        key's default."""
+        """The flag's value when given, checked as the config file's is, else
+        the config file's, else the key's default."""
+        test, what = _CONFIG.fields[key]
+        if override is not None and not test(override):
+            raise ValueError(f"--{key.replace('_', '-')} must be {what}, got {override!r}")
         value = override if override is not None else self.config.get(key, _DEFAULTS.get(key))
         if required and value is None:
             raise ValueError(f"missing required setting {key!r} (flag or config file)")
@@ -99,10 +103,10 @@ def _templates_from(state: CliState, templates_path: str | None, schema):
     return load_templates(state.setting("templates", templates_path, required=True), schema)
 
 
-def _read_corpus(path) -> list[dict]:
-    """The corpus lines; ValueError names the line whose id or text is of the
-    wrong type, or whose id is an earlier line's once both are CSV text."""
-    lines = dict(inputs.load_lines(path, _CORPUS_LINE, ValueError))
+def _read_corpus(path, line=_CORPUS_LINE) -> list[dict]:
+    """The corpus lines; ValueError names the first line that fails ``line``,
+    or whose id is an earlier line's once both are CSV text."""
+    lines = dict(inputs.load_lines(path, line, ValueError))
     repeat = inputs.first_repeat((str(doc["id"]), lineno) for lineno, doc in lines.items())
     if repeat:
         first, lineno, _ = repeat
@@ -381,17 +385,16 @@ def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     if label is None:
         raise ValueError("schema has no label; few-shot classification needs one")
     provider = _provider_from(state, replay_script)
-    corpus = _read_corpus(state.setting("corpus", corpus_path, required=True))
+    # a gold label is read like a CSV label; null, or no label, is no gold
+    gold = (lambda value: value is None or type(value) in (str, int)
+            and label.parse(value) is not None,
+            f"{label.positive_value!r} or {label.negative_value!r}, or null")
+    corpus = _read_corpus(state.setting("corpus", corpus_path, required=True),
+                          inputs.Table({"id": _ID, "text": _REPORT}, {"label": gold}))
     shots = [(d["text"], str(d["label"]))
              for _, d in inputs.load_lines(shots_path, _SHOT_LINE, ValueError)]
     check_shots(shots, label)
-    golds = []  # the label value each report's gold names, or None when it has no gold
-    for doc in corpus:
-        gold = doc.get("label")
-        if gold is not None and (gold := label.parse(gold)) is None:
-            raise ValueError(f"report {doc['id']!r}: gold label {doc['label']!r} is neither "
-                             f"{label.positive_value!r} nor {label.negative_value!r}")
-        golds.append(gold)
+    golds = [None if doc.get("label") is None else label.parse(doc["label"]) for doc in corpus]
     answers = [_read_answer(provider.complete(CompletionRequest(prompt=prompt)).text, label)
                for prompt in (build_fewshot_classifier_prompt(shots, doc["text"], label)
                               for doc in corpus)]

@@ -9,13 +9,13 @@ reads whole columns: ``load_csv`` hands over the columns it coerced,
 CSV layout: UTF-8 (a leading byte-order mark is allowed), RFC-4180 quoting,
 header row required, empty cell means a missing value. An optional ``id``
 column carries row identifiers (row indices are used when absent); the label
-column is matched by the schema's label name. ``load_csv`` reads and decodes
-a file once, reads whole columns and coerces each distinct raw string of a
-column once; the error it reports is the first bad cell in file order (by
-line, then header position), else the first line with the wrong number of
-cells or that csv or UTF-8 cannot read, naming the physical line the record
-starts on (a bad byte, its own line), else the first repeated id, naming its
-line and the first one's.
+column is matched by the schema's label name. ``load_csv`` reads a file once,
+decodes it whole (a line at a time if it is not all UTF-8), reads whole
+columns and coerces each distinct raw string of a column once; the error it
+reports is the first bad cell in file order (by line, then header position),
+else the first line with the wrong number of cells or that csv or UTF-8
+cannot read, naming the physical line the record starts on (a bad byte, its
+own line), else the first repeated id, naming its line and the first one's.
 
 Split files are JSON: ``{"seed": int, "train": [...], "val": [...], "test": [...]}``,
 an id list per name in ``PARTS``.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,37 +98,24 @@ def load_csv(path: str | Path, schema: ExtractionSchema) -> TabularDataset:
     cell in file order (by line, then header position), else the first line
     without one cell per header column or that csv or UTF-8 cannot read (a
     bad byte is named by its own line), else the first id that an earlier
-    line holds. Lines from that one on are not coerced.
+    line holds. Lines from that one on are not coerced. A file that is not all
+    UTF-8 reaches csv through ``_utf8_lines``, a line at a time.
     """
     path = Path(path)
     data = path.read_bytes()
     try:
-        text, bad = data.decode("utf-8-sig"), (math.inf, None)
-    except UnicodeDecodeError as e:
-        text = data.decode("utf-8-sig", "surrogateescape")
-        before = e.object[:e.start]  # e.object lacks the BOM
-        # csv's lines end at "\r\n", "\r" or "\n"
-        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
-        bad = (line, DatasetError(f"{path}:{line}: not UTF-8: byte 0x{e.object[e.start]:02x} "
-                                  f"({e.reason})"))
-    return _read_table(text, schema, path, bad)
-
-
-def _read_table(text: str, schema: ExtractionSchema, path: Path, bad: tuple) -> TabularDataset:
-    """The table ``text`` holds. ``bad`` is ``(line, error)``: the header or
-    record whose last physical line reaches ``line`` (infinite when every
-    byte was UTF-8) stops the read with ``error``."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+        source = io.StringIO(data.decode("utf-8-sig"), newline="")
+    except UnicodeDecodeError:
+        source = _utf8_lines(data, path)
+    reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
         raise DatasetError(f"{path}: empty file, expected a header row") from None
     except csv.Error as e:
-        raise (bad[1] if reader.line_num >= bad[0] else DatasetError(f"{path}:1: {e}")) from None
-    if reader.line_num >= bad[0]:
-        raise bad[1]
+        raise DatasetError(f"{path}:1: {e}") from None
     roles = _map_header(header, schema, path)
-    records, lines, stop = _read_records(reader, len(roles), path, bad)
+    records, lines, stop = _read_records(reader, len(roles), path)
     raw = list(zip(*records)) or [()] * len(roles)
     values, failures = {}, []  # failures: (record, header position, error)
     for j, (role, column) in enumerate(zip(roles, raw)):
@@ -154,19 +140,29 @@ def _read_table(text: str, schema: ExtractionSchema, path: Path, bad: tuple) -> 
     return TabularDataset(schema=schema, columns=columns, ids=ids, labels=labels)
 
 
-def _read_records(reader, width: int, path: Path, bad: tuple):
+def _utf8_lines(data: bytes, path: Path):
+    """The lines of ``data``, ended where csv ends them (``\\n``, ``\\r`` or
+    ``\\r\\n``), each decoded from UTF-8 as it is asked for (the first may
+    start with a byte-order mark); the first line with a byte that is not
+    UTF-8 raises DatasetError naming it."""
+    for n, line in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield line.decode("utf-8-sig" if n == 1 else "utf-8")
+        except UnicodeDecodeError as e:  # e.object lacks the byte-order mark
+            raise DatasetError(f"{path}:{n}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                               f"({e.reason})") from None
+
+
+def _read_records(reader, width: int, path: Path):
     """``(records, lines, stop)``: the records before the first one without
     ``width`` cells, the physical line each of them starts on (a quoted cell
     may span lines), and the error that ends the read there. A record csv
-    cannot read ends it too, and so does one that reaches line ``bad[0]``,
-    with the error ``bad[1]``; ``stop`` is None at the end of the file."""
-    bad_line, bad_error = bad
+    cannot read ends it too, and so does a line that is not UTF-8, with the
+    error ``_utf8_lines`` raises; ``stop`` is None at the end of the file."""
     records, lines = [], []
+    start = reader.line_num + 1
     try:
-        start = reader.line_num + 1
         for cells in reader:
-            if reader.line_num >= bad_line:
-                return records, lines, bad_error
             if len(cells) != width:
                 return records, lines, DatasetError(f"{path}:{start}: expected {width} "
                                                     f"cells, got {len(cells)}")
@@ -174,8 +170,9 @@ def _read_records(reader, width: int, path: Path, bad: tuple):
             lines.append(start)
             start = reader.line_num + 1
     except csv.Error as e:
-        error = DatasetError(f"{path}:{start}: {e}")
-        return records, lines, bad_error if reader.line_num >= bad_line else error
+        return records, lines, DatasetError(f"{path}:{start}: {e}")
+    except DatasetError as e:
+        return records, lines, e
     return records, lines, None
 
 

@@ -453,13 +453,8 @@ def _compile_coercer(spec: FeatureSpec):
 
         return coerce
 
-    def general(raw):  # text
+    def coerce(raw):  # text
         return missing() if _is_missing(raw) else _stringify(raw)
-
-    def coerce(raw):
-        if raw.__class__ is str and raw.strip().lower() not in MISSING_SENTINELS:
-            return raw
-        return general(raw)
 
     return coerce
 

@@ -531,7 +531,7 @@ def extract_corpus(provider, reports: list[tuple[str, str]], schema: ExtractionS
     if len(set(ids)) != len(ids):
         raise ValueError("report ids must be unique")
     if budget < 0:
-        raise ValueError("max_correction_prompts must be >= 0")
+        raise ValueError("budget must be >= 0")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 

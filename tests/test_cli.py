@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from helpers import DATA, SCHEMAS, TEMPLATES, json_path, small_schema_file, vorc_fixture_files
 
 from medtab.cli import main
+from medtab.llm import ReplayProvider
 from medtab.prompts import MAX_SHOTS
 
 
@@ -638,7 +639,19 @@ class TestFewshot:
                                       "--schema", str(schema), "--shots", str(shots),
                                       "--corpus", str(corpus), "--replay", str(replay)])
         assert result.exit_code == 2
-        assert "report 'q1': gold label 'yess' is neither 'yes' nor 'no'" in result.output
+        assert f"{corpus}:2: $.label must be 'yes' or 'no', or null, got 'yess'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gold", [True, 1.0, ["yes"]], ids=["bool", "float", "list"])
+    def test_gold_of_the_wrong_type_exits_2_with_its_line(self, runner, tmp_path, gold):
+        """A gold is a string or an integer that names a label value, or null."""
+        schema, shots, corpus, replay = self.make_files(tmp_path, [("yes", "yes"), (gold, "no")])
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                 "--schema", str(schema), "--shots", str(shots),
+                                 "--corpus", str(corpus), "--replay", str(replay)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: {corpus}:2: $.label must be 'yes' or 'no', or null, "
+                                 f"got {gold!r}\n")
         assert not (tmp_path / "out").exists()
 
     def test_unparseable_answer_becomes_abstain(self, runner, tmp_path):
@@ -822,13 +835,45 @@ class TestErrorBoundary:
                                  "--schema", str(small_schema_file(tmp_path)),
                                  "--templates", str(templates), "--corpus", str(corpus),
                                  "--replay", str(replay), "--budget", "-1"])
-        self.assert_one_error(result, "max_correction_prompts must be >= 0")
+        self.assert_one_error(result, "--budget must be an integer of at least 0, got -1")
+        assert not (tmp_path / "out").exists()
+
+    def test_extract_zero_parallelism_names_the_flag(self, runner, tmp_path):
+        corpus, replay, templates = vorc_fixture_files(tmp_path)
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "extract",
+                                 "--schema", str(small_schema_file(tmp_path)),
+                                 "--templates", str(templates), "--corpus", str(corpus),
+                                 "--replay", str(replay), "--parallelism", "0"])
+        self.assert_one_error(result, "--parallelism must be an integer of at least 1, got 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "fewshot"])
+    def test_empty_report_exits_2_with_its_line_before_any_call(self, runner, tmp_path,
+                                                                monkeypatch, command):
+        corpus, replay, templates = vorc_fixture_files(tmp_path)
+        docs = [json.loads(line) for line in corpus.read_text().splitlines()]
+        docs[2]["text"] = ""
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        shots = tmp_path / "shots.jsonl"
+        shots.write_text(json.dumps({"text": "shot", "label": "yes"}) + "\n")
+        calls = []
+        complete = ReplayProvider.complete
+        monkeypatch.setattr(ReplayProvider, "complete",
+                            lambda provider, request: calls.append(request)
+                            or complete(provider, request))
+        extra = (["--templates", str(templates)] if command == "extract"
+                 else ["--shots", str(shots)])
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), command,
+                                 "--schema", str(small_schema_file(tmp_path)),
+                                 "--corpus", str(corpus), "--replay", str(replay)] + extra)
+        self.assert_one_error(result, f"{corpus}:3: $.text must be a non-empty string, got ''")
+        assert calls == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["extract", "fewshot"])
     @pytest.mark.parametrize("line, message", [
-        ({"id": "a", "text": 5}, "$.text must be a string, got 5"),
-        ({"id": "a", "text": None}, "$.text must be a string, got None"),
+        ({"id": "a", "text": 5}, "$.text must be a non-empty string, got 5"),
+        ({"id": "a", "text": None}, "$.text must be a non-empty string, got None"),
         ({"id": ["a"], "text": "report"}, "$.id must be a string or an integer, got ['a']"),
         ({"id": True, "text": "report"}, "$.id must be a string or an integer, got True"),
         ({"id": 1.5, "text": "report"}, "$.id must be a string or an integer, got 1.5"),

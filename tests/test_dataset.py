@@ -315,16 +315,24 @@ class TestLoadCsvByColumn:
          "not UTF-8: byte 0xff (invalid start byte)"),
         ("age,dose,color,note,target\n", '40,1.5,red,,pos\r\n40,1.5,red,"two\rli\xffnes",pos\r', 4,
          "not UTF-8: byte 0xff (invalid start byte)"),
+        ("\ufeffage,dose,\xffcolor,note,target\n", "40,1.5,red,,pos\n", 1, "not UTF-8: byte 0xff "
+         "(invalid start byte)"),
+        ("\ufeffage,dose,color,note,target\n", "40,1.5,red,,pos\n40,1.5,red,\xff,pos\n", 3,
+         "not UTF-8: byte 0xff (invalid start byte)"),
+        ("age,dose,color,note,target\n", "40,1.5,red,\n40,1.5,red,\xff,pos\n", 2,
+         "expected 5 cells, got 4"),
     ], ids=["oversized-header", "oversized-body", "bad-byte-header", "bad-byte-body",
             "bad-byte-multi-line", "bad-byte-multi-line-short", "bad-byte-multi-line-oversized",
             "bad-byte-multi-line-header", "bad-byte-after-repeated-id", "bad-byte-cr-line-ends",
-            "bad-byte-crlf-line-ends", "bad-byte-mixed-line-ends"])
+            "bad-byte-crlf-line-ends", "bad-byte-mixed-line-ends", "bom-bad-byte-header",
+            "bom-bad-byte-body", "short-line-before-bad-byte"])
     def test_unreadable_record_names_its_line(self, tmp_path, head, body, line, error):
         """A record past csv's field size limit fails at the line it starts on;
         a byte that is not UTF-8 at its own line, wherever the text reader's
         chunk ended, and even inside a header or record that spans lines,
-        whatever its cell count or csv's error there. A repeated id before it
-        does not win."""
+        whatever its cell count or csv's error there, and after a byte-order
+        mark. A repeated id before it does not win; a short line before it
+        does."""
         path = tmp_path / "t.csv"
         path.write_bytes((head + body).encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
         with pytest.raises(DatasetError) as raised:

@@ -748,7 +748,7 @@ class TestExtractCorpus:
             extract_corpus(replay(), [("a", "r"), ("a", "r")], schema, bundle, 3)
 
     @pytest.mark.parametrize("budget, parallelism, message", [
-        (-1, 1, "max_correction_prompts must be >= 0"), (3, 0, "parallelism must be >= 1")])
+        (-1, 1, "budget must be >= 0"), (3, 0, "parallelism must be >= 1")])
     def test_bad_budget_or_parallelism_rejected_before_any_call(self, budget, parallelism,
                                                                 message):
         schema = small_schema()
