@@ -174,6 +174,20 @@ def main():
     short_columns.write_text(json.dumps(model), encoding="utf-8")
     cli_fails(["evaluate", "--model", short_columns, "--data", ROOT / "data/heart.csv",
                "--schema", schema, "--split", workdir / "split.json"], short_columns)
+    model = json.loads((workdir / "model_logreg.json").read_text(encoding="utf-8"))
+    model["label"]["positive"], model["label"]["negative"] = (model["label"]["negative"],
+                                                              model["label"]["positive"])
+    swapped_label = workdir / "model_swapped_label.json"
+    swapped_label.write_text(json.dumps(model), encoding="utf-8")
+    cli_fails(["evaluate", "--model", swapped_label, "--data", ROOT / "data/heart.csv",
+               "--schema", schema, "--split", workdir / "split.json"], swapped_label)
+    shots = (workdir / "shots.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    shots[1] = json.dumps({**json.loads(shots[1]), "label": "7"}) + "\n"
+    bad_shot = workdir / "shots_bad_label.jsonl"
+    bad_shot.write_text("".join(shots), encoding="utf-8")
+    cli_fails(["--output-dir", workdir / "bad_shot_out", "fewshot", "--schema", schema,
+               "--shots", bad_shot, "--corpus", workdir / "labeled_corpus.jsonl",
+               "--replay", workdir / "fewshot_replay.json"], bad_shot)
     print(f"\nDemo artifacts under {workdir}/")
 
 

@@ -51,12 +51,11 @@ _CONFIG = inputs.Table(optional={
     "provider": inputs.OBJECT, "seed": inputs.INT, "budget": inputs.COUNT,
     "parallelism": inputs.POSITIVE}, closed=True)
 _DEFAULTS = {"output_dir": ".", "seed": 7, "budget": 3, "parallelism": 1}
-# A corpus id is written to CSV as its text, so 1 and "1" name one row; a
-# shot's label is put into the prompt as its text. A report is never empty.
+# A corpus id is written to CSV as its text, so 1 and "1" name one row. A
+# report is never empty.
 _ID = (lambda value: type(value) in (str, int), "a string or an integer")
 _REPORT = (lambda value: type(value) is str and value != "", "a non-empty string")
 _CORPUS_LINE = inputs.Table({"id": _ID, "text": _REPORT})
-_SHOT_LINE = inputs.Table({"text": inputs.TEXT, "label": _ID})
 _PROVENANCE_LINE = inputs.Table({"id": _ID, "vorc_iterations": inputs.COUNT},
                                 {"status": (lambda value: value in ("ok", "failed"),
                                             "'ok' or 'failed'")})
@@ -279,6 +278,9 @@ def cmd_evaluate(state, model_path, data_path, split_path, schema_path, part):
 
     schema = _schema_from(state, schema_path)
     artifact = models.load_model(model_path)
+    if artifact.label not in (None, schema.label):
+        raise ValueError(f"model {model_path} was trained with label {artifact.label.to_doc()}, "
+                         f"but the schema's label is {schema.label and schema.label.to_doc()}")
     dataset = ds.load_csv(data_path, schema)
     assignment = ds.load_split(split_path)
     if artifact.seed is not None and artifact.seed != assignment.seed:
@@ -379,21 +381,22 @@ def _read_answer(text: str, label_spec) -> str | None:
 def cmd_fewshot(state, schema_path, shots_path, corpus_path, replay_script):
     """Few-shot label classification baseline over a report corpus."""
     from .llm import CompletionRequest
-    from .prompts import build_fewshot_classifier_prompt, check_shots
+    from .prompts import MAX_SHOTS, build_fewshot_classifier_prompt
 
     label = _schema_from(state, schema_path).label
     if label is None:
         raise ValueError("schema has no label; few-shot classification needs one")
     provider = _provider_from(state, replay_script)
-    # a gold label is read like a CSV label; null, or no label, is no gold
-    gold = (lambda value: value is None or type(value) in (str, int)
-            and label.parse(value) is not None,
-            f"{label.positive_value!r} or {label.negative_value!r}, or null")
+    # shot and gold labels are read like a CSV label; a null or absent gold is none
+    named = (lambda value: type(value) in (str, int) and label.parse(value) is not None,
+             f"{label.positive_value!r} or {label.negative_value!r}")
+    gold = (lambda value: value is None or named[0](value), f"{named[1]}, or null")
     corpus = _read_corpus(state.setting("corpus", corpus_path, required=True),
                           inputs.Table({"id": _ID, "text": _REPORT}, {"label": gold}))
-    shots = [(d["text"], str(d["label"]))
-             for _, d in inputs.load_lines(shots_path, _SHOT_LINE, ValueError)]
-    check_shots(shots, label)
+    shots = [(d["text"], label.parse(d["label"])) for _, d in inputs.load_lines(
+        shots_path, inputs.Table({"text": inputs.TEXT, "label": named}), ValueError)]
+    if not 1 <= len(shots) <= MAX_SHOTS:
+        raise ValueError(f"{shots_path}: need between 1 and {MAX_SHOTS} shots, got {len(shots)}")
     golds = [None if doc.get("label") is None else label.parse(doc["label"]) for doc in corpus]
     answers = [_read_answer(provider.complete(CompletionRequest(prompt=prompt)).text, label)
                for prompt in (build_fewshot_classifier_prompt(shots, doc["text"], label)

@@ -148,9 +148,8 @@ def _utf8_lines(data: bytes, path: Path):
     for n, line in enumerate(data.splitlines(keepends=True), start=1):
         try:
             yield line.decode("utf-8-sig" if n == 1 else "utf-8")
-        except UnicodeDecodeError as e:  # e.object lacks the byte-order mark
-            raise DatasetError(f"{path}:{n}: not UTF-8: byte 0x{e.object[e.start]:02x} "
-                               f"({e.reason})") from None
+        except UnicodeDecodeError as e:
+            raise DatasetError(inputs.not_utf8(path, n, e)) from None
 
 
 def _read_records(reader, width: int, path: Path):

@@ -18,7 +18,8 @@ loader's own error class in one message form::
     <file>[:<line>]: <JSON path> must be <what>, got <value>
 
 A missing key got ``nothing``. A file that cannot be read or decoded raises
-the same class, naming the file (and the line), as ``read_text`` does.
+the same class, naming the file (and the line), as ``read_text`` does; a
+byte that is not UTF-8 gives ``<file>:<line>: not UTF-8: byte 0x.. (reason)``.
 """
 
 from __future__ import annotations
@@ -125,14 +126,22 @@ def check(doc, spec, error: type[Exception], where: str, root: str = "$"):
     return doc
 
 
+def not_utf8(path, line: int, e: UnicodeDecodeError) -> str:
+    """The one form of a bad-byte error: the file, the line and the byte."""
+    return f"{path}:{line}: not UTF-8: byte 0x{e.object[e.start]:02x} ({e.reason})"
+
+
 def read_text(path, error: type[Exception]) -> str:
-    """The file's UTF-8 text; ``error`` naming the file when it cannot be read."""
+    """The file's UTF-8 text with its line ends made ``\\n``, as ``Path.read_text``
+    gives it; ``error`` naming the file, and the line of a byte that is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as e:
         raise error(f"cannot read {path}: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
-        raise error(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:  # the bad byte's line; "\r\n", "\r" and "\n" end one
+        line = len((e.object[:e.start] + b".").splitlines())
+        raise error(not_utf8(path, line, e)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _decode(text: str, error: type[Exception], where: str):
@@ -152,7 +161,7 @@ def load(path, spec, error: type[Exception]):
 
 def load_lines(path, spec, error: type[Exception]) -> list[tuple[int, object]]:
     """``(line number, document)`` for each non-blank line of a JSON-lines
-    file, each document checked against ``spec``."""
+    file, each checked against ``spec`` once the whole file has decoded."""
     entries, name = [], str(path)
     for n, line in enumerate(read_text(path, error).split("\n"), start=1):
         if line := line.strip():

@@ -48,8 +48,7 @@ class TestPromptPreview:
         report.write_bytes(b"A 70\xff-year-old woman.")
         result = invoke(runner, base)
         assert (result.exit_code, result.stderr) == (
-            2, f"error: {report}: 'utf-8' codec can't decode byte 0xff in position 4: "
-               "invalid start byte\n")
+            2, f"error: {report}:1: not UTF-8: byte 0xff (invalid start byte)\n")
 
     def test_guidelines_that_are_not_utf8_exit_2_naming_the_file(self, runner, tmp_path):
         templates = tmp_path / "templates"
@@ -60,8 +59,8 @@ class TestPromptPreview:
         result = invoke(runner, ["prompt-preview", "--schema", str(SCHEMAS / "heart.schema.json"),
                                  "--templates", str(templates), "--report-text", "x"])
         assert (result.exit_code, result.stderr) == (
-            2, f"error: {templates / 'guidelines.txt'}: 'utf-8' codec can't decode byte 0xff "
-               "in position 4: invalid start byte\n")
+            2, f"error: {templates / 'guidelines.txt'}:1: not UTF-8: byte 0xff "
+               "(invalid start byte)\n")
 
     def test_no_reasoning_flag_gives_extract_only(self, runner):
         base = ["prompt-preview", "--schema", str(SCHEMAS / "heart.schema.json"),
@@ -666,7 +665,7 @@ class TestFewshot:
         assert doc["n scored"] == 1
 
     @pytest.mark.parametrize("bad_line, message", [
-        ({"text": "shot 2"}, "$.label must be a string or an integer, got nothing"),
+        ({"text": "shot 2"}, "$.label must be 'yes' or 'no', got nothing"),
         (7, "$ must be a JSON object, got 7"),
     ], ids=["bad_line0", "7"])
     def test_shot_without_label_exits_2_with_its_line(self, runner, tmp_path, bad_line,
@@ -683,9 +682,12 @@ class TestFewshot:
 
     @pytest.mark.parametrize("bad_line, message", [
         ({"text": [], "label": "yes"}, "$.text must be a string, got []"),
-        ({"text": "shot 2", "label": True}, "$.label must be a string or an integer, got True"),
-        ({"text": "shot 2", "label": {}}, "$.label must be a string or an integer, got {}"),
-    ], ids=["text-list", "label-bool", "label-object"])
+        ({"text": "shot 2", "label": True}, "$.label must be 'yes' or 'no', got True"),
+        ({"text": "shot 2", "label": {}}, "$.label must be 'yes' or 'no', got {}"),
+        ({"text": "shot 2", "label": "maybe"}, "$.label must be 'yes' or 'no', got 'maybe'"),
+        ({"text": "shot 2", "label": 7}, "$.label must be 'yes' or 'no', got 7"),
+    ], ids=["text-list", "label-bool", "label-object", "label-of-neither-value",
+            "label-integer-of-neither-value"])
     def test_shot_of_the_wrong_type_exits_2_with_its_line(self, runner, tmp_path, bad_line,
                                                           message):
         schema, shots, corpus, replay = self.make_files(tmp_path, [("yes", "yes")])
@@ -768,9 +770,9 @@ class TestFewshot:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("shot_labels, message", [
-        (["7"], "shot label '7' is not one of ['0', '1']"),
-        ([], f"need between 1 and {MAX_SHOTS} shots, got 0"),
-        (["1"] * (MAX_SHOTS + 1), f"need between 1 and {MAX_SHOTS} shots, got {MAX_SHOTS + 1}"),
+        (["7"], ":1: $.label must be '1' or '0', got '7'"),
+        ([], f": need between 1 and {MAX_SHOTS} shots, got 0"),
+        (["1"] * (MAX_SHOTS + 1), f": need between 1 and {MAX_SHOTS} shots, got {MAX_SHOTS + 1}"),
     ], ids=["label-of-neither-value", "no-shots", "too-many-shots"])
     def test_shots_are_checked_before_any_report(self, runner, tmp_path, shot_labels, message):
         shots, corpus, replay = (tmp_path / name for name in
@@ -784,8 +786,46 @@ class TestFewshot:
                                  "--shots", str(shots), "--corpus", str(corpus),
                                  "--replay", str(replay)])
         assert result.exit_code == 2
-        assert result.stderr == f"error: {message}\n"
+        assert result.stderr == f"error: {shots}{message}\n"
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("schema, shot_labels, shown", [
+        (SCHEMAS / "heart.schema.json", (" 1 ", 0), ("1", "0")),
+        (None, ("YES", " No"), ("yes", "no")),
+    ], ids=["spaced", "other-case"])
+    def test_shot_labels_are_read_as_gold_labels_are(self, runner, tmp_path, monkeypatch,
+                                                    schema, shot_labels, shown):
+        """A shot label passes when the label rule reads it, and the prompt
+        shows the value it names."""
+        schema, shots, corpus, replay = self.make_files(tmp_path, [(None, "x")], schema,
+                                                        shot_labels)
+        prompts = []
+        complete = ReplayProvider.complete
+        monkeypatch.setattr(ReplayProvider, "complete",
+                            lambda provider, request: prompts.append(request.prompt)
+                            or complete(provider, request))
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                 "--schema", str(schema), "--shots", str(shots),
+                                 "--corpus", str(corpus), "--replay", str(replay)])
+        assert result.exit_code == 0, result.output
+        [prompt] = prompts
+        assert (f"Medical report: shot 0\nAnswer: {shown[0]}\n\n"
+                f"Medical report: shot 1\nAnswer: {shown[1]}\n\n"
+                "Medical report: [q-0] report\nAnswer:") in prompt
+
+    def test_shot_count_names_the_file_before_any_call(self, runner, tmp_path, monkeypatch):
+        schema, shots, corpus, replay = self.make_files(tmp_path, [("yes", "yes")])
+        shots.write_text("\n  \n")
+        calls = []
+        monkeypatch.setattr(ReplayProvider, "complete",
+                            lambda provider, request: calls.append(request))
+        result = invoke(runner, ["--output-dir", str(tmp_path / "out"), "fewshot",
+                                 "--schema", str(schema), "--shots", str(shots),
+                                 "--corpus", str(corpus), "--replay", str(replay)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {shots}: need between 1 and {MAX_SHOTS} shots, got 0\n"
+        assert calls == []
 
 
 class TestErrorBoundary:
@@ -1058,6 +1098,32 @@ class TestErrorBoundary:
         model, split = self.train_hepatitis_logreg(runner, tmp_path / "seed5", 5)
         doc = json.loads(model.read_text())
         del doc["seed"]
+        model.write_text(json.dumps(doc))
+        result = self.evaluate_hepatitis(runner, model, split)
+        assert result.exit_code == 0, result.output
+        assert "accuracy" in result.stdout
+
+    def test_evaluate_with_another_label_exits_2(self, runner, tmp_path):
+        """A model scored under a label whose values are swapped would read
+        every row the wrong way round."""
+        model, split = self.train_hepatitis_logreg(runner, tmp_path / "seed5", 5)
+        doc = json.loads((SCHEMAS / "hepatitis.schema.json").read_text())
+        label = doc["label"]
+        trained = {"name": label["name"], "positive": label["positive"],
+                   "negative": label["negative"]}
+        label["positive"], label["negative"] = label["negative"], label["positive"]
+        swapped = tmp_path / "swapped.schema.json"
+        swapped.write_text(json.dumps(doc))
+        result = invoke(runner, ["evaluate", "--model", str(model),
+                                 "--data", str(DATA / "hepatitis.csv"),
+                                 "--schema", str(swapped), "--split", str(split)])
+        self.assert_one_error(result, f"model {model} was trained with label {trained}, "
+                                      f"but the schema's label is {label}")
+
+    def test_evaluate_accepts_a_model_that_records_no_label(self, runner, tmp_path):
+        model, split = self.train_hepatitis_logreg(runner, tmp_path / "seed5", 5)
+        doc = json.loads(model.read_text())
+        del doc["label"]
         model.write_text(json.dumps(doc))
         result = self.evaluate_hepatitis(runner, model, split)
         assert result.exit_code == 0, result.output

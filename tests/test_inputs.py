@@ -80,8 +80,33 @@ class TestRead:
             inputs.load(tmp_path / "missing.json", POINT, KeyError)
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"x": "\xe9"}')
-        with pytest.raises(KeyError, match="can't decode byte 0xe9"):
+        with pytest.raises(KeyError, match=rf"^'{re.escape(str(path))}:1: not UTF-8: byte 0xe9 "):
             inputs.load(path, POINT, KeyError)
+
+    @pytest.mark.parametrize("load, data, line", [
+        (inputs.load_lines, b'{"x": 1}\n\n{"x": "caf\xe9"}\n', 3),
+        (inputs.load_lines, b'{"x": 1}\r\n{"x": 2}\r\r\n{"x": "caf\xe9"}\r', 4),
+        (inputs.load_lines, b'{"x": "1"}\n{"x": "caf\xe9"}\n', 2),
+        (inputs.load, b'{\r\n  "x":\r  "caf\xe9"\n}', 3),
+        (inputs.load, b'{"x": "\xe9"}', 1),
+    ], ids=["lines", "crlf-and-bare-cr", "before-any-line-is-checked", "document",
+            "first-line"])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line(self, tmp_path, load, data, line):
+        """Lines are numbered as ``load_lines`` numbers them, with each of
+        \\r\\n, \\r and \\n ending one; the file is decoded before any
+        line is checked."""
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load(path, POINT, ValueError)
+        assert str(err.value) == f"{path}:{line}: not UTF-8: byte 0xe9 (invalid continuation byte)"
+
+    def test_line_ends_are_translated_as_read_text_translates_them(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"x": 1}\r\n\r{"x": 2}\r{"x": 3}\n')
+        assert inputs.load_lines(path, POINT, ValueError) == [(1, {"x": 1}), (3, {"x": 2}),
+                                                            (4, {"x": 3})]
+        assert inputs.read_text(path, ValueError) == path.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("text", [
         '{"x": ' + "9" * 5000 + "}",

@@ -96,8 +96,8 @@ class TestRextractPrompt:
         (tmp_path / name).write_bytes(b"text\xff")
         with pytest.raises(PromptError) as raised:
             load_templates(tmp_path, heart_schema)
-        assert str(raised.value) == (f"{tmp_path / name}: 'utf-8' codec can't decode byte 0xff "
-                                     "in position 4: invalid start byte")
+        assert str(raised.value) == (f"{tmp_path / name}:1: not UTF-8: byte 0xff "
+                                     "(invalid start byte)")
 
 
 class TestTruncation:
@@ -225,19 +225,6 @@ class TestFewshotPrompt:
     def test_single_shot(self):
         prompt = build_fewshot_classifier_prompt([("r", "yes")], "q", self.LABEL)
         assert prompt.count("Answer:") == 2
-
-    def test_invalid_label_rejected(self):
-        with pytest.raises(PromptError, match="label"):
-            build_fewshot_classifier_prompt([("r", "maybe")], "q", self.LABEL)
-
-    def test_zero_shots_rejected(self):
-        with pytest.raises(PromptError):
-            build_fewshot_classifier_prompt([], "q", self.LABEL)
-
-    def test_too_many_shots_rejected(self):
-        shots = [("r", "yes")] * 33
-        with pytest.raises(PromptError):
-            build_fewshot_classifier_prompt(shots, "q", self.LABEL)
 
 
 class TestBundleHelpers:
